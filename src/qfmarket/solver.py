@@ -1,26 +1,34 @@
-"""Two independent routes to the minimal feasible (competitive-equilibrium) price.
+"""The minimal feasible (competitive-equilibrium) price: a fast certified path
+and a descent fallback.
 
 `solve_eg` runs proportional-response dynamics on a quasi-linear
 Eisenberg-Gale program: maximize sum_i (beta_i log u_i - delta_i) subject to
 u_i <= v_i . x_i + delta_i and supply constraints. Buyers split budgets into
 bids over goods and a money slot, prices are bid sums over supply, and each
-bid is rescaled by the fraction of utility its good contributes. The
-supply duals are the prices, and a computable duality gap bounds the price
-error, since the dual objective grows at least linearly away from the
-optimum.
+bid is rescaled by the fraction of utility its good contributes. The supply
+duals are the prices, and the iteration stops on a computable duality gap.
+The gap does not bound the price error linearly: the measured error tracks
+its square root, and it stalls near 1e-5 when a buyer is exactly indifferent
+to money at the minimum.
 
-`lattice_descent` walks downward through the feasible region: starting from a
-trivially feasible price it repeatedly scales subsets of coordinates by a
-common factor, accepting a move iff the flow check keeps it feasible, and
-halves the step when nothing moves. Subset moves matter: the minimal point
-generically sits at a corner where bang-per-buck ties force several prices to
-fall together, and single-coordinate moves stall on such ridges. In exact
-mode the terminal iterate is snapped onto the tie structure it exhibits and
-the snap is certified by an exact clearing check, which is conclusive because
+Certified rounding turns those prices into the exact answer. Read as
+rationals, they are snapped onto the bang-per-buck tie structure they
+exhibit: once the ties are known, the prices solve a linear system. A
+candidate that passes one exact clearing check is the answer, because
 clearing prices are unique.
 
-`solve` runs both, enforces per-coordinate agreement, and packages the
-clearing allocation with revenue, welfare, and certificates.
+`lattice_descent` is the fallback when no candidate certifies. It walks
+downward through the feasible region: starting from a trivially feasible
+price it repeatedly scales subsets of coordinates by a common factor,
+accepting a move iff the flow check keeps it feasible, and halves the step
+when nothing moves. Subset moves matter: the minimal point generically sits
+at a corner where bang-per-buck ties force several prices to fall together,
+and single-coordinate moves stall on such ridges. The terminal iterate is
+snapped the same way and kept if the clearing check certifies it.
+
+`solve` runs proportional response and the rounding, falls back to the
+descent with a per-coordinate agreement gate, and packages the clearing
+allocation with revenue, welfare, and certificates.
 """
 
 from __future__ import annotations
@@ -121,7 +129,8 @@ class EquilibriumResult:
     clearing_certificate: FeasibilityCertificate
     efficiency_certificate: EfficiencyCertificate
     eg: EGSolution
-    descent: DescentTrace
+    descent: DescentTrace  # empty (no steps, no probes) when rounding certified p_star
+    certified_by: str  # "rounding" or "descent"
 
 
 def initial_feasible_price(market: Market) -> PriceVector:
@@ -137,11 +146,11 @@ def initial_feasible_price(market: Market) -> PriceVector:
 def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSolution:
     """Proportional-response solve of the quasi-linear Eisenberg-Gale program.
 
-    Runs in floating point regardless of the market's numeric mode (the gap
-    certificate, not the arithmetic, carries the accuracy claim). Goods with
-    zero supply or zero bid mass are excluded from the dynamics; their prices
-    are imputed afterwards as the lowest level at which no buyer's
-    bang-per-buck strictly prefers them.
+    Runs in floating point regardless of the market's numeric mode; an
+    answer's exactness comes from certifying these prices afterwards, not
+    from this arithmetic. Goods with zero supply or zero bid mass are
+    excluded from the dynamics; their prices are imputed afterwards as the
+    lowest level at which no buyer's bang-per-buck strictly prefers them.
     """
     require_valid(market)
     if tol <= 0:
@@ -440,16 +449,41 @@ _SNAP_BANDS = tuple(Fraction(1, 2**k) for k in (40, 32, 24, 18, 14, 10, 8, 6, 4)
 
 
 def _snap_exact(market: Market, p: PriceVector) -> Optional[PriceVector]:
-    seen = set()
+    """The clearing price of an exact market, read off a nearby price p.
+
+    p itself is certified first, then the tie-snap candidates of ever wider
+    bands; the first to pass the exact clearing check is returned, and None
+    when none does.
+    """
+    p = tuple(p)
+    cert = check_clearing(market, p)
+    if cert.feasible and cert.clearing:
+        return p
+    seen = {p}
     for band in _SNAP_BANDS:
         for candidate in _tie_snap_candidates(market, p, band):
-            if candidate == tuple(p) or candidate in seen:
+            if candidate in seen:
                 continue
             seen.add(candidate)
             cert = check_clearing(market, candidate)
             if cert.feasible and cert.clearing:
                 return candidate
     return None
+
+
+def _certified_rounding(market: Market, prices: PriceVector) -> Optional[PriceVector]:
+    """The clearing price read off approximate prices, or None if none certifies.
+
+    The prices are read as rationals on the market's rational twin (a float
+    market's numbers are rationals too) and handed to _snap_exact, whose exact
+    clearing check is conclusive because clearing prices are unique. A float
+    market gets that price rounded back to floats.
+    """
+    exact_market = market if market.mode.is_exact else market.coerced(EXACT)
+    snapped = _snap_exact(exact_market, tuple(EXACT.coerce(v) for v in prices))
+    if snapped is None or market.mode.is_exact:
+        return snapped
+    return tuple(float(v) for v in snapped)
 
 
 def lattice_descent(
@@ -469,8 +503,8 @@ def lattice_descent(
     walk probes exact tie-event landings (see _event_factors): these are the
     only way into the measure-zero faces where several prices must hold a
     ratio exactly, and the walk stops once no landing is feasible either.
-    Exact mode then snaps the terminal iterate onto its tie structure and
-    keeps the snap only if an exact clearing check certifies it.
+    The terminal iterate is then rounded onto its tie structure like the
+    proportional-response prices in solve (see _certified_rounding).
     """
     require_valid(market)
     if tol is None:
@@ -565,36 +599,31 @@ def lattice_descent(
         if not landed:
             break
 
-    if exact:
-        snapped = _snap_exact(market, p)
-        if snapped is not None:
-            steps.append(DescentStep(tuple(range(1, market.n + 1)), p, snapped))
-            p = snapped
-    else:
-        # Every float is a rational, so the tie-snap argument applies to the
-        # rationalized market too; a certified snap then replaces the loose
-        # terminal iterate with the true minimum, up to one final rounding.
-        exact_market = market.coerced(EXACT)
-        snapped = _snap_exact(exact_market, tuple(EXACT.coerce(v) for v in p))
-        if snapped is not None:
-            back = tuple(float(v) for v in snapped)
-            if check_feasible(market, back, tol).feasible:
-                steps.append(DescentStep(tuple(range(1, market.n + 1)), p, back))
-                p = back
+    snapped = _certified_rounding(market, p)
+    if snapped is not None and snapped != p and check_feasible(market, snapped, tol).feasible:
+        steps.append(DescentStep(tuple(range(1, market.n + 1)), p, snapped))
+        p = snapped
     return DescentTrace(tuple(market.mode.coerce(v) for v in p0), tuple(steps), p, probes)
 
 
 def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
-    """Equilibrium prices by both methods, cross-checked, with certificates.
+    """Equilibrium prices with certificates: EG, one exact snap, descent as fallback.
 
-    The returned p_star is the descent endpoint and must pass the clearing
-    check, which pins it down completely because clearing prices are unique.
-    The proportional-response prices must then agree with it per coordinate
-    to max(10 * tol, 1e-5); the slack above 10 * tol exists because on
-    degenerate instances (a buyer exactly indifferent to money at p_star, say)
-    the duality gap understates the price error and proportional response can
-    stall a few microunits away no matter how small its own tolerance. A
-    MethodDisagreementError exposes both solutions.
+    Proportional response runs first, and its prices are rounded onto the tie
+    structure they exhibit (see _certified_rounding). A candidate that passes
+    the clearing check in the market's own mode is p_star, and the check is
+    the whole certificate: clearing prices are unique. certified_by is then
+    "rounding" and the descent trace is empty.
+
+    Only when no candidate certifies does lattice_descent run from a
+    trivially feasible price (certified_by "descent"). Its endpoint must pass
+    the clearing check, and the proportional-response prices must agree with
+    it per coordinate to max(10 * tol, 1e-5); the slack above 10 * tol exists
+    because on degenerate instances (a buyer exactly indifferent to money at
+    p_star, say) proportional response stalls a few microunits away however
+    small its own tolerance. A MethodDisagreementError exposes both
+    solutions. On either path method_agreement reports the largest
+    per-coordinate gap between p_star and the proportional-response prices.
     """
     require_valid(market)
     if tol <= 0:
@@ -602,18 +631,25 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     scale = max(1.0, float(sum(b.budget for b in market.buyers)))
     eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
     eg = solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
-    trace = lattice_descent(market, initial_feasible_price(market))
-    agreement = max(
-        abs(float(a) - float(b)) for a, b in zip(trace.final, eg.prices)
-    )
-    p_star = trace.final
-    cert = check_clearing(market, p_star)
-    if not (cert.feasible and cert.clearing):
-        raise MethodDisagreementError(
-            "descent endpoint failed the clearing check", eg=eg, descent=trace
+    p_star = _certified_rounding(market, eg.prices)
+    cert = None if p_star is None else check_clearing(market, p_star)
+    if cert is not None and cert.feasible and cert.clearing:
+        certified_by = "rounding"
+        trace = DescentTrace(
+            tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0
         )
+    else:
+        certified_by = "descent"
+        trace = lattice_descent(market, initial_feasible_price(market))
+        p_star = trace.final
+        cert = check_clearing(market, p_star)
+        if not (cert.feasible and cert.clearing):
+            raise MethodDisagreementError(
+                "descent endpoint failed the clearing check", eg=eg, descent=trace
+            )
+    agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
     allowed = max(10 * tol, 1e-5)
-    if agreement > allowed:
+    if certified_by == "descent" and agreement > allowed:
         raise MethodDisagreementError(
             f"solvers disagree by {agreement:.3e} (> {allowed:.3e} allowed)",
             eg=eg,
@@ -638,4 +674,5 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
         efficiency_certificate=efficiency,
         eg=eg,
         descent=trace,
+        certified_by=certified_by,
     )

@@ -224,7 +224,7 @@ def test_08_methods_agree_and_prices_are_minimal(probe_battery, fixture_dir, cap
     ok = worst <= 1e-5 and not minimality.failures and fixture_cuts_ok
     _verdict(
         capsys, 8, ok,
-        f"EG and descent within {worst:.1e} per coordinate on 20 random markets "
+        f"EG within {worst:.1e} of certified p* per coordinate on 20 random markets "
         f"+ 4 fixtures; every 1% price cut is infeasible",
     )
 

@@ -32,6 +32,8 @@ def test_solve_report_exact(fixture_dir):
     assert report["certificates"]["clearing"]["clearing"] is True
     assert report["certificates"]["efficiency"]["verdict"] == "certified-CE-hence-efficient"
     assert len(report["input"]["sha256"]) == 64
+    assert report["diagnostics"]["certified_by"] == "rounding"
+    assert report["diagnostics"]["descent_probes"] == 0
     assert "generated_at" not in report
 
 
@@ -49,6 +51,7 @@ def test_solve_float_mode(fixture_dir):
     report = json.loads(out)
     assert report["mode"] == "float"
     assert report["p_star"] == [0.6, 0.6]
+    assert report["diagnostics"]["certified_by"] == "rounding"
 
 
 def test_solve_arctic_reports_owner_bundles(fixture_dir):

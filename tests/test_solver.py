@@ -1,9 +1,11 @@
-"""Both solvers end to end: proportional response, lattice descent, cross-check.
+"""Both solvers end to end: proportional response with certified rounding,
+the lattice descent fallback, and their cross-check.
 
 The regression markets pinned here were found by randomized search and keep
-three hard-won behaviors covered: exact tie-event landings into ratio faces,
-money/budget dual-level snapping, and the agreement slack for iterates that
-stall when a buyer is exactly indifferent to money at the minimum.
+hard-won behaviors covered: exact tie-event landings into ratio faces,
+money/budget dual-level snapping, iterates that stall when a buyer is exactly
+indifferent to money at the minimum, and markets on which the descent alone
+stopped above p* or failed its agreement gate.
 """
 
 import random
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmarket import solver
 from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
 from qfmarket.numeric import EXACT, float_mode
@@ -37,7 +40,9 @@ def test_solve_exact_reference_market(ref_exact):
     assert res.method_agreement <= 1e-5
     assert res.clearing_certificate.clearing
     assert res.efficiency_certificate.certified
+    assert res.certified_by == "rounding"
     assert res.descent.final == res.p_star
+    assert res.descent.steps == () and res.descent.probes == 0
 
 
 def test_solve_float_reference_market(ref_float):
@@ -127,15 +132,16 @@ def test_descent_enters_exact_ratio_faces():
         ),
         EXACT,
     )
+    p_star = (F(632, 293), F(553, 293), F(553, 586), F(1106, 879))
     res = solve(market)
-    assert res.p_star == (F(632, 293), F(553, 293), F(553, 586), F(1106, 879))
+    assert res.p_star == p_star
     assert res.clearing_certificate.clearing
+    assert lattice_descent(market, initial_feasible_price(market)).final == p_star
 
 
-def test_descent_escapes_singleton_demand_wedges():
-    """Every buyer's argmax is a singleton near the minimum here, so descent
-    must land tie events exactly instead of shrinking the step forever."""
-    market = Market(
+def _wedge_market(mode=EXACT):
+    """Draw 10 of the seed-0 random_market(rng, 6, 6) battery."""
+    return Market(
         (
             Good("g1", F(3)),
             Good("g2", F(6)),
@@ -150,10 +156,20 @@ def test_descent_escapes_singleton_demand_wedges():
             Buyer("b4", (F(4, 3), F(5), F(7, 3), F(1), F(3, 2)), F(1)),
         ),
         EXACT,
-    )
+    ).coerced(mode)
+
+
+WEDGE_P_STAR = (F(156, 517), F(1, 6), F(91, 517), F(3, 8), F(637, 3102))
+
+
+def test_descent_escapes_singleton_demand_wedges():
+    """Every buyer's argmax is a singleton near the minimum here, so descent
+    must land tie events exactly instead of shrinking the step forever."""
+    market = _wedge_market()
     res = solve(market)
-    assert res.p_star == (F(156, 517), F(1, 6), F(91, 517), F(3, 8), F(637, 3102))
+    assert res.p_star == WEDGE_P_STAR
     assert res.clearing_certificate.clearing
+    assert lattice_descent(market, initial_feasible_price(market)).final == WEDGE_P_STAR
 
 
 def test_agreement_gate_tolerates_money_indifferent_degeneracy():
@@ -188,3 +204,89 @@ def test_random_markets_solve_to_certified_minimal_prices():
                 v * F(99, 100) if k == j else v for k, v in enumerate(res.p_star)
             )
             assert not check_feasible(market, cut).feasible
+
+
+def _draw(seed, index, max_buyers, max_goods):
+    rng = random.Random(seed)
+    for _ in range(index):
+        random_market(rng, max_buyers, max_goods)
+    return random_market(rng, max_buyers, max_goods)
+
+
+def _assert_float_p_star(res, exact):
+    assert res.clearing_certificate.clearing
+    assert all(abs(a - float(b)) <= 1e-9 * max(1.0, float(b)) for a, b in zip(res.p_star, exact))
+
+
+def test_float_wedge_market_solves():
+    """The float descent ended here at a price that failed the clearing check."""
+    _assert_float_p_star(solve(_wedge_market(float_mode())), WEDGE_P_STAR)
+
+
+@pytest.mark.parametrize(
+    "index, p_star",
+    [
+        (31, (F(1), F(11, 3), F(5, 6))),
+        (35, (F(129, 290), F(172, 435), F(43, 232), F(43, 145))),
+    ],
+)
+def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
+    market = _draw(12345, index, 8, 4)
+    assert solve(market).p_star == p_star
+    _assert_float_p_star(solve(market.coerced(float_mode())), p_star)
+
+
+def test_money_indifferent_draw_beyond_absolute_agreement_gate():
+    """Proportional response stalls about 1e-5 from p* = 3/2 here, past the
+    descent's agreement gate; the exact certificate settles it instead."""
+    res = solve(_draw(12345, 125, 8, 4))
+    assert res.p_star == (F(3, 2),)
+    assert res.certified_by == "rounding"
+
+
+@pytest.mark.parametrize("factor", [F(10**6), F(1, 10**6)])
+def test_money_rescaling_scales_p_star_exactly(factor):
+    rng = random.Random(3)
+    for _ in range(8):
+        market = random_market(rng, 4, 3)
+        scaled = Market(
+            market.goods,
+            tuple(
+                Buyer(b.name, tuple(v * factor for v in b.values), b.budget * factor)
+                for b in market.buyers
+            ),
+            EXACT,
+        )
+        assert solve(scaled).p_star == tuple(v * factor for v in solve(market).p_star)
+
+
+def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatch):
+    """Only the first rounding, of the proportional-response prices, finds
+    nothing; the descent rounds its own endpoint through the same step."""
+    rounding = solver._certified_rounding
+    calls = []
+
+    def first_finds_nothing(market, prices):
+        calls.append(prices)
+        return None if len(calls) == 1 else rounding(market, prices)
+
+    monkeypatch.setattr(solver, "_certified_rounding", first_finds_nothing)
+    res = solve(ref_exact)
+    assert len(calls) == 2
+    assert res.p_star == (F(3, 5), F(3, 5))
+    assert res.certified_by == "descent"
+    assert res.descent.probes > 0
+    assert res.descent.final == res.p_star
+    assert res.clearing_certificate.clearing
+
+
+def test_acceptance_battery_is_certified_by_rounding():
+    """The seed-0 random_market(rng, 6, 6) draws never need the descent."""
+    rng = random.Random(0)
+    for _ in range(20):
+        market = random_market(rng, 6, 6)
+        exact = solve(market)
+        assert exact.certified_by == "rounding"
+        floaty = solve(market.coerced(float_mode()))
+        assert floaty.certified_by == "rounding"
+        _assert_float_p_star(floaty, exact.p_star)
