@@ -3,8 +3,8 @@
 Subcommands: solve, check-price, region, monopoly, proptest. Reports are
 JSON with a stable field order so runs diff cleanly; a short human summary
 goes to stdout when the JSON is routed to a file. Exit codes: 0 success,
-1 input problem, 2 solver failure (the descent fallback disagreeing with
-proportional response, or no convergence) or property failure.
+1 input problem, 2 solver failure (the descent fallback endpoint failing its
+clearing check, or no convergence) or property failure.
 """
 
 from __future__ import annotations

@@ -90,7 +90,6 @@ class _Routing:
     """Shared two-phase flow state behind check_feasible / check_clearing."""
 
     def __init__(self, market: Market, p: PriceVector, tol: Number):
-        require_valid(market)
         self.market = market
         self.p = tuple(p)
         self.graph = build_spending_graph(market, p, tol)
@@ -161,6 +160,7 @@ def check_feasible(market: Market, p: PriceVector, tol: Number = None) -> Feasib
     zero) extending p to a feasible outcome. Infeasible: an over-demanded good
     set from the minimum cut.
     """
+    require_valid(market)
     if tol is None:
         tol = market.mode.tol
     routing = _Routing(market, p, tol)
@@ -173,6 +173,7 @@ def max_extension(market: Market, p: PriceVector, tol: Number = None):
     """Max-extension revenue at p and an allocation attaining it, or None if p
     is infeasible. Strict budgets are routed first as a hard requirement, then
     flexible buyers top the goods up."""
+    require_valid(market)
     if tol is None:
         tol = market.mode.tol
     routing = _Routing(market, p, tol)
@@ -184,6 +185,7 @@ def max_extension(market: Market, p: PriceVector, tol: Number = None):
 
 def check_clearing(market: Market, p: PriceVector, tol: Number = None) -> FeasibilityCertificate:
     """Decide whether p is feasible and clears every positively priced good."""
+    require_valid(market)
     if tol is None:
         tol = market.mode.tol
     routing = _Routing(market, p, tol)

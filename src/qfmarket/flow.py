@@ -94,3 +94,18 @@ class FlowNetwork:
                     seen[v] = True
                     queue.append(v)
         return seen
+
+    def reaching(self, target: int):
+        """Nodes with a positive-residual path to target; after max_flow, the
+        nodes that could still pass more flow on to the sink."""
+        seen = [False] * self.n_nodes
+        seen[target] = True
+        queue = deque([target])
+        while queue:
+            v = queue.popleft()
+            for eid in self.adj[v]:
+                u = self.to[eid]
+                if not seen[u] and self.residual[eid ^ 1] > self.zero:
+                    seen[u] = True
+                    queue.append(u)
+        return seen

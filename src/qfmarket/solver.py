@@ -1,5 +1,5 @@
 """The minimal feasible (competitive-equilibrium) price: a fast certified path
-and a descent fallback.
+and an exact descent fallback.
 
 `solve_eg` runs proportional-response dynamics on a quasi-linear
 Eisenberg-Gale program: maximize sum_i (beta_i log u_i - delta_i) subject to
@@ -18,24 +18,27 @@ candidate that passes one exact clearing check is the answer, because
 clearing prices are unique.
 
 `lattice_descent` is the fallback when no candidate certifies. It walks
-downward through the feasible region: starting from a trivially feasible
-price it repeatedly scales subsets of coordinates by a common factor,
-accepting a move iff the flow check keeps it feasible, and halves the step
-when nothing moves. Subset moves matter: the minimal point generically sits
-at a corner where bang-per-buck ties force several prices to fall together,
-and single-coordinate moves stall on such ridges. The terminal iterate is
-snapped the same way and kept if the clearing check certifies it.
+down from a feasible price in exact arithmetic, one event at a time. Each
+step finds D, the largest set of goods whose prices can fall together by one
+common factor: once they fall, every buyer whose bang-per-buck set meets D
+must spend its whole budget inside D, and a max flow shows which goods of D
+cannot absorb that. D then falls exactly to the nearest point where this
+structure changes: a good of D ties some buyer's best option outside D, or a
+subset of D runs out of capacity. The walk ends when D is empty, and that is
+a proof of minimality: at any feasible p other than p*, the goods maximizing
+p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
+every lambda >= 1.
 
 `solve` runs proportional response and the rounding, falls back to the
-descent with a per-coordinate agreement gate, and packages the clearing
-allocation with revenue, welfare, and certificates.
+descent, and packages the clearing allocation with revenue, welfare, and
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,6 +48,7 @@ from .feasibility import (
     check_clearing,
     check_feasible,
 )
+from .flow import FlowNetwork
 from .market import (
     Allocation,
     Market,
@@ -75,7 +79,8 @@ class SolverConvergenceError(MarketError):
 
 
 class MethodDisagreementError(MarketError):
-    """The two solvers disagree beyond tolerance; exposes both results."""
+    """The descent fallback's endpoint failed its clearing check; exposes the
+    results of both solvers."""
 
     def __init__(self, message, eg=None, descent=None):
         super().__init__(message)
@@ -109,14 +114,7 @@ class DescentTrace:
     start: PriceVector
     steps: Tuple[DescentStep, ...]
     final: PriceVector
-    probes: int  # feasibility checks spent
-
-
-@dataclass(frozen=True)
-class DescentSchedule:
-    delta0: Optional[Number] = None  # default: max initial price / 4
-    delta_min: Optional[Number] = None  # default: tol (float), 2^-14 (exact)
-    max_probes: int = 2_000_000
+    probes: int  # max flows spent
 
 
 @dataclass(frozen=True)
@@ -375,90 +373,44 @@ def _tie_snap_candidates(market: Market, p: PriceVector, band: Fraction):
     return candidates
 
 
-def _simplified(market: Market, p: PriceVector, tol) -> PriceVector:
-    """Feasible point near p with bounded denominators and the same exact ties.
+def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
+    """Largest factor below 1 at which cutting the prices of `down` makes one
+    of them tie some buyer's best option outside it (another good or money);
+    0 when there is none.
 
-    Exact landings mix value ratios into the prices, and every subsequent
-    probe multiplies those rationals together, so iterate complexity compounds
-    and the flow checks slow to a crawl. Each tie component carries a single
-    scalar level, so rounding an oversized level to the dyadic grid just
-    below (or above) the current value, with the weights untouched, keeps
-    every exact tie while shrinking the representation. Only a rounding that
-    passes the exact feasibility check is kept.
+    Only buyers whose bang-per-buck set misses `down` have such events: for
+    the others a good of `down` already beats every outside option, and a
+    common factor keeps the order inside `down`.
     """
-    built = _tie_components(market, p, Fraction(0))
-    if built is None:
-        return p
-    _, component, weight, members = built
-    grid = 1 << 64
-    rounded = {}
-    for cid, goods in members.items():
-        level = Fraction(p[goods[0] - 1]) / weight[goods[0]]
-        if level.denominator > grid:
-            rounded[cid] = (level.numerator * grid) // level.denominator
-    if not rounded:
-        return p
-    for bump in (0, 1):
-        q = list(p)
-        valid = True
-        for cid, floor_num in rounded.items():
-            level = Fraction(floor_num + bump, grid)
-            if level <= 0:
-                valid = False
-                break
-            for j in members[cid]:
-                q[j - 1] = level * weight[j]
-        if not valid:
-            continue
-        qt = tuple(q)
-        if check_feasible(market, qt, tol).feasible:
-            return qt
-    return p
-
-
-def _event_factors(market: Market, p: PriceVector, sub: frozenset):
-    """Scale factors landing some good in sub exactly on a bang-per-buck tie.
-
-    Cutting the prices in sub raises their ratios for every buyer while the
-    rest stand still, so the first structural change happens when a member
-    good catches the buyer's best outside option (another good or money).
-    Factors are returned in descending order: nearest event first. Only ties
-    with the outside argmax are emitted, because a tie with a dominated good
-    leaves the demand sets unchanged.
-    """
-    factors = set()
-    one = market.mode.coerce(1)
+    nearest = 0
     for buyer in market.buyers:
-        outside = one  # money
-        for k in range(1, market.n + 1):
-            if k in sub or buyer.values[k - 1] <= 0:
-                continue
-            r = buyer.values[k - 1] / p[k - 1]
-            if r > outside:
-                outside = r
-        for j in sub:
-            if buyer.values[j - 1] <= 0:
-                continue
-            r = buyer.values[j - 1] / p[j - 1]
-            if r < outside:
-                factors.add(r / outside)
-    return sorted(factors, reverse=True)
+        inside, outside = 0, 1  # money
+        for k, (v, price) in enumerate(zip(buyer.values, p), start=1):
+            if k in down:
+                inside = max(inside, v / price)
+            else:
+                outside = max(outside, v / price)
+        if inside < outside:
+            nearest = max(nearest, inside / outside)
+    return nearest
 
 
 _SNAP_BANDS = tuple(Fraction(1, 2**k) for k in (40, 32, 24, 18, 14, 10, 8, 6, 4))
 
 
-def _snap_exact(market: Market, p: PriceVector) -> Optional[PriceVector]:
+def _snap_exact(
+    market: Market, p: PriceVector
+) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
     """The clearing price of an exact market, read off a nearby price p.
 
     p itself is certified first, then the tie-snap candidates of ever wider
-    bands; the first to pass the exact clearing check is returned, and None
-    when none does.
+    bands; the first to pass the exact clearing check is returned with that
+    check's certificate, and None when none does.
     """
     p = tuple(p)
     cert = check_clearing(market, p)
     if cert.feasible and cert.clearing:
-        return p
+        return p, cert
     seen = {p}
     for band in _SNAP_BANDS:
         for candidate in _tie_snap_candidates(market, p, band):
@@ -467,143 +419,141 @@ def _snap_exact(market: Market, p: PriceVector) -> Optional[PriceVector]:
             seen.add(candidate)
             cert = check_clearing(market, candidate)
             if cert.feasible and cert.clearing:
-                return candidate
+                return candidate, cert
     return None
 
 
-def _certified_rounding(market: Market, prices: PriceVector) -> Optional[PriceVector]:
+def _certified_rounding(
+    market: Market, prices: PriceVector
+) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
     """The clearing price read off approximate prices, or None if none certifies.
 
     The prices are read as rationals on the market's rational twin (a float
     market's numbers are rationals too) and handed to _snap_exact, whose exact
-    clearing check is conclusive because clearing prices are unique. A float
-    market gets that price rounded back to floats.
+    clearing check is conclusive because clearing prices are unique. Returns
+    the price, rounded back to floats for a float market, with the twin's
+    clearing certificate.
     """
-    exact_market = market if market.mode.is_exact else market.coerced(EXACT)
-    snapped = _snap_exact(exact_market, tuple(EXACT.coerce(v) for v in prices))
+    snapped = _snap_exact(_rational_twin(market), tuple(EXACT.coerce(v) for v in prices))
     if snapped is None or market.mode.is_exact:
         return snapped
-    return tuple(float(v) for v in snapped)
+    p, cert = snapped
+    return tuple(float(v) for v in p), cert
 
 
-def lattice_descent(
-    market: Market,
-    p0: PriceVector,
-    schedule: DescentSchedule = DescentSchedule(),
-    tol: Number = None,
-) -> DescentTrace:
-    """Descend from a feasible price to the minimal one by subset scaling.
+def _rational_twin(market: Market) -> Market:
+    return market if market.mode.is_exact else market.coerced(EXACT)
 
-    At step size delta, each nonempty subset S of goods is probed with the
-    uniform factor (M - delta) / M where M = max price in S, so the largest
-    member falls by exactly delta and ratio ties inside S survive the move.
-    Subsets are visited smallest first in index order; delta halves when a
-    full sweep accepts nothing and doubles (up to its starting value) after
-    a sweep with progress. When even the smallest step moves no subset, the
-    walk probes exact tie-event landings (see _event_factors): these are the
-    only way into the measure-zero faces where several prices must hold a
-    ratio exactly, and the walk stops once no landing is feasible either.
-    The terminal iterate is then rounded onto its tie structure like the
-    proportional-response prices in solve (see _certified_rounding).
+
+def _captured(market: Market, p: PriceVector, down: frozenset):
+    """(budget, goods) of each buyer whose bang-per-buck set meets `down`,
+    goods being the members of `down` it demands. Once those prices fall the
+    buyer prefers them to money and to every other good, so its whole budget
+    must go there."""
+    captured = []
+    for buyer in market.buyers:
+        goods = bang_per_buck(buyer, p).goods & down
+        if goods:
+            captured.append((buyer.budget, sorted(goods)))
+    return captured
+
+
+def _route(market: Market, p: PriceVector, captured, down: frozenset, factor):
+    """Max flow of the captured budgets into `down`, whose capacities
+    p_j * s_j are scaled by factor.
+
+    Node 0 is the source, nodes 1..len(captured) the captured buyers, then
+    one node per good of `down` (returned as node), then the sink.
     """
-    require_valid(market)
-    if tol is None:
-        tol = market.mode.tol
-    p = tuple(market.mode.coerce(v) for v in p0)
-    if not check_feasible(market, p, tol).feasible:
-        raise InfeasibleStartError(f"start price {p!r} is not feasible")
+    node = {j: 1 + len(captured) + k for k, j in enumerate(sorted(down))}
+    sink = 1 + len(captured) + len(down)
+    net = FlowNetwork(sink + 1)
+    for b, (budget, goods) in enumerate(captured, start=1):
+        net.add_edge(0, b, budget)
+        for j in goods:
+            net.add_edge(b, node[j], budget)
+    for j in sorted(down):
+        net.add_edge(node[j], sink, factor * p[j - 1] * market.goods[j - 1].supply)
+    net.max_flow(0, sink)
+    return net, node, sink
 
-    exact = market.mode.is_exact
-    delta = schedule.delta0
-    if delta is None:
-        delta = max(p) / 4
-    delta_min = schedule.delta_min
-    if delta_min is None:
-        delta_min = Fraction(1, 2**14) if exact else max(tol, 1e-12)
-    if delta_min <= 0 or delta < delta_min:
-        raise MarketError("descent schedule needs delta0 >= delta_min > 0")
 
-    subsets = [
-        frozenset(c)
-        for size in range(1, market.n + 1)
-        for c in combinations(range(1, market.n + 1), size)
-    ]
+def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
+    """Descend from a feasible price to the minimal one, one exact event per step.
+
+    The walk runs on the market's rational twin. Each step has two parts:
+
+    1. Find D, the goods whose prices can fall together. Starting from all
+       goods, the captured buyers (see _captured) are routed into D by max
+       flow. A good that cannot reach spare capacity in the residual graph
+       sits in a set whose capacity the captured budgets already fill; every
+       good demanded by a positive-budget buyer confined to such goods leaves
+       D, and the flow is rerun. Goods that no budget is forced into, such as
+       zero-supply goods nobody demands, stay in D.
+    2. Lower D by one common factor to the nearest event (see _next_event).
+       If the captured budgets no longer route there, the factor rises to the
+       ratio forced / capacity of the min-cut witness, until they do.
+
+    The walk stops when D is empty, which proves minimality (see the module
+    docstring). probes counts the max flows; the trace's prices are in the
+    market's own numeric mode.
+    """
+    twin = _rational_twin(market)
+    p = tuple(EXACT.coerce(v) for v in p0)
+    if not check_feasible(twin, p).feasible:
+        raise InfeasibleStartError(f"start price {tuple(p0)!r} is not feasible")
+    start = p
+    every = frozenset(range(1, market.n + 1))
     steps = []
     probes = 0
-    delta_cap = delta
     while True:
-        accepted = False
-        for sub in subsets:
-            big = max(p[j - 1] for j in sub)
-            if delta >= big:
-                continue
-            factor = (big - delta) / big
-            q = tuple(
-                price * factor if (k + 1) in sub else price
-                for k, price in enumerate(p)
-            )
+        down = every
+        while down:
+            captured = _captured(twin, p, down)
+            net, node, sink = _route(twin, p, captured, down, 1)
             probes += 1
-            if probes > schedule.max_probes:
-                raise SolverConvergenceError(
-                    f"descent exceeded {schedule.max_probes} feasibility probes",
-                    last=p,
-                )
-            if check_feasible(market, q, tol).feasible:
-                steps.append(DescentStep(tuple(sorted(sub)), p, q))
-                p = q
-                accepted = True
-        if accepted:
-            # Re-expand after progress so a stall at one kink cannot pin the
-            # step size at delta_min for the rest of the walk.
-            delta = min(delta * 2, delta_cap)
-            if exact and sum(
-                v.numerator.bit_length() + v.denominator.bit_length() for v in p
-            ) > 256 * market.n:
-                q = _simplified(market, p, tol)
-                if q != p:
-                    steps.append(DescentStep(tuple(range(1, market.n + 1)), p, q))
-                    p = q
-            continue
-        if delta > delta_min:
-            delta = delta / 2
-            if delta < delta_min:
-                delta = delta_min
-            continue
-        # The smallest step moves nothing, which happens when the walk
-        # straddles a face it can only enter exactly: minimality often forces
-        # several prices into fixed ratios, and a fixed-size cut overshoots
-        # the ratio on one side or the other. Land on the nearest tie event
-        # instead, then resume the step schedule from the bottom.
-        landed = False
-        for sub in subsets:
-            for factor in _event_factors(market, p, sub):
-                q = tuple(
-                    price * factor if (k + 1) in sub else price
-                    for k, price in enumerate(p)
-                )
-                probes += 1
-                if probes > schedule.max_probes:
-                    raise SolverConvergenceError(
-                        f"descent exceeded {schedule.max_probes} feasibility probes",
-                        last=p,
-                    )
-                if check_feasible(market, q, tol).feasible:
-                    if exact:
-                        q = _simplified(market, q, tol)
-                    steps.append(DescentStep(tuple(sorted(sub)), p, q))
-                    p = q
-                    landed = True
-                    break
-            if landed:
+            spare = net.reaching(sink)
+            stuck = {j for j in down if not spare[node[j]]}
+            blocked = {
+                j
+                for budget, goods in captured
+                if budget > 0 and stuck.issuperset(goods)
+                for j in goods
+            }
+            if not blocked:
                 break
-        if not landed:
+            down -= blocked
+        if not down:
             break
+        factor = _next_event(twin, p, down)
+        while True:
+            net, node, sink = _route(twin, p, captured, down, factor)
+            probes += 1
+            reach = net.reachable_from(0)
+            forced = sum(b for k, (b, _) in enumerate(captured, start=1) if reach[k])
+            if not forced:
+                break
+            factor = forced / sum(
+                p[j - 1] * twin.goods[j - 1].supply for j in down if reach[node[j]]
+            )
+        if factor == 0:
+            raise SolverConvergenceError(
+                f"goods {sorted(down)} can fall without bound: no minimal price",
+                last=p,
+            )
+        q = tuple(v * factor if k in down else v for k, v in enumerate(p, start=1))
+        steps.append((tuple(sorted(down)), p, q))
+        p = q
 
-    snapped = _certified_rounding(market, p)
-    if snapped is not None and snapped != p and check_feasible(market, snapped, tol).feasible:
-        steps.append(DescentStep(tuple(range(1, market.n + 1)), p, snapped))
-        p = snapped
-    return DescentTrace(tuple(market.mode.coerce(v) for v in p0), tuple(steps), p, probes)
+    def own(prices):
+        return tuple(market.mode.coerce(v) for v in prices)
+
+    return DescentTrace(
+        own(start),
+        tuple(DescentStep(goods, own(a), own(b)) for goods, a, b in steps),
+        own(p),
+        probes,
+    )
 
 
 def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
@@ -612,18 +562,17 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     Proportional response runs first, and its prices are rounded onto the tie
     structure they exhibit (see _certified_rounding). A candidate that passes
     the clearing check in the market's own mode is p_star, and the check is
-    the whole certificate: clearing prices are unique. certified_by is then
-    "rounding" and the descent trace is empty.
+    the whole certificate: clearing prices are unique. In exact mode the
+    rounding's own check is that certificate; a float market's rounded-back
+    price is checked again in floats. certified_by is then "rounding" and the
+    descent trace is empty.
 
     Only when no candidate certifies does lattice_descent run from a
     trivially feasible price (certified_by "descent"). Its endpoint must pass
-    the clearing check, and the proportional-response prices must agree with
-    it per coordinate to max(10 * tol, 1e-5); the slack above 10 * tol exists
-    because on degenerate instances (a buyer exactly indifferent to money at
-    p_star, say) proportional response stalls a few microunits away however
-    small its own tolerance. A MethodDisagreementError exposes both
-    solutions. On either path method_agreement reports the largest
-    per-coordinate gap between p_star and the proportional-response prices.
+    the same clearing check; a MethodDisagreementError, carrying both
+    solutions, is raised if it does not. On either path method_agreement
+    reports the largest per-coordinate gap between p_star and the
+    proportional-response prices, as a diagnostic.
     """
     require_valid(market)
     if tol <= 0:
@@ -631,8 +580,12 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     scale = max(1.0, float(sum(b.budget for b in market.buyers)))
     eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
     eg = solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
-    p_star = _certified_rounding(market, eg.prices)
-    cert = None if p_star is None else check_clearing(market, p_star)
+    rounded = _certified_rounding(market, eg.prices)
+    cert = None
+    if rounded is not None:
+        p_star, cert = rounded
+        if not market.mode.is_exact:
+            cert = check_clearing(market, p_star)
     if cert is not None and cert.feasible and cert.clearing:
         certified_by = "rounding"
         trace = DescentTrace(
@@ -645,16 +598,9 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
         cert = check_clearing(market, p_star)
         if not (cert.feasible and cert.clearing):
             raise MethodDisagreementError(
-                "descent endpoint failed the clearing check", eg=eg, descent=trace
+                "descent endpoint failed its clearing check", eg=eg, descent=trace
             )
     agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
-    allowed = max(10 * tol, 1e-5)
-    if certified_by == "descent" and agreement > allowed:
-        raise MethodDisagreementError(
-            f"solvers disagree by {agreement:.3e} (> {allowed:.3e} allowed)",
-            eg=eg,
-            descent=trace,
-        )
     allocation = cert.allocation
     totals = aggregate(allocation, market.n)
     revenue = 0

@@ -15,7 +15,7 @@ from qfmarket.feasibility import (
     meet_allocation,
     outcome_is_feasible,
 )
-from qfmarket.market import MarketError, aggregate
+from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
 
 F = Fraction
 
@@ -60,6 +60,13 @@ def test_max_extension(ref_exact):
     assert revenue == F(3)
     assert outcome_is_feasible(ref_exact, (F(2), F(2)), allocation)
     assert max_extension(ref_exact, (F(1, 2), F(1, 2))) is None
+
+
+@pytest.mark.parametrize("check", [check_feasible, check_clearing, max_extension])
+def test_public_checks_reject_invalid_markets(check):
+    market = Market((Good("A", F(1)),), (Buyer("b1", (F(1),), F(-1)),))
+    with pytest.raises(MarketError, match="negative budget"):
+        check(market, (F(1),))
 
 
 def test_meet_is_elementwise_and_checks_arity():

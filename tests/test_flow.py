@@ -45,6 +45,7 @@ def test_reachable_from_gives_min_cut_side():
     assert net.max_flow(0, 3) == F(1)
     reach = net.reachable_from(0)
     assert reach == [True, True, False, False]
+    assert net.reaching(3) == [False, False, True, True]
     assert net.flow_on(bottleneck) == F(1)
 
 
