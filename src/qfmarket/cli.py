@@ -4,7 +4,9 @@ Subcommands: solve, check-price, region, monopoly, proptest. Reports are
 JSON with a stable field order so runs diff cleanly; a short human summary
 goes to stdout when the JSON is routed to a file. Exit codes: 0 success,
 1 input problem, 2 solver failure (the descent fallback endpoint failing its
-clearing check, or no convergence) or property failure.
+clearing check, or a market with no minimal price) or property failure. A
+stalled proportional-response iteration is not a failure: solve rounds its
+last iterate or falls back to the descent.
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ to money at the minimum.
 
 Certified rounding turns those prices into the exact answer. Read as
 rationals, they are snapped onto the bang-per-buck tie structure they
-exhibit: once the ties are known, the prices solve a linear system. A
-candidate that passes one exact clearing check is the answer, because
-clearing prices are unique.
+exhibit at one fixed relative band: once the ties are known, the prices
+solve a linear system. That one candidate gets one exact clearing check, and
+if it passes it is the answer, because clearing prices are unique.
 
-`lattice_descent` is the fallback when no candidate certifies. It walks
-down from a feasible price in exact arithmetic, one event at a time. Each
+`lattice_descent` is the fallback when the candidate does not certify. It
+walks down from a feasible price in exact arithmetic, one event at a time. Each
 step finds D, the largest set of goods whose prices can fall together by one
 common factor: once they fall, every buyer whose bang-per-buck set meets D
 must spend its whole budget inside D, and a max flow shows which goods of D
@@ -29,16 +29,15 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response and the rounding, falls back to the
-descent, and packages the clearing allocation with revenue, welfare, and
-certificates.
+`solve` runs proportional response and the rounding (on the last iterate
+when proportional response stalls), falls back to the descent, and packages
+the clearing allocation with revenue, welfare, and certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -70,7 +69,8 @@ BID_FLOOR = 1e-250
 
 
 class SolverConvergenceError(MarketError):
-    """An iterative solver ran out of budget; carries the last iterate."""
+    """An iterative solver ran out of budget; carries the last iterate: an
+    EGSolution from solve_eg, a price vector from lattice_descent."""
 
     def __init__(self, message, last=None, gap=None):
         super().__init__(message)
@@ -149,6 +149,8 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     from this arithmetic. Goods with zero supply or zero bid mass are
     excluded from the dynamics; their prices are imputed afterwards as the
     lowest level at which no buyer's bang-per-buck strictly prefers them.
+    If the gap is still above tol after max_iter iterations, the
+    SolverConvergenceError raised carries the last EGSolution as `last`.
     """
     require_valid(market)
     if tol <= 0:
@@ -214,13 +216,6 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
             break
     if na == 0:
         gap = 0.0
-    if gap > tol:
-        raise SolverConvergenceError(
-            f"proportional response stalled at gap {gap:.3e} > {tol:.3e} "
-            f"after {iterations} iterations",
-            last=tuple(float(v) for v in p),
-            gap=gap,
-        )
 
     rmax = np.maximum(1.0, (va / p).max(axis=1, initial=0.0)) if na else np.full(m, 1.0)
     prices = [0.0] * n
@@ -242,7 +237,7 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
         for col, k in enumerate(active):
             bundle[k] = float(x[i, col])
         allocation.append(tuple(bundle))
-    return EGSolution(
+    solution = EGSolution(
         allocation=tuple(allocation),
         leftover=tuple(float(d) for d in money),
         utilities=tuple(float(v) for v in u),
@@ -250,30 +245,34 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
         duality_gap=float(gap),
         iterations=iterations,
     )
+    if gap > tol:
+        raise SolverConvergenceError(
+            f"proportional response stalled at gap {gap:.3e} > {tol:.3e} "
+            f"after {iterations} iterations",
+            last=solution,
+            gap=gap,
+        )
+    return solution
 
 
-def _tie_components(market: Market, p: PriceVector, band):
-    """Tie graph of p at relative width band: who ties what, and how prices link.
+_TIE_BAND = Fraction(1, 2**24)
 
-    Per buyer, the banded set holds money (0) plus every good whose
-    bang-per-buck ratio is within band of the buyer's best. Goods sharing a
-    banded set must sit at value-proportional prices, so the graph's connected
-    components each carry one scalar degree of freedom; weight[j] is good j's
-    exact multiplier relative to its component root. Returns (banded,
-    component, weight, members) or None when a linking value is nonpositive
-    or two link paths demand different weights.
+
+def _tie_snap(market: Market, p: PriceVector) -> Optional[PriceVector]:
+    """The exact price that the ratio ties of p point to, or None.
+
+    Each buyer's bang-per-buck set is read at relative width _TIE_BAND. Goods
+    sharing a set must sit at value-proportional prices, so each connected
+    component of the tie graph carries one scalar level; weight[j] is good j's
+    exact multiplier relative to its component root (the values linking
+    goods are positive, because a banded good's ratio is near the buyer's
+    best, which is at least money's 1). A component that ties money takes
+    that money-tie level, and otherwise the level at which its attached
+    buyers' budgets buy its supply. None when two link paths or two money
+    ties disagree, or a component has neither level.
     """
     n = market.n
-    banded = []
-    for buyer in market.buyers:
-        ratios = [v / price for v, price in zip(buyer.values, p)]
-        best = max(ratios + [market.mode.coerce(1)])
-        cutoff = (1 - band) * best
-        goods = {j + 1 for j, r in enumerate(ratios) if r >= cutoff}
-        if 1 >= cutoff:
-            goods.add(0)
-        banded.append(goods)
-
+    banded = [bang_per_buck(buyer, p, _TIE_BAND).goods for buyer in market.buyers]
     weight = {}
     component = {}
     members = {}
@@ -290,16 +289,11 @@ def _tie_components(market: Market, p: PriceVector, band):
             for i, goods in enumerate(banded):
                 if j not in goods:
                     continue
-                vj = market.buyers[i].values[j - 1]
-                if vj <= 0:
-                    return None
+                values = market.buyers[i].values
                 for k in goods:
                     if k == 0 or k == j:
                         continue
-                    vk = market.buyers[i].values[k - 1]
-                    if vk <= 0:
-                        return None
-                    w = weight[j] * vk / vj
+                    w = weight[j] * values[k - 1] / values[j - 1]
                     if k in weight:
                         if weight[k] != w:
                             return None
@@ -308,69 +302,29 @@ def _tie_components(market: Market, p: PriceVector, band):
                         component[k] = cid
                         members[cid].append(k)
                         frontier.append(k)
-    return banded, component, weight, members
 
-
-def _tie_snap_candidates(market: Market, p: PriceVector, band: Fraction):
-    """Exact price vectors consistent with the ratio ties p exhibits at width band.
-
-    Each tie component is fixed up to a scalar level. Two levels are
-    plausible per component: a money tie pins it outright, and budget balance
-    of the attached buyers pins it when those buyers must spend. A near-tie
-    with money can be a mirage (the iterate stalled just above the price
-    where the buyer turns strict), so when both readings exist every
-    combination is emitted and the caller certifies each candidate
-    independently.
-    """
-    n = market.n
-    built = _tie_components(market, p, band)
-    if built is None:
-        return []
-    banded, component, weight, members = built
-
-    money_level = [None] * len(members)
-    for i, goods in enumerate(banded):
-        if 0 not in goods:
+    level = [None] * len(members)
+    attached_budget = [0] * len(members)
+    for buyer, goods in zip(market.buyers, banded):
+        tied = [j for j in goods if j != 0]
+        if not tied:
             continue
-        for j in goods:
-            if j == 0:
-                continue
-            cid = component[j]
-            pin = market.buyers[i].values[j - 1] / weight[j]
-            if money_level[cid] is None:
-                money_level[cid] = pin
-            elif money_level[cid] != pin:
-                return []
-
-    attached_budget = [Fraction(0)] * len(members)
-    for i, bset in enumerate(banded):
-        goods_part = [j for j in bset if j != 0]
-        if not goods_part:
-            continue
-        attached_budget[component[goods_part[0]]] += market.buyers[i].budget
-
-    options = []
+        cid = component[tied[0]]
+        attached_budget[cid] += buyer.budget
+        if 0 in goods:
+            for j in tied:
+                pin = buyer.values[j - 1] / weight[j]
+                if level[cid] is None:
+                    level[cid] = pin
+                elif level[cid] != pin:
+                    return None
     for cid, goods in members.items():
-        picks = []
-        if money_level[cid] is not None:
-            picks.append(money_level[cid])
-        mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
-        if mass > 0 and attached_budget[cid] > 0:
-            balance = attached_budget[cid] / mass
-            if balance not in picks:
-                picks.append(balance)
-        if not picks:
-            return []
-        options.append(picks)
-
-    candidates = []
-    for levels in product(*options):
-        q = [None] * n
-        for j in range(1, n + 1):
-            q[j - 1] = levels[component[j]] * weight[j]
-        if all(v > 0 for v in q):
-            candidates.append(tuple(q))
-    return candidates
+        if level[cid] is None:
+            mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
+            if mass <= 0 or attached_budget[cid] <= 0:
+                return None
+            level[cid] = attached_budget[cid] / mass
+    return tuple(level[component[j]] * weight[j] for j in range(1, n + 1))
 
 
 def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
@@ -395,50 +349,27 @@ def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
     return nearest
 
 
-_SNAP_BANDS = tuple(Fraction(1, 2**k) for k in (40, 32, 24, 18, 14, 10, 8, 6, 4))
-
-
-def _snap_exact(
-    market: Market, p: PriceVector
-) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
-    """The clearing price of an exact market, read off a nearby price p.
-
-    p itself is certified first, then the tie-snap candidates of ever wider
-    bands; the first to pass the exact clearing check is returned with that
-    check's certificate, and None when none does.
-    """
-    p = tuple(p)
-    cert = check_clearing(market, p)
-    if cert.feasible and cert.clearing:
-        return p, cert
-    seen = {p}
-    for band in _SNAP_BANDS:
-        for candidate in _tie_snap_candidates(market, p, band):
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            cert = check_clearing(market, candidate)
-            if cert.feasible and cert.clearing:
-                return candidate, cert
-    return None
-
-
 def _certified_rounding(
     market: Market, prices: PriceVector
 ) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
-    """The clearing price read off approximate prices, or None if none certifies.
+    """The clearing price read off approximate prices, or None if it does not certify.
 
     The prices are read as rationals on the market's rational twin (a float
-    market's numbers are rationals too) and handed to _snap_exact, whose exact
-    clearing check is conclusive because clearing prices are unique. Returns
-    the price, rounded back to floats for a float market, with the twin's
-    clearing certificate.
+    market's numbers are rationals too) and snapped onto their ties (see
+    _tie_snap). One exact clearing check of that one candidate is conclusive,
+    because clearing prices are unique. Returns the price, rounded back to
+    floats for a float market, with the twin's clearing certificate.
     """
-    snapped = _snap_exact(_rational_twin(market), tuple(EXACT.coerce(v) for v in prices))
-    if snapped is None or market.mode.is_exact:
-        return snapped
-    p, cert = snapped
-    return tuple(float(v) for v in p), cert
+    twin = _rational_twin(market)
+    p = _tie_snap(twin, tuple(EXACT.coerce(v) for v in prices))
+    if p is None:
+        return None
+    cert = check_clearing(twin, p)
+    if not (cert.feasible and cert.clearing):
+        return None
+    if not market.mode.is_exact:
+        p = tuple(float(v) for v in p)
+    return p, cert
 
 
 def _rational_twin(market: Market) -> Market:
@@ -557,17 +488,18 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
 
 
 def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
-    """Equilibrium prices with certificates: EG, one exact snap, descent as fallback.
+    """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
     Proportional response runs first, and its prices are rounded onto the tie
-    structure they exhibit (see _certified_rounding). A candidate that passes
-    the clearing check in the market's own mode is p_star, and the check is
-    the whole certificate: clearing prices are unique. In exact mode the
-    rounding's own check is that certificate; a float market's rounded-back
-    price is checked again in floats. certified_by is then "rounding" and the
-    descent trace is empty.
+    structure they exhibit at one fixed band (see _certified_rounding). If
+    proportional response stalls, its last iterate is rounded instead and eg
+    reports the stalled gap. The one candidate is p_star if it passes one
+    exact clearing check on the rational twin, and that check is the whole
+    certificate: clearing prices are unique. In exact mode it is the result's
+    certificate; a float market's rounded-back price is checked again in
+    floats. certified_by is then "rounding" and the descent trace is empty.
 
-    Only when no candidate certifies does lattice_descent run from a
+    Only when the candidate does not certify does lattice_descent run from a
     trivially feasible price (certified_by "descent"). Its endpoint must pass
     the same clearing check; a MethodDisagreementError, carrying both
     solutions, is raised if it does not. On either path method_agreement
@@ -579,7 +511,10 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
         raise MarketError("solve needs tol > 0")
     scale = max(1.0, float(sum(b.budget for b in market.buyers)))
     eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
-    eg = solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
+    try:
+        eg = solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
+    except SolverConvergenceError as stalled:
+        eg = stalled.last
     rounded = _certified_rounding(market, eg.prices)
     cert = None
     if rounded is not None:

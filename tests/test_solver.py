@@ -3,9 +3,9 @@ the lattice descent fallback, and their cross-check.
 
 The regression markets pinned here were found by randomized search and keep
 hard-won behaviors covered: exact tie-event landings into ratio faces,
-money/budget dual-level snapping, iterates that stall when a buyer is exactly
-indifferent to money at the minimum, and markets on which the descent alone
-stopped above p* or failed its agreement gate.
+money-tie and budget-balance levels of one tie snap, iterates that stall
+when a buyer is exactly indifferent to money at the minimum, and markets on
+which the descent alone stopped above p* or failed its agreement gate.
 """
 
 import random
@@ -46,7 +46,7 @@ def test_solve_exact_reference_market(ref_exact):
 
 def test_solve_float_reference_market(ref_float):
     res = solve(ref_float)
-    # the terminal snap certifies (3/5, 3/5) exactly and rounds it back
+    # the rounding certifies (3/5, 3/5) exactly and rounds it back
     assert res.p_star == (0.6, 0.6)
     assert abs(res.revenue - 3.0) <= 1e-9
     assert abs(res.welfare - 15.0) <= 1e-8
@@ -276,20 +276,55 @@ def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatc
     assert res.clearing_certificate.clearing
 
 
+def test_stalled_proportional_response_is_still_rounded(ref_exact, monkeypatch):
+    """A proportional-response stall carries its last iterate, and solve
+    certifies the rounding of that iterate instead of failing."""
+    with pytest.raises(SolverConvergenceError) as stall:
+        solve_eg(ref_exact, tol=1e-12, max_iter=25)
+    assert stall.value.last.iterations == 25
+    assert stall.value.last.duality_gap == stall.value.gap > 1e-12
+
+    raised = []
+
+    def stalls(market, tol):
+        raised.append(solve_eg(market, tol=tol))
+        raise SolverConvergenceError("stalled", last=raised[0], gap=raised[0].duality_gap)
+
+    monkeypatch.setattr(solver, "solve_eg", stalls)
+    res = solve(ref_exact)
+    assert res.eg is raised[0]
+    assert res.p_star == (F(3, 5), F(3, 5))
+    assert res.certified_by == "rounding"
+    assert res.clearing_certificate.clearing
+
+
 def _assert_close(p, exact, rel):
     assert all(abs(a - float(b)) <= rel * float(b) for a, b in zip(p, exact))
 
 
-def test_acceptance_battery_is_certified_by_rounding():
-    """The seed-0 random_market(rng, 6, 6) draws never need the descent, and
-    the descent alone reaches the same p* through feasible, falling steps."""
+def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
+    """The seed-0 random_market(rng, 6, 6) draws never need the descent, each
+    is certified by one exact clearing check of one candidate (plus the float
+    re-check in float mode), and the descent alone reaches the same p*
+    through feasible, falling steps."""
+    checks = []
+
+    def counted(market, p):
+        checks.append(p)
+        return check_clearing(market, p)
+
+    monkeypatch.setattr(solver, "check_clearing", counted)
     rng = random.Random(0)
     for _ in range(20):
         market = random_market(rng, 6, 6)
+        checks.clear()
         exact = solve(market)
         assert exact.certified_by == "rounding"
+        assert len(checks) == 1
+        checks.clear()
         floaty = solve(market.coerced(float_mode()))
         assert floaty.certified_by == "rounding"
+        assert len(checks) == 2
         _assert_float_p_star(floaty, exact.p_star)
         for m in (market, market.coerced(float_mode())):
             trace = lattice_descent(m, initial_feasible_price(m))
