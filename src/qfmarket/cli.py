@@ -31,7 +31,6 @@ from .gridoracle import (
 )
 from .market import MarketError, aggregate
 from .marketio import LoadedMarket, ParseError, load_market, load_market_csv, reaggregate
-from .metrics import revenue as outcome_revenue
 from .monopoly import (
     MonopolyInstance,
     clearing_price,

@@ -26,7 +26,6 @@ from .market import (
     MONEY,
     Allocation,
     BangPerBuckSet,
-    Bundle,
     Market,
     MarketError,
     PriceVector,
@@ -76,23 +75,27 @@ class FeasibilityCertificate:
     max_extension_revenue: Optional[Number] = None
 
 
-def build_spending_graph(market: Market, p: PriceVector, tol: Number = None) -> SpendingGraph:
-    if tol is None:
-        tol = market.mode.tol
-    bpb = tuple(
-        bang_per_buck(buyer, p, tol, index=i) for i, buyer in enumerate(market.buyers)
-    )
+def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
+    """Each buyer's bang-per-buck set at p, ties read at the market mode's
+    tolerance, and each good's money capacity p_j * s_j."""
+    tol = market.mode.tol
+    bpb = tuple(bang_per_buck(buyer, p, tol) for buyer in market.buyers)
     caps = tuple(price * good.supply for price, good in zip(p, market.goods))
     return SpendingGraph(bpb, caps)
 
 
 class _Routing:
-    """Shared two-phase flow state behind check_feasible / check_clearing."""
+    """Shared two-phase flow state behind check_feasible / check_clearing.
 
-    def __init__(self, market: Market, p: PriceVector, tol: Number):
+    The flow's zero and its saturation slack scale the market mode's
+    tolerance by the money in play, so exact markets compare exactly.
+    """
+
+    def __init__(self, market: Market, p: PriceVector):
         self.market = market
         self.p = tuple(p)
-        self.graph = build_spending_graph(market, p, tol)
+        self.graph = build_spending_graph(market, p)
+        tol = market.mode.tol
         m, n = market.m, market.n
         caps = self.graph.capacities
         scale = max(1, sum(b.budget for b in market.buyers), sum(caps))
@@ -153,7 +156,7 @@ class _Routing:
         return OverDemandWitness(goods, forced, capacity)
 
 
-def check_feasible(market: Market, p: PriceVector, tol: Number = None) -> FeasibilityCertificate:
+def check_feasible(market: Market, p: PriceVector) -> FeasibilityCertificate:
     """Decide feasibility of p; the certificate carries a witness either way.
 
     Feasible: an allocation (strict buyers' routed spends, flexible buyers at
@@ -161,34 +164,21 @@ def check_feasible(market: Market, p: PriceVector, tol: Number = None) -> Feasib
     set from the minimum cut.
     """
     require_valid(market)
-    if tol is None:
-        tol = market.mode.tol
-    routing = _Routing(market, p, tol)
+    routing = _Routing(market, p)
     if routing.run_strict_phase():
         return FeasibilityCertificate(True, None, routing.allocation(), None)
     return FeasibilityCertificate(False, None, None, routing.witness())
 
 
-def max_extension(market: Market, p: PriceVector, tol: Number = None):
-    """Max-extension revenue at p and an allocation attaining it, or None if p
-    is infeasible. Strict budgets are routed first as a hard requirement, then
-    flexible buyers top the goods up."""
-    require_valid(market)
-    if tol is None:
-        tol = market.mode.tol
-    routing = _Routing(market, p, tol)
-    if not routing.run_strict_phase():
-        return None
-    revenue = routing.run_extension_phase()
-    return revenue, routing.allocation()
+def check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
+    """Decide whether p is feasible and clears every positively priced good.
 
-
-def check_clearing(market: Market, p: PriceVector, tol: Number = None) -> FeasibilityCertificate:
-    """Decide whether p is feasible and clears every positively priced good."""
+    A feasible certificate also carries the max-extension revenue at p and an
+    allocation attaining it: strict budgets are routed first as a hard
+    requirement, then flexible buyers top the goods up.
+    """
     require_valid(market)
-    if tol is None:
-        tol = market.mode.tol
-    routing = _Routing(market, p, tol)
+    routing = _Routing(market, p)
     if not routing.run_strict_phase():
         return FeasibilityCertificate(False, False, None, routing.witness())
     revenue = routing.run_extension_phase()
@@ -203,10 +193,9 @@ def meet(p: PriceVector, q: PriceVector) -> PriceVector:
     return tuple(min(a, b) for a, b in zip(p, q))
 
 
-def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation, tol: Number = None) -> bool:
+def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) -> bool:
     """Def.-style outcome check: aggregate within supply and every bundle demanded."""
-    if tol is None:
-        tol = market.mode.tol
+    tol = market.mode.tol
     if len(allocation) != market.m:
         return False
     totals = aggregate(allocation, market.n)
@@ -225,7 +214,6 @@ def meet_allocation(
     q: PriceVector,
     x: Allocation,
     y: Allocation,
-    tol: Number = None,
 ) -> Allocation:
     """Splice two feasible outcomes into one at the elementwise minimum price.
 
@@ -233,16 +221,14 @@ def meet_allocation(
     it demands some good of B at the meet, and its p-outcome bundle x_i
     otherwise. The result extends meet(p, q) to a feasible outcome.
     """
-    if tol is None:
-        tol = market.mode.tol
-    if not outcome_is_feasible(market, p, x, tol):
+    if not outcome_is_feasible(market, p, x):
         raise OutcomeInfeasibleError("first outcome does not extend p feasibly")
-    if not outcome_is_feasible(market, q, y, tol):
+    if not outcome_is_feasible(market, q, y):
         raise OutcomeInfeasibleError("second outcome does not extend q feasibly")
     r = meet(p, q)
     b_side = {j + 1 for j in range(market.n) if p[j] >= q[j]}
     chosen = []
-    for i, buyer in enumerate(market.buyers):
-        demanded = bang_per_buck(buyer, r, tol, index=i).goods
-        chosen.append(y[i] if demanded & b_side else x[i])
+    for buyer, x_i, y_i in zip(market.buyers, x, y):
+        demanded = bang_per_buck(buyer, r, market.mode.tol).goods
+        chosen.append(y_i if demanded & b_side else x_i)
     return tuple(chosen)

@@ -71,10 +71,9 @@ def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
     shape = (resolution,) * market.n
     membership = np.zeros(shape, dtype=bool)
     revenue = np.zeros(shape, dtype=np.float64)
-    tol = market.mode.tol
     for idx in np.ndindex(shape):
         p = tuple(axes[d][idx[d]] for d in range(market.n))
-        routing = _Routing(market, p, tol)
+        routing = _Routing(market, p)
         if routing.run_strict_phase():
             membership[idx] = True
             revenue[idx] = float(routing.run_extension_phase())

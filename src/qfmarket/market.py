@@ -13,8 +13,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .numeric import EXACT, Number, NumericMode
 
@@ -103,13 +104,17 @@ class Market:
 class BangPerBuckSet:
     """Argmax of v_j / p_j over goods and money for one buyer at fixed prices."""
 
-    buyer: int
     goods: frozenset  # subset of {0, 1, .., n}; 0 is money
     max_ratio: Number
 
     @property
     def strict(self) -> bool:
         return MONEY not in self.goods
+
+
+def _finite(x: Number) -> bool:
+    """False for infinities and NaN; a Fraction of any size is finite."""
+    return -math.inf < x < math.inf
 
 
 def validate_market(market: Market) -> list:
@@ -120,7 +125,9 @@ def validate_market(market: Market) -> list:
     if market.m < 1:
         violations.append("market: needs at least one buyer")
     for g in market.goods:
-        if g.supply < 0:
+        if not _finite(g.supply):
+            violations.append(f"good {g.name}: non-finite supply {g.supply}")
+        elif g.supply < 0:
             violations.append(f"good {g.name}: negative supply {g.supply}")
     names = [g.name for g in market.goods]
     if len(set(names)) != len(names):
@@ -131,10 +138,14 @@ def validate_market(market: Market) -> list:
                 f"buyer {b.name}: {len(b.values)} values for {market.n} goods"
             )
             continue
-        if b.budget < 0:
+        if not _finite(b.budget):
+            violations.append(f"buyer {b.name}: non-finite budget {b.budget}")
+        elif b.budget < 0:
             violations.append(f"buyer {b.name}: negative budget {b.budget}")
         for g, v in zip(market.goods, b.values):
-            if v < 0:
+            if not _finite(v):
+                violations.append(f"buyer {b.name}: non-finite value for good {g.name}")
+            elif v < 0:
                 violations.append(f"buyer {b.name}: negative value for good {g.name}")
     for k, g in enumerate(market.goods):
         if not any(len(b.values) == market.n and b.values[k] > 0 for b in market.buyers):
@@ -168,7 +179,7 @@ def _check_prices(p: Sequence[Number]) -> None:
             raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
 
 
-def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0, index: int = -1) -> BangPerBuckSet:
+def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckSet:
     """Bang-per-buck maximizer set of one buyer.
 
     Money (index 0, ratio 1) always competes. A good j is included whenever
@@ -187,7 +198,7 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0, index: int = -1
     members = {j + 1 for j, r in enumerate(ratios) if r >= cutoff}
     if 1 >= cutoff:
         members.add(MONEY)
-    return BangPerBuckSet(index, frozenset(members), best)
+    return BangPerBuckSet(frozenset(members), best)
 
 
 def demand_vertices(buyer: Buyer, p: PriceVector, tol: Number = 0) -> Tuple[Bundle, ...]:

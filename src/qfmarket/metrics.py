@@ -10,9 +10,9 @@ against challenger outcomes as corroborating evidence rather than proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .market import Allocation, Bundle, Market, MarketError, Outcome, aggregate
+from .market import Allocation, Market, MarketError, Outcome, aggregate
 from .feasibility import outcome_is_feasible
 from .numeric import Number
 
@@ -49,35 +49,21 @@ def revenue(outcome: Outcome) -> Number:
     return total
 
 
-def social_welfare(
-    market: Market,
-    allocation: Allocation,
-    valuations: Optional[Sequence[Callable[[Bundle], Number]]] = None,
-) -> Number:
-    """Sum of buyer valuations of their bundles.
-
-    By default buyer i contributes the linear value v_i . x_i; passing
-    `valuations` (one callable per buyer) overrides that, which the
-    single-good concave module uses.
-    """
+def social_welfare(market: Market, allocation: Allocation) -> Number:
+    """Sum of buyer valuations of their bundles: buyer i contributes v_i . x_i."""
     if len(allocation) != market.m:
         raise MarketError("allocation size does not match buyer count")
     total = 0
-    if valuations is None:
-        for buyer, bundle in zip(market.buyers, allocation):
-            for v, qty in zip(buyer.values, bundle):
-                total = total + v * qty
-    else:
-        for fn, bundle in zip(valuations, allocation):
-            total = total + fn(bundle)
+    for buyer, bundle in zip(market.buyers, allocation):
+        for v, qty in zip(buyer.values, bundle):
+            total = total + v * qty
     return total
 
 
-def is_competitive_equilibrium(market: Market, outcome: Outcome, tol: Number = None) -> bool:
+def is_competitive_equilibrium(market: Market, outcome: Outcome) -> bool:
     """True iff the outcome is feasible and clears every positively priced good."""
-    if tol is None:
-        tol = market.mode.tol
-    if not outcome_is_feasible(market, outcome.prices, outcome.allocation, tol):
+    tol = market.mode.tol
+    if not outcome_is_feasible(market, outcome.prices, outcome.allocation):
         return False
     totals = aggregate(outcome.allocation, market.n)
     for price, total, good in zip(outcome.prices, totals, market.goods):
@@ -110,27 +96,25 @@ def certify_constrained_efficiency(
     market: Market,
     outcome: Outcome,
     challengers: Sequence[Outcome] = (),
-    tol: Number = None,
 ) -> EfficiencyCertificate:
     """Certify the outcome efficient among feasible outcomes, or reject it.
 
     The verdict rests on the equilibrium check alone; challenger outcomes
     (each must be feasible, else ChallengerRejectedError with its index) add
-    recorded welfare slacks that a certified verdict must keep above -tol.
+    recorded welfare slacks that a certified verdict must keep above minus
+    the market mode's tolerance.
     """
-    if tol is None:
-        tol = market.mode.tol
     for k, ch in enumerate(challengers):
-        if not outcome_is_feasible(market, ch.prices, ch.allocation, tol):
+        if not outcome_is_feasible(market, ch.prices, ch.allocation):
             raise ChallengerRejectedError(k)
     slacks = tuple(eq1_slack(market, outcome, ch.allocation) for ch in challengers)
     min_slack = min(slacks) if slacks else None
     verdict = (
         VERDICT_CERTIFIED
-        if is_competitive_equilibrium(market, outcome, tol)
+        if is_competitive_equilibrium(market, outcome)
         else VERDICT_NOT_CE
     )
-    if verdict == VERDICT_CERTIFIED and slacks and min_slack < -tol:
+    if verdict == VERDICT_CERTIFIED and slacks and min_slack < -market.mode.tol:
         # A genuine equilibrium cannot lose welfare to a feasible challenger;
         # reaching this line means the feasibility tolerance let a bad
         # challenger through, so refuse to certify.

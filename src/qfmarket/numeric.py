@@ -8,6 +8,7 @@ tolerance used for argmax ties, budget checks, and flow saturation tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -65,7 +66,8 @@ def parse_number(token, mode: NumericMode) -> Number:
 
     Accepts ints, floats, and strings of the form "p/q" or a plain decimal
     string. In exact mode everything becomes a Fraction; in float mode
-    everything becomes a float (rationals are divided out).
+    everything becomes a float (rationals are divided out). Infinities, NaN
+    and numbers beyond the float range in float mode raise ValueError.
     """
     if isinstance(token, str):
         text = token.strip()
@@ -77,10 +79,16 @@ def parse_number(token, mode: NumericMode) -> Number:
                 value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad numeric literal {token!r}") from exc
-        return value if mode.is_exact else float(value)
-    if isinstance(token, bool) or not isinstance(token, (int, float, Fraction)):
+    elif isinstance(token, bool) or not isinstance(token, (int, float, Fraction)):
         raise ValueError(f"bad numeric literal {token!r}")
-    return mode.coerce(token)
+    elif isinstance(token, float) and not math.isfinite(token):
+        raise ValueError(f"non-finite number {token!r}")
+    else:
+        value = token
+    try:
+        return mode.coerce(value)
+    except OverflowError:
+        raise ValueError(f"number {token!r} is beyond the float range") from None
 
 
 def format_number(value: Number, mode: NumericMode = None) -> str:

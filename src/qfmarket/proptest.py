@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .feasibility import check_feasible, max_extension, meet, meet_allocation, outcome_is_feasible
+from .feasibility import check_clearing, check_feasible, meet, meet_allocation, outcome_is_feasible
 from .gridoracle import RegionGrid, grid_scan
 from .market import Buyer, Good, Market, bang_per_buck
 from .metrics import social_welfare
@@ -163,11 +163,11 @@ def suite_efficiency(probe: MarketProbe, wtol: float = 1e-6) -> SuiteResult:
     cases = 0
     for point in _feasible_points(grid):
         cases += 1
-        extended = max_extension(market, point)
-        if extended is None:
+        extended = check_clearing(market, point)
+        if not extended.feasible:
             failures.append(f"feasible point {point} lost its extension")
             continue
-        w = float(social_welfare(market, extended[1]))
+        w = float(social_welfare(market, extended.allocation))
         if w > w_star + wtol:
             failures.append(
                 f"outcome at {tuple(map(float, point))} has welfare {w} > {w_star}"

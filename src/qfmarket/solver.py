@@ -96,7 +96,6 @@ class InfeasibleStartError(MarketError):
 class EGSolution:
     allocation: Allocation
     leftover: Tuple[Number, ...]  # money each buyer keeps
-    utilities: Tuple[Number, ...]
     prices: PriceVector
     duality_gap: Number
     iterations: int
@@ -188,7 +187,6 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     burst = 25
     p = np.zeros(na)
     x = np.zeros((m, na))
-    u = np.where(alive, beta, 0.0)
     while na and iterations < max_iter:
         for _ in range(burst):
             p = bids.sum(axis=0) / s
@@ -240,7 +238,6 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     solution = EGSolution(
         allocation=tuple(allocation),
         leftover=tuple(float(d) for d in money),
-        utilities=tuple(float(v) for v in u),
         prices=tuple(prices),
         duality_gap=float(gap),
         iterations=iterations,
@@ -542,9 +539,7 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     for price, qty in zip(p_star, totals):
         revenue = revenue + price * qty
     welfare = social_welfare(market, allocation)
-    efficiency = certify_constrained_efficiency(
-        market, Outcome(p_star, allocation), (), tol=market.mode.tol
-    )
+    efficiency = certify_constrained_efficiency(market, Outcome(p_star, allocation))
     return EquilibriumResult(
         p_star=p_star,
         allocation=allocation,

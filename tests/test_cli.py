@@ -100,6 +100,21 @@ def test_check_price_witness(fixture_dir):
     }
 
 
+@pytest.mark.parametrize(
+    "command", [["solve"], ["check-price", "--price", "1,1"]], ids=["solve", "check-price"]
+)
+def test_non_finite_market_file_is_an_input_error(tmp_path, command):
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}],'
+        ' "buyers": [{"name": "b", "values": [2.0, Infinity], "budget": 1}]}'
+    )
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_check_price_arity_error(fixture_dir):
     code, _, err = run_cli(
         "check-price", str(fixture_dir / "example2.json"), "--price", "1"

@@ -10,12 +10,12 @@ from qfmarket.feasibility import (
     build_spending_graph,
     check_clearing,
     check_feasible,
-    max_extension,
     meet,
     meet_allocation,
     outcome_is_feasible,
 )
 from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
+from qfmarket.numeric import float_mode
 
 F = Fraction
 
@@ -54,15 +54,14 @@ def test_feasible_above_the_minimum_but_not_clearing(ref_exact):
 
 
 def test_max_extension(ref_exact):
-    got = max_extension(ref_exact, (F(2), F(2)))
-    assert got is not None
-    revenue, allocation = got
-    assert revenue == F(3)
-    assert outcome_is_feasible(ref_exact, (F(2), F(2)), allocation)
-    assert max_extension(ref_exact, (F(1, 2), F(1, 2))) is None
+    got = check_clearing(ref_exact, (F(2), F(2)))
+    assert got.feasible
+    assert got.max_extension_revenue == F(3)
+    assert outcome_is_feasible(ref_exact, (F(2), F(2)), got.allocation)
+    assert not check_clearing(ref_exact, (F(1, 2), F(1, 2))).feasible
 
 
-@pytest.mark.parametrize("check", [check_feasible, check_clearing, max_extension])
+@pytest.mark.parametrize("check", [check_feasible, check_clearing])
 def test_public_checks_reject_invalid_markets(check):
     market = Market((Good("A", F(1)),), (Buyer("b1", (F(1),), F(-1)),))
     with pytest.raises(MarketError, match="negative budget"):
@@ -113,6 +112,21 @@ def test_spending_graph_structure(ref_exact):
     assert graph.strict_buyers == (0, 1, 2)
     relaxed = build_spending_graph(ref_exact, (F(5), F(4)))
     assert relaxed.strict_buyers == ()
+
+
+def test_the_mode_tolerance_reaches_the_checks(ref_float):
+    """At p, buyer2's ratios 2/p_1 and 2/p_2 differ by 1e-4 relative. A 1e-3
+    tolerance ties them, and buyer2's budget may then go to good 2, which
+    makes p feasible; the default tolerance leaves good 1 over-demanded."""
+    p = (0.6, 0.6 * (1 + 1e-4))
+    loose = ref_float.coerced(float_mode(1e-3))
+    assert build_spending_graph(loose, p).bpb[1].goods == {1, 2}
+    cert = check_feasible(loose, p)
+    assert cert.feasible
+    assert outcome_is_feasible(loose, p, cert.allocation)
+    assert build_spending_graph(ref_float, p).bpb[1].goods == {1}
+    cert = check_feasible(ref_float, p)
+    assert not cert.feasible and cert.witness.goods == (1,)
 
 
 def test_random_prices_feasibility_verdicts_are_self_certifying(ref_exact):

@@ -21,7 +21,7 @@ from qfmarket.market import (
     validate_market,
     zero_bundle,
 )
-from qfmarket.numeric import EXACT, float_mode
+from qfmarket.numeric import EXACT, FLOAT_DEFAULT, float_mode
 
 F = Fraction
 
@@ -87,6 +87,21 @@ def test_validate_market_reports_each_violation():
     )
     with pytest.raises(MarketError):
         require_valid(Market((), (ok,), EXACT))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_validate_market_flags_non_finite_numbers(bad):
+    good = Good("A", 1.0)
+    ok = Buyer("b", (1.0,), 1.0)
+    cases = (
+        (Market((Good("A", bad),), (ok,), FLOAT_DEFAULT), "non-finite supply"),
+        (Market((good,), (Buyer("b", (bad,), 1.0),), FLOAT_DEFAULT), "non-finite value"),
+        (Market((good,), (Buyer("b", (1.0,), bad),), FLOAT_DEFAULT), "non-finite budget"),
+    )
+    for market, message in cases:
+        assert any(message in v for v in validate_market(market))
+        with pytest.raises(MarketError, match=message):
+            require_valid(market)
 
 
 def test_strip_worthless_goods():

