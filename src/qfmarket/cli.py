@@ -228,8 +228,8 @@ def cmd_region(args) -> int:
     loaded, digest = _load(args)
     market = loaded.market
     if getattr(args, "mode", None) is None and market.mode.is_exact:
-        # Full scans are flow-bound; default to float arithmetic unless the
-        # caller forces exact mode.
+        # Float scans use the vectorized closed form, exact ones one max
+        # flow per point; default to float unless the caller forces exact.
         market = market.coerced(float_mode())
     exact = market.mode.is_exact
     try:

@@ -178,6 +178,11 @@ def check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
     requirement, then flexible buyers top the goods up.
     """
     require_valid(market)
+    return _check_clearing(market, p)
+
+
+def _check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
+    """check_clearing on a market the caller has already validated."""
     routing = _Routing(market, p)
     if not routing.run_strict_phase():
         return FeasibilityCertificate(False, False, None, routing.witness())

@@ -1,14 +1,22 @@
 """Brute-force ground truth on a price lattice.
 
 At desk scale the feasible region, the revenue landscape, and the minimal
-price can all be read off a grid: evaluate the flow check at every lattice
-point, remember membership and the max-extension revenue, and reduce. The
-solvers are tested against these scans, never the other way around.
+price can all be read off a grid: decide feasibility and the max-extension
+revenue at every lattice point, remember both, and reduce. The solvers are
+tested against these scans, never the other way around.
+
+Float-mode scans read both numbers off Gale's supply-demand condition in
+closed form, vectorized over chunks of lattice points. With D_i the goods
+buyer i demands and c_j = p_j s_j, the max flow of budgets b_i into the
+goods is the minimum over good sets A of sum_{j in A} c_j plus the budgets
+of the buyers with D_i not inside A. Exact-mode scans run the two-phase
+flow of the clearing check at every point, in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -58,8 +66,19 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
     return tuple(out)
 
 
+# Most elements that any one temporary array of a float-mode scan holds; the
+# lattice is cut into chunks of points that fit (one point at the least).
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
-    """Evaluate feasibility and max-extension revenue at every lattice point."""
+    """Evaluate feasibility and max-extension revenue at every lattice point.
+
+    A float-mode market is scanned in closed form (see the module
+    docstring): each point costs 2^n cut values of m buyers, so the scan
+    outruns one max flow per point for small n and falls behind it as n
+    grows. An exact-mode market runs the two-phase flow at every point.
+    """
     require_valid(market)
     if resolution < 2:
         raise MarketError("resolution must be at least 2")
@@ -68,7 +87,13 @@ def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
         tuple(lo + (hi - lo) * k / (resolution - 1) for k in range(resolution))
         for lo, hi in pairs
     )
-    shape = (resolution,) * market.n
+    scan = _flow_scan if market.mode.is_exact else _gale_scan
+    membership, revenue = scan(market, axes)
+    return RegionGrid(pairs, resolution, axes, membership, revenue)
+
+
+def _flow_scan(market: Market, axes):
+    shape = tuple(len(ax) for ax in axes)
     membership = np.zeros(shape, dtype=bool)
     revenue = np.zeros(shape, dtype=np.float64)
     for idx in np.ndindex(shape):
@@ -77,7 +102,52 @@ def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
         if routing.run_strict_phase():
             membership[idx] = True
             revenue[idx] = float(routing.run_extension_phase())
-    return RegionGrid(pairs, resolution, axes, membership, revenue)
+    return membership, revenue
+
+
+def _gale_scan(market: Market, axes):
+    """Membership and revenue by Gale's condition, chunk by chunk.
+
+    Demand sets use bang_per_buck's arithmetic at the mode's tolerance, and a
+    point is feasible when the strict budgets fall short of their max flow
+    by no more than the flow check's slack tol * scale * (m + n + 4).
+    """
+    m, n = market.m, market.n
+    tol = market.mode.tol
+    values = np.array([b.values for b in market.buyers], dtype=np.float64)
+    budgets = np.array([b.budget for b in market.buyers], dtype=np.float64)
+    supplies = np.array(market.supplies, dtype=np.float64)
+    grid_axes = [np.array(ax, dtype=np.float64) for ax in axes]
+    total_budget = max(1, sum(b.budget for b in market.buyers))
+    sets = np.arange(1 << n)
+    in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(np.float64)  # (2^n, n)
+    outside = (1 << n) - 1 - sets  # complement of each set A as a bit mask
+    bits = 1 << np.arange(n)
+
+    shape = tuple(len(ax) for ax in axes)
+    points = int(np.prod(shape))
+    membership = np.zeros(points, dtype=bool)
+    revenue = np.zeros(points, dtype=np.float64)
+    chunk = max(1, _CHUNK_ELEMENTS // (m << n))  # m * 2^n >= m * n
+    for start in range(0, points, chunk):
+        stop = min(start + chunk, points)
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)], axis=-1)  # (k, n)
+        ratios = values / p[:, None, :]  # (k, m, n)
+        cutoff = (1 - tol) * np.maximum(ratios.max(axis=-1), 1.0)  # (k, m)
+        demand = ((ratios >= cutoff[..., None]) * bits).sum(axis=-1)  # bit masks
+        strict = np.where(1 < cutoff, budgets, 0.0)
+        caps = p * supplies  # (k, n)
+        missed = (demand[..., None] & outside) != 0  # (k, m, 2^n): D_i not in A
+        cut_caps = caps @ in_set.T  # (k, 2^n)
+        strict_flow = (cut_caps + np.einsum("kma,km->ka", missed, strict)).min(axis=-1)
+        scale = np.maximum(total_budget, caps.sum(axis=-1))
+        slack = tol * scale * (m + n + 4)
+        feasible = strict.sum(axis=-1) - strict_flow <= slack
+        flow = (cut_caps + np.einsum("kma,m->ka", missed, budgets)).min(axis=-1)
+        membership[start:stop] = feasible
+        revenue[start:stop] = np.where(feasible, flow, 0.0)
+    return membership.reshape(shape), revenue.reshape(shape)
 
 
 def oracle_min_price(grid: RegionGrid) -> PriceVector:
@@ -133,7 +203,7 @@ def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...
     """
     if grid.n != 2:
         raise MarketError("boundary extraction is only defined for two goods")
-    padded = np.zeros((grid.resolution + 2, grid.resolution + 2), dtype=bool)
+    padded = np.zeros((grid.resolution + 2, grid.resolution + 2), dtype=np.uint8)
     padded[1:-1, 1:-1] = grid.membership
     xs = [float(v) for v in grid.axes[0]]
     ys = [float(v) for v in grid.axes[1]]
@@ -146,27 +216,25 @@ def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...
     def clamp(pt):
         return (min(max(pt[0], lo_x), hi_x), min(max(pt[1], lo_y), hi_y))
 
+    codes = (
+        padded[:-1, :-1]
+        | padded[1:, :-1] << 1
+        | padded[1:, 1:] << 2
+        | padded[:-1, 1:] << 3
+    )
+    rows, cols = np.nonzero((codes != 0) & (codes != 15))  # mixed cells, i then j
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            code = (
-                int(padded[i, j])
-                | int(padded[i + 1, j]) << 1
-                | int(padded[i + 1, j + 1]) << 2
-                | int(padded[i, j + 1]) << 3
-            )
-            if code in (0, 15):
-                continue
-            mid = {
-                "bottom": ((xs[i] + xs[i + 1]) / 2, ys[j]),
-                "top": ((xs[i] + xs[i + 1]) / 2, ys[j + 1]),
-                "left": (xs[i], (ys[j] + ys[j + 1]) / 2),
-                "right": (xs[i + 1], (ys[j] + ys[j + 1]) / 2),
-            }
-            for a, b in _EDGE_TABLE[code]:
-                pa, pb = clamp(mid[a]), clamp(mid[b])
-                if pa != pb:
-                    segments.append((pa, pb))
+    for i, j, code in zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist()):
+        mid = {
+            "bottom": ((xs[i] + xs[i + 1]) / 2, ys[j]),
+            "top": ((xs[i] + xs[i + 1]) / 2, ys[j + 1]),
+            "left": (xs[i], (ys[j] + ys[j + 1]) / 2),
+            "right": (xs[i + 1], (ys[j] + ys[j + 1]) / 2),
+        }
+        for a, b in _EDGE_TABLE[code]:
+            pa, pb = clamp(mid[a]), clamp(mid[b])
+            if pa != pb:
+                segments.append((pa, pb))
 
     return _stitch(segments)
 
@@ -215,11 +283,17 @@ def export_grid_csv(grid: RegionGrid, fp) -> None:
     writer.writerow(
         [f"price_{d + 1}" for d in range(grid.n)] + ["feasible", "max_revenue"]
     )
-    for idx in np.ndindex(grid.membership.shape):
-        coords = [f"{float(grid.axes[d][idx[d]]):.12g}" for d in range(grid.n)]
-        writer.writerow(
-            coords
-            + [int(grid.membership[idx]), f"{float(grid.revenue[idx]):.12g}"]
+    labels = [[f"{float(v):.12g}" for v in axis] for axis in grid.axes]
+    # One lattice row at a time, so no full-grid list is ever built.
+    rows = zip(
+        itertools.product(*labels[:-1]),
+        grid.membership.reshape(-1, grid.resolution),
+        grid.revenue.reshape(-1, grid.resolution),
+    )
+    for head, feasible, revenue in rows:
+        writer.writerows(
+            [*head, last, int(f), f"{r:.12g}"]
+            for last, f, r in zip(labels[-1], feasible.tolist(), revenue.tolist())
         )
 
 

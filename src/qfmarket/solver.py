@@ -44,7 +44,7 @@ import numpy as np
 
 from .feasibility import (
     FeasibilityCertificate,
-    check_clearing,
+    _check_clearing,
     check_feasible,
 )
 from .flow import FlowNetwork
@@ -152,6 +152,11 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     SolverConvergenceError raised carries the last EGSolution as `last`.
     """
     require_valid(market)
+    return _solve_eg(market, tol, max_iter)
+
+
+def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution:
+    """solve_eg on a market the caller has already validated."""
     if tol <= 0:
         raise MarketError("solve_eg needs tol > 0")
     m, n = market.m, market.n
@@ -361,7 +366,7 @@ def _certified_rounding(
     p = _tie_snap(twin, tuple(EXACT.coerce(v) for v in prices))
     if p is None:
         return None
-    cert = check_clearing(twin, p)
+    cert = _check_clearing(twin, p)
     if not (cert.feasible and cert.clearing):
         return None
     if not market.mode.is_exact:
@@ -502,6 +507,9 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     solutions, is raised if it does not. On either path method_agreement
     reports the largest per-coordinate gap between p_star and the
     proportional-response prices, as a diagnostic.
+
+    The market is validated once, here; proportional response and the
+    clearing checks run through their unvalidated cores.
     """
     require_valid(market)
     if tol <= 0:
@@ -509,7 +517,7 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     scale = max(1.0, float(sum(b.budget for b in market.buyers)))
     eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
     try:
-        eg = solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
+        eg = _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
     except SolverConvergenceError as stalled:
         eg = stalled.last
     rounded = _certified_rounding(market, eg.prices)
@@ -517,7 +525,7 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     if rounded is not None:
         p_star, cert = rounded
         if not market.mode.is_exact:
-            cert = check_clearing(market, p_star)
+            cert = _check_clearing(market, p_star)
     if cert is not None and cert.feasible and cert.clearing:
         certified_by = "rounding"
         trace = DescentTrace(
@@ -527,7 +535,7 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
         certified_by = "descent"
         trace = lattice_descent(market, initial_feasible_price(market))
         p_star = trace.final
-        cert = check_clearing(market, p_star)
+        cert = _check_clearing(market, p_star)
         if not (cert.feasible and cert.clearing):
             raise MethodDisagreementError(
                 "descent endpoint failed its clearing check", eg=eg, descent=trace

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, files, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -148,6 +149,39 @@ def test_region_writes_grid_and_boundary(fixture_dir, tmp_path):
     assert report["boundary_csv"] == str(boundary) and boundary.exists()
     header = grid_path.read_text().splitlines()[0]
     assert header == "price_1,price_2,feasible,max_revenue"
+
+
+def test_region_outputs_are_pinned(fixture_dir, tmp_path):
+    """The float scan of example2 over 0.4:3.2 at resolution 141: both CSVs'
+    bytes and the report's reductions, as the per-point flow scan wrote them."""
+    grid_path = tmp_path / "grid.csv"
+    code, out, _ = run_cli(
+        "region",
+        str(fixture_dir / "example2.json"),
+        "--bounds",
+        "0.4:3.2",
+        "--resolution",
+        "141",
+        "--out",
+        str(grid_path),
+        "--no-timestamp",
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["mode"] == "float"
+    assert report["feasible_points"] == 11769
+    assert report["min_feasible_price"] == [0.6, 0.6]
+    assert report["max_revenue"] == {"price": [0.6, 0.6], "revenue": 3.0}
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest(grid_path) == (
+        "a1ae5da95f079fad231067bc5f2f7a5d496b2d08c91f93e4ee6fb93d17e192b9"
+    )
+    assert digest(tmp_path / "grid.boundary.csv") == (
+        "26f247807096685c73d6e4c438fac9cdb66234a079a01d0ee78eedd74560f335"
+    )
 
 
 def test_region_lattice_cap(fixture_dir, tmp_path):

@@ -1,12 +1,14 @@
 """Grid ground truth: membership scans, reductions, contours, CSV exports."""
 
 import io
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qfmarket.feasibility import check_feasible
+from qfmarket import gridoracle
+from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.gridoracle import (
     export_boundary_csv,
     export_grid_csv,
@@ -16,7 +18,9 @@ from qfmarket.gridoracle import (
     region_boundary_2d,
 )
 from qfmarket.market import Buyer, Good, Market, MarketError
+from qfmarket.marketio import load_market
 from qfmarket.numeric import EXACT, float_mode
+from qfmarket.proptest import random_market
 
 from conftest import reference_market
 
@@ -84,6 +88,62 @@ def test_exact_mode_scan_agrees_with_the_flow_check(ref_exact):
     for idx in np.ndindex(grid.membership.shape):
         p = tuple(grid.axes[d][idx[d]] for d in range(2))
         assert grid.membership[idx] == check_feasible(ref_exact, p).feasible
+
+
+def _assert_scan_matches_the_flow(market, grid):
+    for idx in np.ndindex(grid.membership.shape):
+        p = tuple(grid.axes[d][idx[d]] for d in range(market.n))
+        cert = check_clearing(market, p)
+        assert grid.membership[idx] == cert.feasible, p
+        if cert.feasible:
+            assert grid.revenue[idx] == pytest.approx(
+                cert.max_extension_revenue, rel=1e-12, abs=0.0
+            ), p
+        else:
+            assert grid.revenue[idx] == 0.0, p
+
+
+def _float_draws():
+    """The first float random_market draw with n goods, for n = 3..6."""
+    rng = random.Random(11)
+    draws = {}
+    while len(draws) < 4:
+        market = random_market(rng, 6, 6)
+        if 3 <= market.n <= 6:
+            draws.setdefault(market.n, market.coerced(float_mode()))
+    return [draws[n] for n in sorted(draws)]
+
+
+def test_float_scan_agrees_with_the_flow_check(ref_float, ref_grid, fixture_dir):
+    _assert_scan_matches_the_flow(ref_float, ref_grid)  # hits the (0.6, 0.6) tie
+    one_good = load_market((fixture_dir / "example1.json").read_bytes(), float_mode()).market
+    _assert_scan_matches_the_flow(one_good, grid_scan(one_good, (0.05, 1.2), 60))
+    for market in _float_draws():
+        resolution = {3: 7, 4: 5, 5: 4, 6: 3}[market.n]
+        top = max(float(v) for b in market.buyers for v in b.values) + 1
+        grid = grid_scan(market, (0.1, top), resolution)
+        _assert_scan_matches_the_flow(market, grid)
+
+
+def test_float_scan_reads_feasibility_within_the_flow_slack(ref_float):
+    """Prices (0.6, 0.6) scaled by 1 - delta leave the strict budgets 3 * delta
+    short. The flow check's slack, 1e-9 * 3 * (m + n + 4) = 2.7e-8, covers
+    delta = 5e-9 but not delta = 1e-7."""
+    inside = grid_scan(ref_float, (0.6 * (1 - 5e-9), 0.6), 2)
+    outside = grid_scan(ref_float, (0.6 * (1 - 1e-7), 0.6), 2)
+    assert inside.membership[0, 0] and not outside.membership[0, 0]
+    _assert_scan_matches_the_flow(ref_float, inside)
+    _assert_scan_matches_the_flow(ref_float, outside)
+
+
+def test_float_scan_across_chunk_seams(ref_float, ref_grid, monkeypatch):
+    """Chunks of 7 points (84 elements over 3 buyers and 2^2 goods sets) cut
+    the 54 x 54 window into 417 pieces, most of them seamed mid-row."""
+    monkeypatch.setattr(gridoracle, "_CHUNK_ELEMENTS", 84)
+    grid = grid_scan(ref_float, (0.35, 3.0), 54)
+    assert np.array_equal(grid.membership, ref_grid.membership)
+    assert np.array_equal(grid.revenue, ref_grid.revenue)
+    _assert_scan_matches_the_flow(ref_float, grid)
 
 
 def test_boundary_passes_near_the_region_corner(ref_grid):

@@ -285,12 +285,13 @@ def test_stalled_proportional_response_is_still_rounded(ref_exact, monkeypatch):
     assert stall.value.last.duality_gap == stall.value.gap > 1e-12
 
     raised = []
+    run_eg = solver._solve_eg
 
     def stalls(market, tol):
-        raised.append(solve_eg(market, tol=tol))
+        raised.append(run_eg(market, tol=tol))
         raise SolverConvergenceError("stalled", last=raised[0], gap=raised[0].duality_gap)
 
-    monkeypatch.setattr(solver, "solve_eg", stalls)
+    monkeypatch.setattr(solver, "_solve_eg", stalls)
     res = solve(ref_exact)
     assert res.eg is raised[0]
     assert res.p_star == (F(3, 5), F(3, 5))
@@ -313,7 +314,7 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
         checks.append(p)
         return check_clearing(market, p)
 
-    monkeypatch.setattr(solver, "check_clearing", counted)
+    monkeypatch.setattr(solver, "_check_clearing", counted)
     rng = random.Random(0)
     for _ in range(20):
         market = random_market(rng, 6, 6)
