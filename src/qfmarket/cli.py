@@ -122,6 +122,7 @@ def cmd_solve(args) -> int:
     market = loaded.market
     exact = market.mode.is_exact
     result = solve(market, tol=args.tol)
+    eg = result.eg  # None when the market has no float image
     totals = aggregate(result.allocation, market.n)
     report = {
         "command": "solve",
@@ -149,9 +150,9 @@ def cmd_solve(args) -> int:
             },
         },
         "diagnostics": {
-            "method_agreement": _num(result.method_agreement, False),
-            "eg_duality_gap": _num(result.eg.duality_gap, False),
-            "eg_iterations": result.eg.iterations,
+            "method_agreement": _num(result.method_agreement, False) if eg else None,
+            "eg_duality_gap": _num(eg.duality_gap, False) if eg else None,
+            "eg_iterations": eg.iterations if eg else None,
             "descent_steps": len(result.descent.steps),
             "descent_probes": result.descent.probes,
             "certified_by": result.certified_by,

@@ -19,9 +19,10 @@ good capacity forces each positively-priced good to sell out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
-from .flow import FlowNetwork
+from .flow import FlowNetwork, scale_to_integers
 from .market import (
     MONEY,
     Allocation,
@@ -87,59 +88,67 @@ def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
 class _Routing:
     """Shared two-phase flow state behind check_feasible / check_clearing.
 
-    The flow's zero and its saturation slack scale the market mode's
-    tolerance by the money in play, so exact markets compare exactly.
+    On an exact market the prices are read as exact rationals (Fraction of a
+    float is exact), and the network carries every budget and capacity times
+    their least common denominator `unit`: its residuals are ints, and flows
+    come back as Fraction(flow, unit). On a float market the flow's zero and
+    its saturation slack scale the mode's tolerance by the money in play.
     """
 
     def __init__(self, market: Market, p: PriceVector):
         self.market = market
-        self.p = tuple(p)
-        self.graph = build_spending_graph(market, p)
-        tol = market.mode.tol
+        exact = market.mode.is_exact
+        self.p = tuple(map(Fraction, p)) if exact else tuple(p)
+        self.graph = build_spending_graph(market, self.p)
         m, n = market.m, market.n
-        caps = self.graph.capacities
-        scale = max(1, sum(b.budget for b in market.buyers), sum(caps))
-        self.slack = tol * scale * (m + n + 4)
+        budgets = [b.budget for b in market.buyers]
+        caps = list(self.graph.capacities)
+        if exact:
+            self.unit, scaled = scale_to_integers(budgets + caps)
+            budgets, caps = scaled[:m], scaled[m:]
+            self.slack = zero = 0
+        else:
+            self.unit = None
+            tol = market.mode.tol
+            scale = max(1, sum(budgets), sum(caps))
+            self.slack = tol * scale * (m + n + 4)
+            zero = tol * scale
+        self.budgets = budgets  # in network units, as is self.slack
         self.source = 0
         self.sink = m + n + 1
-        self.net = FlowNetwork(m + n + 2, zero=tol * scale)
-        self.buyer_edge = [None] * m
+        self.net = FlowNetwork(m + n + 2, zero=zero)
         self.spend_edges = [[] for _ in range(m)]  # (good index 0-based, edge id)
         for i, bpb in enumerate(self.graph.bpb):
             if bpb.strict:
-                self.buyer_edge[i] = self.net.add_edge(self.source, 1 + i, market.buyers[i].budget)
+                self.net.add_edge(self.source, 1 + i, budgets[i])
             for j in sorted(bpb.goods - {MONEY}):
                 eid = self.net.add_edge(1 + i, 1 + m + (j - 1), caps[j - 1])
                 self.spend_edges[i].append((j - 1, eid))
         for k in range(n):
             self.net.add_edge(1 + m + k, self.sink, caps[k])
 
+    def _money(self, flow):
+        """A flow of the network in the market's money."""
+        return flow if self.unit is None else Fraction(flow, self.unit)
+
     def run_strict_phase(self):
-        required = sum(
-            self.market.buyers[i].budget for i in self.graph.strict_buyers
-        )
-        pushed = self.net.max_flow(self.source, self.sink)
-        self.strict_spend = pushed
-        self.shortfall = required - pushed
-        self.feasible = self.shortfall <= self.slack
-        return self.feasible
+        required = sum(self.budgets[i] for i in self.graph.strict_buyers)
+        self.strict_flow = self.net.max_flow(self.source, self.sink)
+        return required - self.strict_flow <= self.slack
 
     def run_extension_phase(self):
-        m = self.market.m
         for i, bpb in enumerate(self.graph.bpb):
             if not bpb.strict:
-                self.buyer_edge[i] = self.net.add_edge(
-                    self.source, 1 + i, self.market.buyers[i].budget
-                )
-        self.extension_revenue = self.strict_spend + self.net.max_flow(self.source, self.sink)
-        return self.extension_revenue
+                self.net.add_edge(self.source, 1 + i, self.budgets[i])
+        extension = self.net.max_flow(self.source, self.sink)
+        return self._money(self.strict_flow + extension)
 
     def allocation(self) -> Allocation:
         bundles = []
         for i in range(self.market.m):
             bundle = [0 * price for price in self.p]
             for k, eid in self.spend_edges[i]:
-                bundle[k] = self.net.flow_on(eid) / self.p[k]
+                bundle[k] = self._money(self.net.flow_on(eid)) / self.p[k]
             bundles.append(tuple(bundle))
         return tuple(bundles)
 

@@ -1,10 +1,15 @@
 """Small deterministic max-flow kernel.
 
 Edmonds-Karp (BFS shortest augmenting paths) over adjacency lists. Capacities
-may be ints, Fractions, or floats; arithmetic never leaves the caller's
-numeric type. Graphs in this package have at most a few hundred nodes, so no
-effort is spent on asymptotics. Augmentation order is fixed by edge insertion
-order, which callers use to make allocations reproducible.
+may be any ordered numbers. In this package exact callers hand it Python
+ints and float-mode callers floats: exact callers scale their rational
+amounts to integers with `scale_to_integers` and read flows back as
+Fraction(flow, unit). The kernel only compares residuals and takes minima,
+and both keep their order under one positive scale, so the scaled network
+takes the same augmenting paths as the rational one without Fraction
+arithmetic. Graphs in this package have at most a few hundred nodes, so no
+effort is spent on asymptotics. Augmentation order is fixed by edge
+insertion order, which callers use to make allocations reproducible.
 
 `zero` is the residual threshold: residual capacities at or below it count as
 saturated (0 for exact arithmetic, a tiny scale-relative slack for floats).
@@ -12,7 +17,15 @@ saturated (0 for exact arithmetic, a tiny scale-relative slack for floats).
 
 from __future__ import annotations
 
+import math
 from collections import deque
+
+
+def scale_to_integers(amounts):
+    """(unit, integers): the least common denominator of the rational
+    `amounts` and each amount times it."""
+    unit = math.lcm(*(a.denominator for a in amounts))
+    return unit, [a.numerator * (unit // a.denominator) for a in amounts]
 
 
 class FlowNetwork:
@@ -39,14 +52,15 @@ class FlowNetwork:
         return self.residual[eid ^ 1]
 
     def _find_path(self, source: int, sink: int):
+        adj, to, residual, zero = self.adj, self.to, self.residual, self.zero
         parent_edge = [-1] * self.n_nodes
         parent_edge[source] = -2
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if parent_edge[v] == -1 and self.residual[eid] > self.zero:
+            for eid in adj[u]:
+                v = to[eid]
+                if parent_edge[v] == -1 and residual[eid] > zero:
                     parent_edge[v] = eid
                     if v == sink:
                         return parent_edge
@@ -59,6 +73,7 @@ class FlowNetwork:
         May be called repeatedly (e.g. after adding edges); each call returns
         only the increment, so totals are the caller's bookkeeping.
         """
+        to, residual = self.to, self.residual
         total = 0 * self.zero if self.zero else 0
         while True:
             parent_edge = self._find_path(source, sink)
@@ -68,16 +83,16 @@ class FlowNetwork:
             v = sink
             while v != source:
                 eid = parent_edge[v]
-                r = self.residual[eid]
+                r = residual[eid]
                 if bottleneck is None or r < bottleneck:
                     bottleneck = r
-                v = self.to[eid ^ 1]
+                v = to[eid ^ 1]
             v = sink
             while v != source:
                 eid = parent_edge[v]
-                self.residual[eid] -= bottleneck
-                self.residual[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
+                residual[eid] -= bottleneck
+                residual[eid ^ 1] += bottleneck
+                v = to[eid ^ 1]
             total += bottleneck
 
     def reachable_from(self, source: int):

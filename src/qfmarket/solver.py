@@ -47,7 +47,7 @@ from .feasibility import (
     _check_clearing,
     check_feasible,
 )
-from .flow import FlowNetwork
+from .flow import FlowNetwork, scale_to_integers
 from .market import (
     Allocation,
     Market,
@@ -66,6 +66,7 @@ from .metrics import (
 from .numeric import EXACT, Number, float_mode
 
 BID_FLOOR = 1e-250
+_GAP_EVERY = 25  # iterations between duality-gap checks
 
 
 class SolverConvergenceError(MarketError):
@@ -122,10 +123,10 @@ class EquilibriumResult:
     allocation: Allocation
     revenue: Number
     welfare: Number
-    method_agreement: Number  # max per-coordinate discrepancy between methods
+    method_agreement: Optional[Number]  # max per-coordinate gap to eg.prices; None without eg
     clearing_certificate: FeasibilityCertificate
     efficiency_certificate: EfficiencyCertificate
-    eg: EGSolution
+    eg: Optional[EGSolution]  # None when the market has no float image
     descent: DescentTrace  # empty (no steps, no probes) when rounding certified p_star
     certified_by: str  # "rounding" or "descent"
 
@@ -145,85 +146,90 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
 
     Runs in floating point regardless of the market's numeric mode; an
     answer's exactness comes from certifying these prices afterwards, not
-    from this arithmetic. Goods with zero supply or zero bid mass are
-    excluded from the dynamics; their prices are imputed afterwards as the
-    lowest level at which no buyer's bang-per-buck strictly prefers them.
-    If the gap is still above tol after max_iter iterations, the
-    SolverConvergenceError raised carries the last EGSolution as `last`.
+    from this arithmetic. Zero-budget buyers take no part (they keep no
+    money and get empty bundles), and goods with zero supply or zero bid
+    mass are excluded from the dynamics; their prices are imputed afterwards
+    as the lowest level at which no buyer's bang-per-buck strictly prefers
+    them. The duality gap is read every 25 iterations, so iterations is a
+    multiple of 25. If the gap is still above tol after max_iter iterations,
+    the SolverConvergenceError raised carries the last EGSolution as `last`.
     """
     require_valid(market)
     return _solve_eg(market, tol, max_iter)
 
 
 def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution:
-    """solve_eg on a market the caller has already validated."""
+    """solve_eg on a market the caller has already validated.
+
+    Zero-budget buyers and inactive goods are dropped once, before the loop,
+    and every update writes into buffers allocated once. Each iteration's
+    first half (prices, ratios, gains, utilities) is also the snapshot that
+    the duality gap is read from every _GAP_EVERY iterations.
+    """
     if tol <= 0:
         raise MarketError("solve_eg needs tol > 0")
     m, n = market.m, market.n
-    beta = np.array([float(b.budget) for b in market.buyers])
+    beta_all = np.array([float(b.budget) for b in market.buyers])
     supply_all = np.array([float(g.supply) for g in market.goods])
     values_all = np.array([[float(v) for v in b.values] for b in market.buyers])
-    alive = beta > 0
+    live = np.flatnonzero(beta_all > 0)
     active = [
-        k
-        for k in range(n)
-        if supply_all[k] > 0 and np.any(alive & (values_all[:, k] > 0))
+        k for k in range(n) if supply_all[k] > 0 and np.any(values_all[live, k] > 0)
     ]
-    va = values_all[:, active]
+    beta = beta_all[live]
+    # Column-major: each price's bid sum then adds along contiguous memory
+    # in numpy's pairwise order. Row-major sums add row by row and move the
+    # iterates of markets with eight or more buyers in their last bits.
+    va = np.asfortranarray(values_all[np.ix_(live, active)])
     s = supply_all[active]
     na = len(active)
 
-    valued = (va > 0) & alive[:, None]
+    valued = va > 0
     shares = 1.0 / (valued.sum(axis=1) + 1)
     bids = np.where(valued, (beta * shares)[:, None], 0.0)
-    money = np.where(alive, beta * shares, 0.0)
-
+    money = beta * shares
     floor_b = np.where(valued, BID_FLOOR, 0.0)
-    floor_m = np.where(alive, BID_FLOOR, 0.0)
+    floor_m = np.full(len(live), BID_FLOOR)
 
-    def forward():
-        p = bids.sum(axis=0) / s
-        x = bids / p
-        u = (va * x).sum(axis=1) + money
-        return p, x, u
-
-    gap = float("inf")
+    p = np.empty(na)
+    x = np.empty_like(bids)  # bids / p: units bought
+    gains = np.empty_like(bids)  # utility each bid buys
+    u = np.empty(len(live))
+    scale = np.empty(len(live))
+    scale_col = scale[:, None]
+    add_reduce, divide, multiply, maximum = np.add.reduce, np.divide, np.multiply, np.maximum
+    gap = float("inf") if na else 0.0
     iterations = 0
-    burst = 25
-    p = np.zeros(na)
-    x = np.zeros((m, na))
-    while na and iterations < max_iter:
-        for _ in range(burst):
-            p = bids.sum(axis=0) / s
-            gains = va * (bids / p)
-            u = gains.sum(axis=1) + money
-            scale = np.where(alive, beta / np.where(alive, u, 1.0), 0.0)
-            bids = gains * scale[:, None]
-            money = money * scale
-            np.maximum(bids, floor_b, out=bids)
-            np.maximum(money, floor_m, out=money)
-        iterations += burst
-        # Gap from one consistent snapshot: x sells exactly s at these p, and
-        # u = v.x + money, so the primal value is genuine.
-        p, x, u = forward()
-        primal = float(
-            np.dot(beta, np.log(np.where(alive, u, 1.0))) - money.sum()
-        )
-        rmax = np.maximum(1.0, (va / p).max(axis=1, initial=0.0))
-        dual = float(
-            np.dot(p, s)
-            + np.where(alive, beta * np.log(np.where(alive, beta * rmax, 1.0)) - beta, 0.0).sum()
-        )
-        gap = dual - primal
-        if gap <= tol:
-            break
-    if na == 0:
-        gap = 0.0
+    while na:
+        add_reduce(bids, axis=0, out=p)
+        p /= s
+        divide(bids, p, out=x)
+        multiply(va, x, out=gains)
+        add_reduce(gains, axis=1, out=u)
+        u += money
+        if iterations and iterations % _GAP_EVERY == 0:
+            # x sells exactly s at these p, and u = v.x + money, so the
+            # primal value is genuine.
+            primal = float(np.dot(beta, np.log(u)) - money.sum())
+            rmax = np.maximum(1.0, (va / p).max(axis=1, initial=0.0))
+            dual = float(np.dot(p, s) + (beta * np.log(beta * rmax) - beta).sum())
+            gap = dual - primal
+            if gap <= tol or iterations >= max_iter:
+                break
+        divide(beta, u, out=scale)
+        multiply(gains, scale_col, out=bids)
+        money *= scale
+        maximum(bids, floor_b, out=bids)
+        maximum(money, floor_m, out=money)
+        iterations += 1
 
-    rmax = np.maximum(1.0, (va / p).max(axis=1, initial=0.0)) if na else np.full(m, 1.0)
     prices = [0.0] * n
     for col, k in enumerate(active):
         prices[k] = float(p[col])
+    if na:
+        rmax = np.maximum(1.0, (values_all[:, active] / p).max(axis=1, initial=0.0))
+    else:
+        rmax = np.full(m, 1.0)
     for k in range(n):
         if k in active:
             continue
@@ -234,15 +240,15 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution
             if values_all[i, k] > 0
         )
 
-    allocation = []
-    for i in range(m):
-        bundle = [0.0] * n
+    allocation = [[0.0] * n for _ in range(m)]
+    leftover = [0.0] * m
+    for row, i in enumerate(live):
         for col, k in enumerate(active):
-            bundle[k] = float(x[i, col])
-        allocation.append(tuple(bundle))
+            allocation[i][k] = float(x[row, col])
+        leftover[i] = float(money[row])
     solution = EGSolution(
-        allocation=tuple(allocation),
-        leftover=tuple(float(d) for d in money),
+        allocation=tuple(tuple(bundle) for bundle in allocation),
+        leftover=tuple(leftover),
         prices=tuple(prices),
         duality_gap=float(gap),
         iterations=iterations,
@@ -396,17 +402,23 @@ def _route(market: Market, p: PriceVector, captured, down: frozenset, factor):
     p_j * s_j are scaled by factor.
 
     Node 0 is the source, nodes 1..len(captured) the captured buyers, then
-    one node per good of `down` (returned as node), then the sink.
+    one node per good of `down` (returned as node), then the sink. Budgets
+    and capacities enter the network times their least common denominator,
+    so it runs on ints; callers read only its cut sets, which that one
+    positive scale leaves unchanged.
     """
-    node = {j: 1 + len(captured) + k for k, j in enumerate(sorted(down))}
+    goods_down = sorted(down)
+    node = {j: 1 + len(captured) + k for k, j in enumerate(goods_down)}
     sink = 1 + len(captured) + len(down)
+    caps = [factor * p[j - 1] * market.goods[j - 1].supply for j in goods_down]
+    _, scaled = scale_to_integers([budget for budget, _ in captured] + caps)
     net = FlowNetwork(sink + 1)
-    for b, (budget, goods) in enumerate(captured, start=1):
+    for b, ((_, goods), budget) in enumerate(zip(captured, scaled), start=1):
         net.add_edge(0, b, budget)
         for j in goods:
             net.add_edge(b, node[j], budget)
-    for j in sorted(down):
-        net.add_edge(node[j], sink, factor * p[j - 1] * market.goods[j - 1].supply)
+    for j, cap in zip(goods_down, scaled[len(captured):]):
+        net.add_edge(node[j], sink, cap)
     net.max_flow(0, sink)
     return net, node, sink
 
@@ -489,6 +501,21 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     )
 
 
+def _proportional_response(market: Market, tol: float) -> Optional[EGSolution]:
+    """solve's proportional-response run: its solution, its last iterate if
+    it stalls, or None when an exact market has no float image (a number
+    beyond the float range)."""
+    try:
+        scale = max(1.0, float(sum(b.budget for b in market.buyers)))
+        eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
+    except OverflowError:
+        return None
+    try:
+        return _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
+    except SolverConvergenceError as stalled:
+        return stalled.last
+
+
 def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
@@ -508,19 +535,18 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     reports the largest per-coordinate gap between p_star and the
     proportional-response prices, as a diagnostic.
 
+    An exact market with a number beyond the float range has no float image
+    for proportional response to run on. It goes straight to the descent,
+    and eg and method_agreement are None.
+
     The market is validated once, here; proportional response and the
     clearing checks run through their unvalidated cores.
     """
     require_valid(market)
     if tol <= 0:
         raise MarketError("solve needs tol > 0")
-    scale = max(1.0, float(sum(b.budget for b in market.buyers)))
-    eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
-    try:
-        eg = _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
-    except SolverConvergenceError as stalled:
-        eg = stalled.last
-    rounded = _certified_rounding(market, eg.prices)
+    eg = _proportional_response(market, tol)
+    rounded = None if eg is None else _certified_rounding(market, eg.prices)
     cert = None
     if rounded is not None:
         p_star, cert = rounded
@@ -540,7 +566,9 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
             raise MethodDisagreementError(
                 "descent endpoint failed its clearing check", eg=eg, descent=trace
             )
-    agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
+    agreement = None
+    if eg is not None:
+        agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
     allocation = cert.allocation
     totals = aggregate(allocation, market.n)
     revenue = 0

@@ -55,6 +55,31 @@ def test_solve_float_mode(fixture_dir):
     assert report["diagnostics"]["certified_by"] == "rounding"
 
 
+def test_solve_market_without_a_float_image(tmp_path):
+    """An exact budget beyond the float range: the descent answers, and the
+    proportional-response diagnostics are null."""
+    market = {
+        "kind": "market",
+        "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}],
+        "buyers": [
+            {"name": "b1", "values": [2, 2], "budget": "1e400"},
+            {"name": "b2", "values": [2, 3], "budget": 1},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(market), encoding="utf-8")
+    code, out, err = run_cli("solve", str(path), "--mode", "exact", "--no-timestamp")
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["p_star"] == [2, 2]
+    diagnostics = report["diagnostics"]
+    assert diagnostics["certified_by"] == "descent"
+    assert diagnostics["descent_probes"] == 8
+    assert diagnostics["method_agreement"] is None
+    assert diagnostics["eg_duality_gap"] is None
+    assert diagnostics["eg_iterations"] is None
+
+
 def test_solve_arctic_reports_owner_bundles(fixture_dir):
     code, out, _ = run_cli(
         "solve", str(fixture_dir / "example2_arctic_split.json"), "--no-timestamp"

@@ -16,6 +16,7 @@ from qfmarket.feasibility import (
 )
 from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
 from qfmarket.numeric import float_mode
+from qfmarket.proptest import random_market
 
 F = Fraction
 
@@ -144,3 +145,119 @@ def test_random_prices_feasibility_verdicts_are_self_certifying(ref_exact):
             assert w.goods and set(w.goods) <= {1, 2}
             assert w.excess > 0
             assert w.capacity == sum(p[j - 1] * supplies[j - 1] for j in w.goods)
+
+
+def _battery_draw(index):
+    rng = random.Random(0)
+    for _ in range(index):
+        random_market(rng, 6, 6)
+    return random_market(rng, 6, 6)
+
+
+def _coprime_market():
+    """Budgets in sevenths and elevenths, supplies in elevenths, sevenths
+    and thirteenths: the flow's common denominator is far from any one."""
+    return Market(
+        (Good("A", F(3, 11)), Good("B", F(5, 7)), Good("C", F(2, 13))),
+        (
+            Buyer("b1", (F(3), F(2), F(5, 3)), F(2, 7)),
+            Buyer("b2", (F(1, 2), F(4), F(1)), F(3, 11)),
+            Buyer("b3", (F(2), F(2), F(7, 5)), F(1, 7)),
+            Buyer("b4", (F(5), F(1, 3), F(2)), F(4, 11)),
+        ),
+    )
+
+
+def _rows(*rows):
+    return tuple(tuple(F(q) for q in row) for row in rows)
+
+
+# market, its p*, then at p*: max-extension revenue and allocation; at p*
+# with good 1 halved: witness goods and forced budget; at 3/2 p*: revenue and
+# allocation of a feasible, non-clearing price.
+_CERTIFICATE_PINS = (
+    (
+        lambda: _battery_draw(0),
+        (F(7, 3), F(5, 6), F(5, 6), F(5, 7)),
+        F(83, 7),
+        _rows(("0", "6/35", "0", "4"), ("0", "99/35", "153/35", "0"),
+              ("31/49", "0", "22/35", "0"), ("18/49", "0", "0", "0")),
+        ((1,), F(4)),
+        F(11),
+        _rows(("0", "12/5", "0", "0"), ("0", "3/5", "21/5", "0"),
+              ("4/7", "0", "0", "0"), ("0", "0", "0", "0")),
+    ),
+    (
+        lambda: _battery_draw(5),
+        (F(4, 3), F(5, 3), F(47, 36)),
+        F(187, 12),
+        _rows(("0", "0", "45/47"), ("0", "6/5", "0"), ("1/2", "3/2", "0"),
+              ("0", "3/10", "0"), ("0", "0", "96/47"), ("9/2", "0", "0")),
+        ((1,), F(13)),
+        F(143, 12),
+        _rows(("0", "0", "30/47"), ("0", "4/5", "0"), ("0", "0", "0"),
+              ("0", "0", "0"), ("0", "0", "64/47"), ("3", "0", "0")),
+    ),
+    (
+        lambda: _battery_draw(8),
+        (F(7, 4),),
+        F(7, 4),
+        _rows(("0",), ("2/7",), ("5/7",)),
+        ((1,), F(7, 2)),
+        F(1, 2),
+        _rows(("0",), ("4/21",), ("0",)),
+    ),
+    (
+        _coprime_market,
+        (F(4, 3), F(1053, 1265), F(351, 506)),
+        F(82, 77),
+        _rows(("0", "1585/7371", "2/13"), ("0", "115/351", "0"),
+              ("0", "1265/7371", "0"), ("3/11", "0", "0")),
+        ((1,), F(61, 77)),
+        F(82, 77),
+        _rows(("0", "5060/22113", "0"), ("0", "230/1053", "0"),
+              ("0", "2530/22113", "0"), ("2/11", "0", "0")),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "make, p_star, revenue, allocation, witness, up_revenue, up_allocation",
+    _CERTIFICATE_PINS,
+    ids=["draw0", "draw5", "draw8", "coprime"],
+)
+def test_exact_clearing_certificates_are_pinned(
+    make, p_star, revenue, allocation, witness, up_revenue, up_allocation
+):
+    market = make()
+    cert = check_clearing(market, p_star)
+    assert cert.feasible and cert.clearing
+    assert cert.max_extension_revenue == revenue
+    assert cert.allocation == allocation
+    cut = (p_star[0] / 2,) + p_star[1:]
+    cert = check_clearing(market, cut)
+    assert not cert.feasible
+    assert (cert.witness.goods, cert.witness.forced_budget) == witness
+    cert = check_clearing(market, tuple(v * F(3, 2) for v in p_star))
+    assert cert.feasible and not cert.clearing
+    assert cert.max_extension_revenue == up_revenue
+    assert cert.allocation == up_allocation
+
+
+@pytest.mark.parametrize(
+    "draw, p_star",
+    [(None, MINIMAL), (0, (F(7, 3), F(5, 6), F(5, 6), F(5, 7))), (8, (F(7, 4),))],
+    ids=["reference", "draw0", "draw8"],
+)
+def test_float_cut_prices_on_exact_markets_are_read_exactly(ref_exact, draw, p_star):
+    """A 1% cut taken in floats hands an exact market a float price. It is
+    read as the rational that the float is: every cut stays infeasible, and
+    the witness capacity is exact at that rational."""
+    market = ref_exact if draw is None else _battery_draw(draw)
+    for j in range(market.n):
+        cut = tuple(v * 0.99 if k == j else v for k, v in enumerate(p_star))
+        cert = check_feasible(market, cut)
+        assert not cert.feasible
+        assert cert.witness.capacity == sum(
+            F(cut[g - 1]) * market.goods[g - 1].supply for g in cert.witness.goods
+        )

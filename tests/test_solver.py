@@ -15,6 +15,7 @@ import pytest
 
 from qfmarket import solver
 from qfmarket.feasibility import check_clearing, check_feasible
+from qfmarket.flow import FlowNetwork
 from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
 from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
@@ -373,3 +374,64 @@ def test_descent_probe_count_stays_small_on_eight_goods():
     trace = lattice_descent(market, initial_feasible_price(market))
     assert trace.final == solve(market).p_star
     assert trace.probes <= 500
+
+
+# (draw, iterations, prices, duality gap) of solve_eg at its defaults. The
+# exact and float images of each market give the same numbers.
+_EG_PINS = (
+    (None, 75, (0.5999999955737777, 0.6000000066393335), 3.6886014243009413e-09),
+    (0, 850, (2.333333328475066, 0.8333333292308187, 0.8333333295836798, 0.7142857087205543),
+     7.900457177356657e-09),
+    (8, 50, (1.750000000045673,), 3.3200775462205456e-11),
+)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+@pytest.mark.parametrize("draw, iterations, prices, gap", _EG_PINS, ids=["reference", "draw0", "draw8"])
+def test_proportional_response_iterates_are_pinned(ref_exact, mode, draw, iterations, prices, gap):
+    market = ref_exact if draw is None else _draw(0, draw, 6, 6)
+    if not mode.is_exact:
+        market = market.coerced(mode)
+    sol = solve_eg(market)
+    assert sol.iterations == iterations
+    assert sol.prices == pytest.approx(prices, rel=1e-12, abs=0.0)
+    assert sol.duality_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
+def test_exact_flow_networks_carry_integer_capacities(monkeypatch):
+    """Exact networks are scaled to ints, in the clearing checks and in the
+    descent's routings alike."""
+    capacities = []
+    add_edge = FlowNetwork.add_edge
+
+    def spy(net, u, v, capacity):
+        capacities.append(capacity)
+        return add_edge(net, u, v, capacity)
+
+    monkeypatch.setattr(FlowNetwork, "add_edge", spy)
+    rng = random.Random(0)
+    for _ in range(20):
+        market = random_market(rng, 6, 6)
+        solve(market)
+        lattice_descent(market, initial_feasible_price(market))
+    assert capacities
+    assert all(type(c) is int for c in capacities)
+
+
+def test_market_without_a_float_image_goes_to_the_descent():
+    """A budget beyond the float range leaves proportional response nothing
+    to run on; solve used to raise OverflowError here."""
+    market = Market(
+        (Good("A", F(1)), Good("B", F(1))),
+        (
+            Buyer("b1", (F(2), F(2)), F(10) ** 400),
+            Buyer("b2", (F(2), F(3)), F(1)),
+        ),
+        EXACT,
+    )
+    res = solve(market)
+    assert res.p_star == (F(2), F(2))
+    assert res.certified_by == "descent"
+    assert res.descent.probes == 8
+    assert res.clearing_certificate.clearing
+    assert res.eg is None and res.method_agreement is None
