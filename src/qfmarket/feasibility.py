@@ -118,11 +118,15 @@ class _Routing:
         self.sink = m + n + 1
         self.net = FlowNetwork(m + n + 2, zero=zero)
         self.spend_edges = [[] for _ in range(m)]  # (good index 0-based, edge id)
+        # Spend edges hold more than every budget and capacity together, so
+        # no minimum cut uses one, and the goods on a cut's source side are
+        # the over-demanded set that witness() names.
+        unbounded = sum(budgets) + sum(caps) + 1
         for i, bpb in enumerate(self.graph.bpb):
             if bpb.strict:
                 self.net.add_edge(self.source, 1 + i, budgets[i])
             for j in sorted(bpb.goods - {MONEY}):
-                eid = self.net.add_edge(1 + i, 1 + m + (j - 1), caps[j - 1])
+                eid = self.net.add_edge(1 + i, 1 + m + (j - 1), unbounded)
                 self.spend_edges[i].append((j - 1, eid))
         for k in range(n):
             self.net.add_edge(1 + m + k, self.sink, caps[k])

@@ -33,7 +33,8 @@ class RegionGrid:
 
     axes[d] holds the d-th coordinate values (length `resolution`); arrays
     are indexed by the corresponding lattice indices. Revenue entries are
-    max-extension values at feasible points and 0 elsewhere.
+    max-extension values at feasible points and 0 elsewhere. tol is the
+    scanned market's mode tolerance.
     """
 
     bounds: Tuple[Tuple[Number, Number], ...]
@@ -41,6 +42,7 @@ class RegionGrid:
     axes: Tuple[Tuple[Number, ...], ...]
     membership: np.ndarray
     revenue: np.ndarray
+    tol: Number
 
     @property
     def n(self) -> int:
@@ -89,7 +91,7 @@ def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
     )
     scan = _flow_scan if market.mode.is_exact else _gale_scan
     membership, revenue = scan(market, axes)
-    return RegionGrid(pairs, resolution, axes, membership, revenue)
+    return RegionGrid(pairs, resolution, axes, membership, revenue, market.mode.tol)
 
 
 def _flow_scan(market: Market, axes):
@@ -162,13 +164,16 @@ def oracle_min_price(grid: RegionGrid) -> PriceVector:
 def oracle_max_revenue(grid: RegionGrid):
     """Feasible lattice point with the largest max-extension revenue.
 
-    Ties break toward the lexicographically smallest lattice index, so the
-    reported price is deterministic along revenue plateaus.
+    Revenues within the grid's tolerance of the largest, scaled by it, tie:
+    float revenues on a plateau can differ in their last bits. Ties break
+    toward the lexicographically smallest lattice index, so the reported
+    price is deterministic along revenue plateaus.
     """
     if not grid.membership.any():
         raise MarketError("no feasible point in the scanned window; widen bounds")
     masked = np.where(grid.membership, grid.revenue, -np.inf)
-    flat = int(masked.argmax())
+    best = masked.max()
+    flat = int(np.argmax(masked >= best - grid.tol * abs(best)))
     idx = np.unravel_index(flat, masked.shape)
     price = tuple(grid.axes[d][int(idx[d])] for d in range(grid.n))
     return price, float(masked[idx])

@@ -11,11 +11,17 @@ The gap does not bound the price error linearly: the measured error tracks
 its square root, and it stalls near 1e-5 when a buyer is exactly indifferent
 to money at the minimum.
 
-Certified rounding turns those prices into the exact answer. Read as
-rationals, they are snapped onto the bang-per-buck tie structure they
-exhibit at one fixed relative band: once the ties are known, the prices
-solve a linear system. That one candidate gets one exact clearing check, and
-if it passes it is the answer, because clearing prices are unique.
+Certified rounding turns those prices into the exact answer. Once each
+buyer's demand set is known, the prices solve a linear system, so a demand
+structure read off the iterate points to one exact candidate. Two readings
+are used. The support is what each buyer spends more than 1% of its budget
+on; `solve` stops proportional response as soon as every price is within
+1e-6 (relative) of the support's candidate, or else on the gap. The tie band
+reads each buyer's bang-per-buck set at the prices, read as rationals, at one
+fixed relative width. The support's candidate is taken when the final prices
+agree with it, the band's otherwise. That one candidate gets one exact
+clearing check, and if it passes it is the answer, because clearing prices
+are unique; proportional response only has to point at the right ties.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -29,9 +35,10 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response and the rounding (on the last iterate
-when proportional response stalls), falls back to the descent, and packages
-the clearing allocation with revenue, welfare, and certificates.
+`solve` runs proportional response until its support agrees or its gap is
+met, then the rounding (on the last iterate when proportional response
+stalls), falls back to the descent, and packages the clearing allocation
+with revenue, welfare, and certificates.
 """
 
 from __future__ import annotations
@@ -158,13 +165,20 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     return _solve_eg(market, tol, max_iter)
 
 
-def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution:
+def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) -> EGSolution:
     """solve_eg on a market the caller has already validated.
 
     Zero-budget buyers and inactive goods are dropped once, before the loop,
-    and every update writes into buffers allocated once. Each iteration's
-    first half (prices, ratios, gains, utilities) is also the snapshot that
-    the duality gap is read from every _GAP_EVERY iterations.
+    and every update writes into buffers allocated once. Money is the bid
+    matrix's last column, priced 1 and valued 1, so one update moves the bids
+    on goods and on money alike. Each iteration's first half (prices, units,
+    gains, utilities) is also the snapshot that the duality gap is read from
+    every _GAP_EVERY iterations.
+
+    `stop`, if given, is asked at each gap check that does not already end
+    the run: stop(buyers, goods, bids, p), with the indices of the live
+    buyers and active goods, their bids (money last) and the goods' prices.
+    When it answers True the run ends there, at whatever gap, and returns.
     """
     if tol <= 0:
         raise MarketError("solve_eg needs tol > 0")
@@ -177,21 +191,22 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution
         k for k in range(n) if supply_all[k] > 0 and np.any(values_all[live, k] > 0)
     ]
     beta = beta_all[live]
+    s = supply_all[active]
+    na = len(active)
     # Column-major: each price's bid sum then adds along contiguous memory
     # in numpy's pairwise order. Row-major sums add row by row and move the
     # iterates of markets with eight or more buyers in their last bits.
-    va = np.asfortranarray(values_all[np.ix_(live, active)])
-    s = supply_all[active]
-    na = len(active)
+    va = np.ones((len(live), na + 1), order="F")
+    va[:, :na] = values_all[np.ix_(live, active)]
 
     valued = va > 0
-    shares = 1.0 / (valued.sum(axis=1) + 1)
-    bids = np.where(valued, (beta * shares)[:, None], 0.0)
-    money = beta * shares
-    floor_b = np.where(valued, BID_FLOOR, 0.0)
-    floor_m = np.full(len(live), BID_FLOOR)
+    shares = 1.0 / valued.sum(axis=1)
+    bids = np.asfortranarray(np.where(valued, (beta * shares)[:, None], 0.0))
+    floor = np.where(valued, BID_FLOOR, 0.0)
+    goods_bids, money = bids[:, :na], bids[:, na]
 
-    p = np.empty(na)
+    p = np.ones(na + 1)  # the last entry is money's price
+    goods_p = p[:na]
     x = np.empty_like(bids)  # bids / p: units bought
     gains = np.empty_like(bids)  # utility each bid buys
     u = np.empty(len(live))
@@ -199,35 +214,36 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution
     scale_col = scale[:, None]
     add_reduce, divide, multiply, maximum = np.add.reduce, np.divide, np.multiply, np.maximum
     gap = float("inf") if na else 0.0
+    stopped = False
     iterations = 0
     while na:
-        add_reduce(bids, axis=0, out=p)
-        p /= s
+        add_reduce(goods_bids, axis=0, out=goods_p)
+        goods_p /= s
         divide(bids, p, out=x)
         multiply(va, x, out=gains)
         add_reduce(gains, axis=1, out=u)
-        u += money
         if iterations and iterations % _GAP_EVERY == 0:
             # x sells exactly s at these p, and u = v.x + money, so the
             # primal value is genuine.
             primal = float(np.dot(beta, np.log(u)) - money.sum())
-            rmax = np.maximum(1.0, (va / p).max(axis=1, initial=0.0))
-            dual = float(np.dot(p, s) + (beta * np.log(beta * rmax) - beta).sum())
+            rmax = (va / p).max(axis=1)  # at least money's 1
+            dual = float(np.dot(goods_p, s) + (beta * np.log(beta * rmax) - beta).sum())
             gap = dual - primal
             if gap <= tol or iterations >= max_iter:
                 break
+            if stop is not None and stop(live, active, bids, goods_p):
+                stopped = True
+                break
         divide(beta, u, out=scale)
         multiply(gains, scale_col, out=bids)
-        money *= scale
-        maximum(bids, floor_b, out=bids)
-        maximum(money, floor_m, out=money)
+        maximum(bids, floor, out=bids)
         iterations += 1
 
     prices = [0.0] * n
     for col, k in enumerate(active):
-        prices[k] = float(p[col])
+        prices[k] = float(goods_p[col])
     if na:
-        rmax = np.maximum(1.0, (values_all[:, active] / p).max(axis=1, initial=0.0))
+        rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
     else:
         rmax = np.full(m, 1.0)
     for k in range(n):
@@ -253,7 +269,7 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution
         duality_gap=float(gap),
         iterations=iterations,
     )
-    if gap > tol:
+    if gap > tol and not stopped:
         raise SolverConvergenceError(
             f"proportional response stalled at gap {gap:.3e} > {tol:.3e} "
             f"after {iterations} iterations",
@@ -264,23 +280,27 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000) -> EGSolution
 
 
 _TIE_BAND = Fraction(1, 2**24)
+# A buyer's support: the options (goods, and money) it spends more than this
+# share of its budget on.
+_SUPPORT = 1e-2
+# Relative distance within which every price agrees with a support candidate.
+_AGREE = 1e-6
 
 
-def _tie_snap(market: Market, p: PriceVector) -> Optional[PriceVector]:
-    """The exact price that the ratio ties of p point to, or None.
+def _snap(market: Market, sets) -> Optional[PriceVector]:
+    """The exact price that the buyers' demand sets point to, or None.
 
-    Each buyer's bang-per-buck set is read at relative width _TIE_BAND. Goods
-    sharing a set must sit at value-proportional prices, so each connected
-    component of the tie graph carries one scalar level; weight[j] is good j's
-    exact multiplier relative to its component root (the values linking
-    goods are positive, because a banded good's ratio is near the buyer's
-    best, which is at least money's 1). A component that ties money takes
-    that money-tie level, and otherwise the level at which its attached
-    buyers' budgets buy its supply. None when two link paths or two money
-    ties disagree, or a component has neither level.
+    sets[i] is buyer i's demand set: goods by 1-based index, money as 0.
+    Goods sharing a set must sit at value-proportional prices, so each
+    connected component of the tie graph carries one scalar level; weight[j]
+    is good j's exact multiplier relative to its component root (the values
+    linking goods are positive: a demanded good's ratio is the buyer's best,
+    which is at least money's 1). A component that ties money takes that
+    money-tie level, and otherwise the level at which its attached buyers'
+    budgets buy its supply. None when two link paths or two money ties
+    disagree, or a component has neither level.
     """
     n = market.n
-    banded = [bang_per_buck(buyer, p, _TIE_BAND).goods for buyer in market.buyers]
     weight = {}
     component = {}
     members = {}
@@ -294,7 +314,7 @@ def _tie_snap(market: Market, p: PriceVector) -> Optional[PriceVector]:
         frontier = [root]
         while frontier:
             j = frontier.pop()
-            for i, goods in enumerate(banded):
+            for i, goods in enumerate(sets):
                 if j not in goods:
                     continue
                 values = market.buyers[i].values
@@ -313,7 +333,7 @@ def _tie_snap(market: Market, p: PriceVector) -> Optional[PriceVector]:
 
     level = [None] * len(members)
     attached_budget = [0] * len(members)
-    for buyer, goods in zip(market.buyers, banded):
+    for buyer, goods in zip(market.buyers, sets):
         tied = [j for j in goods if j != 0]
         if not tied:
             continue
@@ -333,6 +353,40 @@ def _tie_snap(market: Market, p: PriceVector) -> Optional[PriceVector]:
                 return None
             level[cid] = attached_budget[cid] / mass
     return tuple(level[component[j]] * weight[j] for j in range(1, n + 1))
+
+
+class _Support:
+    """Proportional response's support and the exact price it points to.
+
+    A buyer's support is the options it spends more than _SUPPORT of its
+    budget on, read off its bids: goods, and money as the bids' last column.
+    Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), it snaps
+    the supports onto the rational twin (see _snap) when they differ from
+    the last call's, and answers whether every price of p is within _AGREE
+    (relative) of that candidate.
+    """
+
+    def __init__(self, twin: Market):
+        self.twin = twin
+        self.candidate = None
+        self._mask = None  # the bytes of the last supports' boolean mask
+        self._target = None  # the candidate's prices of the goods asked about
+
+    def __call__(self, buyers, goods, bids, p) -> bool:
+        mask = bids > _SUPPORT * bids.sum(axis=1, keepdims=True)
+        key = mask.tobytes()
+        if key != self._mask:
+            self._mask = key
+            labels = [k + 1 for k in goods] + [0]  # money is the last column
+            sets = [()] * self.twin.m
+            for i, row in zip(buyers, mask.tolist()):
+                sets[i] = [label for label, on in zip(labels, row) if on]
+            self.candidate = _snap(self.twin, sets)
+            self._target = None
+            if self.candidate is not None:
+                self._target = np.array([float(self.candidate[k]) for k in goods])
+        target = self._target
+        return target is not None and bool((np.abs(p - target) <= _AGREE * target).all())
 
 
 def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
@@ -358,25 +412,33 @@ def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
 
 
 def _certified_rounding(
-    market: Market, prices: PriceVector
+    twin: Market, eg: EGSolution
 ) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
-    """The clearing price read off approximate prices, or None if it does not certify.
+    """The exact clearing price read off a proportional-response solution, or
+    None if it does not certify.
 
-    The prices are read as rationals on the market's rational twin (a float
-    market's numbers are rationals too) and snapped onto their ties (see
-    _tie_snap). One exact clearing check of that one candidate is conclusive,
-    because clearing prices are unique. Returns the price, rounded back to
-    floats for a float market, with the twin's clearing certificate.
+    Two candidates can be read off eg on the rational twin: the one its
+    support points to (see _Support), taken when every price of eg agrees
+    with it, and otherwise the one that the ratio ties of its prices, read as
+    rationals, point to at relative width _TIE_BAND. One exact clearing check
+    of that one candidate is conclusive, because clearing prices are unique.
+    Returns the candidate with its clearing certificate.
     """
-    twin = _rational_twin(market)
-    p = _tie_snap(twin, tuple(EXACT.coerce(v) for v in prices))
+    support = _Support(twin)
+    spend = np.array([
+        [x * price for x, price in zip(bundle, eg.prices)] + [money]
+        for bundle, money in zip(eg.allocation, eg.leftover)
+    ])
+    if support(range(twin.m), range(twin.n), spend, np.array(eg.prices)):
+        p = support.candidate
+    else:
+        p = tuple(EXACT.coerce(v) for v in eg.prices)
+        p = _snap(twin, [bang_per_buck(buyer, p, _TIE_BAND).goods for buyer in twin.buyers])
     if p is None:
         return None
     cert = _check_clearing(twin, p)
     if not (cert.feasible and cert.clearing):
         return None
-    if not market.mode.is_exact:
-        p = tuple(float(v) for v in p)
     return p, cert
 
 
@@ -501,17 +563,21 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     )
 
 
-def _proportional_response(market: Market, tol: float) -> Optional[EGSolution]:
-    """solve's proportional-response run: its solution, its last iterate if
-    it stalls, or None when an exact market has no float image (a number
-    beyond the float range)."""
+def _proportional_response(market: Market, twin: Market, tol: float) -> Optional[EGSolution]:
+    """solve's proportional-response run: its solution, ended early once every
+    price agrees with the exact price its support points to (see _Support);
+    its last iterate if it stalls; or None when an exact market has no float
+    image (a number beyond the float range, or a good whose only positive
+    values fall below it)."""
     try:
         scale = max(1.0, float(sum(b.budget for b in market.buyers)))
         eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
     except OverflowError:
         return None
+    if not all(any(v > 0 for v in good) for good in zip(*(b.values for b in eg_market.buyers))):
+        return None
     try:
-        return _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2)
+        return _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2, stop=_Support(twin))
     except SolverConvergenceError as stalled:
         return stalled.last
 
@@ -519,10 +585,13 @@ def _proportional_response(market: Market, tol: float) -> Optional[EGSolution]:
 def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
-    Proportional response runs first, and its prices are rounded onto the tie
-    structure they exhibit at one fixed band (see _certified_rounding). If
-    proportional response stalls, its last iterate is rounded instead and eg
-    reports the stalled gap. The one candidate is p_star if it passes one
+    Proportional response runs first. It stops once every price agrees with
+    the exact candidate its spending support points to, or else at its gap
+    target, so eg's gap may sit above that target. The candidate is read off
+    the support when the final prices agree with it, and off their ties at
+    one fixed band otherwise (see _certified_rounding). If proportional
+    response stalls, its last iterate is rounded instead and eg reports the
+    stalled gap. The one candidate is p_star if it passes one
     exact clearing check on the rational twin, and that check is the whole
     certificate: clearing prices are unique. In exact mode it is the result's
     certificate; a float market's rounded-back price is checked again in
@@ -535,9 +604,10 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     reports the largest per-coordinate gap between p_star and the
     proportional-response prices, as a diagnostic.
 
-    An exact market with a number beyond the float range has no float image
-    for proportional response to run on. It goes straight to the descent,
-    and eg and method_agreement are None.
+    An exact market with a number beyond the float range, or a good whose
+    only positive values lie below it, has no float image for proportional
+    response to run on. It goes straight to the descent, and eg and
+    method_agreement are None.
 
     The market is validated once, here; proportional response and the
     clearing checks run through their unvalidated cores.
@@ -545,12 +615,14 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     require_valid(market)
     if tol <= 0:
         raise MarketError("solve needs tol > 0")
-    eg = _proportional_response(market, tol)
-    rounded = None if eg is None else _certified_rounding(market, eg.prices)
+    twin = _rational_twin(market)
+    eg = _proportional_response(market, twin, tol)
+    rounded = None if eg is None else _certified_rounding(twin, eg)
     cert = None
     if rounded is not None:
         p_star, cert = rounded
         if not market.mode.is_exact:
+            p_star = tuple(float(v) for v in p_star)
             cert = _check_clearing(market, p_star)
     if cert is not None and cert.feasible and cert.clearing:
         certified_by = "rounding"

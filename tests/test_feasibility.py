@@ -258,6 +258,16 @@ def test_float_cut_prices_on_exact_markets_are_read_exactly(ref_exact, draw, p_s
         cut = tuple(v * 0.99 if k == j else v for k, v in enumerate(p_star))
         cert = check_feasible(market, cut)
         assert not cert.feasible
+        assert j + 1 in cert.witness.goods
         assert cert.witness.capacity == sum(
             F(cut[g - 1]) * market.goods[g - 1].supply for g in cert.witness.goods
         )
+
+
+def test_witness_names_the_over_demanded_goods():
+    """Buyer 1 of battery draw 0 demands only good 4, which a 1% cut leaves
+    too small for its budget. The witness used to name no goods, with
+    capacity 0, when the minimum cut ran through a spend edge."""
+    cut = (F(7, 3), F(5, 6), F(5, 6), F(5, 7) * F(99, 100))
+    w = check_feasible(_battery_draw(0), cut).witness
+    assert (w.goods, w.forced_budget, w.capacity) == ((4,), 3, F(99, 35))

@@ -56,6 +56,20 @@ def test_oracle_reductions(ref_grid):
     assert max(abs(v - 0.6) for v in price) < 1e-12
 
 
+def test_max_revenue_plateau_ties_within_the_grid_tolerance():
+    """Float revenues along a plateau can differ in their last bit; the first
+    plateau point is reported, not the one whose sum rounded up."""
+    revenue = np.array([1.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 0.0)])
+    membership = np.ones(4, dtype=bool)
+
+    def grid(tol):
+        axes = ((1.0, 2.0, 3.0, 4.0),)
+        return gridoracle.RegionGrid(((1.0, 4.0),), 4, axes, membership, revenue, tol)
+
+    assert oracle_max_revenue(grid(1e-9)) == ((2.0,), float(np.nextafter(10.0, 0.0)))
+    assert oracle_max_revenue(grid(0)) == ((3.0,), 10.0)
+
+
 def test_empty_window_raises(ref_float):
     empty = grid_scan(ref_float, (0.05, 0.2), 4)
     assert not empty.membership.any()

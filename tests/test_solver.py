@@ -288,7 +288,7 @@ def test_stalled_proportional_response_is_still_rounded(ref_exact, monkeypatch):
     raised = []
     run_eg = solver._solve_eg
 
-    def stalls(market, tol):
+    def stalls(market, tol, stop=None):
         raised.append(run_eg(market, tol=tol))
         raise SolverConvergenceError("stalled", last=raised[0], gap=raised[0].duality_gap)
 
@@ -340,6 +340,33 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
                 assert all(a <= b for a, b in zip(step.after, step.before))
                 assert check_feasible(m, step.after).feasible
                 cursor = step.after
+
+
+def test_support_stop_shortens_proportional_response(monkeypatch):
+    """On the seed-0 battery, solve stops proportional response no later than
+    solve_eg's gap stop, within 1e-6 of p*. Every draw but 15 is certified by
+    its support candidate; draw 15's run ends at its first gap check, before
+    its support settles, and the tie band reads its candidate (the band
+    reader is the only bang_per_buck call a rounding-certified solve makes
+    in the solver module)."""
+    band = []
+    bang = solver.bang_per_buck
+
+    def counted(*args):
+        band.append(args)
+        return bang(*args)
+
+    monkeypatch.setattr(solver, "bang_per_buck", counted)
+    rng = random.Random(0)
+    for draw in range(20):
+        market = random_market(rng, 6, 6)
+        for m in (market, market.coerced(float_mode())):
+            band.clear()
+            res = solve(m)
+            assert res.certified_by == "rounding"
+            assert bool(band) == (draw == 15)
+            assert res.eg.iterations <= solve_eg(m).iterations
+            assert res.method_agreement <= 1e-6 * max(res.p_star)
 
 
 def test_float_draw_whose_twin_breaks_tie_cycles():
@@ -433,5 +460,22 @@ def test_market_without_a_float_image_goes_to_the_descent():
     assert res.p_star == (F(2), F(2))
     assert res.certified_by == "descent"
     assert res.descent.probes == 8
+    assert res.clearing_certificate.clearing
+    assert res.eg is None and res.method_agreement is None
+
+
+def test_market_whose_float_image_loses_a_value_goes_to_the_descent():
+    """Good A's only positive value, 1e-400, reads as 0.0 in floats, so the
+    float image has a good nobody values; solve used to raise ValueError."""
+    market = Market(
+        (Good("A", F(1)), Good("B", F(1))),
+        (
+            Buyer("b1", (F("1e-400"), F(2)), F(1)),
+            Buyer("b2", (F(0), F(3)), F(1)),
+        ),
+        EXACT,
+    )
+    res = solve(market)
+    assert res.certified_by == "descent"
     assert res.clearing_certificate.clearing
     assert res.eg is None and res.method_agreement is None
