@@ -3,10 +3,10 @@
 Subcommands: solve, check-price, region, monopoly, proptest. Reports are
 JSON with a stable field order so runs diff cleanly; a short human summary
 goes to stdout when the JSON is routed to a file. Exit codes: 0 success,
-1 input problem, 2 solver failure (the descent fallback endpoint failing its
-clearing check, or a market with no minimal price) or property failure. A
-stalled proportional-response iteration is not a failure: solve rounds its
-last iterate or falls back to the descent.
+1 input problem, usage errors included, 2 solver failure (the descent
+fallback endpoint failing its clearing check, or a market with no minimal
+price) or property failure. A stalled proportional-response iteration is
+not a failure: solve rounds its last iterate or falls back to the descent.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .monopoly import (
     max_revenue_price,
     revenue_at,
 )
-from .numeric import EXACT, Number, float_mode, parse_number
+from .numeric import EXACT, Number, float_mode, number_to_json, parse_number
 from .proptest import run_all
 from .solver import MethodDisagreementError, SolverConvergenceError, solve
 
@@ -50,11 +50,9 @@ EXIT_DISAGREE = 2
 
 
 def _num(value: Number, exact: bool):
-    """12-significant-digit float, or a p/q string in exact mode."""
+    """12-significant-digit float, or a p/q string (an int if whole) in exact mode."""
     if exact and isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return number_to_json(value)
     return float(format(float(value), ".12g"))
 
 
@@ -121,14 +119,13 @@ def cmd_solve(args) -> int:
     loaded, digest = _load(args)
     market = loaded.market
     exact = market.mode.is_exact
-    result = solve(market, tol=args.tol)
+    result = solve(market)
     eg = result.eg  # None when the market has no float image
     totals = aggregate(result.allocation, market.n)
     report = {
         "command": "solve",
         "input": {"path": args.path, "sha256": digest, "kind": loaded.kind},
         "mode": market.mode.kind,
-        "tol": args.tol,
         "goods": [g.name for g in market.goods],
         "p_star": [_num(v, exact) for v in result.p_star],
         "buyers": [b.name for b in market.buyers],
@@ -308,7 +305,10 @@ def _parse_valuation(text: str):
 def cmd_monopoly(args) -> int:
     started = time.perf_counter()
     valuation = _parse_valuation(args.valuation)
-    budget = math.inf if args.budget in (None, "inf") else float(args.budget)
+    try:
+        budget = math.inf if args.budget in (None, "inf") else float(args.budget)
+    except ValueError:
+        raise ParseError("budget", f"bad number {args.budget!r}") from None
     instance = MonopolyInstance(valuation, float(args.supply), budget)
     clearing = clearing_price(instance)
     opt_price, opt_qty, opt_rev = max_revenue_price(instance)
@@ -427,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute equilibrium prices and allocation")
     common(p_solve)
-    p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_check = sub.add_parser("check-price", help="feasibility/clearing verdict at a price")
@@ -461,16 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help, or the usage and its error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (MethodDisagreementError, SolverConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except MarketError as exc:
+    except (MarketError, OSError) as exc:  # ParseError is a MarketError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

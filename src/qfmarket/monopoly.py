@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from .market import MarketError
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_PRICE_TOL = 1e-10  # max_revenue_price's relative bracket width and price floor
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,10 @@ class MonopolyInstance:
     budget: float = math.inf  # math.inf: no budget constraint
 
     def __post_init__(self):
-        if self.supply < 0:
-            raise MarketError("supply must be nonnegative")
-        if self.budget < 0:
-            raise MarketError("budget must be nonnegative")
+        if not 0 <= self.supply < math.inf:  # NaN fails too
+            raise MarketError(f"supply must be finite and nonnegative, got {self.supply}")
+        if not self.budget >= 0:  # inf means no budget
+            raise MarketError(f"budget must be nonnegative, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class DivergenceWitness:
 
 
 def linear_valuation(v: float) -> ConcaveValuation:
-    if v <= 0:
-        raise MarketError("per-unit value must be positive")
+    if not 0 < v < math.inf:  # NaN fails too
+        raise MarketError(f"per-unit value must be positive and finite, got {v}")
     return ConcaveValuation(
         value=lambda x: v * x,
         derivative=lambda _x: v,
@@ -76,18 +77,18 @@ def linear_valuation(v: float) -> ConcaveValuation:
     )
 
 
-def example_a1(domain_hi: float = 8.0) -> ConcaveValuation:
-    """v(x) = 4/ln2 * (1 - 2^-x), v'(x) = 4 * 2^-x.
+def example_a1() -> ConcaveValuation:
+    """v(x) = 4/ln2 * (1 - 2^-x), v'(x) = 4 * 2^-x on [0, 8].
 
-    The modulus on [0, domain_hi] is the curvature at the right end,
-    4 ln2 * 2^-domain_hi, since |v''| decays monotonically.
+    The modulus on [0, 8] is the curvature at the right end, 4 ln2 * 2^-8,
+    since |v''| decays monotonically.
     """
     ln2 = math.log(2.0)
     return ConcaveValuation(
         value=lambda x: 4.0 / ln2 * (1.0 - 2.0 ** (-x)),
         derivative=lambda x: 4.0 * 2.0 ** (-x),
-        strong_concavity=4.0 * ln2 * 2.0 ** (-domain_hi),
-        domain_hi=domain_hi,
+        strong_concavity=4.0 * ln2 * 2.0 ** (-8.0),
+        domain_hi=8.0,
     )
 
 
@@ -177,7 +178,7 @@ def clearing_price(instance: MonopolyInstance) -> float:
     return candidate
 
 
-def max_revenue_price(instance: MonopolyInstance, tol: float = 1e-10):
+def max_revenue_price(instance: MonopolyInstance):
     """Revenue-optimal price: (price, quantity, revenue).
 
     Coarse scan of [v'(s), v'(0)] picks a bracket, golden-section search
@@ -191,7 +192,7 @@ def max_revenue_price(instance: MonopolyInstance, tol: float = 1e-10):
     # p * s only up to min(v'(s), beta/s); the scan must start there.
     if math.isfinite(instance.budget) and instance.supply > 0:
         sell_out = min(sell_out, instance.budget / instance.supply)
-    lo = max(sell_out, tol)
+    lo = max(sell_out, _PRICE_TOL)
     hi = deriv(0.0)
     if hi <= lo:
         price = hi if hi > 0 else lo
@@ -206,7 +207,7 @@ def max_revenue_price(instance: MonopolyInstance, tol: float = 1e-10):
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = revenue_at(instance, c), revenue_at(instance, d)
-    while b - a > tol * max(1.0, b):
+    while b - a > _PRICE_TOL * max(1.0, b):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -224,7 +225,7 @@ def max_revenue_price(instance: MonopolyInstance, tol: float = 1e-10):
     if revenue_at(instance, left) >= threshold:
         right = left
     for _ in range(200):
-        if right - left <= tol * max(1.0, right):
+        if right - left <= _PRICE_TOL * max(1.0, right):
             break
         mid = (left + right) / 2
         if revenue_at(instance, mid) >= threshold:

@@ -29,6 +29,7 @@ from .solver import EquilibriumResult, initial_feasible_price, solve
 # Lattice points per axis, chosen to keep full scans near a few thousand
 # points regardless of dimension.
 _RESOLUTION = {1: 129, 2: 33, 3: 13, 4: 7, 5: 5, 6: 4}
+_WELFARE_TOL = 1e-6  # welfare this close to equilibrium welfare matches it
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ def suite_revenue_dominance(probe: MarketProbe) -> SuiteResult:
     return SuiteResult("revenue-dominance", cases, tuple(failures))
 
 
-def suite_efficiency(probe: MarketProbe, wtol: float = 1e-6) -> SuiteResult:
-    """No feasible lattice outcome beats equilibrium welfare, and any that
-    come within wtol of it sit within two lattice steps of the minimal price."""
+def suite_efficiency(probe: MarketProbe) -> SuiteResult:
+    """No feasible lattice outcome beats equilibrium welfare by _WELFARE_TOL,
+    and any within it sit within two lattice steps of the minimal price."""
     market = probe.market
     grid = probe.grid
     w_star = float(probe.result.welfare)
@@ -168,11 +169,11 @@ def suite_efficiency(probe: MarketProbe, wtol: float = 1e-6) -> SuiteResult:
             failures.append(f"feasible point {point} lost its extension")
             continue
         w = float(social_welfare(market, extended.allocation))
-        if w > w_star + wtol:
+        if w > w_star + _WELFARE_TOL:
             failures.append(
                 f"outcome at {tuple(map(float, point))} has welfare {w} > {w_star}"
             )
-        elif w >= w_star - wtol:
+        elif w >= w_star - _WELFARE_TOL:
             for d in range(grid.n):
                 gap = abs(point[d] - p_star[d])
                 if gap > 2 * grid.step[d] + Fraction(1, 10**9):

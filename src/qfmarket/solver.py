@@ -16,12 +16,12 @@ buyer's demand set is known, the prices solve a linear system, so a demand
 structure read off the iterate points to one exact candidate. Two readings
 are used. The support is what each buyer spends more than 1% of its budget
 on; `solve` stops proportional response as soon as every price is within
-1e-6 (relative) of the support's candidate, or else on the gap. The tie band
-reads each buyer's bang-per-buck set at the prices, read as rationals, at one
-fixed relative width. The support's candidate is taken when the final prices
-agree with it, the band's otherwise. That one candidate gets one exact
-clearing check, and if it passes it is the answer, because clearing prices
-are unique; proportional response only has to point at the right ties.
+1e-6 (relative) of the support's candidate, or else at a fixed gap target.
+The tie band reads each buyer's bang-per-buck set at the prices, read as
+rationals, at one fixed relative width. The support's candidate is taken when
+the final prices agree with it, the band's otherwise. That one candidate gets
+one exact clearing check, and if it passes it is the answer, because clearing
+prices are unique; proportional response only has to point at the right ties.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -35,10 +35,10 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response until its support agrees or its gap is
-met, then the rounding (on the last iterate when proportional response
-stalls), falls back to the descent, and packages the clearing allocation
-with revenue, welfare, and certificates.
+`solve` runs proportional response until its support agrees, its gap is met
+or its iterations run out, rounds its last iterate, falls back to the
+descent, and packages the clearing allocation with revenue, welfare, and
+certificates.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .numeric import EXACT, Number, float_mode
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
+_GAP_TARGET = 1e-11  # solve's gap target per unit of total budget (at least 1)
 
 
 class SolverConvergenceError(MarketError):
@@ -159,14 +160,24 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     as the lowest level at which no buyer's bang-per-buck strictly prefers
     them. The duality gap is read every 25 iterations, so iterations is a
     multiple of 25. If the gap is still above tol after max_iter iterations,
-    the SolverConvergenceError raised carries the last EGSolution as `last`.
+    the SolverConvergenceError raised carries the last EGSolution as `last`;
+    this is the one place a stall raises (solve rounds a stalled iterate).
     """
     require_valid(market)
-    return _solve_eg(market, tol, max_iter)
+    if tol <= 0:
+        raise MarketError("solve_eg needs tol > 0")
+    solution = _solve_eg(market, tol, max_iter)
+    if solution.duality_gap > tol:
+        raise SolverConvergenceError(
+            f"proportional response stalled at gap {solution.duality_gap:.3e} > {tol:.3e} "
+            f"after {solution.iterations} iterations",
+            last=solution, gap=solution.duality_gap,
+        )
+    return solution
 
 
-def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) -> EGSolution:
-    """solve_eg on a market the caller has already validated.
+def _solve_eg(market: Market, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:
+    """solve_eg on a validated market, returning its last iterate even on a stall.
 
     Zero-budget buyers and inactive goods are dropped once, before the loop,
     and every update writes into buffers allocated once. Money is the bid
@@ -175,13 +186,11 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) ->
     gains, utilities) is also the snapshot that the duality gap is read from
     every _GAP_EVERY iterations.
 
-    `stop`, if given, is asked at each gap check that does not already end
-    the run: stop(buyers, goods, bids, p), with the indices of the live
-    buyers and active goods, their bids (money last) and the goods' prices.
-    When it answers True the run ends there, at whatever gap, and returns.
+    The run ends at the first check where `stop` (asked first, so it sees
+    the final iterate) answers True, the gap is at most `target`, or max_iter
+    iterations have run. stop(buyers, goods, bids, p) gets the indices of the
+    live buyers and active goods, their bids (money last) and goods' prices.
     """
-    if tol <= 0:
-        raise MarketError("solve_eg needs tol > 0")
     m, n = market.m, market.n
     beta_all = np.array([float(b.budget) for b in market.buyers])
     supply_all = np.array([float(g.supply) for g in market.goods])
@@ -214,7 +223,6 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) ->
     scale_col = scale[:, None]
     add_reduce, divide, multiply, maximum = np.add.reduce, np.divide, np.multiply, np.maximum
     gap = float("inf") if na else 0.0
-    stopped = False
     iterations = 0
     while na:
         add_reduce(goods_bids, axis=0, out=goods_p)
@@ -229,10 +237,9 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) ->
             rmax = (va / p).max(axis=1)  # at least money's 1
             dual = float(np.dot(goods_p, s) + (beta * np.log(beta * rmax) - beta).sum())
             gap = dual - primal
-            if gap <= tol or iterations >= max_iter:
-                break
             if stop is not None and stop(live, active, bids, goods_p):
-                stopped = True
+                break
+            if gap <= target or iterations >= max_iter:
                 break
         divide(beta, u, out=scale)
         multiply(gains, scale_col, out=bids)
@@ -262,21 +269,13 @@ def _solve_eg(market: Market, tol: float, max_iter: int = 400_000, stop=None) ->
         for col, k in enumerate(active):
             allocation[i][k] = float(x[row, col])
         leftover[i] = float(money[row])
-    solution = EGSolution(
+    return EGSolution(
         allocation=tuple(tuple(bundle) for bundle in allocation),
         leftover=tuple(leftover),
         prices=tuple(prices),
         duality_gap=float(gap),
         iterations=iterations,
     )
-    if gap > tol and not stopped:
-        raise SolverConvergenceError(
-            f"proportional response stalled at gap {gap:.3e} > {tol:.3e} "
-            f"after {iterations} iterations",
-            last=solution,
-            gap=gap,
-        )
-    return solution
 
 
 _TIE_BAND = Fraction(1, 2**24)
@@ -363,12 +362,14 @@ class _Support:
     Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), it snaps
     the supports onto the rational twin (see _snap) when they differ from
     the last call's, and answers whether every price of p is within _AGREE
-    (relative) of that candidate.
+    (relative) of that candidate. `candidate` and `agrees` keep the last
+    call's candidate and answer, so after a run they describe its end.
     """
 
     def __init__(self, twin: Market):
         self.twin = twin
         self.candidate = None
+        self.agrees = False
         self._mask = None  # the bytes of the last supports' boolean mask
         self._target = None  # the candidate's prices of the goods asked about
 
@@ -386,7 +387,8 @@ class _Support:
             if self.candidate is not None:
                 self._target = np.array([float(self.candidate[k]) for k in goods])
         target = self._target
-        return target is not None and bool((np.abs(p - target) <= _AGREE * target).all())
+        self.agrees = target is not None and bool((np.abs(p - target) <= _AGREE * target).all())
+        return self.agrees
 
 
 def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
@@ -412,27 +414,21 @@ def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
 
 
 def _certified_rounding(
-    twin: Market, eg: EGSolution
+    twin: Market, prices: PriceVector, agreed: Optional[PriceVector]
 ) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
-    """The exact clearing price read off a proportional-response solution, or
-    None if it does not certify.
+    """The exact clearing price read off proportional response's final
+    prices, or None if it does not certify.
 
-    Two candidates can be read off eg on the rational twin: the one its
-    support points to (see _Support), taken when every price of eg agrees
-    with it, and otherwise the one that the ratio ties of its prices, read as
-    rationals, point to at relative width _TIE_BAND. One exact clearing check
-    of that one candidate is conclusive, because clearing prices are unique.
-    Returns the candidate with its clearing certificate.
+    agreed is the candidate that the run's support points to (see _Support)
+    when every final price agrees with it, and None otherwise; then the
+    candidate is the one that the ratio ties of prices, read as rationals,
+    point to at relative width _TIE_BAND on the rational twin. One exact
+    clearing check of that one candidate is conclusive, because clearing
+    prices are unique. Returns the candidate with its clearing certificate.
     """
-    support = _Support(twin)
-    spend = np.array([
-        [x * price for x, price in zip(bundle, eg.prices)] + [money]
-        for bundle, money in zip(eg.allocation, eg.leftover)
-    ])
-    if support(range(twin.m), range(twin.n), spend, np.array(eg.prices)):
-        p = support.candidate
-    else:
-        p = tuple(EXACT.coerce(v) for v in eg.prices)
+    p = agreed
+    if p is None:
+        p = tuple(EXACT.coerce(v) for v in prices)
         p = _snap(twin, [bang_per_buck(buyer, p, _TIE_BAND).goods for buyer in twin.buyers])
     if p is None:
         return None
@@ -563,37 +559,39 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     )
 
 
-def _proportional_response(market: Market, twin: Market, tol: float) -> Optional[EGSolution]:
-    """solve's proportional-response run: its solution, ended early once every
-    price agrees with the exact price its support points to (see _Support);
-    its last iterate if it stalls; or None when an exact market has no float
+def _proportional_response(
+    market: Market, twin: Market
+) -> Tuple[Optional[EGSolution], Optional[PriceVector]]:
+    """solve's proportional-response run, to the gap target _GAP_TARGET *
+    max(1, total budget) unless its support agrees first, and the exact price
+    that support points to if every final price agrees with it (see
+    _Support), else None. (None, None) when an exact market has no float
     image (a number beyond the float range, or a good whose only positive
     values fall below it)."""
     try:
         scale = max(1.0, float(sum(b.budget for b in market.buyers)))
         eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
     except OverflowError:
-        return None
+        return None, None
     if not all(any(v > 0 for v in good) for good in zip(*(b.values for b in eg_market.buyers))):
-        return None
-    try:
-        return _solve_eg(eg_market, tol=min(tol, 1e-9) * scale * 1e-2, stop=_Support(twin))
-    except SolverConvergenceError as stalled:
-        return stalled.last
+        return None, None
+    support = _Support(twin)
+    eg = _solve_eg(eg_market, _GAP_TARGET * scale, stop=support)
+    return eg, support.candidate if support.agrees else None
 
 
-def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
+def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
     Proportional response runs first. It stops once every price agrees with
-    the exact candidate its spending support points to, or else at its gap
-    target, so eg's gap may sit above that target. The candidate is read off
-    the support when the final prices agree with it, and off their ties at
-    one fixed band otherwise (see _certified_rounding). If proportional
-    response stalls, its last iterate is rounded instead and eg reports the
-    stalled gap. The one candidate is p_star if it passes one
-    exact clearing check on the rational twin, and that check is the whole
-    certificate: clearing prices are unique. In exact mode it is the result's
+    the exact candidate its spending support points to, or else at the fixed
+    gap target 1e-11 * max(1, total budget), so eg's gap may sit above that
+    target. The candidate is read off the support when the final prices
+    agree with it, and off their ties at one fixed band otherwise (see
+    _certified_rounding); a stalled run's last iterate is read the same way.
+    The one candidate is p_star if it passes one exact clearing check on the
+    rational twin, and that check is the whole certificate, so solve takes no
+    tolerance: clearing prices are unique. In exact mode it is the result's
     certificate; a float market's rounded-back price is checked again in
     floats. certified_by is then "rounding" and the descent trace is empty.
 
@@ -613,11 +611,9 @@ def solve(market: Market, tol: float = 1e-8) -> EquilibriumResult:
     clearing checks run through their unvalidated cores.
     """
     require_valid(market)
-    if tol <= 0:
-        raise MarketError("solve needs tol > 0")
     twin = _rational_twin(market)
-    eg = _proportional_response(market, twin, tol)
-    rounded = None if eg is None else _certified_rounding(twin, eg)
+    eg, agreed = _proportional_response(market, twin)
+    rounded = None if eg is None else _certified_rounding(twin, eg.prices, agreed)
     cert = None
     if rounded is not None:
         p_star, cert = rounded

@@ -35,7 +35,14 @@ def test_solve_report_exact(fixture_dir):
     assert len(report["input"]["sha256"]) == 64
     assert report["diagnostics"]["certified_by"] == "rounding"
     assert report["diagnostics"]["descent_probes"] == 0
-    assert "generated_at" not in report
+    assert list(report) == [
+        "command", "input", "mode", "goods", "p_star", "buyers", "allocation",
+        "aggregate", "revenue", "welfare", "certificates", "diagnostics",
+    ]
+    assert list(report["diagnostics"]) == [
+        "method_agreement", "eg_duality_gap", "eg_iterations",
+        "descent_steps", "descent_probes", "certified_by",
+    ]
 
 
 def test_solve_reports_are_reproducible(fixture_dir):
@@ -261,22 +268,42 @@ def test_monopoly_curved_report():
 
 
 def test_monopoly_linear_report():
-    code, out, _ = run_cli(
-        "monopoly", "--valuation", "linear:5", "--supply", "3", "--no-timestamp"
-    )
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["input"]["budget"] == "inf"
-    assert report["clearing"]["price"] == 5.0
-    assert report["optimal"] == {"price": 5.0, "quantity": 3.0, "revenue": 15.0}
-    assert "optimal_unconstrained" not in report
-    assert report["divergence_witness"] is None
+    for budget in ([], ["--budget", "inf"]):  # inf, like the default, is no budget
+        code, out, _ = run_cli(
+            "monopoly", "--valuation", "linear:5", "--supply", "3", *budget, "--no-timestamp"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["input"]["budget"] == "inf"
+        assert report["clearing"]["price"] == 5.0
+        assert report["optimal"] == {"price": 5.0, "quantity": 3.0, "revenue": 15.0}
+        assert "optimal_unconstrained" not in report
+        assert report["divergence_witness"] is None
 
 
 def test_monopoly_rejects_unknown_valuations():
     code, _, err = run_cli("monopoly", "--valuation", "cubic:2", "--supply", "3")
     assert code == EXIT_INPUT
     assert "unknown valuation" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget", "abc", "bad number 'abc'"),
+        ("--budget", "nan", "budget must be nonnegative"),
+        ("--supply", "nan", "supply must be finite"),
+        ("--supply", "inf", "supply must be finite"),
+        ("--valuation", "linear:nan", "per-unit value must be positive and finite"),
+    ],
+    ids=["budget-abc", "budget-nan", "supply-nan", "supply-inf", "linear-nan"],
+)
+def test_monopoly_rejects_bad_numbers(flag, value, message):
+    argv = {"--valuation": "linear:5", "--supply": "3", flag: value}
+    code, out, err = run_cli("monopoly", *(t for pair in argv.items() for t in pair))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_proptest_small_run():
@@ -305,6 +332,31 @@ def test_csv_input_needs_supplies(tmp_path):
     code, _, err = run_cli("solve", str(table))
     assert code == EXIT_INPUT
     assert "--supply" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "example2.json", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+        (["solve"], "the following arguments are required: path"),
+        (["region", "example2.json", "--resolution", "abc", "--out", "grid.csv"],
+         "invalid int value: 'abc'"),
+    ],
+    ids=["removed-tol-flag", "no-path", "non-integer-resolution"],
+)
+def test_usage_errors_are_input_errors(fixture_dir, argv, message):
+    """argparse's own exit code 2 would read as a solver failure."""
+    if len(argv) > 1:
+        argv = [argv[0], str(fixture_dir / argv[1]), *argv[2:]]
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("usage:") and message in err
+
+
+def test_help_exits_zero():
+    code, out, _ = run_cli("solve", "--help")
+    assert code == EXIT_OK
+    assert "--no-timestamp" in out and "--tol" not in out
 
 
 def test_missing_input_file_is_an_input_error():

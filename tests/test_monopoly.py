@@ -34,6 +34,13 @@ def test_instance_validation():
         MonopolyInstance(lin, -1.0)
     with pytest.raises(MarketError):
         MonopolyInstance(lin, 1.0, -2.0)
+    for supply, budget in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(MarketError):
+            MonopolyInstance(lin, supply, budget)
+    assert MonopolyInstance(lin, 1.0, math.inf).budget == math.inf
+    for v in (math.nan, math.inf):
+        with pytest.raises(MarketError, match="finite"):
+            linear_valuation(v)
 
 
 def test_demand_single_linear_regimes():
