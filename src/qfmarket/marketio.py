@@ -8,25 +8,30 @@ and arctic bid collections:
       "buyers": [ {"name": str, "values": [...], "budget": num|"p/q"} ],
       "bids":   [ {"owner": str, "vector": [...], "budget": num|"p/q"} ] }
 
-Numbers may be written as JSON numbers or as strings ("3/5", "0.25"). When
-every numeric token in a document is an integer or a string, the market is
-read in exact rational mode; a single raw JSON float switches the whole
-document to float mode. An arctic collection reduces to a market with one
-pseudo-buyer per bid; the owner of each pseudo-buyer is retained so reports
-can re-aggregate.
-
 A CSV alternative with header `name,budget,v_1,...,v_n` covers the buyer
 (or bid) table only; supplies must be given separately.
+
+Each format's reader checks only the structure of its input and hands raw
+tokens to one builder: goods as `(path, name, supply)`, rows as
+`(path, name, budget, [(path, value), ...])`, and any seller costs. The
+builder infers the numeric mode, parses every number, and builds the market
+the same way whatever the format. Numbers may be written as JSON numbers or as
+strings ("3/5", "0.25"). When every numeric token is an integer or a string,
+the input is read in exact rational mode; a single raw float switches the
+whole input to float mode. Every number must be nonnegative, and a funded bid
+(an arctic row with a positive budget) needs at least one positive value. An
+arctic collection reduces to a market with one pseudo-buyer per funded bid;
+the owner of each pseudo-buyer is retained so reports can re-aggregate.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .market import Buyer, Good, Market, MarketError
@@ -34,6 +39,12 @@ from .numeric import EXACT, FLOAT_DEFAULT, Number, NumericMode, number_to_json, 
 
 KIND_MARKET = "market"
 KIND_ARCTIC = "arctic"
+
+# Per kind: the key of the row array, and each row's name and vector keys.
+_ROW_KEYS = {
+    KIND_MARKET: ("buyers", "name", "values"),
+    KIND_ARCTIC: ("bids", "owner", "vector"),
+}
 
 
 class ParseError(MarketError):
@@ -57,14 +68,6 @@ class BidCollection:
 
 
 @dataclass(frozen=True)
-class FlattenedMarket:
-    """Market of pseudo-buyers (one per kept bid) plus their owners."""
-
-    market: Market
-    owners: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class LoadedMarket:
     kind: str
     market: Market
@@ -77,126 +80,62 @@ def _require(condition, path, message):
         raise ParseError(path, message)
 
 
-def _numeric_tokens(obj, path):
-    """Yield every numeric slot of a document for mode inference."""
-    for k, good in enumerate(obj.get("goods", ())):
-        if isinstance(good, dict):
-            yield f"goods[{k}].supply", good.get("supply")
-    key = "buyers" if "buyers" in obj else "bids"
-    vec_key = "values" if key == "buyers" else "vector"
-    for k, row in enumerate(obj.get(key, ())):
-        if isinstance(row, dict):
-            yield f"{key}[{k}].budget", row.get("budget")
-            vec = row.get(vec_key)
-            if isinstance(vec, list):
-                for j, v in enumerate(vec):
-                    yield f"{key}[{k}].{vec_key}[{j}]", v
-    for j, c in enumerate(obj.get("costs", ())):
-        yield f"costs[{j}]", c
-
-
 def _token_is_exact(token) -> bool:
-    if isinstance(token, bool):
-        return False
-    if isinstance(token, int):
-        return True
-    if isinstance(token, str):
-        try:
-            if "/" in token:
-                num, den = token.split("/", 1)
-                Fraction(int(num.strip()), int(den.strip()))
-            else:
-                Fraction(token.strip())
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-    return False
+    return isinstance(token, (int, str)) and not isinstance(token, bool)
 
 
-def _infer_mode(obj) -> NumericMode:
-    for _path, token in _numeric_tokens(obj, ""):
-        if token is None:
-            continue
-        if not _token_is_exact(token):
-            return FLOAT_DEFAULT
-    return EXACT
-
-
-def _number(token, path, mode) -> Number:
+def _number(token, path, mode, what=None) -> Number:
+    """Parse one token; when `what` names it, it must be nonnegative."""
     try:
-        return parse_number(token, mode)
+        value = parse_number(token, mode)
     except ValueError as exc:
         raise ParseError(path, str(exc)) from None
+    _require(what is None or value >= 0, path, f"{what} must be nonnegative")
+    return value
 
 
-def _parse_goods(obj, mode) -> Tuple[Good, ...]:
-    goods_raw = obj.get("goods")
-    _require(isinstance(goods_raw, list) and goods_raw, "goods", "need a nonempty array")
-    goods = []
-    for k, entry in enumerate(goods_raw):
-        path = f"goods[{k}]"
-        _require(isinstance(entry, dict), path, "expected an object")
-        name = entry.get("name")
-        _require(isinstance(name, str) and name, f"{path}.name", "need a nonempty string")
-        supply = _number(entry.get("supply"), f"{path}.supply", mode)
-        _require(supply >= 0, f"{path}.supply", "supply must be nonnegative")
-        goods.append(Good(name, supply))
-    return tuple(goods)
+def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarket:
+    """Market (or flattened bid collection) from structurally checked tokens.
 
-
-def _check_costs(obj, mode):
-    costs = obj.get("costs")
-    if costs is None:
-        return
-    _require(isinstance(costs, list), "costs", "expected an array")
-    for j, c in enumerate(costs):
-        value = _number(c, f"costs[{j}]", mode)
+    `goods` holds `(path, name, supply)`, `rows` holds `(path, name, budget,
+    [(path, value), ...])` and `costs` holds `(path, cost)`. With no `mode`,
+    it is exact unless some token is a raw float; the scan stops there.
+    """
+    if mode is None:
+        tokens = itertools.chain(
+            (supply for _, _, supply in goods),
+            (t for _, _, budget, values in rows for t in (budget, *(v for _, v in values))),
+            (cost for _, cost in costs),
+        )
+        exact = all(_token_is_exact(t) for t in tokens if t is not None)
+        mode = EXACT if exact else FLOAT_DEFAULT
+    for path, cost in costs:
         _require(
-            value == 0,
-            f"costs[{j}]",
+            _number(cost, path, mode) == 0,
+            path,
             "nonzero seller costs are out of scope; remove the costs field",
         )
-
-
-def parse_bid_collection(source, mode: Optional[NumericMode] = None) -> BidCollection:
-    obj = _as_object(source)
-    _require(obj.get("kind") == KIND_ARCTIC, "kind", "expected \"arctic\"")
-    if mode is None:
-        mode = _infer_mode(obj)
-    _check_costs(obj, mode)
-    goods = _parse_goods(obj, mode)
-    bids_raw = obj.get("bids")
-    _require(isinstance(bids_raw, list) and bids_raw, "bids", "need a nonempty array")
-    bids = []
-    for k, entry in enumerate(bids_raw):
-        path = f"bids[{k}]"
-        _require(isinstance(entry, dict), path, "expected an object")
-        owner = entry.get("owner")
-        _require(isinstance(owner, str) and owner, f"{path}.owner", "need a nonempty string")
-        vec_raw = entry.get("vector")
-        _require(isinstance(vec_raw, list), f"{path}.vector", "expected an array")
+    parsed_goods = tuple(
+        Good(name, _number(supply, path, mode, "supply")) for path, name, supply in goods
+    )
+    entries = []
+    for path, name, budget, values in rows:
+        vector = tuple(_number(v, vpath, mode, "values") for vpath, v in values)
+        budget = _number(budget, f"{path}.budget", mode, "budget")
         _require(
-            len(vec_raw) == len(goods),
-            f"{path}.vector",
-            f"expected {len(goods)} entries, got {len(vec_raw)}",
-        )
-        vector = tuple(
-            _number(v, f"{path}.vector[{j}]", mode) for j, v in enumerate(vec_raw)
-        )
-        for j, v in enumerate(vector):
-            _require(v >= 0, f"{path}.vector[{j}]", "bid values must be nonnegative")
-        budget = _number(entry.get("budget"), f"{path}.budget", mode)
-        _require(budget >= 0, f"{path}.budget", "budget must be nonnegative")
-        _require(
-            budget == 0 or any(v > 0 for v in vector),
-            f"{path}.vector",
+            kind == KIND_MARKET or budget == 0 or any(v > 0 for v in vector),
+            path,
             "a funded bid needs at least one positive value",
         )
-        bids.append(ArcticBid(owner, vector, budget))
-    return BidCollection(goods, tuple(bids), mode)
+        entries.append((name, vector, budget))
+    if kind == KIND_MARKET:
+        buyers = tuple(Buyer(name, vector, budget) for name, vector, budget in entries)
+        return LoadedMarket(kind, Market(parsed_goods, buyers, mode), None, None)
+    bids = tuple(ArcticBid(owner, vector, budget) for owner, vector, budget in entries)
+    return flatten_bids(BidCollection(parsed_goods, bids, mode))
 
 
-def flatten_bids(collection: BidCollection) -> FlattenedMarket:
+def flatten_bids(collection: BidCollection) -> LoadedMarket:
     """One pseudo-buyer per funded bid; zero-budget bids are dropped loudly."""
     buyers = []
     owners = []
@@ -211,7 +150,7 @@ def flatten_bids(collection: BidCollection) -> FlattenedMarket:
         )
         owners.append(bid.owner)
     market = Market(collection.goods, tuple(buyers), collection.mode)
-    return FlattenedMarket(market, tuple(owners))
+    return LoadedMarket(KIND_ARCTIC, market, tuple(owners), collection)
 
 
 def reaggregate(owners: Sequence[str], allocation, prices):
@@ -254,46 +193,44 @@ def _as_object(source) -> dict:
 
 
 def load_market(source, mode: Optional[NumericMode] = None) -> LoadedMarket:
+    """Market or arctic collection from JSON text, bytes, or a decoded object."""
     obj = _as_object(source)
     kind = obj.get("kind")
-    _require(
-        kind in (KIND_MARKET, KIND_ARCTIC),
-        "kind",
-        'expected "market" or "arctic"',
-    )
-    if kind == KIND_ARCTIC:
-        collection = parse_bid_collection(obj, mode)
-        flat = flatten_bids(collection)
-        return LoadedMarket(kind, flat.market, flat.owners, collection)
-    if mode is None:
-        mode = _infer_mode(obj)
-    _check_costs(obj, mode)
-    goods = _parse_goods(obj, mode)
-    buyers_raw = obj.get("buyers")
-    _require(isinstance(buyers_raw, list) and buyers_raw, "buyers", "need a nonempty array")
-    buyers = []
-    for k, entry in enumerate(buyers_raw):
-        path = f"buyers[{k}]"
+    _require(kind in (KIND_MARKET, KIND_ARCTIC), "kind", 'expected "market" or "arctic"')
+    costs_raw = obj.get("costs")
+    _require(costs_raw is None or isinstance(costs_raw, list), "costs", "expected an array")
+    goods_raw = obj.get("goods")
+    _require(isinstance(goods_raw, list) and goods_raw, "goods", "need a nonempty array")
+    goods = []
+    for k, entry in enumerate(goods_raw):
+        path = f"goods[{k}]"
         _require(isinstance(entry, dict), path, "expected an object")
         name = entry.get("name")
         _require(isinstance(name, str) and name, f"{path}.name", "need a nonempty string")
-        vec_raw = entry.get("values")
-        _require(isinstance(vec_raw, list), f"{path}.values", "expected an array")
+        goods.append((f"{path}.supply", name, entry.get("supply")))
+    key, name_key, vec_key = _ROW_KEYS[kind]
+    rows_raw = obj.get(key)
+    _require(isinstance(rows_raw, list) and rows_raw, key, "need a nonempty array")
+    rows = []
+    for k, entry in enumerate(rows_raw):
+        path = f"{key}[{k}]"
+        _require(isinstance(entry, dict), path, "expected an object")
+        name = entry.get(name_key)
+        _require(
+            isinstance(name, str) and name, f"{path}.{name_key}", "need a nonempty string"
+        )
+        vec_path = f"{path}.{vec_key}"
+        vec_raw = entry.get(vec_key)
+        _require(isinstance(vec_raw, list), vec_path, "expected an array")
         _require(
             len(vec_raw) == len(goods),
-            f"{path}.values",
+            vec_path,
             f"expected {len(goods)} entries, got {len(vec_raw)}",
         )
-        values = tuple(
-            _number(v, f"{path}.values[{j}]", mode) for j, v in enumerate(vec_raw)
-        )
-        for j, v in enumerate(values):
-            _require(v >= 0, f"{path}.values[{j}]", "values must be nonnegative")
-        budget = _number(entry.get("budget"), f"{path}.budget", mode)
-        _require(budget >= 0, f"{path}.budget", "budget must be nonnegative")
-        buyers.append(Buyer(name, values, budget))
-    market = Market(goods, tuple(buyers), mode)
-    return LoadedMarket(kind, market, None, None)
+        values = [(f"{vec_path}[{j}]", v) for j, v in enumerate(vec_raw)]
+        rows.append((path, name, entry.get("budget"), values))
+    costs = [(f"costs[{j}]", c) for j, c in enumerate(costs_raw or ())]
+    return _build(kind, goods, rows, costs, mode)
 
 
 def parse_market(source, mode: Optional[NumericMode] = None) -> Market:
@@ -302,41 +239,32 @@ def parse_market(source, mode: Optional[NumericMode] = None) -> Market:
     return load_market(source, mode).market
 
 
-def serialize_market(market: Market) -> str:
+def _serialize(kind: str, goods, rows) -> str:
+    """JSON document of `kind` from goods and `(name, vector, budget)` rows."""
+    key, name_key, vec_key = _ROW_KEYS[kind]
     obj = {
-        "kind": KIND_MARKET,
-        "goods": [
-            {"name": g.name, "supply": number_to_json(g.supply)} for g in market.goods
-        ],
-        "buyers": [
+        "kind": kind,
+        "goods": [{"name": g.name, "supply": number_to_json(g.supply)} for g in goods],
+        key: [
             {
-                "name": b.name,
-                "values": [number_to_json(v) for v in b.values],
-                "budget": number_to_json(b.budget),
+                name_key: name,
+                vec_key: [number_to_json(v) for v in vector],
+                "budget": number_to_json(budget),
             }
-            for b in market.buyers
+            for name, vector, budget in rows
         ],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def serialize_market(market: Market) -> str:
+    rows = ((b.name, b.values, b.budget) for b in market.buyers)
+    return _serialize(KIND_MARKET, market.goods, rows)
 
 
 def serialize_bid_collection(collection: BidCollection) -> str:
-    obj = {
-        "kind": KIND_ARCTIC,
-        "goods": [
-            {"name": g.name, "supply": number_to_json(g.supply)}
-            for g in collection.goods
-        ],
-        "bids": [
-            {
-                "owner": bid.owner,
-                "vector": [number_to_json(v) for v in bid.vector],
-                "budget": number_to_json(bid.budget),
-            }
-            for bid in collection.bids
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    rows = ((bid.owner, bid.vector, bid.budget) for bid in collection.bids)
+    return _serialize(KIND_ARCTIC, collection.goods, rows)
 
 
 def load_market_csv(
@@ -351,9 +279,9 @@ def load_market_csv(
     the value columns in number. Goods are named g1..gn.
     """
     _require(kind in (KIND_MARKET, KIND_ARCTIC), "kind", 'expected "market" or "arctic"')
-    rows = list(csv.reader(io.StringIO(text)))
-    _require(bool(rows), "csv", "empty input")
-    header = [h.strip() for h in rows[0]]
+    table = list(csv.reader(io.StringIO(text)))
+    _require(bool(table), "csv", "empty input")
+    header = [h.strip() for h in table[0]]
     n = len(header) - 2
     _require(
         n >= 1 and header[0] == "name" and header[1] == "budget"
@@ -366,40 +294,15 @@ def load_market_csv(
         "csv",
         f"{n} value columns but {len(supplies)} supplies given",
     )
-    body = [r for r in rows[1:] if r and any(cell.strip() for cell in r)]
+    body = [r for r in table[1:] if r and any(cell.strip() for cell in r)]
     _require(bool(body), "csv", "no data rows")
-    if mode is None:
-        tokens = list(supplies)
-        for r in body:
-            tokens.extend(r[1:])
-        mode = EXACT if all(_token_is_exact(t) for t in tokens) else FLOAT_DEFAULT
-    goods = []
-    for j, s in enumerate(supplies):
-        supply = _number(s, f"supply[{j}]", mode)
-        _require(supply >= 0, f"supply[{j}]", "supply must be nonnegative")
-        goods.append(Good(f"g{j + 1}", supply))
-    entries = []
+    goods = [(f"supply[{j}]", f"g{j + 1}", s) for j, s in enumerate(supplies)]
+    rows = []
     for k, r in enumerate(body):
         path = f"csv.row[{k + 1}]"
         _require(len(r) == n + 2, path, f"expected {n + 2} cells, got {len(r)}")
         name = r[0].strip()
         _require(bool(name), path, "need a nonempty name")
-        budget = _number(r[1].strip(), f"{path}.budget", mode)
-        _require(budget >= 0, f"{path}.budget", "budget must be nonnegative")
-        vector = tuple(
-            _number(cell.strip(), f"{path}.v_{j + 1}", mode)
-            for j, cell in enumerate(r[2:])
-        )
-        for j, v in enumerate(vector):
-            _require(v >= 0, f"{path}.v_{j + 1}", "values must be nonnegative")
-        entries.append((name, vector, budget))
-    if kind == KIND_ARCTIC:
-        collection = BidCollection(
-            tuple(goods),
-            tuple(ArcticBid(name, vec, budget) for name, vec, budget in entries),
-            mode,
-        )
-        flat = flatten_bids(collection)
-        return LoadedMarket(kind, flat.market, flat.owners, collection)
-    buyers = tuple(Buyer(name, vec, budget) for name, vec, budget in entries)
-    return LoadedMarket(kind, Market(tuple(goods), buyers, mode), None, None)
+        values = [(f"{path}.v_{j + 1}", cell.strip()) for j, cell in enumerate(r[2:])]
+        rows.append((path, name, r[1].strip(), values))
+    return _build(kind, goods, rows, (), mode)

@@ -262,10 +262,10 @@ def divergence_witness(
     def spend(x):
         return x * deriv(x)
 
+    grid = [hi * k / 512 for k in range(1, 513)]
     x_tilde = None
     prop2 = None
     if math.isfinite(budget):
-        grid = [hi * k / 512 for k in range(1, 513)]
         above = [x for x in grid if spend(x) > budget]
         if above:
             if spend(hi) >= budget:
@@ -294,10 +294,9 @@ def divergence_witness(
 
     x_max = hi
     if math.isfinite(budget):
-        inside = [x for x in (hi * k / 512 for k in range(1, 513)) if x * deriv(x) <= budget]
+        inside = [x for x in grid if spend(x) <= budget]
         x_max = max(inside) if inside else 0.0
-    for k in range(1, 513):
-        s = hi * k / 512
+    for s in grid:
         if s > x_max:
             break
         if deriv(s) < m * s:

@@ -2,8 +2,9 @@
 
 Every quantity in a market (values, budgets, supplies, prices, bundles) is
 either a `fractions.Fraction` (exact mode) or a `float` (float mode). Exact
-mode uses a zero tolerance everywhere; float mode carries an explicit relative
-tolerance used for argmax ties, budget checks, and flow saturation tests.
+mode uses a zero tolerance everywhere; float mode uses the fixed relative
+tolerance DEFAULT_FLOAT_TOL for argmax ties, budget checks, and flow
+saturation tests.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ FLOAT_KIND = "float"
 @dataclass(frozen=True)
 class NumericMode:
     kind: str
-    tol: Number
 
     def __post_init__(self):
         if self.kind not in (EXACT_KIND, FLOAT_KIND):
             raise ValueError(f"unknown numeric mode {self.kind!r}")
-        if self.kind == EXACT_KIND and self.tol != 0:
-            raise ValueError("exact mode requires tol = 0")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
 
     @property
     def is_exact(self) -> bool:
         return self.kind == EXACT_KIND
+
+    @property
+    def tol(self) -> Number:
+        """Relative tolerance: 0 in exact mode, DEFAULT_FLOAT_TOL in float mode."""
+        return 0 if self.is_exact else DEFAULT_FLOAT_TOL
 
     def coerce(self, value: Number) -> Number:
         """Bring a number into this mode's representation."""
@@ -53,12 +54,12 @@ class NumericMode:
         return float(value)
 
 
-EXACT = NumericMode(EXACT_KIND, 0)
-FLOAT_DEFAULT = NumericMode(FLOAT_KIND, DEFAULT_FLOAT_TOL)
+EXACT = NumericMode(EXACT_KIND)
+FLOAT_DEFAULT = NumericMode(FLOAT_KIND)
 
 
-def float_mode(tol: float = DEFAULT_FLOAT_TOL) -> NumericMode:
-    return NumericMode(FLOAT_KIND, tol)
+def float_mode() -> NumericMode:
+    return FLOAT_DEFAULT
 
 
 def parse_number(token, mode: NumericMode) -> Number:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .feasibility import check_clearing, check_feasible, meet, meet_allocation, outcome_is_feasible
 from .gridoracle import RegionGrid, grid_scan
-from .market import Buyer, Good, Market, bang_per_buck
+from .market import Buyer, Good, Market, MarketError, bang_per_buck
 from .metrics import social_welfare
 from .numeric import EXACT
 from .solver import EquilibriumResult, initial_feasible_price, solve
@@ -229,7 +229,10 @@ def suite_upward_closure(probe: MarketProbe) -> SuiteResult:
 
 def run_all(seed: int, markets: int = 20, pairs: int = 100):
     """Generate markets, build probes, and run every suite; returns the probe
-    list and one merged SuiteResult per suite name."""
+    list and one merged SuiteResult per suite name. A count below one would
+    run no case at all, so it is an error rather than a pass."""
+    if markets < 1 or pairs < 1:
+        raise MarketError(f"need markets >= 1 and pairs >= 1, got {markets} and {pairs}")
     rng = random.Random(seed)
     probes = [build_probe(random_market(rng)) for _ in range(markets)]
     merged = []

@@ -323,6 +323,15 @@ def test_proptest_small_run():
     assert all(s["failures"] == [] for s in report["suites"])
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--markets", "0"), ("--markets", "-1"), ("--pairs", "0")]
+)
+def test_proptest_refuses_counts_that_test_nothing(flag, value):
+    code, out, err = run_cli("proptest", flag, value, "--no-timestamp")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "markets >= 1 and pairs >= 1" in err
+
+
 def test_csv_input_needs_supplies(tmp_path):
     table = tmp_path / "m.csv"
     table.write_text("name,budget,v_1,v_2\nb1,1,2,3\nb2,1,2,2\nb3,1,4,2\n")

@@ -15,7 +15,6 @@ from qfmarket.feasibility import (
     outcome_is_feasible,
 )
 from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
-from qfmarket.numeric import float_mode
 from qfmarket.proptest import random_market
 
 F = Fraction
@@ -115,18 +114,18 @@ def test_spending_graph_structure(ref_exact):
     assert relaxed.strict_buyers == ()
 
 
-def test_the_mode_tolerance_reaches_the_checks(ref_float):
-    """At p, buyer2's ratios 2/p_1 and 2/p_2 differ by 1e-4 relative. A 1e-3
-    tolerance ties them, and buyer2's budget may then go to good 2, which
-    makes p feasible; the default tolerance leaves good 1 over-demanded."""
-    p = (0.6, 0.6 * (1 + 1e-4))
-    loose = ref_float.coerced(float_mode(1e-3))
-    assert build_spending_graph(loose, p).bpb[1].goods == {1, 2}
-    cert = check_feasible(loose, p)
-    assert cert.feasible
-    assert outcome_is_feasible(loose, p, cert.allocation)
-    assert build_spending_graph(ref_float, p).bpb[1].goods == {1}
+def test_the_mode_tolerance_reaches_the_checks(ref_exact, ref_float):
+    """At p, buyer2's ratios 2/p_1 and 2/p_2 differ by 1e-10 relative. Float
+    mode's fixed 1e-9 band ties them, and buyer2's budget may then go to good
+    2, which makes p feasible; exact mode, at the same rationals, leaves good 1
+    over-demanded."""
+    p = (0.6, 0.6 * (1 + 1e-10))
+    assert build_spending_graph(ref_float, p).bpb[1].goods == {1, 2}
     cert = check_feasible(ref_float, p)
+    assert cert.feasible
+    assert outcome_is_feasible(ref_float, p, cert.allocation)
+    assert build_spending_graph(ref_exact, p).bpb[1].goods == {1}
+    cert = check_feasible(ref_exact, p)
     assert not cert.feasible and cert.witness.goods == (1,)
 
 

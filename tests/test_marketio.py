@@ -1,6 +1,7 @@
 """File formats: JSON round trips, mode inference, arctic flattening, CSV."""
 
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from qfmarket.marketio import (
     serialize_bid_collection,
     serialize_market,
 )
-from qfmarket.numeric import EXACT, float_mode
+from qfmarket.numeric import EXACT, float_mode, number_to_json
+from qfmarket.proptest import random_market
 
 F = Fraction
 
@@ -75,9 +77,10 @@ def test_flatten_drops_zero_budget_bids_with_a_warning():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        flat = flatten_bids(collection)
-    assert [b.name for b in flat.market.buyers] == ["x#1"]
-    assert flat.owners == ("x",)
+        loaded = flatten_bids(collection)
+    assert loaded.kind == "arctic" and loaded.collection is collection
+    assert [b.name for b in loaded.market.buyers] == ["x#1"]
+    assert loaded.owners == ("x",)
     assert any("zero-budget" in str(w.message) for w in caught)
 
 
@@ -109,6 +112,7 @@ def test_reaggregate_sums_by_owner_in_first_appearance_order():
         ("infinite value", {"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}], "buyers": [{"name": "b", "values": [2.0, float("inf")], "budget": 1}]}),
         ("nan budget", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": float("nan")}]}),
         ("beyond float range", {"kind": "market", "goods": [{"name": "A", "supply": 1.5}], "buyers": [{"name": "b", "values": [1], "budget": "1e400"}]}),
+        ("unhashable kind", {"kind": ["market"], "goods": [], "buyers": []}),
     ],
 )
 def test_parse_errors(label, doc):
@@ -159,3 +163,45 @@ def test_csv_loader_mode_override_and_arctic_kind():
 def test_csv_loader_errors(text, supplies):
     with pytest.raises(ParseError):
         load_market_csv(text, supplies)
+
+
+def test_csv_arctic_rows_follow_the_funded_bid_rule():
+    """A funded bid with no positive value is an error from CSV as from JSON;
+    as a market row, or with a zero budget, the same values are accepted."""
+    with pytest.raises(ParseError, match="funded bid"):
+        load_market_csv("name,budget,v_1\no,1,0\n", ["1"], kind="arctic")
+    assert load_market_csv("name,budget,v_1\no,1,0\n", ["1"]).market.m == 1
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        loaded = load_market_csv("name,budget,v_1\no,1,2\no,0,0\n", ["1"], kind="arctic")
+    assert loaded.owners == ("o",)
+
+
+def _csv_table(market):
+    lines = ["name,budget," + ",".join(f"v_{j + 1}" for j in range(market.n))]
+    for b in market.buyers:
+        numbers = [str(number_to_json(x)) for x in (b.budget, *b.values)]
+        lines.append(",".join([b.name, *numbers]))
+    return "\n".join(lines) + "\n"
+
+
+def test_every_format_reads_the_same_market():
+    """Market JSON, arctic JSON with one bid per owner, and CSV of either kind
+    load to the same goods, values, budgets and inferred mode."""
+    rng = random.Random(3)
+    for market in [random_market(rng, 8, 5) for _ in range(3)]:
+        bids = tuple(ArcticBid(b.name, b.values, b.budget) for b in market.buyers)
+        supplies = [str(number_to_json(s)) for s in market.supplies]
+        loads = [
+            load_market(serialize_market(market)),
+            load_market(serialize_bid_collection(BidCollection(market.goods, bids, EXACT))),
+            load_market_csv(_csv_table(market), supplies),
+            load_market_csv(_csv_table(market), supplies, kind="arctic"),
+        ]
+        for loaded in loads:
+            assert loaded.market.goods == market.goods
+            assert [(b.values, b.budget) for b in loaded.market.buyers] == [
+                (b.values, b.budget) for b in market.buyers
+            ]
+            assert loaded.market.mode == EXACT
+        assert [loaded.kind for loaded in loads] == ["market", "arctic", "market", "arctic"]

@@ -21,16 +21,12 @@ def test_mode_constants():
     assert EXACT.is_exact and EXACT.tol == 0
     assert not FLOAT_DEFAULT.is_exact
     assert FLOAT_DEFAULT.tol == DEFAULT_FLOAT_TOL
-    assert float_mode(1e-6).tol == 1e-6
+    assert float_mode() is FLOAT_DEFAULT
 
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        NumericMode("exact", 0.1)
-    with pytest.raises(ValueError):
-        NumericMode("decimal", 0)
-    with pytest.raises(ValueError):
-        NumericMode("float", -1e-9)
+        NumericMode("decimal")
 
 
 def test_exact_coercion_reads_floats_by_decimal_repr():
