@@ -6,7 +6,8 @@ goes to stdout when the JSON is routed to a file. Exit codes: 0 success,
 1 input problem, usage errors included, 2 solver failure (the descent
 fallback endpoint failing its clearing check, or a market with no minimal
 price) or property failure. A stalled proportional-response iteration is
-not a failure: solve rounds its last iterate or falls back to the descent.
+not a failure: solve checks its support's candidate or falls back to the
+descent.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ tokens to one builder: goods as `(path, name, supply)`, rows as
 `(path, name, budget, [(path, value), ...])`, and any seller costs. The
 builder infers the numeric mode, parses every number, and builds the market
 the same way whatever the format. Numbers may be written as JSON numbers or as
-strings ("3/5", "0.25"). When every numeric token is an integer or a string,
-the input is read in exact rational mode; a single raw float switches the
-whole input to float mode. Every number must be nonnegative, and a funded bid
+strings ("3/5", "0.25"); inputs built in Python may also hand in Fractions.
+When every numeric token is an integer, a string or a Fraction, the input is
+read in exact rational mode; a single raw float switches the whole input to
+float mode. Every number must be nonnegative, and a funded bid
 (an arctic row with a positive budget) needs at least one positive value. An
 arctic collection reduces to a market with one pseudo-buyer per funded bid;
 the owner of each pseudo-buyer is retained so reports can re-aggregate.
@@ -32,6 +33,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .market import Buyer, Good, Market, MarketError
@@ -81,7 +83,7 @@ def _require(condition, path, message):
 
 
 def _token_is_exact(token) -> bool:
-    return isinstance(token, (int, str)) and not isinstance(token, bool)
+    return isinstance(token, (int, str, Fraction)) and not isinstance(token, bool)
 
 
 def _number(token, path, mode, what=None) -> Number:

@@ -13,15 +13,13 @@ to money at the minimum.
 
 Certified rounding turns those prices into the exact answer. Once each
 buyer's demand set is known, the prices solve a linear system, so a demand
-structure read off the iterate points to one exact candidate. Two readings
-are used. The support is what each buyer spends more than 1% of its budget
-on; `solve` stops proportional response as soon as every price is within
-1e-6 (relative) of the support's candidate, or else at a fixed gap target.
-The tie band reads each buyer's bang-per-buck set at the prices, read as
-rationals, at one fixed relative width. The support's candidate is taken when
-the final prices agree with it, the band's otherwise. That one candidate gets
-one exact clearing check, and if it passes it is the answer, because clearing
-prices are unique; proportional response only has to point at the right ties.
+structure read off the iterate points to one exact candidate. The structure
+read is the support: what each buyer spends more than 1% of its budget on.
+`solve` stops proportional response as soon as every price is within 1e-6
+(relative) of the support's candidate, or else at a fixed gap target. When
+the final prices agree with the candidate, it gets one exact clearing check,
+and if it passes it is the answer, because clearing prices are unique;
+proportional response only has to point at the right ties.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -36,9 +34,11 @@ p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
 `solve` runs proportional response until its support agrees, its gap is met
-or its iterations run out, rounds its last iterate, falls back to the
-descent, and packages the clearing allocation with revenue, welfare, and
-certificates.
+or its iterations run out, checks the support's candidate or else falls back
+to the descent, and packages the clearing allocation with revenue, welfare,
+and certificates. Both certificates rest on the one clearing check: a
+clearing price with its clearing allocation is a competitive equilibrium,
+and those outcomes, and only those, are constrained-efficient.
 """
 
 from __future__ import annotations
@@ -59,17 +59,12 @@ from .market import (
     Allocation,
     Market,
     MarketError,
-    Outcome,
     PriceVector,
     aggregate,
     bang_per_buck,
     require_valid,
 )
-from .metrics import (
-    EfficiencyCertificate,
-    certify_constrained_efficiency,
-    social_welfare,
-)
+from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
 from .numeric import EXACT, Number, float_mode
 
 BID_FLOOR = 1e-250
@@ -161,7 +156,8 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     them. The duality gap is read every 25 iterations, so iterations is a
     multiple of 25. If the gap is still above tol after max_iter iterations,
     the SolverConvergenceError raised carries the last EGSolution as `last`;
-    this is the one place a stall raises (solve rounds a stalled iterate).
+    this is the one place a stall raises (solve reads a stalled run's support
+    like any other run's, and descends when it does not agree).
     """
     require_valid(market)
     if tol <= 0:
@@ -278,7 +274,6 @@ def _solve_eg(market: Market, target: float, max_iter: int = 400_000, stop=None)
     )
 
 
-_TIE_BAND = Fraction(1, 2**24)
 # A buyer's support: the options (goods, and money) it spends more than this
 # share of its budget on.
 _SUPPORT = 1e-2
@@ -411,31 +406,6 @@ def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
         if inside < outside:
             nearest = max(nearest, inside / outside)
     return nearest
-
-
-def _certified_rounding(
-    twin: Market, prices: PriceVector, agreed: Optional[PriceVector]
-) -> Optional[Tuple[PriceVector, FeasibilityCertificate]]:
-    """The exact clearing price read off proportional response's final
-    prices, or None if it does not certify.
-
-    agreed is the candidate that the run's support points to (see _Support)
-    when every final price agrees with it, and None otherwise; then the
-    candidate is the one that the ratio ties of prices, read as rationals,
-    point to at relative width _TIE_BAND on the rational twin. One exact
-    clearing check of that one candidate is conclusive, because clearing
-    prices are unique. Returns the candidate with its clearing certificate.
-    """
-    p = agreed
-    if p is None:
-        p = tuple(EXACT.coerce(v) for v in prices)
-        p = _snap(twin, [bang_per_buck(buyer, p, _TIE_BAND).goods for buyer in twin.buyers])
-    if p is None:
-        return None
-    cert = _check_clearing(twin, p)
-    if not (cert.feasible and cert.clearing):
-        return None
-    return p, cert
 
 
 def _rational_twin(market: Market) -> Market:
@@ -586,51 +556,52 @@ def solve(market: Market) -> EquilibriumResult:
     Proportional response runs first. It stops once every price agrees with
     the exact candidate its spending support points to, or else at the fixed
     gap target 1e-11 * max(1, total budget), so eg's gap may sit above that
-    target. The candidate is read off the support when the final prices
-    agree with it, and off their ties at one fixed band otherwise (see
-    _certified_rounding); a stalled run's last iterate is read the same way.
-    The one candidate is p_star if it passes one exact clearing check on the
-    rational twin, and that check is the whole certificate, so solve takes no
+    target. When the final prices agree with the support's candidate, that
+    one candidate is p_star if it passes one exact clearing check on the
+    rational twin. That check is the whole certificate, so solve takes no
     tolerance: clearing prices are unique. In exact mode it is the result's
     certificate; a float market's rounded-back price is checked again in
     floats. certified_by is then "rounding" and the descent trace is empty.
 
-    Only when the candidate does not certify does lattice_descent run from a
-    trivially feasible price (certified_by "descent"). Its endpoint must pass
-    the same clearing check; a MethodDisagreementError, carrying both
-    solutions, is raised if it does not. On either path method_agreement
-    reports the largest per-coordinate gap between p_star and the
-    proportional-response prices, as a diagnostic.
+    Every other case goes to lattice_descent from a trivially feasible price
+    (certified_by "descent"): a run that ends, at its gap target or stalled
+    at its iteration cap, without agreeing with a candidate, or a candidate
+    that fails its check. The descent's endpoint must pass the same clearing
+    check; a MethodDisagreementError, carrying both solutions, is raised if
+    it does not. On either path method_agreement reports the largest
+    per-coordinate gap between p_star and the proportional-response prices,
+    as a diagnostic.
 
     An exact market with a number beyond the float range, or a good whose
     only positive values lie below it, has no float image for proportional
     response to run on. It goes straight to the descent, and eg and
     method_agreement are None.
 
+    The efficiency certificate is read off the clearing certificate: clearing
+    prices with their clearing allocation are a competitive equilibrium, and
+    equilibrium outcomes are constrained-efficient, so its verdict is
+    certified and its welfare is the result's. (certify_constrained_efficiency
+    re-derives the same verdict from the outcome alone.)
+
     The market is validated once, here; proportional response and the
     clearing checks run through their unvalidated cores.
     """
     require_valid(market)
     twin = _rational_twin(market)
-    eg, agreed = _proportional_response(market, twin)
-    rounded = None if eg is None else _certified_rounding(twin, eg.prices, agreed)
-    cert = None
-    if rounded is not None:
-        p_star, cert = rounded
-        if not market.mode.is_exact:
-            p_star = tuple(float(v) for v in p_star)
-            cert = _check_clearing(market, p_star)
-    if cert is not None and cert.feasible and cert.clearing:
+    eg, p_star = _proportional_response(market, twin)
+    cert = None if p_star is None else _check_clearing(twin, p_star)
+    if cert is not None and cert.clearing and not market.mode.is_exact:
+        p_star = tuple(float(v) for v in p_star)
+        cert = _check_clearing(market, p_star)
+    if cert is not None and cert.clearing:
         certified_by = "rounding"
-        trace = DescentTrace(
-            tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0
-        )
+        trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
     else:
         certified_by = "descent"
         trace = lattice_descent(market, initial_feasible_price(market))
         p_star = trace.final
         cert = _check_clearing(market, p_star)
-        if not (cert.feasible and cert.clearing):
+        if not cert.clearing:
             raise MethodDisagreementError(
                 "descent endpoint failed its clearing check", eg=eg, descent=trace
             )
@@ -638,12 +609,10 @@ def solve(market: Market) -> EquilibriumResult:
     if eg is not None:
         agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
     allocation = cert.allocation
-    totals = aggregate(allocation, market.n)
     revenue = 0
-    for price, qty in zip(p_star, totals):
+    for price, qty in zip(p_star, aggregate(allocation, market.n)):
         revenue = revenue + price * qty
     welfare = social_welfare(market, allocation)
-    efficiency = certify_constrained_efficiency(market, Outcome(p_star, allocation))
     return EquilibriumResult(
         p_star=p_star,
         allocation=allocation,
@@ -651,7 +620,7 @@ def solve(market: Market) -> EquilibriumResult:
         welfare=welfare,
         method_agreement=agreement,
         clearing_certificate=cert,
-        efficiency_certificate=efficiency,
+        efficiency_certificate=EfficiencyCertificate(VERDICT_CERTIFIED, welfare, (), None),
         eg=eg,
         descent=trace,
         certified_by=certified_by,

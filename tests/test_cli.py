@@ -51,6 +51,33 @@ def test_solve_reports_are_reproducible(fixture_dir):
     assert first == second
 
 
+# sha256 of each fixture's `solve --no-timestamp` report, its input path
+# written as the bare file name.
+_SOLVE_REPORT_PINS = {
+    ("example1.json", "exact"): "2370b95687e043f8438a6a8aeb9fadbd74f405137ebc883a7d18e25157c480d9",
+    ("example1.json", "float"): "f21e593d3888467d3166cc34ad5e2035d4a92743be7e3c364fa19fe712df884c",
+    ("example2.json", "exact"): "d7ee8152db32436189abdb09197f1c49f762593786c0033a8815526da114a64b",
+    ("example2.json", "float"): "837313b7f6e327e03848285ed21378f626445c374c05dc8c7e21aa9defa1c5d9",
+    ("example2_arctic_merged.json", "exact"):
+        "df6cfe258ffaf4a39fb98364f06492fb4f317dc345d240ceafcdbac4ee6586ba",
+    ("example2_arctic_merged.json", "float"):
+        "c6c8739d40c5cdaca30ab16f63f5c137916ed4272017b4a49ebda10d114b205d",
+    ("example2_arctic_split.json", "exact"):
+        "b5a951b7e202b2744a724ec65fadb97a75f9b73e18d16f68ab26e415bded2da0",
+    ("example2_arctic_split.json", "float"):
+        "75734d22d2644ddbf8b5a9ee481d0c1cba034182e8119e2cc3e8eb7e2c0aad9a",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(_SOLVE_REPORT_PINS))
+def test_solve_reports_are_pinned(fixture_dir, name, mode):
+    path = fixture_dir / name
+    code, out, _ = run_cli("solve", str(path), "--mode", mode, "--no-timestamp")
+    assert code == EXIT_OK
+    report = out.replace(json.dumps(str(path)), json.dumps(name))
+    assert hashlib.sha256(report.encode()).hexdigest() == _SOLVE_REPORT_PINS[name, mode]
+
+
 def test_solve_float_mode(fixture_dir):
     code, out, _ = run_cli(
         "solve", str(fixture_dir / "example2.json"), "--mode", "float", "--no-timestamp"

@@ -149,6 +149,21 @@ def test_csv_loader_mode_override_and_arctic_kind():
     assert [b.name for b in arctic.market.buyers] == ["o#1", "o#2"]
 
 
+def test_fraction_tokens_read_as_exact():
+    """Fractions handed in through the API are exact tokens, like ints and
+    strings; one used to switch the whole input to float mode."""
+    loaded = load_market_csv("name,budget,v_1\nb,1,1/3\n", [F(1, 3)])
+    assert loaded.market.mode == EXACT
+    assert loaded.market.supplies == (F(1, 3),)
+    assert loaded.market.buyers[0].values == (F(1, 3),)
+    doc = {
+        "kind": "market",
+        "goods": [{"name": "A", "supply": F(1, 3)}],
+        "buyers": [{"name": "b", "values": [1], "budget": 1}],
+    }
+    assert load_market(doc).market.mode == EXACT
+
+
 @pytest.mark.parametrize(
     "text,supplies",
     [

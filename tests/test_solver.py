@@ -16,7 +16,9 @@ import pytest
 from qfmarket import solver
 from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.flow import FlowNetwork
-from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
+from qfmarket.market import Buyer, Good, Market, MarketError, Outcome, aggregate
+from qfmarket.marketio import load_market
+from qfmarket.metrics import VERDICT_CERTIFIED, certify_constrained_efficiency
 from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
 from qfmarket.solver import (
@@ -231,10 +233,12 @@ def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
 
 def test_money_indifferent_draw_beyond_absolute_agreement_gate():
     """Proportional response stalls about 1e-5 from p* = 3/2 here, past the
-    descent's agreement gate; the exact certificate settles it instead."""
+    descent's old agreement gate, and its final prices never agree with its
+    support's candidate; the descent lands p* exactly instead."""
     res = solve(_draw(12345, 125, 8, 4))
     assert res.p_star == (F(3, 2),)
-    assert res.certified_by == "rounding"
+    assert res.certified_by == "descent"
+    assert res.clearing_certificate.clearing
 
 
 @pytest.mark.parametrize("factor", [F(10**6), F(1, 10**6)])
@@ -254,17 +258,19 @@ def test_money_rescaling_scales_p_star_exactly(factor):
 
 
 def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatch):
-    """The rounding of the proportional-response prices finds nothing, and the
-    descent's endpoint needs no rounding of its own."""
+    """The support of proportional response points to no candidate, so the
+    run ends at its gap target and the descent answers; its endpoint needs
+    no rounding of its own."""
     calls = []
 
-    def finds_nothing(market, prices, agreed):
-        calls.append(prices)
+    def finds_nothing(market, sets):
+        calls.append(sets)
         return None
 
-    monkeypatch.setattr(solver, "_certified_rounding", finds_nothing)
+    monkeypatch.setattr(solver, "_snap", finds_nothing)
     res = solve(ref_exact)
-    assert len(calls) == 1
+    assert calls
+    assert res.eg.duality_gap <= 3e-11  # the gap target 1e-11 * total budget
     assert res.p_star == (F(3, 5), F(3, 5))
     assert res.certified_by == "descent"
     assert res.descent.probes > 0
@@ -272,10 +278,10 @@ def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatc
     assert res.clearing_certificate.clearing
 
 
-def test_stalled_proportional_response_is_still_rounded(ref_exact, monkeypatch):
-    """solve_eg's stall carries its last iterate; solve rounds the last
-    iterate of a run that ended above its gap target and certifies it
-    instead of failing."""
+def test_stalled_proportional_response_goes_to_the_descent(ref_exact, monkeypatch):
+    """solve_eg's stall carries its last iterate; solve does not fail on a
+    run that ended above its gap target without its support agreeing, but
+    certifies the descent's answer."""
     with pytest.raises(SolverConvergenceError) as stall:
         solve_eg(ref_exact, tol=1e-12, max_iter=25)
     assert stall.value.last.iterations == 25
@@ -285,16 +291,16 @@ def test_stalled_proportional_response_is_still_rounded(ref_exact, monkeypatch):
     run_eg = solver._solve_eg
 
     def stalls(market, target, stop=None):
-        # solve_eg's default stop: 75 iterations, gap 3.7e-9
-        stalled.append(run_eg(market, 1e-8))
+        # capped at 50 iterations; the support first agrees at 75
+        stalled.append(run_eg(market, target, max_iter=50, stop=stop))
         assert stalled[0].duality_gap > target
         return stalled[0]
 
     monkeypatch.setattr(solver, "_solve_eg", stalls)
     res = solve(ref_exact)
-    assert res.eg is stalled[0]
+    assert res.eg is stalled[0] and res.eg.iterations == 50
     assert res.p_star == (F(3, 5), F(3, 5))
-    assert res.certified_by == "rounding"
+    assert res.certified_by == "descent"
     assert res.clearing_certificate.clearing
 
 
@@ -303,10 +309,12 @@ def _assert_close(p, exact, rel):
 
 
 def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
-    """The seed-0 random_market(rng, 6, 6) draws never need the descent, each
-    is certified by one exact clearing check of one candidate (plus the float
-    re-check in float mode), and the descent alone reaches the same p*
-    through feasible, falling steps."""
+    """Every seed-0 random_market(rng, 6, 6) draw but 15 is certified by one
+    exact clearing check of its support's candidate (plus the float re-check
+    in float mode). Draw 15's run ends at its first gap check, before its
+    support settles, so the descent answers it with one clearing check of its
+    endpoint. The descent alone reaches the same p* on every draw through
+    feasible, falling steps."""
     checks = []
 
     def counted(market, p):
@@ -315,16 +323,17 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
 
     monkeypatch.setattr(solver, "_check_clearing", counted)
     rng = random.Random(0)
-    for _ in range(20):
+    for draw in range(20):
         market = random_market(rng, 6, 6)
+        certified_by = "descent" if draw == 15 else "rounding"
         checks.clear()
         exact = solve(market)
-        assert exact.certified_by == "rounding"
+        assert exact.certified_by == certified_by
         assert len(checks) == 1
         checks.clear()
         floaty = solve(market.coerced(float_mode()))
-        assert floaty.certified_by == "rounding"
-        assert len(checks) == 2
+        assert floaty.certified_by == certified_by
+        assert len(checks) == (1 if draw == 15 else 2)
         _assert_float_p_star(floaty, exact.p_star)
         for m in (market, market.coerced(float_mode())):
             trace = lattice_descent(m, initial_feasible_price(m))
@@ -340,29 +349,17 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
                 cursor = step.after
 
 
-def test_support_stop_shortens_proportional_response(monkeypatch):
+def test_support_stop_shortens_proportional_response():
     """On the seed-0 battery, solve stops proportional response no later than
     solve_eg's gap stop, within 1e-6 of p*. Every draw but 15 is certified by
     its support candidate; draw 15's run ends at its first gap check, before
-    its support settles, and the tie band reads its candidate (the band
-    reader is the only bang_per_buck call a rounding-certified solve makes
-    in the solver module)."""
-    band = []
-    bang = solver.bang_per_buck
-
-    def counted(*args):
-        band.append(args)
-        return bang(*args)
-
-    monkeypatch.setattr(solver, "bang_per_buck", counted)
+    its support settles."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
         for m in (market, market.coerced(float_mode())):
-            band.clear()
             res = solve(m)
-            assert res.certified_by == "rounding"
-            assert bool(band) == (draw == 15)
+            assert res.certified_by == ("descent" if draw == 15 else "rounding")
             assert res.eg.iterations <= solve_eg(m).iterations
             assert res.method_agreement <= 1e-6 * max(res.p_star)
 
@@ -477,3 +474,46 @@ def test_market_whose_float_image_loses_a_value_goes_to_the_descent():
     assert res.certified_by == "descent"
     assert res.clearing_certificate.clearing
     assert res.eg is None and res.method_agreement is None
+
+
+def test_efficiency_certificate_matches_the_reference_certifier(fixture_dir):
+    """solve reads its efficiency certificate off the clearing certificate;
+    certify_constrained_efficiency, which re-derives it from the outcome
+    alone, gives the same verdict and welfare on the seed-0 battery and the
+    fixtures, in both modes."""
+    rng = random.Random(0)
+    markets = [random_market(rng, 6, 6) for _ in range(20)]
+    for path in sorted(fixture_dir.glob("*.json")):
+        markets.append(load_market(path.read_bytes(), EXACT).market)
+    for market in markets:
+        for m in (market, market.coerced(float_mode())):
+            res = solve(m)
+            reference = certify_constrained_efficiency(m, Outcome(res.p_star, res.allocation))
+            assert res.efficiency_certificate.verdict == reference.verdict == VERDICT_CERTIFIED
+            assert res.efficiency_certificate.welfare == reference.welfare == res.welfare
+
+
+def test_permuting_buyers_or_goods_permutes_p_star():
+    """Buyer order does not move p*, and reordering the goods reorders p*,
+    exactly, in both modes."""
+    rng = random.Random(0)
+    for draw in range(20):
+        market = random_market(rng, 6, 6)
+        shuffle = random.Random(draw)
+        buyers = list(market.buyers)
+        shuffle.shuffle(buyers)
+        order = list(range(market.n))
+        shuffle.shuffle(order)
+        by_buyers = Market(market.goods, tuple(buyers), EXACT)
+        by_goods = Market(
+            tuple(market.goods[k] for k in order),
+            tuple(
+                Buyer(b.name, tuple(b.values[k] for k in order), b.budget)
+                for b in market.buyers
+            ),
+            EXACT,
+        )
+        for mode in (EXACT, float_mode()):
+            p_star = solve(market.coerced(mode)).p_star
+            assert solve(by_buyers.coerced(mode)).p_star == p_star
+            assert solve(by_goods.coerced(mode)).p_star == tuple(p_star[k] for k in order)
