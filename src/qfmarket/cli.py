@@ -82,19 +82,15 @@ def _stamp(report: dict, started: float, no_timestamp: bool) -> None:
 def _load(args) -> tuple:
     with open(args.path, "rb") as fh:
         raw = fh.read()
-    mode = None
-    if getattr(args, "mode", None) == "exact":
-        mode = EXACT
-    elif getattr(args, "mode", None) == "float":
-        mode = float_mode()
+    mode = {"exact": EXACT, "float": float_mode()}.get(args.mode)
     if args.path.endswith(".csv"):
-        if not getattr(args, "supply", None):
+        if not args.supply:
             raise ParseError("csv", "CSV input needs --supply s_1,...,s_n")
         supplies = [s.strip() for s in args.supply.split(",")]
         loaded = load_market_csv(
             raw.decode("utf-8"),
             supplies,
-            kind=getattr(args, "kind", "market"),
+            kind=args.kind,
             mode=mode,
         )
     else:
@@ -226,7 +222,7 @@ def cmd_region(args) -> int:
         raise ParseError("out", "region needs --out for the grid CSV")
     loaded, digest = _load(args)
     market = loaded.market
-    if getattr(args, "mode", None) is None and market.mode.is_exact:
+    if args.mode is None and market.mode.is_exact:
         # Float scans use the vectorized closed form, exact ones one max
         # flow per point; default to float unless the caller forces exact.
         market = market.coerced(float_mode())

@@ -191,11 +191,6 @@ def check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
     requirement, then flexible buyers top the goods up.
     """
     require_valid(market)
-    return _check_clearing(market, p)
-
-
-def _check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
-    """check_clearing on a market the caller has already validated."""
     routing = _Routing(market, p)
     if not routing.run_strict_phase():
         return FeasibilityCertificate(False, False, None, routing.witness())
@@ -212,7 +207,10 @@ def meet(p: PriceVector, q: PriceVector) -> PriceVector:
 
 
 def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) -> bool:
-    """Def.-style outcome check: aggregate within supply and every bundle demanded."""
+    """Def.-style outcome check: aggregate within supply and every bundle demanded.
+
+    p must be positive with one entry per good, else PriceDomainError.
+    """
     tol = market.mode.tol
     if len(allocation) != market.m:
         return False

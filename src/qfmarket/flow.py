@@ -98,29 +98,25 @@ class FlowNetwork:
     def reachable_from(self, source: int):
         """Nodes reachable through positive residuals; after max_flow this is
         the source side of a minimum cut."""
-        seen = [False] * self.n_nodes
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if not seen[v] and self.residual[eid] > self.zero:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+        return self._search(source, 0)
 
     def reaching(self, target: int):
         """Nodes with a positive-residual path to target; after max_flow, the
         nodes that could still pass more flow on to the sink."""
+        return self._search(target, 1)
+
+    def _search(self, start: int, flip: int):
+        """Breadth-first search from start along each adjacent edge eid whose
+        residual at eid ^ flip is positive: the edge itself (flip 0) walks
+        forward, its reverse (flip 1) walks backward."""
         seen = [False] * self.n_nodes
-        seen[target] = True
-        queue = deque([target])
+        seen[start] = True
+        queue = deque([start])
         while queue:
-            v = queue.popleft()
-            for eid in self.adj[v]:
-                u = self.to[eid]
-                if not seen[u] and self.residual[eid ^ 1] > self.zero:
-                    seen[u] = True
-                    queue.append(u)
+            u = queue.popleft()
+            for eid in self.adj[u]:
+                v = self.to[eid]
+                if not seen[v] and self.residual[eid ^ flip] > self.zero:
+                    seen[v] = True
+                    queue.append(v)
         return seen

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Tuple
 
 from .numeric import EXACT, Number, NumericMode
 
@@ -43,7 +44,8 @@ class Outcome:
 
 
 class PriceDomainError(MarketError):
-    """A price vector had a nonpositive entry; bang-per-buck ratios are undefined there."""
+    """A price vector had a nonpositive entry, or not one entry per good;
+    bang-per-buck ratios are undefined there."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,15 @@ class Buyer:
 
 @dataclass(frozen=True)
 class Market:
+    """Goods, buyers and the numeric mode their numbers are in.
+
+    `violations`, the validity verdict that validate_market and require_valid
+    read, is worked out once per object, on first use, and kept. A market
+    built from another one (coerced, strip_worthless_goods) is a new object
+    with a verdict of its own, except the twin of a valid float market (see
+    rational_twin), which takes over its empty verdict.
+    """
+
     goods: Tuple[Good, ...]
     buyers: Tuple[Buyer, ...]
     mode: NumericMode = EXACT
@@ -99,6 +110,24 @@ class Market:
         )
         return Market(goods, buyers, mode)
 
+    @cached_property
+    def violations(self) -> Tuple[str, ...]:
+        """Every broken type invariant (empty = valid)."""
+        return tuple(_violations(self))
+
+    def rational_twin(self) -> "Market":
+        """The market in exact arithmetic: itself when exact, else a new
+        exact copy on every call. A valid float market's copy is valid too,
+        since a finite float read through its decimal stays finite, keeps its
+        sign and is zero only if it was zero, so it takes over the empty
+        verdict instead of validating again."""
+        if self.mode.is_exact:
+            return self
+        twin = self.coerced(EXACT)
+        if not self.violations:
+            twin.__dict__["violations"] = ()
+        return twin
+
 
 @dataclass(frozen=True)
 class BangPerBuckSet:
@@ -117,8 +146,8 @@ def _finite(x: Number) -> bool:
     return -math.inf < x < math.inf
 
 
-def validate_market(market: Market) -> list:
-    """Check all type invariants; returns a list of violation strings (empty = valid)."""
+def _violations(market: Market) -> list:
+    """The validation body behind Market.violations."""
     violations = []
     if market.n < 1:
         violations.append("market: needs at least one good")
@@ -155,6 +184,11 @@ def validate_market(market: Market) -> list:
     return violations
 
 
+def validate_market(market: Market) -> list:
+    """Check all type invariants; returns a list of violation strings (empty = valid)."""
+    return list(market.violations)
+
+
 def require_valid(market: Market) -> None:
     violations = validate_market(market)
     if violations:
@@ -173,12 +207,6 @@ def strip_worthless_goods(market: Market) -> Market:
     return Market(goods, buyers, market.mode)
 
 
-def _check_prices(p: Sequence[Number]) -> None:
-    for entry in p:
-        if entry <= 0:
-            raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
-
-
 def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckSet:
     """Bang-per-buck maximizer set of one buyer.
 
@@ -186,7 +214,11 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     v_j / p_j >= (1 - tol) * max_ratio, so tol = 0 gives the exact argmax and a
     small relative tol makes boundary ties reproducible in float mode.
     """
-    _check_prices(p)
+    if len(p) != len(buyer.values):
+        raise PriceDomainError(f"{len(p)} prices for {len(buyer.values)} goods")
+    for entry in p:
+        if entry <= 0:
+            raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
     best = 1  # money
     ratios = []
     for v, price in zip(buyer.values, p):
@@ -224,10 +256,9 @@ def is_demanded(buyer: Buyer, p: PriceVector, x: Bundle, tol: Number = 0) -> boo
     is not a maximizer. Comparisons use a money-scale slack of
     tol * max(1, budget).
     """
-    _check_prices(p)
+    bpb = bang_per_buck(buyer, p, tol)
     if len(x) != len(p):
         return False
-    bpb = bang_per_buck(buyer, p, tol)
     slack = tol * max(1, buyer.budget)
     spend = 0
     for j, (price, qty) in enumerate(zip(p, x), start=1):

@@ -100,12 +100,16 @@ def certify_constrained_efficiency(
     """Certify the outcome efficient among feasible outcomes, or reject it.
 
     The verdict rests on the equilibrium check alone; challenger outcomes
-    (each must be feasible, else ChallengerRejectedError with its index) add
-    recorded welfare slacks that a certified verdict must keep above minus
-    the market mode's tolerance.
+    (each must be feasible with one price per good, else
+    ChallengerRejectedError with its index) add recorded welfare slacks that
+    a certified verdict must keep above minus the market mode's tolerance.
+    The outcome's own prices, like any price vector, raise PriceDomainError
+    unless they are positive and one per good.
     """
     for k, ch in enumerate(challengers):
-        if not outcome_is_feasible(market, ch.prices, ch.allocation):
+        if len(ch.prices) != market.n or not outcome_is_feasible(
+            market, ch.prices, ch.allocation
+        ):
             raise ChallengerRejectedError(k)
     slacks = tuple(eq1_slack(market, outcome, ch.allocation) for ch in challengers)
     min_slack = min(slacks) if slacks else None

@@ -49,11 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .feasibility import (
-    FeasibilityCertificate,
-    _check_clearing,
-    check_feasible,
-)
+from .feasibility import FeasibilityCertificate, check_clearing, check_feasible
 from .flow import FlowNetwork, scale_to_integers
 from .market import (
     Allocation,
@@ -65,7 +61,7 @@ from .market import (
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
-from .numeric import EXACT, Number, float_mode
+from .numeric import EXACT, Number, NumericMode, float_mode
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
@@ -386,40 +382,32 @@ class _Support:
         return self.agrees
 
 
-def _next_event(market: Market, p: PriceVector, down: frozenset) -> Number:
+def _next_event(market: Market, p: PriceVector, best, down: frozenset) -> Number:
     """Largest factor below 1 at which cutting the prices of `down` makes one
     of them tie some buyer's best option outside it (another good or money);
-    0 when there is none.
+    0 when there is none. best[i] is buyer i's bang-per-buck set at p.
 
     Only buyers whose bang-per-buck set misses `down` have such events: for
     the others a good of `down` already beats every outside option, and a
-    common factor keeps the order inside `down`.
+    common factor keeps the order inside `down`. For the rest, the best
+    option outside `down` is their best option, max_ratio.
     """
     nearest = 0
-    for buyer in market.buyers:
-        inside, outside = 0, 1  # money
-        for k, (v, price) in enumerate(zip(buyer.values, p), start=1):
-            if k in down:
-                inside = max(inside, v / price)
-            else:
-                outside = max(outside, v / price)
-        if inside < outside:
-            nearest = max(nearest, inside / outside)
+    for buyer, bpb in zip(market.buyers, best):
+        if bpb.goods.isdisjoint(down):
+            inside = max(buyer.values[k - 1] / p[k - 1] for k in down)
+            nearest = max(nearest, inside / bpb.max_ratio)
     return nearest
 
 
-def _rational_twin(market: Market) -> Market:
-    return market if market.mode.is_exact else market.coerced(EXACT)
-
-
-def _captured(market: Market, p: PriceVector, down: frozenset):
-    """(budget, goods) of each buyer whose bang-per-buck set meets `down`,
-    goods being the members of `down` it demands. Once those prices fall the
-    buyer prefers them to money and to every other good, so its whole budget
-    must go there."""
+def _captured(market: Market, best, down: frozenset):
+    """(budget, goods) of each buyer whose bang-per-buck set best[i] meets
+    `down`, goods being the members of `down` it demands. Once those prices
+    fall the buyer prefers them to money and to every other good, so its
+    whole budget must go there."""
     captured = []
-    for buyer in market.buyers:
-        goods = bang_per_buck(buyer, p).goods & down
+    for buyer, bpb in zip(market.buyers, best):
+        goods = bpb.goods & down
         if goods:
             captured.append((buyer.budget, sorted(goods)))
     return captured
@@ -471,7 +459,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     docstring). probes counts the max flows; the trace's prices are in the
     market's own numeric mode.
     """
-    twin = _rational_twin(market)
+    twin = market.rational_twin()
     p = tuple(EXACT.coerce(v) for v in p0)
     if not check_feasible(twin, p).feasible:
         raise InfeasibleStartError(f"start price {tuple(p0)!r} is not feasible")
@@ -480,9 +468,10 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     steps = []
     probes = 0
     while True:
+        best = [bang_per_buck(buyer, p) for buyer in twin.buyers]
         down = every
         while down:
-            captured = _captured(twin, p, down)
+            captured = _captured(twin, best, down)
             net, node, sink = _route(twin, p, captured, down, 1)
             probes += 1
             spare = net.reaching(sink)
@@ -498,7 +487,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             down -= blocked
         if not down:
             break
-        factor = _next_event(twin, p, down)
+        factor = _next_event(twin, p, best, down)
         while True:
             net, node, sink = _route(twin, p, captured, down, factor)
             probes += 1
@@ -515,17 +504,22 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
                 last=p,
             )
         q = tuple(v * factor if k in down else v for k, v in enumerate(p, start=1))
-        steps.append((tuple(sorted(down)), p, q))
+        steps.append(DescentStep(tuple(sorted(down)), p, q))
         p = q
+    return _in_mode(DescentTrace(start, tuple(steps), p, probes), market.mode)
+
+
+def _in_mode(trace: DescentTrace, mode: NumericMode) -> DescentTrace:
+    """The trace with every price brought into `mode`."""
 
     def own(prices):
-        return tuple(market.mode.coerce(v) for v in prices)
+        return tuple(mode.coerce(v) for v in prices)
 
     return DescentTrace(
-        own(start),
-        tuple(DescentStep(goods, own(a), own(b)) for goods, a, b in steps),
-        own(p),
-        probes,
+        own(trace.start),
+        tuple(DescentStep(s.goods, own(s.before), own(s.after)) for s in trace.steps),
+        own(trace.final),
+        trace.probes,
     )
 
 
@@ -582,25 +576,24 @@ def solve(market: Market) -> EquilibriumResult:
     equilibrium outcomes are constrained-efficient, so its verdict is
     certified and its welfare is the result's. (certify_constrained_efficiency
     re-derives the same verdict from the outcome alone.)
-
-    The market is validated once, here; proportional response and the
-    clearing checks run through their unvalidated cores.
     """
     require_valid(market)
-    twin = _rational_twin(market)
+    twin = market.rational_twin()
     eg, p_star = _proportional_response(market, twin)
-    cert = None if p_star is None else _check_clearing(twin, p_star)
+    cert = None if p_star is None else check_clearing(twin, p_star)
     if cert is not None and cert.clearing and not market.mode.is_exact:
         p_star = tuple(float(v) for v in p_star)
-        cert = _check_clearing(market, p_star)
+        cert = check_clearing(market, p_star)
     if cert is not None and cert.clearing:
         certified_by = "rounding"
         trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
     else:
         certified_by = "descent"
-        trace = lattice_descent(market, initial_feasible_price(market))
+        # The descent runs on the twin already built; its trace comes back
+        # in the market's own mode, as lattice_descent(market, ...) gives it.
+        trace = _in_mode(lattice_descent(twin, initial_feasible_price(market)), market.mode)
         p_star = trace.final
-        cert = _check_clearing(market, p_star)
+        cert = check_clearing(market, p_star)
         if not cert.clearing:
             raise MethodDisagreementError(
                 "descent endpoint failed its clearing check", eg=eg, descent=trace

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmarket import market as market_module
 from qfmarket.cli import main
 from qfmarket.feasibility import check_feasible
 from qfmarket.market import Buyer, Good, Market, aggregate
@@ -46,9 +47,23 @@ def _verdict(capsys, number, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def probe_battery():
+def battery_validations():
+    """The market of each validation body run while probe_battery is built."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def probe_battery(battery_validations):
     """20 random markets solved once and grid-scanned, shared by checks 5-8."""
-    probes, merged = run_all(seed=0, markets=20, pairs=100)
+    body = market_module._violations
+
+    def counted(market):
+        battery_validations.append(market)
+        return body(market)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_module, "_violations", counted)
+        probes, merged = run_all(seed=0, markets=20, pairs=100)
     return probes, {suite.name: suite for suite in merged}
 
 
@@ -270,3 +285,10 @@ def test_10_linear_monopoly_clearing_coincides_with_optimal(capsys):
         f"200 random triples: optimal price within {worst:.1e} of min(v, budget/supply), "
         f"no divergence witnesses",
     )
+
+
+def test_probe_battery_validates_each_market_once(probe_battery, battery_validations):
+    """Every solve, grid scan and suite check of a market reads the verdict
+    its first validation left on it."""
+    probes, _ = probe_battery
+    assert sorted(map(id, battery_validations)) == sorted(id(probe.market) for probe in probes)

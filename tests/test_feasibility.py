@@ -14,8 +14,11 @@ from qfmarket.feasibility import (
     meet_allocation,
     outcome_is_feasible,
 )
-from qfmarket.market import Buyer, Good, Market, MarketError, aggregate
+from qfmarket.market import Buyer, Good, Market, MarketError, PriceDomainError, aggregate
+from qfmarket.marketio import load_market
+from qfmarket.numeric import EXACT
 from qfmarket.proptest import random_market
+from qfmarket.solver import lattice_descent
 
 F = Fraction
 
@@ -270,3 +273,13 @@ def test_witness_names_the_over_demanded_goods():
     cut = (F(7, 3), F(5, 6), F(5, 6), F(5, 7) * F(99, 100))
     w = check_feasible(_battery_draw(0), cut).witness
     assert (w.goods, w.forced_budget, w.capacity) == ((4,), 3, F(99, 35))
+
+
+@pytest.mark.parametrize("p", [(F(9),), (F(9), F(9), F(9))])
+@pytest.mark.parametrize("check", [check_feasible, check_clearing, lattice_descent])
+def test_price_vectors_of_the_wrong_length_are_rejected(fixture_dir, check, p):
+    """On two goods, three prices used to certify three-entry bundles (and a
+    three-entry descent endpoint), and one price raised a bare IndexError."""
+    market = load_market((fixture_dir / "example2.json").read_text(), EXACT).market
+    with pytest.raises(PriceDomainError, match=f"{len(p)} prices for 2 goods"):
+        check(market, p)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmarket import market as market_module
 from qfmarket.market import (
     MONEY,
     Buyer,
@@ -116,6 +117,63 @@ def test_strip_worthless_goods():
     assert validate_market(stripped) == []
 
 
+def _count_validations(monkeypatch):
+    """The markets whose validation body runs from here on, one entry per run."""
+    runs = []
+    body = market_module._violations
+
+    def counted(market):
+        runs.append(market)
+        return body(market)
+
+    monkeypatch.setattr(market_module, "_violations", counted)
+    return runs
+
+
+def test_a_market_is_validated_once(monkeypatch, ref_exact):
+    runs = _count_validations(monkeypatch)
+    for _ in range(3):
+        assert validate_market(ref_exact) == []
+        require_valid(ref_exact)
+    assert list(map(id, runs)) == [id(ref_exact)]
+    verdict = validate_market(ref_exact)
+    verdict.append("changed by the caller")
+    assert validate_market(ref_exact) == []
+
+
+def test_a_valid_float_market_twin_takes_over_its_verdict(monkeypatch, ref_exact, ref_float):
+    assert ref_exact.rational_twin() is ref_exact
+    runs = _count_validations(monkeypatch)
+    twin = ref_float.rational_twin()
+    assert twin == ref_exact and twin.mode.is_exact
+    assert validate_market(twin) == []
+    assert list(map(id, runs)) == [id(ref_float)]  # the twin took over its verdict
+
+
+def test_an_invalid_float_market_twin_validates_itself(monkeypatch):
+    market = Market((Good("A", -1.0),), (Buyer("b", (1.0,), 1.0),), FLOAT_DEFAULT)
+    runs = _count_validations(monkeypatch)
+    twin = market.rational_twin()
+    assert validate_market(twin) == ["good A: negative supply -1"]
+    assert validate_market(market) == ["good A: negative supply -1.0"]
+    assert list(map(id, runs)) == [id(market), id(twin)]
+
+
+def test_rebuilt_markets_are_validated_in_their_own_right(monkeypatch):
+    market = Market(
+        (Good("A", F(1)), Good("B", F(2))),
+        (Buyer("b1", (F(0), F(3)), F(1)), Buyer("b2", (F(0), F(1)), F(2))),
+        EXACT,
+    )
+    assert validate_market(market)
+    runs = _count_validations(monkeypatch)
+    stripped = strip_worthless_goods(market)
+    assert validate_market(stripped) == []
+    coerced = market.coerced(float_mode())
+    assert validate_market(coerced)
+    assert list(map(id, runs)) == [id(stripped), id(coerced)]
+
+
 def test_bang_per_buck_at_the_minimal_price(ref_exact):
     p = (F(3, 5), F(3, 5))
     b1, b2, b3 = ref_exact.buyers
@@ -150,6 +208,13 @@ def test_nonpositive_prices_raise():
         bang_per_buck(buyer, (F(0),))
     with pytest.raises(PriceDomainError):
         is_demanded(buyer, (F(-1),), (F(0),))
+
+
+@pytest.mark.parametrize("p", [(), (F(1), F(1))])
+def test_price_vectors_of_the_wrong_length_raise(p):
+    buyer = Buyer("b", (F(1),), F(1))
+    with pytest.raises(PriceDomainError, match=f"{len(p)} prices for 1 goods"):
+        bang_per_buck(buyer, p)
 
 
 def test_demand_vertices(ref_exact):

@@ -90,3 +90,12 @@ def test_certify_rejects_infeasible_challengers_by_index(ref_exact):
     with pytest.raises(ChallengerRejectedError) as err:
         certify_constrained_efficiency(ref_exact, subject, (subject, bad))
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("prices", [MINIMAL[:1], MINIMAL + MINIMAL[:1]])
+def test_certify_rejects_challengers_with_prices_of_the_wrong_length(ref_exact, prices):
+    subject = _equilibrium(ref_exact)
+    bad = Outcome(prices, subject.allocation)
+    with pytest.raises(ChallengerRejectedError) as err:
+        certify_constrained_efficiency(ref_exact, subject, (subject, bad))
+    assert err.value.index == 1

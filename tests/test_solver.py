@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmarket import market as market_module
 from qfmarket import solver
 from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.flow import FlowNetwork
@@ -321,7 +322,7 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
         checks.append(p)
         return check_clearing(market, p)
 
-    monkeypatch.setattr(solver, "_check_clearing", counted)
+    monkeypatch.setattr(solver, "check_clearing", counted)
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
@@ -347,6 +348,35 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
                 assert all(a <= b for a, b in zip(step.after, step.before))
                 assert check_feasible(m, step.after).feasible
                 cursor = step.after
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
+    """Seed-0 battery draw 15 is certified by the descent, whose path reads
+    the verdict in solve, initial_feasible_price, lattice_descent's
+    feasibility check and the clearing check. solve builds a float market's
+    twin once and runs the descent on it; the trace is the one a bare
+    lattice_descent of the market gives."""
+    market = _draw(0, 15, 6, 6).coerced(mode)
+    validated, twins = [], []
+    body, coerced = market_module._violations, Market.coerced
+
+    def counted_body(m):
+        validated.append(m)
+        return body(m)
+
+    def counted_coerced(m, to):
+        if to.is_exact:
+            twins.append(m)
+        return coerced(m, to)
+
+    monkeypatch.setattr(market_module, "_violations", counted_body)
+    monkeypatch.setattr(Market, "coerced", counted_coerced)
+    result = solve(market)
+    assert result.certified_by == "descent"
+    assert list(map(id, validated)) == [id(market)]
+    assert list(map(id, twins)) == ([] if mode.is_exact else [id(market)])
+    assert repr(result.descent) == repr(lattice_descent(market, initial_feasible_price(market)))
 
 
 def test_support_stop_shortens_proportional_response():
