@@ -32,6 +32,7 @@ from .market import (
     PriceVector,
     aggregate,
     bang_per_buck,
+    demand_sets,
     is_demanded,
     require_valid,
 )
@@ -78,11 +79,11 @@ class FeasibilityCertificate:
 
 def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
     """Each buyer's bang-per-buck set at p, ties read at the market mode's
-    tolerance, and each good's money capacity p_j * s_j."""
-    tol = market.mode.tol
-    bpb = tuple(bang_per_buck(buyer, p, tol) for buyer in market.buyers)
+    tolerance, and each good's money capacity p_j * s_j. The sets come from
+    demand_sets in one pass over the buyers (integer comparisons in exact
+    mode, one numpy pass in float mode) and are bang_per_buck's own."""
     caps = tuple(price * good.supply for price, good in zip(p, market.goods))
-    return SpendingGraph(bpb, caps)
+    return SpendingGraph(demand_sets(market, p), caps)
 
 
 class _Routing:
@@ -148,9 +149,10 @@ class _Routing:
         return self._money(self.strict_flow + extension)
 
     def allocation(self) -> Allocation:
+        zeros = [0 * price for price in self.p]
         bundles = []
         for i in range(self.market.m):
-            bundle = [0 * price for price in self.p]
+            bundle = list(zeros)
             for k, eid in self.spend_edges[i]:
                 bundle[k] = self._money(self.net.flow_on(eid)) / self.p[k]
             bundles.append(tuple(bundle))

@@ -10,7 +10,8 @@ closed form, vectorized over chunks of lattice points. With D_i the goods
 buyer i demands and c_j = p_j s_j, the max flow of budgets b_i into the
 goods is the minimum over good sets A of sum_{j in A} c_j plus the budgets
 of the buyers with D_i not inside A. Exact-mode scans run the two-phase
-flow of the clearing check at every point, in exact arithmetic.
+flow of the clearing check at every point, in exact arithmetic: integer
+demand sets (market.demand_sets) and a max flow on integers.
 """
 
 from __future__ import annotations

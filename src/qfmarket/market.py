@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
+import numpy as np
+
+from .flow import scale_to_integers
 from .numeric import EXACT, Number, NumericMode
 
 MONEY = 0
@@ -78,7 +82,8 @@ class Market:
     read, is worked out once per object, on first use, and kept. A market
     built from another one (coerced, strip_worthless_goods) is a new object
     with a verdict of its own, except the twin of a valid float market (see
-    rational_twin), which takes over its empty verdict.
+    rational_twin), which takes over its empty verdict. The value tables
+    that demand_sets reads are kept the same way, one per object.
     """
 
     goods: Tuple[Good, ...]
@@ -114,6 +119,23 @@ class Market:
     def violations(self) -> Tuple[str, ...]:
         """Every broken type invariant (empty = valid)."""
         return tuple(_violations(self))
+
+    @cached_property
+    def _integer_values(self) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+        """(D, V) per buyer, its values v = V / D over their least common
+        denominator D, which exact demand_sets compares; None if a value is
+        not rational."""
+        if not all(isinstance(v, (int, Fraction)) for b in self.buyers for v in b.values):
+            return None
+        return tuple(
+            (unit, tuple(scaled))
+            for unit, scaled in (scale_to_integers(b.values) for b in self.buyers)
+        )
+
+    @cached_property
+    def _float_values(self) -> np.ndarray:
+        """The m x n value matrix as floats, which float demand_sets divides."""
+        return np.array([b.values for b in self.buyers], dtype=np.float64).reshape(self.m, self.n)
 
     def rational_twin(self) -> "Market":
         """The market in exact arithmetic: itself when exact, else a new
@@ -214,11 +236,7 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     v_j / p_j >= (1 - tol) * max_ratio, so tol = 0 gives the exact argmax and a
     small relative tol makes boundary ties reproducible in float mode.
     """
-    if len(p) != len(buyer.values):
-        raise PriceDomainError(f"{len(p)} prices for {len(buyer.values)} goods")
-    for entry in p:
-        if entry <= 0:
-            raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
+    _check_prices(p, len(buyer.values))
     best = 1  # money
     ratios = []
     for v, price in zip(buyer.values, p):
@@ -231,6 +249,86 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     if 1 >= cutoff:
         members.add(MONEY)
     return BangPerBuckSet(frozenset(members), best)
+
+
+def _check_prices(p: PriceVector, n: int) -> None:
+    if len(p) != n:
+        raise PriceDomainError(f"{len(p)} prices for {n} goods")
+    for entry in p:
+        if entry <= 0:
+            raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
+
+
+def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
+    """Every buyer's bang-per-buck set at p, ties read at the market mode's
+    tolerance: field for field what bang_per_buck(buyer, p, market.mode.tol)
+    returns, at a fraction of its cost. Buyers whose sets and best ratios
+    agree share one (immutable) set.
+
+    Exact mode compares in integers. p is scaled to integers once per call,
+    p_j = P_j / Q, and each buyer's values once per market, v_j = V_j / D
+    (Market._integer_values). With L the least common multiple of the P_j,
+    v_j / p_j = V_j (L / P_j) Q / (D L): a buyer's ratios order as its
+    scores V_j (L / P_j), so v_j / p_j > v_k / p_k exactly when
+    V_j P_k > V_k P_j, and the best ratio beats money's 1 exactly when the
+    top score times Q exceeds D L. Only a best ratio above 1 is divided
+    out, as max_ratio. Prices that are not all Fractions, or values that are
+    not all rational, go buyer by buyer through bang_per_buck.
+
+    Float mode is one numpy pass with bang_per_buck's own operations, v / p
+    and then (1 - tol) * best, so its sets and ratios are the same floats.
+    """
+    _check_prices(p, market.n)
+    if not market.mode.is_exact:
+        return _float_demand_sets(market, p, market.mode.tol)
+    integer_values = market._integer_values
+    if integer_values is None or not all(isinstance(x, Fraction) for x in p):
+        return tuple(bang_per_buck(buyer, p) for buyer in market.buyers)
+    unit, prices = scale_to_integers(p)
+    lcm = math.lcm(*prices)
+    weights = [lcm // price for price in prices]
+    only_money = BangPerBuckSet(frozenset({MONEY}), 1)
+    shared = {}
+    sets = []
+    for den, values in integer_values:
+        scores = [v * w for v, w in zip(values, weights)]
+        top = max(scores)
+        above = top * unit - den * lcm
+        if above < 0:
+            sets.append(only_money)
+            continue
+        tied = tuple(j for j, score in enumerate(scores, 1) if score == top)
+        key = (tied, top, den)
+        bpb = shared.get(key)
+        if bpb is None:
+            if above:
+                bpb = BangPerBuckSet(frozenset(tied), Fraction(top * unit, den * lcm))
+            else:
+                bpb = BangPerBuckSet(frozenset((MONEY,) + tied), 1)
+            shared[key] = bpb
+        sets.append(bpb)
+    return tuple(sets)
+
+
+def _float_demand_sets(market: Market, p: PriceVector, tol: Number):
+    ratios = market._float_values / np.array(p, dtype=np.float64)
+    best = ratios.max(axis=1)
+    cutoff = (1 - tol) * np.maximum(best, 1.0)
+    width = market.n + 1
+    options = np.empty((market.m, width), dtype=bool)  # money, then goods 1..n
+    options[:, MONEY] = cutoff <= 1
+    np.greater_equal(ratios, cutoff[:, None], out=options[:, 1:])
+    rows = options.tobytes()
+    shared = {}
+    sets = []
+    for start, ratio in zip(range(0, len(rows), width), best.tolist()):
+        key = (rows[start:start + width], ratio)
+        bpb = shared.get(key)
+        if bpb is None:
+            goods = frozenset(j for j, on in enumerate(key[0]) if on)
+            bpb = shared[key] = BangPerBuckSet(goods, ratio if ratio > 1 else 1)
+        sets.append(bpb)
+    return tuple(sets)
 
 
 def demand_vertices(buyer: Buyer, p: PriceVector, tol: Number = 0) -> Tuple[Bundle, ...]:

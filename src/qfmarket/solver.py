@@ -57,11 +57,11 @@ from .market import (
     MarketError,
     PriceVector,
     aggregate,
-    bang_per_buck,
+    demand_sets,
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
-from .numeric import EXACT, Number, NumericMode, float_mode
+from .numeric import EXACT, Number, NumericMode
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
@@ -158,7 +158,7 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     require_valid(market)
     if tol <= 0:
         raise MarketError("solve_eg needs tol > 0")
-    solution = _solve_eg(market, tol, max_iter)
+    solution = _solve_eg(_float_image(market), tol, max_iter)
     if solution.duality_gap > tol:
         raise SolverConvergenceError(
             f"proportional response stalled at gap {solution.duality_gap:.3e} > {tol:.3e} "
@@ -168,8 +168,19 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     return solution
 
 
-def _solve_eg(market: Market, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:
-    """solve_eg on a validated market, returning its last iterate even on a stall.
+def _float_image(market: Market):
+    """(budgets, supplies, values): a market's numbers as float arrays, each
+    read once with float(). OverflowError when one lies beyond the float
+    range."""
+    beta = np.array([float(b.budget) for b in market.buyers])
+    supply = np.array([float(g.supply) for g in market.goods])
+    values = np.array([[float(v) for v in b.values] for b in market.buyers])
+    return beta, supply, values
+
+
+def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:
+    """solve_eg on a validated market's _float_image, returning its last
+    iterate even on a stall.
 
     Zero-budget buyers and inactive goods are dropped once, before the loop,
     and every update writes into buffers allocated once. Money is the bid
@@ -183,10 +194,8 @@ def _solve_eg(market: Market, target: float, max_iter: int = 400_000, stop=None)
     iterations have run. stop(buyers, goods, bids, p) gets the indices of the
     live buyers and active goods, their bids (money last) and goods' prices.
     """
-    m, n = market.m, market.n
-    beta_all = np.array([float(b.budget) for b in market.buyers])
-    supply_all = np.array([float(g.supply) for g in market.goods])
-    values_all = np.array([[float(v) for v in b.values] for b in market.buyers])
+    beta_all, supply_all, values_all = image
+    m, n = values_all.shape
     live = np.flatnonzero(beta_all > 0)
     active = [
         k for k in range(n) if supply_all[k] > 0 and np.any(values_all[live, k] > 0)
@@ -468,7 +477,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     steps = []
     probes = 0
     while True:
-        best = [bang_per_buck(buyer, p) for buyer in twin.buyers]
+        best = demand_sets(twin, p)
         down = every
         while down:
             captured = _captured(twin, best, down)
@@ -534,13 +543,13 @@ def _proportional_response(
     values fall below it)."""
     try:
         scale = max(1.0, float(sum(b.budget for b in market.buyers)))
-        eg_market = market if not market.mode.is_exact else market.coerced(float_mode())
+        image = _float_image(market)
     except OverflowError:
         return None, None
-    if not all(any(v > 0 for v in good) for good in zip(*(b.values for b in eg_market.buyers))):
+    if not (image[2] > 0).any(axis=0).all():
         return None, None
     support = _Support(twin)
-    eg = _solve_eg(eg_market, _GAP_TARGET * scale, stop=support)
+    eg = _solve_eg(image, _GAP_TARGET * scale, stop=support)
     return eg, support.candidate if support.agrees else None
 
 

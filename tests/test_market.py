@@ -1,5 +1,6 @@
 """Market types, validation, and the budget-constrained demand correspondence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from qfmarket.market import (
     PriceDomainError,
     aggregate,
     bang_per_buck,
+    demand_sets,
     demand_vertices,
     is_demanded,
     require_valid,
@@ -23,6 +25,8 @@ from qfmarket.market import (
     zero_bundle,
 )
 from qfmarket.numeric import EXACT, FLOAT_DEFAULT, float_mode
+from qfmarket.proptest import random_market
+from qfmarket.solver import solve
 
 F = Fraction
 
@@ -241,3 +245,98 @@ def test_aggregate_and_zero_bundle(ref_exact):
     rows = ((F(0), F(5, 3)), (F(4, 3), F(1, 3)), (F(5, 3), F(0)))
     assert aggregate(rows, 2) == (F(3), F(2))
     assert zero_bundle(ref_exact) == (F(0), F(0))
+
+
+def _fields(sets):
+    return [(s.goods, s.max_ratio, type(s.max_ratio)) for s in sets]
+
+
+def _points_around(market, p_star, rng):
+    """p*, its 1% cuts and raises, money ties (a good priced at a buyer's
+    value for it, or every good at one buyer's values), good-good ties, and
+    random points near p*: 200 or more exact price vectors."""
+    n = market.n
+    cut, rise = F(99, 100), F(101, 100)
+    points = [p_star, tuple(x * cut for x in p_star)]
+    for j in range(n):
+        for factor in (cut, rise):
+            points.append(tuple(x * factor if k == j else x for k, x in enumerate(p_star)))
+    for buyer in market.buyers:
+        if all(buyer.values):
+            points.append(buyer.values)
+        for j, v in enumerate(buyer.values):
+            if v:
+                points.append(tuple(v if k == j else x for k, x in enumerate(p_star)))
+                for k, w in enumerate(buyer.values):
+                    if w and k != j:
+                        tie = tuple(x * w / v if i == k else x for i, x in enumerate(p_star))
+                        points.append(tuple(y if i == k else tie[j] * v / w for i, y in enumerate(tie)))
+    while len(points) < 200:
+        points.append(tuple(x * F(rng.randint(95, 105), 100) for x in p_star))
+    return points
+
+
+def test_demand_sets_read_money_ties_and_zero_values():
+    market = Market(
+        (Good("A", F(1)), Good("B", F(1))),
+        (Buyer("b1", (F(2), F(3)), F(1)), Buyer("b2", (F(0), F(5)), F(1))),
+    )
+    for mode in (EXACT, float_mode()):
+        twin = market.coerced(mode)
+        p = tuple(map(mode.coerce, (2, 6)))
+        tied, below = demand_sets(twin, p)
+        assert tied.goods == frozenset({MONEY, 1}) and type(tied.max_ratio) is int
+        assert below.goods == frozenset({MONEY}) and type(below.max_ratio) is int
+        p = tuple(map(mode.coerce, (1, F(3, 2))))
+        assert _fields(demand_sets(twin, p)) == [
+            (frozenset({1, 2}), mode.coerce(2), type(mode.coerce(2))),
+            (frozenset({2}), mode.coerce(F(10, 3)), type(mode.coerce(2))),
+        ]
+
+
+def test_float_demand_sets_keep_money_at_a_cutoff_of_exactly_one():
+    """(1 - 1e-9) * 1.000000001 rounds to 1.0, so money ties the good."""
+    market = Market((Good("A", 1.0),), (Buyer("b", (1.000000001,), 1.0),), float_mode())
+    (got,) = demand_sets(market, (1.0,))
+    assert got == bang_per_buck(market.buyers[0], (1.0,), market.mode.tol)
+    assert got.goods == frozenset({MONEY, 1}) and got.max_ratio == 1.000000001
+
+
+@pytest.mark.parametrize("p", [(F(1),), (F(1), F(1), F(1)), (F(1), F(0)), (F(-1), F(1))])
+def test_demand_sets_reject_the_prices_bang_per_buck_rejects(ref_exact, ref_float, p):
+    for market in (ref_exact, ref_float):
+        with pytest.raises(PriceDomainError):
+            demand_sets(market, p)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_demand_sets_are_bang_per_buck_sets(mode):
+    """demand_sets equals bang_per_buck buyer by buyer, max_ratio's type
+    included, at 4,000 and more points around the probe battery's p*: the 20
+    seed-0 random_market draws, and one market with zero values."""
+    rng = random.Random(0)
+    markets = [random_market(rng) for _ in range(20)]
+    markets.append(
+        Market(
+            (Good("A", F(2)), Good("B", F(1)), Good("C", F(3))),
+            (
+                Buyer("b1", (F(0), F(3), F(1, 3)), F(1)),
+                Buyer("b2", (F(2), F(0), F(0)), F(2)),
+                Buyer("b3", (F(1), F(1), F(1)), F(0)),
+            ),
+        )
+    )
+    checked = money_ties = 0
+    for market in markets:
+        p_star = solve(market).p_star
+        points = _points_around(market, p_star, rng)
+        if not mode.is_exact:
+            market = market.coerced(mode)
+            points = [tuple(map(float, p)) for p in points]
+        for p in points:
+            expected = [bang_per_buck(b, p, mode.tol) for b in market.buyers]
+            assert _fields(demand_sets(market, p)) == _fields(expected), p
+            checked += 1
+            money_ties += sum(MONEY in s.goods and len(s.goods) > 1 for s in expected)
+    assert checked >= 4000
+    assert money_ties >= 100

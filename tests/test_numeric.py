@@ -75,3 +75,19 @@ def test_exact_parse_format_round_trip():
     for _ in range(200):
         x = Fraction(rng.randint(-500, 500), rng.randint(1, 500))
         assert parse_number(format_number(x), EXACT) == x
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, 1e-300, 5e-324, 1.7976931348623157e308, -0.1, -2.5, 3.0, 0.0, -0.0, 1e22, 2.0**60],
+)
+def test_exact_coercion_reads_a_float_through_its_shortest_decimal(value):
+    got = EXACT.coerce(value)
+    assert type(got) is Fraction
+    assert got == Fraction(repr(value))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_exact_coercion_refuses_non_finite_floats_with_value_error(value):
+    with pytest.raises(ValueError):
+        EXACT.coerce(value)

@@ -8,6 +8,7 @@ when a buyer is exactly indifferent to money at the minimum, and markets on
 which the descent alone stopped above p* or failed its agreement gate.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -291,9 +292,9 @@ def test_stalled_proportional_response_goes_to_the_descent(ref_exact, monkeypatc
     stalled = []
     run_eg = solver._solve_eg
 
-    def stalls(market, target, stop=None):
+    def stalls(image, target, stop=None):
         # capped at 50 iterations; the support first agrees at 75
-        stalled.append(run_eg(market, target, max_iter=50, stop=stop))
+        stalled.append(run_eg(image, target, max_iter=50, stop=stop))
         assert stalled[0].duality_gap > target
         return stalled[0]
 
@@ -426,6 +427,37 @@ def test_descent_probe_count_stays_small_on_eight_goods():
     trace = lattice_descent(market, initial_feasible_price(market))
     assert trace.final == solve(market).p_star
     assert trace.probes <= 500
+
+
+def _many_buyers(rng, m, n):
+    """m buyers over n goods, every entry dyadic: values and budgets in
+    quarters, supplies between m/4 and m."""
+    goods = tuple(Good(f"g{j + 1}", F(rng.randint(m // 4, m))) for j in range(n))
+    rows = [[F(rng.randint(0, 16), 4) for _ in range(n)] for _ in range(m)]
+    buyers = tuple(
+        Buyer(f"b{i + 1}", tuple(rows[i]), F(rng.randint(1, 8), 4)) for i in range(m)
+    )
+    return Market(goods, buyers, EXACT)
+
+
+def test_many_buyer_descent_trace_is_pinned():
+    """The whole descent trace of a 120x4 market: probes, the goods of each
+    step, the final price, and a digest of every step's prices before and
+    after, all as recorded before the flow sweep and integer demand sets."""
+    market = _many_buyers(random.Random(120), 120, 4)
+    trace = lattice_descent(market, initial_feasible_price(market))
+    text = ";".join(
+        f"{step.goods}:{','.join(map(str, step.before))}:{','.join(map(str, step.after))}"
+        for step in trace.steps
+    )
+    assert trace.probes == 114
+    assert "".join(str(len(step.goods)) for step in trace.steps) == (
+        "444444444444443434343434343421341414"
+    )
+    assert trace.final == (F(45773, 116982), F(45773, 116982), F(17605, 38994), F(85007, 233964))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bce244b62f86734fff83f7626784b3471d46f414b215dca6ed92964cdd77441b"
+    )
 
 
 # (draw, iterations, prices, duality gap) of solve_eg at its defaults. The
