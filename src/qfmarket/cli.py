@@ -235,15 +235,12 @@ def cmd_region(args) -> int:
         raise ParseError("bounds", f"expected lo:hi, got {args.bounds!r}") from None
     points = args.resolution ** market.n
     if points > 10**7:
-        print(
-            f"error: {args.resolution}^{market.n} = {points} lattice points exceeds the "
-            "10^7 cap; lower --resolution or scan fewer goods",
-            file=sys.stderr,
+        raise MarketError(
+            f"{args.resolution}^{market.n} = {points} lattice points exceeds the "
+            "10^7 cap; lower --resolution or scan fewer goods"
         )
-        return EXIT_INPUT
     if args.boundary and market.n != 2:
-        print("error: boundary extraction needs exactly 2 goods", file=sys.stderr)
-        return EXIT_INPUT
+        raise MarketError("boundary extraction needs exactly 2 goods")
     grid = grid_scan(market, (lo, hi), args.resolution)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         export_grid_csv(grid, fh)

@@ -32,6 +32,7 @@ from .market import (
     PriceVector,
     aggregate,
     bang_per_buck,
+    check_prices,
     demand_sets,
     is_demanded,
     require_valid,
@@ -80,8 +81,9 @@ class FeasibilityCertificate:
 def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
     """Each buyer's bang-per-buck set at p, ties read at the market mode's
     tolerance, and each good's money capacity p_j * s_j. The sets come from
-    demand_sets in one pass over the buyers (integer comparisons in exact
-    mode, one numpy pass in float mode) and are bang_per_buck's own."""
+    demand_sets in one pass over the buyers: integer comparisons in exact
+    mode, with each price read as the rational it is, and one numpy pass in
+    float mode."""
     caps = tuple(price * good.supply for price, good in zip(p, market.goods))
     return SpendingGraph(demand_sets(market, p), caps)
 
@@ -89,16 +91,18 @@ def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
 class _Routing:
     """Shared two-phase flow state behind check_feasible / check_clearing.
 
-    On an exact market the prices are read as exact rationals (Fraction of a
-    float is exact), and the network carries every budget and capacity times
-    their least common denominator `unit`: its residuals are ints, and flows
-    come back as Fraction(flow, unit). On a float market the flow's zero and
-    its saturation slack scale the mode's tolerance by the money in play.
+    The prices are checked first (see check_prices). On an exact market they
+    are then read as exact rationals (Fraction of a float is exact), and the
+    network carries every budget and capacity times their least common
+    denominator `unit`: its residuals are ints, and flows come back as
+    Fraction(flow, unit). On a float market the flow's zero and its
+    saturation slack scale the mode's tolerance by the money in play.
     """
 
     def __init__(self, market: Market, p: PriceVector):
         self.market = market
         exact = market.mode.is_exact
+        check_prices(p, market.n)
         self.p = tuple(map(Fraction, p)) if exact else tuple(p)
         self.graph = build_spending_graph(market, self.p)
         m, n = market.m, market.n

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -62,10 +63,11 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
         raise MarketError("need one (lo, hi) bound pair per good")
     out = []
     for lo, hi in bounds:
-        lo, hi = coerce(lo), coerce(hi)
-        if lo <= 0 or hi <= lo:
-            raise MarketError(f"bad price window ({lo}, {hi}): need 0 < lo < hi")
-        out.append((lo, hi))
+        # Checked before coercion, which raises on NaN and infinities; NaN
+        # fails every comparison.
+        if not 0 < lo < hi < math.inf:
+            raise MarketError(f"bad price window ({lo}, {hi}): need 0 < lo < hi < inf")
+        out.append((coerce(lo), coerce(hi)))
     return tuple(out)
 
 

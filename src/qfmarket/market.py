@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class Outcome:
 
 
 class PriceDomainError(MarketError):
-    """A price vector had a nonpositive entry, or not one entry per good;
-    bang-per-buck ratios are undefined there."""
+    """A price vector had an entry that is not positive and finite, or not
+    one entry per good; bang-per-buck ratios are undefined there."""
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,10 @@ class Market:
         return tuple(_violations(self))
 
     @cached_property
-    def _integer_values(self) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    def _integer_values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """(D, V) per buyer, its values v = V / D over their least common
-        denominator D, which exact demand_sets compares; None if a value is
-        not rational."""
-        if not all(isinstance(v, (int, Fraction)) for b in self.buyers for v in b.values):
-            return None
+        denominator D, which exact demand_sets compares. A valid exact
+        market's values are ints and Fractions (see validate_market)."""
         return tuple(
             (unit, tuple(scaled))
             for unit, scaled in (scale_to_integers(b.values) for b in self.buyers)
@@ -171,33 +169,37 @@ def _finite(x: Number) -> bool:
 def _violations(market: Market) -> list:
     """The validation body behind Market.violations."""
     violations = []
+    exact = market.mode.is_exact
+
+    def check(x, owner, what, shown=True):
+        # An exact market holds ints (not bools) and Fractions only.
+        if exact and type(x) not in (int, Fraction):
+            violations.append(f"{owner}: {what} {x!r} is not an int or a Fraction in an exact market")
+        elif not _finite(x):
+            violations.append(f"{owner}: non-finite {what}" + f" {x}" * shown)
+        elif x < 0:
+            violations.append(f"{owner}: negative {what}" + f" {x}" * shown)
+
     if market.n < 1:
         violations.append("market: needs at least one good")
     if market.m < 1:
         violations.append("market: needs at least one buyer")
     for g in market.goods:
-        if not _finite(g.supply):
-            violations.append(f"good {g.name}: non-finite supply {g.supply}")
-        elif g.supply < 0:
-            violations.append(f"good {g.name}: negative supply {g.supply}")
+        check(g.supply, f"good {g.name}", "supply")
     names = [g.name for g in market.goods]
     if len(set(names)) != len(names):
         violations.append("goods: duplicate names")
+    value_of = [f"value for good {name}" for name in names]
     for b in market.buyers:
         if len(b.values) != market.n:
             violations.append(
                 f"buyer {b.name}: {len(b.values)} values for {market.n} goods"
             )
             continue
-        if not _finite(b.budget):
-            violations.append(f"buyer {b.name}: non-finite budget {b.budget}")
-        elif b.budget < 0:
-            violations.append(f"buyer {b.name}: negative budget {b.budget}")
-        for g, v in zip(market.goods, b.values):
-            if not _finite(v):
-                violations.append(f"buyer {b.name}: non-finite value for good {g.name}")
-            elif v < 0:
-                violations.append(f"buyer {b.name}: negative value for good {g.name}")
+        owner = f"buyer {b.name}"
+        check(b.budget, owner, "budget")
+        for v, what in zip(b.values, value_of):
+            check(v, owner, what, False)
     for k, g in enumerate(market.goods):
         if not any(len(b.values) == market.n and b.values[k] > 0 for b in market.buyers):
             violations.append(
@@ -236,7 +238,7 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     v_j / p_j >= (1 - tol) * max_ratio, so tol = 0 gives the exact argmax and a
     small relative tol makes boundary ties reproducible in float mode.
     """
-    _check_prices(p, len(buyer.values))
+    check_prices(p, len(buyer.values))
     best = 1  # money
     ratios = []
     for v, price in zip(buyer.values, p):
@@ -251,12 +253,14 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     return BangPerBuckSet(frozenset(members), best)
 
 
-def _check_prices(p: PriceVector, n: int) -> None:
+def check_prices(p: PriceVector, n: int) -> None:
+    """PriceDomainError unless p holds n positive, finite prices. Compared
+    as _finite does, so a Fraction of any size passes."""
     if len(p) != n:
         raise PriceDomainError(f"{len(p)} prices for {n} goods")
     for entry in p:
-        if entry <= 0:
-            raise PriceDomainError(f"undefined ratio: nonpositive price {entry}")
+        if not 0 < entry < math.inf:
+            raise PriceDomainError(f"undefined ratio: price {entry} is not positive and finite")
 
 
 def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
@@ -272,25 +276,23 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     scores V_j (L / P_j), so v_j / p_j > v_k / p_k exactly when
     V_j P_k > V_k P_j, and the best ratio beats money's 1 exactly when the
     top score times Q exceeds D L. Only a best ratio above 1 is divided
-    out, as max_ratio. Prices that are not all Fractions, or values that are
-    not all rational, go buyer by buyer through bang_per_buck.
+    out, as max_ratio. Each price is read once as Fraction(x), the rational
+    it is (a float included, as the clearing checks read it), so the sets
+    are bang_per_buck's at those Fractions and every max_ratio is exact.
 
     Float mode is one numpy pass with bang_per_buck's own operations, v / p
     and then (1 - tol) * best, so its sets and ratios are the same floats.
     """
-    _check_prices(p, market.n)
+    check_prices(p, market.n)
     if not market.mode.is_exact:
         return _float_demand_sets(market, p, market.mode.tol)
-    integer_values = market._integer_values
-    if integer_values is None or not all(isinstance(x, Fraction) for x in p):
-        return tuple(bang_per_buck(buyer, p) for buyer in market.buyers)
-    unit, prices = scale_to_integers(p)
+    unit, prices = scale_to_integers([Fraction(x) for x in p])
     lcm = math.lcm(*prices)
     weights = [lcm // price for price in prices]
     only_money = BangPerBuckSet(frozenset({MONEY}), 1)
     shared = {}
     sets = []
-    for den, values in integer_values:
+    for den, values in market._integer_values:
         scores = [v * w for v, w in zip(values, weights)]
         top = max(scores)
         above = top * unit - den * lcm

@@ -1,12 +1,13 @@
 """The minimal feasible (competitive-equilibrium) price: a fast certified path
 and an exact descent fallback.
 
-`solve_eg` runs proportional-response dynamics on a quasi-linear
-Eisenberg-Gale program: maximize sum_i (beta_i log u_i - delta_i) subject to
-u_i <= v_i . x_i + delta_i and supply constraints. Buyers split budgets into
-bids over goods and a money slot, prices are bid sums over supply, and each
-bid is rescaled by the fraction of utility its good contributes. The supply
-duals are the prices, and the iteration stops on a computable duality gap.
+Proportional response (`solve_eg`, the run `solve` makes) runs on a
+quasi-linear Eisenberg-Gale program: maximize
+sum_i (beta_i log u_i - delta_i) subject to u_i <= v_i . x_i + delta_i and
+supply constraints. Buyers split budgets into bids over goods and a money
+slot, prices are bid sums over supply, and each bid is rescaled by the
+fraction of utility its good contributes. The supply duals are the prices,
+and the iteration stops on a computable duality gap.
 The gap does not bound the price error linearly: the measured error tracks
 its square root, and it stalls near 1e-5 when a buyer is exactly indifferent
 to money at the minimum.
@@ -57,6 +58,7 @@ from .market import (
     MarketError,
     PriceVector,
     aggregate,
+    check_prices,
     demand_sets,
     require_valid,
 )
@@ -69,13 +71,14 @@ _GAP_TARGET = 1e-11  # solve's gap target per unit of total budget (at least 1)
 
 
 class SolverConvergenceError(MarketError):
-    """An iterative solver ran out of budget; carries the last iterate: an
-    EGSolution from solve_eg, a price vector from lattice_descent."""
+    """lattice_descent found goods whose prices can fall without bound, so
+    the market has no minimal price; carries the last price vector as
+    `last`. (A proportional-response run that stalls raises nothing: solve
+    sends it to the descent.)"""
 
-    def __init__(self, message, last=None, gap=None):
+    def __init__(self, message, last=None):
         super().__init__(message)
         self.last = last
-        self.gap = gap
 
 
 class MethodDisagreementError(MarketError):
@@ -140,8 +143,8 @@ def initial_feasible_price(market: Market) -> PriceVector:
     )
 
 
-def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSolution:
-    """Proportional-response solve of the quasi-linear Eisenberg-Gale program.
+def solve_eg(market: Market) -> Optional[EGSolution]:
+    """The proportional-response run that solve makes, equal to solve(market).eg.
 
     Runs in floating point regardless of the market's numeric mode; an
     answer's exactness comes from certifying these prices afterwards, not
@@ -149,23 +152,14 @@ def solve_eg(market: Market, tol: float = 1e-8, max_iter: int = 400_000) -> EGSo
     money and get empty bundles), and goods with zero supply or zero bid
     mass are excluded from the dynamics; their prices are imputed afterwards
     as the lowest level at which no buyer's bang-per-buck strictly prefers
-    them. The duality gap is read every 25 iterations, so iterations is a
-    multiple of 25. If the gap is still above tol after max_iter iterations,
-    the SolverConvergenceError raised carries the last EGSolution as `last`;
-    this is the one place a stall raises (solve reads a stalled run's support
-    like any other run's, and descends when it does not agree).
+    them. The run stops where solve's does (see _proportional_response):
+    when its support agrees, at the gap target 1e-11 * max(1, total budget),
+    or stalled at its iteration cap, which raises nothing. The duality gap
+    is read every 25 iterations, so iterations is a multiple of 25. None
+    when an exact market has no float image.
     """
     require_valid(market)
-    if tol <= 0:
-        raise MarketError("solve_eg needs tol > 0")
-    solution = _solve_eg(_float_image(market), tol, max_iter)
-    if solution.duality_gap > tol:
-        raise SolverConvergenceError(
-            f"proportional response stalled at gap {solution.duality_gap:.3e} > {tol:.3e} "
-            f"after {solution.iterations} iterations",
-            last=solution, gap=solution.duality_gap,
-        )
-    return solution
+    return _proportional_response(market, market.rational_twin())[0]
 
 
 def _float_image(market: Market):
@@ -179,8 +173,8 @@ def _float_image(market: Market):
 
 
 def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:
-    """solve_eg on a validated market's _float_image, returning its last
-    iterate even on a stall.
+    """Proportional response on a validated market's _float_image, returning
+    its last iterate even on a stall.
 
     Zero-budget buyers and inactive goods are dropped once, before the loop,
     and every update writes into buffers allocated once. Money is the bid
@@ -468,6 +462,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     docstring). probes counts the max flows; the trace's prices are in the
     market's own numeric mode.
     """
+    check_prices(p0, market.n)
     twin = market.rational_twin()
     p = tuple(EXACT.coerce(v) for v in p0)
     if not check_feasible(twin, p).feasible:

@@ -114,6 +114,29 @@ def test_solve_market_without_a_float_image(tmp_path):
     assert diagnostics["eg_iterations"] is None
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_without_a_minimal_price_exits_2(tmp_path, mode):
+    """Good A is valued only by a buyer without money, so its price can fall
+    without bound: solve fails with the solver-failure exit code and writes
+    no report."""
+    market = {
+        "kind": "market",
+        "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}],
+        "buyers": [
+            {"name": "b1", "values": [0, 2], "budget": 1},
+            {"name": "b2", "values": [1, 1], "budget": 0},
+        ],
+    }
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(market), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, out, err = run_cli("solve", str(path), "--mode", mode, "--out", str(report))
+    assert code == EXIT_DISAGREE
+    assert out == ""
+    assert err == "error: goods [1] can fall without bound: no minimal price\n"
+    assert not report.exists()
+
+
 def test_solve_arctic_reports_owner_bundles(fixture_dir):
     code, out, _ = run_cli(
         "solve", str(fixture_dir / "example2_arctic_split.json"), "--no-timestamp"

@@ -14,9 +14,17 @@ from qfmarket.feasibility import (
     meet_allocation,
     outcome_is_feasible,
 )
-from qfmarket.market import Buyer, Good, Market, MarketError, PriceDomainError, aggregate
+from qfmarket.market import (
+    Buyer,
+    Good,
+    Market,
+    MarketError,
+    PriceDomainError,
+    aggregate,
+    demand_sets,
+)
 from qfmarket.marketio import load_market
-from qfmarket.numeric import EXACT
+from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
 from qfmarket.solver import lattice_descent
 
@@ -283,3 +291,27 @@ def test_price_vectors_of_the_wrong_length_are_rejected(fixture_dir, check, p):
     market = load_market((fixture_dir / "example2.json").read_text(), EXACT).market
     with pytest.raises(PriceDomainError, match=f"{len(p)} prices for 2 goods"):
         check(market, p)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("p", [(_NAN, 1.0), (1.0, _NAN), (_INF, 1.0), (1.0, -_INF)])
+@pytest.mark.parametrize(
+    "check", [check_feasible, check_clearing, build_spending_graph, demand_sets, lattice_descent]
+)
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_non_finite_prices_are_rejected(fixture_dir, mode, check, p):
+    """An exact market's checks raised a bare ValueError on NaN and an
+    OverflowError on an infinity; a float market's read every buyer's demand
+    set as empty at NaN and called the price infeasible."""
+    market = load_market((fixture_dir / "example2.json").read_text(), mode).market
+    with pytest.raises(PriceDomainError, match="not positive and finite"):
+        check(market, p)
+
+
+def test_a_huge_fraction_price_is_finite(ref_exact):
+    """A Fraction beyond the float range is a finite price: it is compared,
+    never converted."""
+    cert = check_feasible(ref_exact, (F(10) ** 400, F(1)))
+    assert not cert.feasible and cert.witness.goods == (2,)

@@ -90,6 +90,20 @@ def test_bounds_validation(ref_float):
         grid_scan(ref_float, [(0.1, 2.0)], 5)
 
 
+@pytest.mark.parametrize(
+    "window", [(0.5, float("inf")), (0.5, float("nan")), (float("nan"), 2.0)]
+)
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_non_finite_windows_are_refused(fixture_dir, mode, window):
+    """A float scan over (0.5, inf) returned axes (nan, inf, inf, inf, inf)
+    and no feasible point; an exact one raised a bare ValueError."""
+    market = load_market((fixture_dir / "example2.json").read_text(), mode).market
+    with pytest.raises(MarketError, match="bad price window"):
+        grid_scan(market, window, 5)
+    with pytest.raises(MarketError, match="bad price window"):
+        grid_scan(market, (window, (0.5, 2.0)), 5)
+
+
 def test_per_good_bounds(ref_float):
     grid = grid_scan(ref_float, ((0.5, 1.0), (0.4, 2.0)), 5)
     assert grid.axes[0][-1] == pytest.approx(1.0)

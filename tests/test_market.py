@@ -109,6 +109,22 @@ def test_validate_market_flags_non_finite_numbers(bad):
             require_valid(market)
 
 
+def test_exact_markets_hold_only_ints_and_fractions():
+    """A float or a bool in an exact market used to pass validation and fail
+    later, in demand_sets, with an AttributeError."""
+    market = Market(
+        (Good("a", 1), Good("b", 2.0)),
+        (Buyer("x", (1.5, F(2)), 1), Buyer("y", (1, 3), True)),
+    )
+    assert validate_market(market) == [
+        "good b: supply 2.0 is not an int or a Fraction in an exact market",
+        "buyer x: value for good a 1.5 is not an int or a Fraction in an exact market",
+        "buyer y: budget True is not an int or a Fraction in an exact market",
+    ]
+    assert validate_market(market.coerced(EXACT)) == []
+    assert validate_market(market.coerced(float_mode())) == []
+
+
 def test_strip_worthless_goods():
     market = Market(
         (Good("A", F(1)), Good("B", F(2))),

@@ -58,14 +58,46 @@ def test_solve_float_reference_market(ref_float):
 
 
 def test_solve_eg_converges_with_certified_gap(ref_float):
-    eg = solve_eg(ref_float, tol=1e-10)
+    eg = solver._solve_eg(solver._float_image(ref_float), 1e-10)
     assert eg.duality_gap <= 1e-10
     assert max(abs(p - 0.6) for p in eg.prices) <= 1e-4
     assert len(eg.allocation) == 3 and len(eg.leftover) == 3
     sold = [sum(row[k] for row in eg.allocation) for k in range(2)]
     assert abs(sold[0] - 3.0) <= 1e-6 and abs(sold[1] - 2.0) <= 1e-6
-    with pytest.raises(MarketError):
-        solve_eg(ref_float, tol=0.0)
+
+
+def test_solve_eg_is_the_run_solve_makes(ref_exact):
+    """In both modes, and on draw 15, whose run ends before its support
+    settles and which the descent certifies."""
+    markets = [ref_exact] + [_draw(0, k, 6, 6) for k in (0, 8, 15)]
+    for market in markets:
+        for m in (market, market.coerced(float_mode())):
+            assert solve_eg(m) == solve(m).eg
+
+
+@pytest.mark.parametrize("value", [F(10) ** 400, F(1, 10**400)], ids=["huge", "tiny"])
+def test_solve_eg_of_a_market_without_a_float_image_is_none(value):
+    """solve_eg raised OverflowError on the huge value and ValueError on the
+    tiny one, which reads as 0.0 and leaves good A valued by nobody."""
+    market = Market(
+        (Good("A", F(1)), Good("B", F(1))),
+        (Buyer("b1", (value, F(2)), F(1)), Buyer("b2", (F(0), F(3)), F(1))),
+        EXACT,
+    )
+    assert solve_eg(market) is None
+    assert solve(market).eg is None
+
+
+def test_an_exact_market_holding_a_float_is_refused():
+    """It passed validation and solve died in demand_sets with an
+    AttributeError; read as Fractions, the same numbers solve."""
+    market = Market(
+        (Good("a", 1), Good("b", 2)),
+        (Buyer("x", (1.5, 2), 1), Buyer("y", (1, 3), 2)),
+    )
+    with pytest.raises(MarketError, match="value for good a 1.5 is not an int or a Fraction"):
+        solve(market)
+    assert solve(market.coerced(EXACT)).clearing_certificate.clearing
 
 
 def test_zero_supply_goods_get_imputed_prices():
@@ -281,13 +313,12 @@ def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatc
 
 
 def test_stalled_proportional_response_goes_to_the_descent(ref_exact, monkeypatch):
-    """solve_eg's stall carries its last iterate; solve does not fail on a
-    run that ended above its gap target without its support agreeing, but
-    certifies the descent's answer."""
-    with pytest.raises(SolverConvergenceError) as stall:
-        solve_eg(ref_exact, tol=1e-12, max_iter=25)
-    assert stall.value.last.iterations == 25
-    assert stall.value.last.duality_gap == stall.value.gap > 1e-12
+    """Proportional response returns its last iterate on a stall; solve does
+    not fail on a run that ended above its gap target without its support
+    agreeing, but certifies the descent's answer."""
+    last = solver._solve_eg(solver._float_image(ref_exact), 1e-12, max_iter=25)
+    assert last.iterations == 25
+    assert last.duality_gap > 1e-12
 
     stalled = []
     run_eg = solver._solve_eg
@@ -382,7 +413,7 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
 
 def test_support_stop_shortens_proportional_response():
     """On the seed-0 battery, solve stops proportional response no later than
-    solve_eg's gap stop, within 1e-6 of p*. Every draw but 15 is certified by
+    a gap stop at 1e-8, within 1e-6 of p*. Every draw but 15 is certified by
     its support candidate; draw 15's run ends at its first gap check, before
     its support settles."""
     rng = random.Random(0)
@@ -391,7 +422,7 @@ def test_support_stop_shortens_proportional_response():
         for m in (market, market.coerced(float_mode())):
             res = solve(m)
             assert res.certified_by == ("descent" if draw == 15 else "rounding")
-            assert res.eg.iterations <= solve_eg(m).iterations
+            assert res.eg.iterations <= solver._solve_eg(solver._float_image(m), 1e-8).iterations
             assert res.method_agreement <= 1e-6 * max(res.p_star)
 
 
@@ -460,8 +491,9 @@ def test_many_buyer_descent_trace_is_pinned():
     )
 
 
-# (draw, iterations, prices, duality gap) of solve_eg at its defaults. The
-# exact and float images of each market give the same numbers.
+# (draw, iterations, prices, duality gap) of proportional response run to
+# the gap 1e-8. The exact and float images of each market give the same
+# numbers.
 _EG_PINS = (
     (None, 75, (0.5999999955737777, 0.6000000066393335), 3.6886014243009413e-09),
     (0, 850, (2.333333328475066, 0.8333333292308187, 0.8333333295836798, 0.7142857087205543),
@@ -476,7 +508,7 @@ def test_proportional_response_iterates_are_pinned(ref_exact, mode, draw, iterat
     market = ref_exact if draw is None else _draw(0, draw, 6, 6)
     if not mode.is_exact:
         market = market.coerced(mode)
-    sol = solve_eg(market)
+    sol = solver._solve_eg(solver._float_image(market), 1e-8)
     assert sol.iterations == iterations
     assert sol.prices == pytest.approx(prices, rel=1e-12, abs=0.0)
     assert sol.duality_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
@@ -579,3 +611,70 @@ def test_permuting_buyers_or_goods_permutes_p_star():
             p_star = solve(market.coerced(mode)).p_star
             assert solve(by_buyers.coerced(mode)).p_star == p_star
             assert solve(by_goods.coerced(mode)).p_star == tuple(p_star[k] for k in order)
+
+
+def _redenominate(market, j, c):
+    """Good j (0-based) counted in units c times smaller: its supply divided
+    by c, every value for it multiplied by c."""
+    goods = tuple(
+        Good(g.name, g.supply / c if k == j else g.supply) for k, g in enumerate(market.goods)
+    )
+    buyers = tuple(
+        Buyer(b.name, tuple(v * c if k == j else v for k, v in enumerate(b.values)), b.budget)
+        for b in market.buyers
+    )
+    return Market(goods, buyers, market.mode)
+
+
+def _split(market, i, shares):
+    """Buyer i (0-based) replaced by bids with its values and budgets
+    budget * share, one per share."""
+    b = market.buyers[i]
+    bids = tuple(Buyer(f"{b.name}/{k}", b.values, b.budget * s) for k, s in enumerate(shares))
+    return Market(market.goods, market.buyers[:i] + bids + market.buyers[i + 1:], market.mode)
+
+
+def _assert_redenominating_scales_p_star(market, j, c):
+    base, moved = solve(market), solve(_redenominate(market, j, c))
+    assert moved.p_star == tuple(p * c if k == j else p for k, p in enumerate(base.p_star))
+    assert moved.allocation == tuple(
+        tuple(x / c if k == j else x for k, x in enumerate(bundle)) for bundle in base.allocation
+    )
+    assert (moved.revenue, moved.welfare) == (base.revenue, base.welfare)
+
+
+def _assert_splitting_keeps_p_star(market, i, shares):
+    base, split = solve(market), solve(_split(market, i, shares))
+    assert (split.p_star, split.revenue) == (base.p_star, base.revenue)
+
+
+def test_redenominating_a_good_scales_its_price_exactly():
+    """Supply / c and values x c for one good: p*_j is multiplied by c, that
+    good's column of the allocation divided by c, and revenue and welfare
+    stay, exactly, on the seed-0 battery."""
+    rng = random.Random(0)
+    for draw in range(20):
+        market = random_market(rng, 6, 6)
+        for c in (F(3), F(1, 7)):
+            _assert_redenominating_scales_p_star(market, draw % market.n, c)
+
+
+def test_splitting_a_buyer_keeps_p_star_exactly():
+    """A buyer replaced by same-valued bids whose budgets sum to its own
+    leaves p* and revenue unchanged, exactly, on the seed-0 battery."""
+    rng = random.Random(0)
+    for draw in range(20):
+        market = random_market(rng, 6, 6)
+        for shares in ((F(1, 2), F(1, 2)), (F(1, 3), F(1, 6), F(1, 2))):
+            _assert_splitting_keeps_p_star(market, draw % market.m, shares)
+
+
+def test_redenominating_and_splitting_float_markets():
+    """The same two relations in float mode, on dyadic markets (values and
+    budgets in quarters), where scaling by a power of two and halving or
+    quartering a budget round nothing."""
+    for seed in range(10):
+        market = _many_buyers(random.Random(seed), 6, 4).coerced(float_mode())
+        for c in (4.0, 0.125):
+            _assert_redenominating_scales_p_star(market, seed % market.n, c)
+        _assert_splitting_keeps_p_star(market, seed % market.m, (0.5, 0.25, 0.25))
