@@ -32,9 +32,9 @@ from .market import (
     PriceVector,
     aggregate,
     bang_per_buck,
-    check_prices,
     demand_sets,
     is_demanded,
+    read_prices,
     require_valid,
 )
 from .numeric import Number
@@ -46,8 +46,10 @@ class OutcomeInfeasibleError(MarketError):
 
 @dataclass(frozen=True)
 class SpendingGraph:
-    """Bang-per-buck structure of all buyers at one price vector."""
+    """Bang-per-buck structure of all buyers at one price vector, and the
+    prices as it read them (see read_prices)."""
 
+    prices: PriceVector
     bpb: Tuple[BangPerBuckSet, ...]
     capacities: Tuple[Number, ...]  # p_j * s_j per good
 
@@ -80,31 +82,33 @@ class FeasibilityCertificate:
 
 def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
     """Each buyer's bang-per-buck set at p, ties read at the market mode's
-    tolerance, and each good's money capacity p_j * s_j. The sets come from
-    demand_sets in one pass over the buyers: integer comparisons in exact
-    mode, with each price read as the rational it is, and one numpy pass in
-    float mode."""
-    caps = tuple(price * good.supply for price, good in zip(p, market.goods))
-    return SpendingGraph(demand_sets(market, p), caps)
+    tolerance, and each good's money capacity p_j * s_j, both at p as
+    read_prices reads it: on an exact market each price is the rational it
+    is, so the capacities are exact too. The sets come from demand_sets in
+    one pass over the buyers: integer comparisons in exact mode and one
+    numpy pass in float mode."""
+    prices = read_prices(market, p)
+    caps = tuple(price * good.supply for price, good in zip(prices, market.goods))
+    return SpendingGraph(prices, demand_sets(market, prices), caps)
 
 
 class _Routing:
     """Shared two-phase flow state behind check_feasible / check_clearing.
 
-    The prices are checked first (see check_prices). On an exact market they
-    are then read as exact rationals (Fraction of a float is exact), and the
-    network carries every budget and capacity times their least common
-    denominator `unit`: its residuals are ints, and flows come back as
-    Fraction(flow, unit). On a float market the flow's zero and its
+    The prices are those the spending graph read (graph.prices, see
+    read_prices): exact rationals on an exact market (Fraction of a float is
+    exact). There the network carries every budget and capacity times their
+    least common denominator `unit`: its residuals are ints, and flows come
+    back as Fraction(flow, unit). On a float market the flow's zero and its
     saturation slack scale the mode's tolerance by the money in play.
+    Buyer i is the network's left node 1 + i and good k its right node
+    1 + m + k.
     """
 
     def __init__(self, market: Market, p: PriceVector):
         self.market = market
         exact = market.mode.is_exact
-        check_prices(p, market.n)
-        self.p = tuple(map(Fraction, p)) if exact else tuple(p)
-        self.graph = build_spending_graph(market, self.p)
+        self.graph = build_spending_graph(market, p)
         m, n = market.m, market.n
         budgets = [b.budget for b in market.buyers]
         caps = list(self.graph.capacities)
@@ -119,9 +123,7 @@ class _Routing:
             self.slack = tol * scale * (m + n + 4)
             zero = tol * scale
         self.budgets = budgets  # in network units, as is self.slack
-        self.source = 0
-        self.sink = m + n + 1
-        self.net = FlowNetwork(m + n + 2, zero=zero)
+        self.net = net = FlowNetwork(m, n, zero=zero)
         self.spend_edges = [[] for _ in range(m)]  # (good index 0-based, edge id)
         # Spend edges hold more than every budget and capacity together, so
         # no minimum cut uses one, and the goods on a cut's source side are
@@ -129,12 +131,12 @@ class _Routing:
         unbounded = sum(budgets) + sum(caps) + 1
         for i, bpb in enumerate(self.graph.bpb):
             if bpb.strict:
-                self.net.add_edge(self.source, 1 + i, budgets[i])
+                net.add_edge(net.source, 1 + i, budgets[i])
             for j in sorted(bpb.goods - {MONEY}):
-                eid = self.net.add_edge(1 + i, 1 + m + (j - 1), unbounded)
+                eid = net.add_edge(1 + i, 1 + m + (j - 1), unbounded)
                 self.spend_edges[i].append((j - 1, eid))
         for k in range(n):
-            self.net.add_edge(1 + m + k, self.sink, caps[k])
+            net.add_edge(1 + m + k, net.sink, caps[k])
 
     def _money(self, flow):
         """A flow of the network in the market's money."""
@@ -142,28 +144,29 @@ class _Routing:
 
     def run_strict_phase(self):
         required = sum(self.budgets[i] for i in self.graph.strict_buyers)
-        self.strict_flow = self.net.max_flow(self.source, self.sink)
+        self.strict_flow = self.net.max_flow()
         return required - self.strict_flow <= self.slack
 
     def run_extension_phase(self):
         for i, bpb in enumerate(self.graph.bpb):
             if not bpb.strict:
-                self.net.add_edge(self.source, 1 + i, self.budgets[i])
-        extension = self.net.max_flow(self.source, self.sink)
+                self.net.add_edge(self.net.source, 1 + i, self.budgets[i])
+        extension = self.net.max_flow()
         return self._money(self.strict_flow + extension)
 
     def allocation(self) -> Allocation:
-        zeros = [0 * price for price in self.p]
+        prices = self.graph.prices
+        zeros = [0 * price for price in prices]
         bundles = []
         for i in range(self.market.m):
             bundle = list(zeros)
             for k, eid in self.spend_edges[i]:
-                bundle[k] = self._money(self.net.flow_on(eid)) / self.p[k]
+                bundle[k] = self._money(self.net.flow_on(eid)) / prices[k]
             bundles.append(tuple(bundle))
         return tuple(bundles)
 
     def witness(self) -> OverDemandWitness:
-        reach = self.net.reachable_from(self.source)
+        reach = self.net.reachable_from()
         m = self.market.m
         goods = tuple(k + 1 for k in range(self.market.n) if reach[1 + m + k])
         forced = sum(

@@ -1,29 +1,30 @@
-"""Small deterministic max-flow kernel.
+"""Small deterministic max-flow kernel on layered networks.
 
-Edmonds-Karp (BFS shortest augmenting paths) over adjacency lists. Capacities
-may be any ordered numbers. In this package exact callers hand it Python
-ints and float-mode callers floats: exact callers scale their rational
-amounts to integers with `scale_to_integers` and read flows back as
+A FlowNetwork's layout is fixed when it is built: the source is node 0, the
+`left` nodes (buyers) come next, then the `right` nodes (goods), and the sink
+is the last node. Every edge runs source -> left, left -> right or
+right -> sink; add_edge refuses any other.
+
+max_flow is Edmonds-Karp (BFS shortest augmenting paths) over adjacency
+lists. Capacities may be any ordered numbers. In this package exact callers
+hand it Python ints and float-mode callers floats: exact callers scale their
+rational amounts to integers with `scale_to_integers` and read flows back as
 Fraction(flow, unit). The kernel only compares residuals and takes minima,
 and both keep their order under one positive scale, so the scaled network
 takes the same augmenting paths as the rational one without Fraction
 arithmetic. Augmentation order is fixed by edge insertion order, which
 callers use to make allocations reproducible.
 
-Every network this package builds is layered: the source's edges go to
-left nodes (buyers), left nodes' edges go to right nodes (goods), right
-nodes' edges go to the sink, and no other edge exists. On such a network
-the shortest augmenting paths are source -> left -> right -> sink, and
-Edmonds-Karp's breadth-first search takes them in a fixed order: by the
-source's adjacency order, then by each left node's, then by each right
-node's edges to the sink. Augmenting one closes one of its three edges,
-and no path of three edges reopens an edge of another (only reverse
-residuals grow). So max_flow first augments every such path in one sweep in
-that order, which is exactly the phase of Edmonds-Karp that runs on
-three-edge paths, and its searches then only find the rare longer paths.
-The residuals and the returned total are the ones the searches alone would
-leave. Layering is read off the edges at each call; a network that is not
-layered runs the searches alone.
+On a layered network the shortest augmenting paths are
+source -> left -> right -> sink, and Edmonds-Karp's breadth-first search
+takes them in a fixed order: by the source's adjacency order, then by each
+left node's, then by each right node's edges to the sink. Augmenting one
+closes one of its three edges, and no path of three edges reopens an edge of
+another (only reverse residuals grow). So max_flow first augments every such
+path in one sweep in that order, which is exactly the phase of Edmonds-Karp
+that runs on three-edge paths, and its searches then only find the rare
+longer paths. The residuals and the returned total are the ones the searches
+alone would leave.
 
 `zero` is the residual threshold: residual capacities at or below it count as
 saturated (0 for exact arithmetic, a tiny scale-relative slack for floats).
@@ -43,15 +44,27 @@ def scale_to_integers(amounts):
 
 
 class FlowNetwork:
-    def __init__(self, n_nodes: int, zero=0):
-        self.n_nodes = n_nodes
-        self.adj = [[] for _ in range(n_nodes)]
+    """A network layered source -> left -> right -> sink: the source is node
+    0, left nodes are 1..left, right nodes left + 1..left + right, and the
+    sink is node left + right + 1."""
+
+    def __init__(self, left: int, right: int, zero=0):
+        self.left = left
+        self.source = 0
+        self.sink = left + right + 1
+        self.n_nodes = self.sink + 1
+        self.adj = [[] for _ in range(self.n_nodes)]
         self.to = []
         self.residual = []
         self.zero = zero
 
     def add_edge(self, u: int, v: int, capacity) -> int:
-        """Add a directed edge; returns its id. The reverse edge is id ^ 1."""
+        """Add a directed edge source -> left, left -> right or right -> sink
+        (ValueError for any other); returns its id, which is even. The
+        reverse edge is id ^ 1."""
+        left, sink = self.left, self.sink
+        if not (u == 0 < v <= left or 0 < u <= left < v < sink or left < u < sink == v):
+            raise ValueError(f"edge {u} -> {v} is not source -> left, left -> right or right -> sink")
         eid = len(self.to)
         self.adj[u].append(eid)
         self.to.append(v)
@@ -65,11 +78,12 @@ class FlowNetwork:
         """Flow currently pushed through edge eid (= residual of its reverse)."""
         return self.residual[eid ^ 1]
 
-    def _find_path(self, source: int, sink: int):
+    def _find_path(self):
         adj, to, residual, zero = self.adj, self.to, self.residual, self.zero
+        sink = self.sink
         parent_edge = [-1] * self.n_nodes
-        parent_edge[source] = -2
-        queue = deque([source])
+        parent_edge[self.source] = -2
+        queue = deque([self.source])
         while queue:
             u = queue.popleft()
             for eid in adj[u]:
@@ -81,39 +95,26 @@ class FlowNetwork:
                     queue.append(v)
         return None
 
-    def _layers(self, source: int, sink: int):
-        """The edges leaving each node, in adjacency order, when the network
-        is layered source -> left -> right -> sink (see the module
-        docstring); else None. Right nodes are those with an edge to the
-        sink, left nodes all others but the source and the sink."""
-        to = self.to
-        if source == sink:
-            return None
-        right = {to[eid + 1] for eid in range(0, len(to), 2) if to[eid] == sink}
-        if source in right or sink in right:
-            return None
-        out = [[] for _ in range(self.n_nodes)]
-        for eid in range(0, len(to), 2):
-            u, v = to[eid + 1], to[eid]
-            if u == source:
-                layered = v != source and v != sink and v not in right
-            elif u in right:
-                layered = v == sink
-            else:
-                layered = u != sink and v in right
-            if not layered:
-                return None
-            out[u].append(eid)
-        return out
+    def _sweep(self):
+        """Augment every path source -> left -> right -> sink in breadth-first
+        order; returns the flow added.
 
-    def _sweep(self, source: int, out):
-        """Augment every path source -> left -> right -> sink of a layered
-        network, in breadth-first order; returns the flow added."""
-        to, residual, zero = self.to, self.residual, self.zero
+        Adjacency lists keep insertion order; forward edges have even ids,
+        reverse ones odd. No edge enters the source, and a left node's
+        forward edges are read off its list by parity. A right node's list
+        also holds one reverse edge per left node that reaches it, so its
+        edges to the sink are read off the sink's list instead, once per
+        call."""
+        adj, to, residual, zero = self.adj, self.to, self.residual, self.zero
         total = 0 * zero if zero else 0
-        for es in out[source]:
-            for eb in out[to[es]]:
-                for et in out[to[eb]]:
+        to_sink = {}
+        for r in adj[self.sink]:
+            to_sink.setdefault(to[r], []).append(r ^ 1)
+        for es in adj[self.source]:
+            for eb in adj[to[es]]:
+                if eb & 1:
+                    continue
+                for et in to_sink.get(to[eb], ()):
                     rs, rb = residual[es], residual[eb]
                     if rs <= zero or rb <= zero:
                         break
@@ -134,22 +135,19 @@ class FlowNetwork:
                     break
         return total
 
-    def max_flow(self, source: int, sink: int):
-        """Push flow until no augmenting path remains; returns the added value.
+    def max_flow(self):
+        """Push flow from the source to the sink until no augmenting path
+        remains; returns the added value.
 
         May be called repeatedly (e.g. after adding edges); each call returns
-        only the increment, so totals are the caller's bookkeeping. A layered
-        network first has its three-edge paths swept (see the module
-        docstring).
+        only the increment, so totals are the caller's bookkeeping. Every
+        call sweeps the three-edge paths first and then searches for longer
+        ones (see the module docstring).
         """
-        to, residual = self.to, self.residual
-        out = self._layers(source, sink)
-        if out is None:
-            total = 0 * self.zero if self.zero else 0
-        else:
-            total = self._sweep(source, out)
+        to, residual, source, sink = self.to, self.residual, self.source, self.sink
+        total = self._sweep()
         while True:
-            parent_edge = self._find_path(source, sink)
+            parent_edge = self._find_path()
             if parent_edge is None:
                 return total
             bottleneck = None
@@ -168,15 +166,15 @@ class FlowNetwork:
                 v = to[eid ^ 1]
             total += bottleneck
 
-    def reachable_from(self, source: int):
-        """Nodes reachable through positive residuals; after max_flow this is
-        the source side of a minimum cut."""
-        return self._search(source, 0)
+    def reachable_from(self):
+        """Nodes reachable from the source through positive residuals; after
+        max_flow this is the source side of a minimum cut."""
+        return self._search(self.source, 0)
 
-    def reaching(self, target: int):
-        """Nodes with a positive-residual path to target; after max_flow, the
-        nodes that could still pass more flow on to the sink."""
-        return self._search(target, 1)
+    def reaching(self):
+        """Nodes with a positive-residual path to the sink; after max_flow,
+        the nodes that could still pass more flow on to it."""
+        return self._search(self.sink, 1)
 
     def _search(self, start: int, flip: int):
         """Breadth-first search from start along each adjacent edge eid whose

@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .feasibility import _Routing
-from .market import Market, MarketError, PriceVector, require_valid
+from .market import Market, MarketError, PriceVector, float_demand, require_valid
 from .numeric import Number
 
 
@@ -113,13 +113,13 @@ def _flow_scan(market: Market, axes):
 def _gale_scan(market: Market, axes):
     """Membership and revenue by Gale's condition, chunk by chunk.
 
-    Demand sets use bang_per_buck's arithmetic at the mode's tolerance, and a
-    point is feasible when the strict budgets fall short of their max flow
-    by no more than the flow check's slack tol * scale * (m + n + 4).
+    Demand sets come from market.float_demand, the tie band that float
+    demand_sets reads, and a point is feasible when the strict budgets fall
+    short of their max flow by no more than the flow check's slack
+    tol * scale * (m + n + 4).
     """
     m, n = market.m, market.n
     tol = market.mode.tol
-    values = np.array([b.values for b in market.buyers], dtype=np.float64)
     budgets = np.array([b.budget for b in market.buyers], dtype=np.float64)
     supplies = np.array(market.supplies, dtype=np.float64)
     grid_axes = [np.array(ax, dtype=np.float64) for ax in axes]
@@ -138,10 +138,9 @@ def _gale_scan(market: Market, axes):
         stop = min(start + chunk, points)
         idx = np.unravel_index(np.arange(start, stop), shape)
         p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)], axis=-1)  # (k, n)
-        ratios = values / p[:, None, :]  # (k, m, n)
-        cutoff = (1 - tol) * np.maximum(ratios.max(axis=-1), 1.0)  # (k, m)
-        demand = ((ratios >= cutoff[..., None]) * bits).sum(axis=-1)  # bit masks
-        strict = np.where(1 < cutoff, budgets, 0.0)
+        _, demanded, money = float_demand(market, p)  # (k, m, n), (k, m)
+        demand = (demanded * bits).sum(axis=-1)  # bit masks
+        strict = np.where(money, 0.0, budgets)
         caps = p * supplies  # (k, n)
         missed = (demand[..., None] & outside) != 0  # (k, m, 2^n): D_i not in A
         cut_caps = caps @ in_set.T  # (k, 2^n)

@@ -263,6 +263,14 @@ def check_prices(p: PriceVector, n: int) -> None:
             raise PriceDomainError(f"undefined ratio: price {entry} is not positive and finite")
 
 
+def read_prices(market: Market, p: PriceVector) -> PriceVector:
+    """p as every check of `market` reads it, once check_prices passes: each
+    entry as the rational it is, Fraction(x), in exact mode (a float
+    included), and as given in float mode."""
+    check_prices(p, market.n)
+    return tuple(map(Fraction, p)) if market.mode.is_exact else tuple(p)
+
+
 def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     """Every buyer's bang-per-buck set at p, ties read at the market mode's
     tolerance: field for field what bang_per_buck(buyer, p, market.mode.tol)
@@ -276,17 +284,17 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     scores V_j (L / P_j), so v_j / p_j > v_k / p_k exactly when
     V_j P_k > V_k P_j, and the best ratio beats money's 1 exactly when the
     top score times Q exceeds D L. Only a best ratio above 1 is divided
-    out, as max_ratio. Each price is read once as Fraction(x), the rational
-    it is (a float included, as the clearing checks read it), so the sets
-    are bang_per_buck's at those Fractions and every max_ratio is exact.
+    out, as max_ratio. The prices are read with read_prices, as the clearing
+    checks read them (a float as the rational it is), so the sets are
+    bang_per_buck's at those Fractions and every max_ratio is exact.
 
     Float mode is one numpy pass with bang_per_buck's own operations, v / p
     and then (1 - tol) * best, so its sets and ratios are the same floats.
     """
-    check_prices(p, market.n)
+    p = read_prices(market, p)
     if not market.mode.is_exact:
-        return _float_demand_sets(market, p, market.mode.tol)
-    unit, prices = scale_to_integers([Fraction(x) for x in p])
+        return _float_demand_sets(market, p)
+    unit, prices = scale_to_integers(p)
     lcm = math.lcm(*prices)
     weights = [lcm // price for price in prices]
     only_money = BangPerBuckSet(frozenset({MONEY}), 1)
@@ -312,15 +320,22 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     return tuple(sets)
 
 
-def _float_demand_sets(market: Market, p: PriceVector, tol: Number):
-    ratios = market._float_values / np.array(p, dtype=np.float64)
-    best = ratios.max(axis=1)
-    cutoff = (1 - tol) * np.maximum(best, 1.0)
+def float_demand(market: Market, p: np.ndarray):
+    """Float mode's tie band over a (..., n) array of price vectors, with
+    bang_per_buck's own operations: ratios v / p, best = their maximum, and
+    the cutoff (1 - tol) * max(best, 1). Returns best (..., m), the goods
+    each buyer demands, those with a ratio at or above the cutoff (..., m, n),
+    and whether money's ratio 1 is (..., m)."""
+    ratios = market._float_values / p[..., None, :]
+    best = ratios.max(axis=-1)
+    cutoff = (1 - market.mode.tol) * np.maximum(best, 1.0)
+    return best, ratios >= cutoff[..., None], cutoff <= 1
+
+
+def _float_demand_sets(market: Market, p: PriceVector):
+    best, demanded, money = float_demand(market, np.array(p, dtype=np.float64))
     width = market.n + 1
-    options = np.empty((market.m, width), dtype=bool)  # money, then goods 1..n
-    options[:, MONEY] = cutoff <= 1
-    np.greater_equal(ratios, cutoff[:, None], out=options[:, 1:])
-    rows = options.tobytes()
+    rows = np.column_stack((money, demanded)).tobytes()  # money, then goods 1..n
     shared = {}
     sets = []
     for start, ratio in zip(range(0, len(rows), width), best.tolist()):

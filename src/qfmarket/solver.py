@@ -58,8 +58,8 @@ from .market import (
     MarketError,
     PriceVector,
     aggregate,
-    check_prices,
     demand_sets,
+    read_prices,
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
@@ -420,26 +420,25 @@ def _route(market: Market, p: PriceVector, captured, down: frozenset, factor):
     """Max flow of the captured budgets into `down`, whose capacities
     p_j * s_j are scaled by factor.
 
-    Node 0 is the source, nodes 1..len(captured) the captured buyers, then
-    one node per good of `down` (returned as node), then the sink. Budgets
-    and capacities enter the network times their least common denominator,
-    so it runs on ints; callers read only its cut sets, which that one
-    positive scale leaves unchanged.
+    The captured buyers are the network's left nodes 1..len(captured) and
+    the goods of `down` its right nodes (returned as node). Budgets and
+    capacities enter the network times their least common denominator, so
+    it runs on ints; callers read only its cut sets, which that one positive
+    scale leaves unchanged.
     """
     goods_down = sorted(down)
     node = {j: 1 + len(captured) + k for k, j in enumerate(goods_down)}
-    sink = 1 + len(captured) + len(down)
     caps = [factor * p[j - 1] * market.goods[j - 1].supply for j in goods_down]
     _, scaled = scale_to_integers([budget for budget, _ in captured] + caps)
-    net = FlowNetwork(sink + 1)
+    net = FlowNetwork(len(captured), len(down))
     for b, ((_, goods), budget) in enumerate(zip(captured, scaled), start=1):
-        net.add_edge(0, b, budget)
+        net.add_edge(net.source, b, budget)
         for j in goods:
             net.add_edge(b, node[j], budget)
     for j, cap in zip(goods_down, scaled[len(captured):]):
-        net.add_edge(node[j], sink, cap)
-    net.max_flow(0, sink)
-    return net, node, sink
+        net.add_edge(node[j], net.sink, cap)
+    net.max_flow()
+    return net, node
 
 
 def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
@@ -459,12 +458,13 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
        ratio forced / capacity of the min-cut witness, until they do.
 
     The walk stops when D is empty, which proves minimality (see the module
-    docstring). probes counts the max flows; the trace's prices are in the
-    market's own numeric mode.
+    docstring). The start is read as the market's own checks read it (see
+    read_prices) and then brought onto the twin: on an exact market a float
+    start is the rational it is, as check_feasible reads it. probes counts
+    the max flows; the trace's prices are in the market's own numeric mode.
     """
-    check_prices(p0, market.n)
     twin = market.rational_twin()
-    p = tuple(EXACT.coerce(v) for v in p0)
+    p = tuple(map(EXACT.coerce, read_prices(market, p0)))
     if not check_feasible(twin, p).feasible:
         raise InfeasibleStartError(f"start price {tuple(p0)!r} is not feasible")
     start = p
@@ -476,9 +476,9 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
         down = every
         while down:
             captured = _captured(twin, best, down)
-            net, node, sink = _route(twin, p, captured, down, 1)
+            net, node = _route(twin, p, captured, down, 1)
             probes += 1
-            spare = net.reaching(sink)
+            spare = net.reaching()
             stuck = {j for j in down if not spare[node[j]]}
             blocked = {
                 j
@@ -493,9 +493,9 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             break
         factor = _next_event(twin, p, best, down)
         while True:
-            net, node, sink = _route(twin, p, captured, down, factor)
+            net, node = _route(twin, p, captured, down, factor)
             probes += 1
-            reach = net.reachable_from(0)
+            reach = net.reachable_from()
             forced = sum(b for k, (b, _) in enumerate(captured, start=1) if reach[k])
             if not forced:
                 break
@@ -593,9 +593,11 @@ def solve(market: Market) -> EquilibriumResult:
         trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
     else:
         certified_by = "descent"
-        # The descent runs on the twin already built; its trace comes back
-        # in the market's own mode, as lattice_descent(market, ...) gives it.
-        trace = _in_mode(lattice_descent(twin, initial_feasible_price(market)), market.mode)
+        # The descent runs on the twin already built, from the start
+        # lattice_descent(market, ...) would bring onto it; its trace comes
+        # back in the market's own mode.
+        start = tuple(map(EXACT.coerce, initial_feasible_price(market)))
+        trace = _in_mode(lattice_descent(twin, start), market.mode)
         p_star = trace.final
         cert = check_clearing(market, p_star)
         if not cert.clearing:

@@ -62,3 +62,16 @@ def test_no_module_imports_a_private_sibling_name():
                 (path.stem, alias.name) for alias in node.names if alias.name.startswith("_")
             )
     assert crossings == PRIVATE_IMPORTS_ALLOWED
+
+
+def test_only_market_reads_prices_through_check_prices():
+    """Every other module reads prices with market.read_prices, so a price
+    is read the same way by every check."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "check_prices" for alias in node.names
+            ):
+                importers.add(path.stem)
+    assert importers <= {"market"}

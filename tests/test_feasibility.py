@@ -125,6 +125,15 @@ def test_spending_graph_structure(ref_exact):
     assert relaxed.strict_buyers == ()
 
 
+def test_spending_graph_reads_a_float_price_as_the_rational_it_is(ref_exact):
+    """On an exact market the capacities are exact, as the checks read them;
+    a float price used to give float capacities next to Fraction ratios."""
+    graph = build_spending_graph(ref_exact, (0.6, 0.6))
+    assert graph.prices == (F(0.6), F(0.6))
+    assert graph.capacities == (F(0.6) * 3, F(0.6) * 2)
+    assert all(type(c) is F for c in graph.capacities)
+
+
 def test_the_mode_tolerance_reaches_the_checks(ref_exact, ref_float):
     """At p, buyer2's ratios 2/p_1 and 2/p_2 differ by 1e-10 relative. Float
     mode's fixed 1e-9 band ties them, and buyer2's budget may then go to good

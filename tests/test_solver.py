@@ -136,6 +136,16 @@ def test_descent_rejects_infeasible_start(ref_exact):
         lattice_descent(ref_exact, (F(1, 2), F(1, 2)))
 
 
+def test_descent_reads_a_float_start_as_the_checks_do(ref_exact, ref_float):
+    """0.6 is just below 3/5, so (0.6, 0.6) is infeasible on the exact
+    market. The descent used to read it through its shortest decimal, as
+    (3/5, 3/5), and accept it; a float market still reads it that way."""
+    assert not check_feasible(ref_exact, (0.6, 0.6)).feasible
+    with pytest.raises(InfeasibleStartError):
+        lattice_descent(ref_exact, (0.6, 0.6))
+    assert lattice_descent(ref_float, (0.6, 0.6)).final == (0.6, 0.6)
+
+
 def test_descent_rejects_markets_without_a_minimal_price():
     """Only a buyer without money values good B, so its price can fall to 0."""
     market = Market(
