@@ -5,13 +5,14 @@ price can all be read off a grid: decide feasibility and the max-extension
 revenue at every lattice point, remember both, and reduce. The solvers are
 tested against these scans, never the other way around.
 
-Float-mode scans read both numbers off Gale's supply-demand condition in
-closed form, vectorized over chunks of lattice points. With D_i the goods
-buyer i demands and c_j = p_j s_j, the max flow of budgets b_i into the
-goods is the minimum over good sets A of sum_{j in A} c_j plus the budgets
-of the buyers with D_i not inside A. Exact-mode scans run the two-phase
-flow of the clearing check at every point, in exact arithmetic: integer
-demand sets (market.demand_sets) and a max flow on integers.
+Both modes read both numbers off Gale's supply-demand condition in closed
+form, vectorized over chunks of lattice points. With D_i the goods buyer i
+demands and c_j = p_j s_j, the max flow of budgets b_i into the goods is the
+minimum over good sets A of sum_{j in A} c_j plus the budgets of the buyers
+with D_i not inside A. An exact-mode scan reads each point's demand sets in
+integers (market.demand_sets) and scales the budgets and every lattice
+capacity to integers over one common denominator, so its cut values are
+exact.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .feasibility import _Routing
-from .market import Market, MarketError, PriceVector, float_demand, require_valid
+from .flow import scale_to_integers
+from .market import Market, MarketError, PriceVector, demand_sets, float_demand, require_valid
 from .numeric import Number
 
 
@@ -71,7 +72,7 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
     return tuple(out)
 
 
-# Most elements that any one temporary array of a float-mode scan holds; the
+# Most elements that any one temporary array of a scan holds; the
 # lattice is cut into chunks of points that fit (one point at the least).
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -79,10 +80,9 @@ _CHUNK_ELEMENTS = 1 << 16
 def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
     """Evaluate feasibility and max-extension revenue at every lattice point.
 
-    A float-mode market is scanned in closed form (see the module
-    docstring): each point costs 2^n cut values of m buyers, so the scan
-    outruns one max flow per point for small n and falls behind it as n
-    grows. An exact-mode market runs the two-phase flow at every point.
+    Each point is decided in closed form (see the module docstring) and
+    costs 2^n cut values of m buyers, in either mode, so the scan outruns one
+    max flow per point for small n and falls behind it as n grows.
     """
     require_valid(market)
     if resolution < 2:
@@ -92,40 +92,36 @@ def grid_scan(market: Market, bounds, resolution: int) -> RegionGrid:
         tuple(lo + (hi - lo) * k / (resolution - 1) for k in range(resolution))
         for lo, hi in pairs
     )
-    scan = _flow_scan if market.mode.is_exact else _gale_scan
-    membership, revenue = scan(market, axes)
+    membership, revenue = _gale_scan(market, axes)
     return RegionGrid(pairs, resolution, axes, membership, revenue, market.mode.tol)
-
-
-def _flow_scan(market: Market, axes):
-    shape = tuple(len(ax) for ax in axes)
-    membership = np.zeros(shape, dtype=bool)
-    revenue = np.zeros(shape, dtype=np.float64)
-    for idx in np.ndindex(shape):
-        p = tuple(axes[d][idx[d]] for d in range(market.n))
-        routing = _Routing(market, p)
-        if routing.run_strict_phase():
-            membership[idx] = True
-            revenue[idx] = float(routing.run_extension_phase())
-    return membership, revenue
 
 
 def _gale_scan(market: Market, axes):
     """Membership and revenue by Gale's condition, chunk by chunk.
 
-    Demand sets come from market.float_demand, the tie band that float
-    demand_sets reads, and a point is feasible when the strict budgets fall
-    short of their max flow by no more than the flow check's slack
-    tol * scale * (m + n + 4).
+    A point is feasible when the strict budgets fall short of their max flow
+    by no more than the flow check's slack tol * scale * (m + n + 4), which
+    is 0 in exact mode. Three things depend on the mode:
+    - demand sets: float_demand's tie band (the one float demand_sets reads)
+      in float mode, and one demand_sets call per point, in integers, in
+      exact mode;
+    - money: an exact scan carries budgets and capacities as Python ints,
+      times one common denominator `unit` (scale_to_integers), so its cut
+      values are exact; a float scan's unit is 1;
+    - revenue: flow / unit, which for ints is one correctly rounded division.
     """
     m, n = market.m, market.n
+    exact = market.mode.is_exact
     tol = market.mode.tol
-    budgets = np.array([b.budget for b in market.buyers], dtype=np.float64)
-    supplies = np.array(market.supplies, dtype=np.float64)
-    grid_axes = [np.array(ax, dtype=np.float64) for ax in axes]
-    total_budget = max(1, sum(b.budget for b in market.buyers))
+    amounts = [b.budget for b in market.buyers]
+    amounts += [price * good.supply for ax, good in zip(axes, market.goods) for price in ax]
+    unit, amounts = scale_to_integers(amounts) if exact else (1, amounts)
+    amounts = np.array(amounts, dtype=object if exact else np.float64)
+    budgets, cap_axes = amounts[:m], amounts[m:].reshape(n, -1)  # c_j per axis value
+    grid_axes = [np.array(ax, dtype=amounts.dtype) for ax in axes]
+    total_budget = max(1, sum(b.budget for b in market.buyers)) * unit
     sets = np.arange(1 << n)
-    in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(np.float64)  # (2^n, n)
+    in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(amounts.dtype)  # (2^n, n)
     outside = (1 << n) - 1 - sets  # complement of each set A as a bit mask
     bits = 1 << np.arange(n)
 
@@ -138,10 +134,16 @@ def _gale_scan(market: Market, axes):
         stop = min(start + chunk, points)
         idx = np.unravel_index(np.arange(start, stop), shape)
         p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)], axis=-1)  # (k, n)
-        _, demanded, money = float_demand(market, p)  # (k, m, n), (k, m)
-        demand = (demanded * bits).sum(axis=-1)  # bit masks
-        strict = np.where(money, 0.0, budgets)
-        caps = p * supplies  # (k, n)
+        if exact:
+            rows = [demand_sets(market, point) for point in p]
+            # Bit j of a set's mask is good j + 1; money, index 0, shifts out.
+            demand = np.array([[sum(1 << j for j in s.goods) >> 1 for s in row] for row in rows])
+            money = np.array([[not s.strict for s in row] for row in rows])
+        else:
+            _, demanded, money = float_demand(market, p)  # (k, m, n), (k, m)
+            demand = (demanded * bits).sum(axis=-1)  # bit masks
+        strict = np.where(money, 0, budgets)
+        caps = np.stack([c[i] for c, i in zip(cap_axes, idx)], axis=-1)  # (k, n)
         missed = (demand[..., None] & outside) != 0  # (k, m, 2^n): D_i not in A
         cut_caps = caps @ in_set.T  # (k, 2^n)
         strict_flow = (cut_caps + np.einsum("kma,km->ka", missed, strict)).min(axis=-1)
@@ -150,7 +152,7 @@ def _gale_scan(market: Market, axes):
         feasible = strict.sum(axis=-1) - strict_flow <= slack
         flow = (cut_caps + np.einsum("kma,m->ka", missed, budgets)).min(axis=-1)
         membership[start:stop] = feasible
-        revenue[start:stop] = np.where(feasible, flow, 0.0)
+        revenue[start:stop] = np.where(feasible, flow / unit, 0.0)
     return membership.reshape(shape), revenue.reshape(shape)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .feasibility import check_clearing, check_feasible, meet, meet_allocation, outcome_is_feasible
 from .gridoracle import RegionGrid, grid_scan
-from .market import Buyer, Good, Market, MarketError, bang_per_buck
+from .market import Buyer, Good, Market, MarketError, demand_sets
 from .metrics import social_welfare
 from .numeric import EXACT
 from .solver import EquilibriumResult, initial_feasible_price, solve
@@ -117,10 +117,8 @@ def suite_meet_closure(probe: MarketProbe, rng: random.Random, pairs: int = 100)
             failures.append(f"spliced allocation at meet {r} is not a feasible outcome")
         a_side = {j + 1 for j in range(market.n) if p[j] < q[j]}
         b_side = {j + 1 for j in range(market.n) if p[j] >= q[j]}
-        for i, buyer in enumerate(market.buyers):
-            jr = bang_per_buck(buyer, r).goods
-            jp = bang_per_buck(buyer, p).goods
-            jq = bang_per_buck(buyer, q).goods
+        demanded = [[bpb.goods for bpb in demand_sets(market, x)] for x in (r, p, q)]
+        for i, (jr, jp, jq) in enumerate(zip(*demanded)):
             if jr & a_side:
                 if not (jr & a_side) <= jp or not jp <= jr:
                     failures.append(f"demand shift toward {p} broke for buyer {i} at meet {r}")

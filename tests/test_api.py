@@ -15,12 +15,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "qfmarket"
 
 # (importing module, private name) pairs allowed to cross a module boundary.
-# gridoracle's exact scan runs the two phases of feasibility._Routing at
-# every lattice point and reads the allocation at none. Routing it through
-# check_clearing builds an allocation at every feasible point: over the
-# acceptance probe battery's 43,541 lattice points it took 7.3 and 9.2 s
-# against 5.9 and 6.9 s (two alternated in-process runs, 2 vCPUs).
-PRIVATE_IMPORTS_ALLOWED = {("gridoracle", "_Routing")}
+PRIVATE_IMPORTS_ALLOWED = set()
 
 
 def _traced_names():

@@ -233,9 +233,29 @@ def test_region_writes_grid_and_boundary(fixture_dir, tmp_path):
     assert header == "price_1,price_2,feasible,max_revenue"
 
 
-def test_region_outputs_are_pinned(fixture_dir, tmp_path):
-    """The float scan of example2 over 0.4:3.2 at resolution 141: both CSVs'
-    bytes and the report's reductions, as the per-point flow scan wrote them."""
+@pytest.mark.parametrize(
+    "mode,resolution,feasible,low,digests",
+    [
+        (
+            "float", 141, 11769, 0.6,
+            (
+                "a1ae5da95f079fad231067bc5f2f7a5d496b2d08c91f93e4ee6fb93d17e192b9",
+                "26f247807096685c73d6e4c438fac9cdb66234a079a01d0ee78eedd74560f335",
+            ),
+        ),
+        (
+            "exact", 71, 2992, "3/5",
+            (
+                "d6b9bbb69e148b0f11e51287e3bb89285cb37961ed617f6e2fb97c4c21f191df",
+                "5c930c68fa8d9eaa7c53e042d932d3992ce6a9c3b14a68246521297cec9d8a71",
+            ),
+        ),
+    ],
+    ids=["float", "exact"],
+)
+def test_region_outputs_are_pinned(fixture_dir, tmp_path, mode, resolution, feasible, low, digests):
+    """The scan of example2 over 0.4:3.2 in each mode: both CSVs' bytes and
+    the report's reductions, as the per-point flow scan wrote them."""
     grid_path = tmp_path / "grid.csv"
     code, out, _ = run_cli(
         "region",
@@ -243,27 +263,23 @@ def test_region_outputs_are_pinned(fixture_dir, tmp_path):
         "--bounds",
         "0.4:3.2",
         "--resolution",
-        "141",
+        str(resolution),
         "--out",
         str(grid_path),
         "--no-timestamp",
+        *(["--mode", "exact"] if mode == "exact" else []),  # float is the default
     )
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["mode"] == "float"
-    assert report["feasible_points"] == 11769
-    assert report["min_feasible_price"] == [0.6, 0.6]
-    assert report["max_revenue"] == {"price": [0.6, 0.6], "revenue": 3.0}
+    assert report["mode"] == mode
+    assert report["feasible_points"] == feasible
+    assert report["min_feasible_price"] == [low, low]
+    assert report["max_revenue"] == {"price": [low, low], "revenue": 3.0}
 
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    assert digest(grid_path) == (
-        "a1ae5da95f079fad231067bc5f2f7a5d496b2d08c91f93e4ee6fb93d17e192b9"
-    )
-    assert digest(tmp_path / "grid.boundary.csv") == (
-        "26f247807096685c73d6e4c438fac9cdb66234a079a01d0ee78eedd74560f335"
-    )
+    assert (digest(grid_path), digest(tmp_path / "grid.boundary.csv")) == digests
 
 
 def test_region_lattice_cap(fixture_dir, tmp_path):

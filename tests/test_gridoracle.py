@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfmarket import gridoracle
-from qfmarket.feasibility import check_clearing, check_feasible
+from qfmarket.feasibility import check_clearing
 from qfmarket.gridoracle import (
     export_boundary_csv,
     export_grid_csv,
@@ -110,47 +110,81 @@ def test_per_good_bounds(ref_float):
     assert grid.axes[1][-1] == pytest.approx(2.0)
 
 
-def test_exact_mode_scan_agrees_with_the_flow_check(ref_exact):
-    grid = grid_scan(ref_exact, (F(1, 2), F(3)), 6)
-    assert grid.axes[0] == (F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3))
-    for idx in np.ndindex(grid.membership.shape):
-        p = tuple(grid.axes[d][idx[d]] for d in range(2))
-        assert grid.membership[idx] == check_feasible(ref_exact, p).feasible
-
-
 def _assert_scan_matches_the_flow(market, grid):
+    """Membership and revenue at every lattice point, as check_clearing reads
+    them: an exact revenue as the float nearest the flow's Fraction."""
     for idx in np.ndindex(grid.membership.shape):
         p = tuple(grid.axes[d][idx[d]] for d in range(market.n))
         cert = check_clearing(market, p)
         assert grid.membership[idx] == cert.feasible, p
-        if cert.feasible:
+        if not cert.feasible:
+            assert grid.revenue[idx] == 0.0, p
+        elif market.mode.is_exact:
+            assert grid.revenue[idx] == float(cert.max_extension_revenue), p
+        else:
             assert grid.revenue[idx] == pytest.approx(
                 cert.max_extension_revenue, rel=1e-12, abs=0.0
             ), p
-        else:
-            assert grid.revenue[idx] == 0.0, p
 
 
-def _float_draws():
-    """The first float random_market draw with n goods, for n = 3..6."""
+def _draws(mode):
+    """The first random_market draw with n goods, for n = 3..6, in `mode`."""
     rng = random.Random(11)
     draws = {}
     while len(draws) < 4:
         market = random_market(rng, 6, 6)
         if 3 <= market.n <= 6:
-            draws.setdefault(market.n, market.coerced(float_mode()))
+            draws.setdefault(market.n, market.coerced(mode))
     return [draws[n] for n in sorted(draws)]
+
+
+def _assert_draw_scans_match_the_flow(mode):
+    for market in _draws(mode):
+        resolution = {3: 7, 4: 5, 5: 4, 6: 3}[market.n]
+        top = max(float(v) for b in market.buyers for v in b.values) + 1
+        grid = grid_scan(market, (0.1, top), resolution)
+        _assert_scan_matches_the_flow(market, grid)
 
 
 def test_float_scan_agrees_with_the_flow_check(ref_float, ref_grid, fixture_dir):
     _assert_scan_matches_the_flow(ref_float, ref_grid)  # hits the (0.6, 0.6) tie
     one_good = load_market((fixture_dir / "example1.json").read_bytes(), float_mode()).market
     _assert_scan_matches_the_flow(one_good, grid_scan(one_good, (0.05, 1.2), 60))
-    for market in _float_draws():
-        resolution = {3: 7, 4: 5, 5: 4, 6: 3}[market.n]
-        top = max(float(v) for b in market.buyers for v in b.values) + 1
-        grid = grid_scan(market, (0.1, top), resolution)
-        _assert_scan_matches_the_flow(market, grid)
+    _assert_draw_scans_match_the_flow(float_mode())
+
+
+def test_exact_scan_agrees_with_the_flow_check(ref_exact, fixture_dir):
+    grid = grid_scan(ref_exact, (F(1, 2), F(3)), 6)
+    assert grid.axes[0] == (F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3))
+    _assert_scan_matches_the_flow(ref_exact, grid)
+    tie = grid_scan(ref_exact, (F(2, 5), F(3)), 14)  # steps of 1/5 hit (3/5, 3/5)
+    _assert_scan_matches_the_flow(ref_exact, tie)
+    one_good = load_market((fixture_dir / "example1.json").read_bytes(), EXACT).market
+    _assert_scan_matches_the_flow(one_good, grid_scan(one_good, (0.05, 1.2), 60))
+    _assert_draw_scans_match_the_flow(EXACT)
+    # Good a has no supply, so its capacity is 0 at every price, and buyer x
+    # has no budget to route. Good b's supply puts the scan's money unit
+    # beyond 64 bits.
+    market = Market(
+        (Good("a", F(0)), Good("b", F(2**70 + 1, 2**69))),
+        (
+            Buyer("x", (F(3), F(1)), F(0)),
+            Buyer("y", (F(1), F(2)), F(3, 2)),
+            Buyer("z", (F(2), F(2)), F(1)),
+        ),
+        EXACT,
+    )
+    _assert_scan_matches_the_flow(market, grid_scan(market, (F(1, 10), F(4)), 21))
+    # At price 1 the strict budget tops the capacity by 2^-60, which a scan
+    # in floats would lose; the other buyer keeps its money.
+    market = Market(
+        (Good("g", F(1)),),
+        (Buyer("s", (F(4),), 1 + F(1, 2**60)), Buyer("f", (F(1, 2),), F(1))),
+        EXACT,
+    )
+    grid = grid_scan(market, (F(1), F(2)), 2)
+    assert grid.membership.tolist() == [False, True]
+    _assert_scan_matches_the_flow(market, grid)
 
 
 def test_float_scan_reads_feasibility_within_the_flow_slack(ref_float):
@@ -164,14 +198,20 @@ def test_float_scan_reads_feasibility_within_the_flow_slack(ref_float):
     _assert_scan_matches_the_flow(ref_float, outside)
 
 
-def test_float_scan_across_chunk_seams(ref_float, ref_grid, monkeypatch):
+def test_scans_across_chunk_seams(ref_float, ref_grid, ref_exact, monkeypatch):
     """Chunks of 7 points (84 elements over 3 buyers and 2^2 goods sets) cut
-    the 54 x 54 window into 417 pieces, most of them seamed mid-row."""
+    the 54 x 54 float window into 417 pieces, most of them seamed mid-row,
+    and the 12 x 12 exact one into 21."""
+    exact_whole = grid_scan(ref_exact, (F(1, 2), F(3)), 12)
     monkeypatch.setattr(gridoracle, "_CHUNK_ELEMENTS", 84)
-    grid = grid_scan(ref_float, (0.35, 3.0), 54)
-    assert np.array_equal(grid.membership, ref_grid.membership)
-    assert np.array_equal(grid.revenue, ref_grid.revenue)
-    _assert_scan_matches_the_flow(ref_float, grid)
+    for market, window, whole in (
+        (ref_float, (0.35, 3.0), ref_grid),
+        (ref_exact, (F(1, 2), F(3)), exact_whole),
+    ):
+        grid = grid_scan(market, window, whole.resolution)
+        assert np.array_equal(grid.membership, whole.membership)
+        assert np.array_equal(grid.revenue, whole.revenue)
+        _assert_scan_matches_the_flow(market, grid)
 
 
 def test_boundary_passes_near_the_region_corner(ref_grid):
