@@ -14,6 +14,11 @@ maximal total spend extractable at p (the "max-extension revenue"). Since
 every lower-bounded edge touches the source or the sink, p clears the market
 exactly when that value equals sum_j p_j s_j: total inflow equal to total
 good capacity forces each positively-priced good to sell out.
+
+Outcome checks ask the same demand question of a given allocation:
+outcome_is_feasible (in market, beside demand_sets) and meet_allocation read
+every buyer's set from one demand_sets pass, at the prices the flow checks
+read.
 """
 
 from __future__ import annotations
@@ -30,10 +35,8 @@ from .market import (
     Market,
     MarketError,
     PriceVector,
-    aggregate,
-    bang_per_buck,
     demand_sets,
-    is_demanded,
+    outcome_is_feasible,
     read_prices,
     require_valid,
 )
@@ -215,24 +218,6 @@ def meet(p: PriceVector, q: PriceVector) -> PriceVector:
     return tuple(min(a, b) for a, b in zip(p, q))
 
 
-def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) -> bool:
-    """Def.-style outcome check: aggregate within supply and every bundle demanded.
-
-    p must be positive with one entry per good, else PriceDomainError.
-    """
-    tol = market.mode.tol
-    if len(allocation) != market.m:
-        return False
-    totals = aggregate(allocation, market.n)
-    for total, good in zip(totals, market.goods):
-        if total > good.supply + tol * max(1, good.supply):
-            return False
-    return all(
-        is_demanded(buyer, p, bundle, tol)
-        for buyer, bundle in zip(market.buyers, allocation)
-    )
-
-
 def meet_allocation(
     market: Market,
     p: PriceVector,
@@ -244,7 +229,8 @@ def meet_allocation(
 
     With B = {j : p_j >= q_j}, a buyer keeps its q-outcome bundle y_i whenever
     it demands some good of B at the meet, and its p-outcome bundle x_i
-    otherwise. The result extends meet(p, q) to a feasible outcome.
+    otherwise, its demand at the meet read by one demand_sets pass. The
+    result extends meet(p, q) to a feasible outcome.
     """
     if not outcome_is_feasible(market, p, x):
         raise OutcomeInfeasibleError("first outcome does not extend p feasibly")
@@ -252,8 +238,7 @@ def meet_allocation(
         raise OutcomeInfeasibleError("second outcome does not extend q feasibly")
     r = meet(p, q)
     b_side = {j + 1 for j in range(market.n) if p[j] >= q[j]}
-    chosen = []
-    for buyer, x_i, y_i in zip(market.buyers, x, y):
-        demanded = bang_per_buck(buyer, r, market.mode.tol).goods
-        chosen.append(y_i if demanded & b_side else x_i)
-    return tuple(chosen)
+    return tuple(
+        y_i if bpb.goods & b_side else x_i
+        for bpb, x_i, y_i in zip(demand_sets(market, r), x, y)
+    )

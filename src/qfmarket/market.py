@@ -9,6 +9,11 @@ Conventions used throughout the package:
   entry k belongs to good k+1.
 * a buyer is "strict" at prices p if money is not among its bang-per-buck
   maximizers, in which case any demanded bundle spends the full budget.
+* market-level demand questions go through demand_sets, which reads p with
+  read_prices: the flow checks' spending graph and outcome_is_feasible both
+  do, so a float price on an exact market is the rational it is in each.
+  bang_per_buck, is_demanded and demand_vertices answer for one buyer at p
+  exactly as given, with a tie band of the caller's choosing.
 """
 
 from __future__ import annotations
@@ -371,22 +376,51 @@ def is_demanded(buyer: Buyer, p: PriceVector, x: Bundle, tol: Number = 0) -> boo
     is not a maximizer. Comparisons use a money-scale slack of
     tol * max(1, budget).
     """
-    bpb = bang_per_buck(buyer, p, tol)
+    return _admits(bang_per_buck(buyer, p, tol), buyer.budget, p, x, tol)
+
+
+def _admits(bpb: BangPerBuckSet, budget: Number, p: PriceVector, x: Bundle, tol: Number) -> bool:
+    """is_demanded's test of bundle x, given the buyer's bang-per-buck set
+    bpb at p."""
     if len(x) != len(p):
         return False
-    slack = tol * max(1, buyer.budget)
+    slack = tol * max(1, budget)
     spend = 0
     for j, (price, qty) in enumerate(zip(p, x), start=1):
         if qty < -slack:
             return False
-        spend += price * qty
-        if price * qty > slack and j not in bpb.goods:
+        cost = price * qty
+        spend += cost
+        if cost > slack and j not in bpb.goods:
             return False
-    if spend > buyer.budget + slack:
+    if spend > budget + slack:
         return False
-    if bpb.strict and spend < buyer.budget - slack:
+    if bpb.strict and spend < budget - slack:
         return False
     return True
+
+
+def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) -> bool:
+    """Def.-style outcome check: aggregate within supply and every bundle demanded.
+
+    p is read with read_prices before anything else, so it must be positive
+    and finite with one entry per good, else PriceDomainError, and a float
+    price on an exact market is the rational it is, as the flow checks read
+    it. Every buyer's set comes from one demand_sets pass, and each bundle
+    is then held to is_demanded's test at the mode's tolerance.
+    """
+    p = read_prices(market, p)
+    tol = market.mode.tol
+    if len(allocation) != market.m:
+        return False
+    totals = aggregate(allocation, market.n)
+    for total, good in zip(totals, market.goods):
+        if total > good.supply + tol * max(1, good.supply):
+            return False
+    return all(
+        _admits(bpb, buyer.budget, p, bundle, tol)
+        for bpb, buyer, bundle in zip(demand_sets(market, p), market.buyers, allocation)
+    )
 
 
 def aggregate(allocation: Allocation, n: int) -> Bundle:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .market import Allocation, Market, MarketError, Outcome, aggregate
-from .feasibility import outcome_is_feasible
+from .market import Allocation, Market, MarketError, Outcome, aggregate, outcome_is_feasible
 from .numeric import Number
 
 VERDICT_CERTIFIED = "certified-CE-hence-efficient"
@@ -61,15 +60,16 @@ def social_welfare(market: Market, allocation: Allocation) -> Number:
 
 
 def is_competitive_equilibrium(market: Market, outcome: Outcome) -> bool:
-    """True iff the outcome is feasible and clears every positively priced good."""
+    """True iff the outcome is feasible and sells out every good: every
+    price is positive once outcome_is_feasible has read it."""
     tol = market.mode.tol
     if not outcome_is_feasible(market, outcome.prices, outcome.allocation):
         return False
     totals = aggregate(outcome.allocation, market.n)
-    for price, total, good in zip(outcome.prices, totals, market.goods):
-        if price > tol and good.supply - total > tol * max(1, good.supply):
-            return False
-    return True
+    return all(
+        good.supply - total <= tol * max(1, good.supply)
+        for total, good in zip(totals, market.goods)
+    )
 
 
 def eq1_slack(market: Market, subject: Outcome, challenger_allocation: Allocation) -> Number:
@@ -104,7 +104,8 @@ def certify_constrained_efficiency(
     ChallengerRejectedError with its index) add recorded welfare slacks that
     a certified verdict must keep above minus the market mode's tolerance.
     The outcome's own prices, like any price vector, raise PriceDomainError
-    unless they are positive and one per good.
+    unless they are positive and one per good; so do a challenger's of the
+    right length.
     """
     for k, ch in enumerate(challengers):
         if len(ch.prices) != market.n or not outcome_is_feasible(

@@ -59,14 +59,19 @@ def test_no_module_imports_a_private_sibling_name():
     assert crossings == PRIVATE_IMPORTS_ALLOWED
 
 
-def test_only_market_reads_prices_through_check_prices():
-    """Every other module reads prices with market.read_prices, so a price
-    is read the same way by every check."""
+@pytest.mark.parametrize("reader", ["check_prices", "bang_per_buck", "is_demanded"])
+def test_only_market_reads_prices_through_check_prices(reader):
+    """Every other module reads prices with market.read_prices, and demand
+    with market.demand_sets, so a price is read the same way by every check.
+    bang_per_buck and is_demanded read one buyer's demand at a price as
+    given, and only market itself may call them; __init__ may re-export
+    a public name."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and any(
-                alias.name == "check_prices" for alias in node.names
+                alias.name == reader for alias in node.names
             ):
                 importers.add(path.stem)
-    assert importers <= {"market"}
+    reexported = {"__init__"} if reader in qfmarket.__all__ else set()
+    assert importers <= {"market"} | reexported

@@ -22,11 +22,12 @@ from qfmarket.market import (
     PriceDomainError,
     aggregate,
     demand_sets,
+    is_demanded,
 )
 from qfmarket.marketio import load_market
 from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
-from qfmarket.solver import lattice_descent
+from qfmarket.solver import lattice_descent, solve
 
 F = Fraction
 
@@ -111,10 +112,82 @@ def test_outcome_is_feasible_rejects_oversupply_and_undemanded_bundles(ref_exact
     assert outcome_is_feasible(ref_exact, MINIMAL, clearing)
     over = ((F(4), F(0)),) + clearing[1:]
     assert not outcome_is_feasible(ref_exact, MINIMAL, over)
-    # buyer1's argmax at the minimal price is good 2 only
-    wrong_good = ((F(5, 3), F(0)),) + clearing[1:]
+    # buyer1's argmax at the minimal price is good 2 only, buyer3's good 1
+    # only; swapping their bundles keeps every total within supply
+    wrong_good = (clearing[2], clearing[1], clearing[0])
     assert not outcome_is_feasible(ref_exact, MINIMAL, wrong_good)
     assert not outcome_is_feasible(ref_exact, MINIMAL, clearing[:2])
+
+
+def test_outcome_check_reads_a_float_price_as_the_flow_checks_do():
+    """In floats 3 / 0.3 == 1 / 0.1 == 10.0, a tie. The rationals those
+    floats are put good 1 strictly first, so the clearing check routes
+    nothing to good 2, and the outcome check now refuses a bundle of it;
+    it used to read the prices in floats and accept one."""
+    market = Market((Good("A", 10), Good("B", 10)), (Buyer("b", (3, 1), 1),))
+    p = (0.3, 0.1)
+    assert 3 / p[0] == 1 / p[1] == 10.0
+    cert = check_clearing(market, p)
+    assert cert.feasible and cert.allocation[0][1] == 0
+    assert outcome_is_feasible(market, p, cert.allocation)
+    assert not outcome_is_feasible(market, p, ((0, 10),))
+
+
+@pytest.mark.parametrize("p", [(F(1),), (F(1), F(1), F(1)), (F(1), F(0)), (F(-1), F(1))])
+def test_outcome_is_feasible_reads_the_prices_first(ref_exact, ref_float, p):
+    """A short allocation or an oversupplied one is refused before any
+    bundle is looked at, but a bad price is refused before that: (1, 0)
+    with a short allocation used to read False."""
+    clearing = check_clearing(ref_exact, MINIMAL).allocation
+    for market in (ref_exact, ref_float):
+        for allocation in (clearing[:2], ((F(9), F(9)),) * 3):
+            with pytest.raises(PriceDomainError):
+                outcome_is_feasible(market, p, allocation)
+
+
+def _per_buyer_verdict(market, p, allocation):
+    """The per-buyer reference for outcome_is_feasible: the supply check,
+    then is_demanded buyer by buyer at p as given."""
+    tol = market.mode.tol
+    return (
+        len(allocation) == market.m
+        and all(
+            total <= good.supply + tol * max(1, good.supply)
+            for total, good in zip(aggregate(allocation, market.n), market.goods)
+        )
+        and all(is_demanded(b, p, x, tol) for b, x in zip(market.buyers, allocation))
+    )
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_outcome_is_feasible_is_the_per_buyer_check(mode):
+    """At prices in the market's own mode, one demand_sets pass gives the
+    verdicts of the per-buyer check. The cases are the seed-0 battery's
+    clearing allocations at p* and at 3/2 p*, each at both prices, and
+    copies with one bundle scaled (by 0, 1/2, 1 + 1e-12, 1 + 1e-6 and 2),
+    its goods rotated, or one bundle dropped."""
+    rng = random.Random(0)
+    factors = tuple(map(mode.coerce, (0, F(1, 2), F(1, 10**12) + 1, F(1, 10**6) + 1, 2)))
+    verdicts = []
+    for _ in range(20):
+        market = random_market(rng).coerced(mode)
+        p_star = solve(market).p_star
+        prices = (p_star, tuple(v * mode.coerce(F(3, 2)) for v in p_star))
+        allocations = [check_clearing(market, p).allocation for p in prices]
+        cases = []
+        for x in allocations:
+            cases.append(x)
+            cases.append(x[1:])
+            for i, bundle in enumerate(x):
+                for f in factors:
+                    cases.append(x[:i] + (tuple(f * q for q in bundle),) + x[i + 1:])
+                cases.append(x[:i] + (bundle[1:] + bundle[:1],) + x[i + 1:])
+        for p in prices:
+            for allocation in cases:
+                got = outcome_is_feasible(market, p, allocation)
+                assert got == _per_buyer_verdict(market, p, allocation), (p, allocation)
+                verdicts.append(got)
+    assert min(verdicts.count(True), verdicts.count(False)) > 150, verdicts.count(True)
 
 
 def test_spending_graph_structure(ref_exact):

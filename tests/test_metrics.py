@@ -16,7 +16,7 @@ from qfmarket.metrics import (
     revenue,
     social_welfare,
 )
-from qfmarket.numeric import EXACT
+from qfmarket.numeric import EXACT, float_mode
 
 F = Fraction
 
@@ -55,6 +55,28 @@ def test_is_competitive_equilibrium(ref_exact):
     assert not is_competitive_equilibrium(
         ref_exact, Outcome(MINIMAL, ((F(9), F(9)),) * 3)
     )
+
+
+def test_an_equilibrium_sells_out_at_any_money_scale(ref_exact):
+    """The reference market in floats with money scaled by 1e-12, so p* is
+    (6e-13, 6e-13): every good must still sell out. A guard that excused
+    goods priced at or below the absolute 1e-9 from selling out used to
+    pass the outcome that sells nothing."""
+    scale = 1e-12
+    market = Market(
+        tuple(Good(g.name, float(g.supply)) for g in ref_exact.goods),
+        tuple(
+            Buyer(b.name, tuple(float(v) * scale for v in b.values), float(b.budget) * scale)
+            for b in ref_exact.buyers
+        ),
+        float_mode(),
+    )
+    p = tuple(float(v) * scale for v in MINIMAL)
+    allocation = tuple(
+        tuple(map(float, bundle)) for bundle in _equilibrium(ref_exact).allocation
+    )
+    assert is_competitive_equilibrium(market, Outcome(p, allocation))
+    assert not is_competitive_equilibrium(market, Outcome(p, ((0.0, 0.0),) * 3))
 
 
 def test_eq1_slack_nonnegative_against_feasible_challengers(ref_exact):
