@@ -13,6 +13,7 @@ descent.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -225,7 +226,7 @@ def cmd_region(args) -> int:
     if args.mode is None and market.mode.is_exact:
         # Both modes scan in closed form, but an exact point reads its demand
         # sets and cut values in Python ints: example2's scan at resolution
-        # 141 takes about 0.02 s in float and 0.6-0.8 s exact (2 vCPUs,
+        # 141 takes about 0.003 s in float and 0.6 s exact (2 vCPUs,
         # Python 3.11). Default to float unless the caller forces exact.
         market = market.coerced(float_mode())
     exact = market.mode.is_exact
@@ -454,10 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and shared by every later
+    main call in the process: parse_args keeps nothing between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the help, or the usage and its error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

@@ -122,7 +122,7 @@ class _Routing:
         else:
             self.unit = None
             tol = market.mode.tol
-            scale = max(1, sum(budgets), sum(caps))
+            scale = max(sum(budgets), sum(caps))
             self.slack = tol * scale * (m + n + 4)
             zero = tol * scale
         self.budgets = budgets  # in network units, as is self.slack

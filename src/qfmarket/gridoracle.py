@@ -13,6 +13,12 @@ with D_i not inside A. An exact-mode scan reads each point's demand sets in
 integers (market.demand_sets) and scales the budgets and every lattice
 capacity to integers over one common denominator, so its cut values are
 exact.
+
+A chunk of k lattice points is laid out goods-major, with the points on the
+innermost axis: prices and capacities (n, k), demand masks (m, k), and the
+cut terms "D_i not inside A" (2^n, m, k). Every division, maximum and
+comparison then runs along the k points, and np.einsum sums each cut's
+buyers in buyer order, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -72,8 +78,11 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
     return tuple(out)
 
 
-# Most elements that any one temporary array of a scan holds; the
-# lattice is cut into chunks of points that fit (one point at the least).
+# Most elements that any one temporary array of a scan holds; the lattice is
+# cut into chunks of k points that fit (two at the least). The largest are
+# the (2^n, m, k) cut terms, one byte an element (bit masks ANDed, then their
+# truth); float mode's (n, m, k) ratios hold fewer elements, of 8 bytes.
+# Float scans of the 6-good probe-battery markets ran 3x slower at 1 << 18.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -119,38 +128,44 @@ def _gale_scan(market: Market, axes):
     amounts = np.array(amounts, dtype=object if exact else np.float64)
     budgets, cap_axes = amounts[:m], amounts[m:].reshape(n, -1)  # c_j per axis value
     grid_axes = [np.array(ax, dtype=amounts.dtype) for ax in axes]
-    total_budget = max(1, sum(b.budget for b in market.buyers)) * unit
+    total_budget = sum(b.budget for b in market.buyers) * unit
     sets = np.arange(1 << n)
     in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(amounts.dtype)  # (2^n, n)
-    outside = (1 << n) - 1 - sets  # complement of each set A as a bit mask
-    bits = 1 << np.arange(n)
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    outside = ((1 << n) - 1 - sets).astype(mask_type)[:, None, None]  # complement of each A
 
     shape = tuple(len(ax) for ax in axes)
     points = int(np.prod(shape))
     membership = np.zeros(points, dtype=bool)
     revenue = np.zeros(points, dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // (m << n))  # m * 2^n >= m * n
-    for start in range(0, points, chunk):
-        stop = min(start + chunk, points)
+    # Every chunk holds two points at the least: with one, einsum would sum
+    # the buyers along its innermost loop, in another order.
+    chunk = max(2, _CHUNK_ELEMENTS // (m << n))  # m * 2^n >= m * n
+    seams = [*range(0, points - 1, chunk), points]
+    for start, stop in zip(seams, seams[1:]):
         idx = np.unravel_index(np.arange(start, stop), shape)
-        p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)], axis=-1)  # (k, n)
+        p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)])  # (n, k)
         if exact:
-            rows = [demand_sets(market, point) for point in p]
+            rows = [demand_sets(market, point) for point in p.T]
             # Bit j of a set's mask is good j + 1; money, index 0, shifts out.
-            demand = np.array([[sum(1 << j for j in s.goods) >> 1 for s in row] for row in rows])
-            money = np.array([[not s.strict for s in row] for row in rows])
+            demand = np.array(
+                [[sum(1 << j for j in s.goods) >> 1 for s in row] for row in rows], dtype=mask_type
+            ).T
+            money = np.array([[not s.strict for s in row] for row in rows]).T
         else:
-            _, demanded, money = float_demand(market, p)  # (k, m, n), (k, m)
-            demand = (demanded * bits).sum(axis=-1)  # bit masks
-        strict = np.where(money, 0, budgets)
-        caps = np.stack([c[i] for c, i in zip(cap_axes, idx)], axis=-1)  # (k, n)
-        missed = (demand[..., None] & outside) != 0  # (k, m, 2^n): D_i not in A
-        cut_caps = caps @ in_set.T  # (k, 2^n)
-        strict_flow = (cut_caps + np.einsum("kma,km->ka", missed, strict)).min(axis=-1)
-        scale = np.maximum(total_budget, caps.sum(axis=-1))
+            _, demanded, money = float_demand(market, p)  # (n, m, k), (m, k)
+            demand = np.zeros(money.shape, dtype=mask_type)
+            for j, plane in enumerate(demanded):
+                demand |= plane.astype(mask_type) << j
+        strict = np.where(money, 0, budgets[:, None])  # (m, k)
+        caps = np.stack([c[i] for c, i in zip(cap_axes, idx)])  # (n, k)
+        missed = (demand & outside) != 0  # (2^n, m, k): D_i not in A
+        cut_caps = in_set @ caps  # (2^n, k)
+        strict_flow = (cut_caps + np.einsum("amk,mk->ak", missed, strict)).min(axis=0)
+        scale = np.maximum(total_budget, caps.sum(axis=0))
         slack = tol * scale * (m + n + 4)
-        feasible = strict.sum(axis=-1) - strict_flow <= slack
-        flow = (cut_caps + np.einsum("kma,m->ka", missed, budgets)).min(axis=-1)
+        feasible = strict.sum(axis=0) - strict_flow <= slack
+        flow = (cut_caps + np.einsum("amk,m->ak", missed, budgets)).min(axis=0)
         membership[start:stop] = feasible
         revenue[start:stop] = np.where(feasible, flow / unit, 0.0)
     return membership.reshape(shape), revenue.reshape(shape)
@@ -249,32 +264,28 @@ def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...
 
 
 def _stitch(segments) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
-    """Chain shared-endpoint segments into polylines (closed loops included)."""
+    """Chain shared-endpoint segments into polylines (closed loops included).
 
-    def key(pt):
-        return (round(pt[0], 9), round(pt[1], 9))
-
+    Endpoints match on their exact coordinates: the two cells that share an
+    edge compute its midpoint with one expression, and a clamped vertex lies
+    on a window bound. Rounding to a fixed number of decimals would merge
+    distinct vertices wherever the window is small enough.
+    """
     adjacency = {}
     for sid, (a, b) in enumerate(segments):
-        adjacency.setdefault(key(a), []).append((sid, a, b))
-        adjacency.setdefault(key(b), []).append((sid, b, a))
+        adjacency.setdefault(a, []).append((sid, b))
+        adjacency.setdefault(b, []).append((sid, a))
     used = [False] * len(segments)
     polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
+        chain = list(segments[start])
         for _ in range(2):  # extend forward, then flip and extend again
             while True:
-                tail = key(chain[-1])
                 step = next(
-                    (
-                        (sid, far)
-                        for sid, near, far in adjacency.get(tail, ())
-                        if not used[sid]
-                    ),
+                    ((sid, far) for sid, far in adjacency.get(chain[-1], ()) if not used[sid]),
                     None,
                 )
                 if step is None:
@@ -287,23 +298,27 @@ def _stitch(segments) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
 
 
 def export_grid_csv(grid: RegionGrid, fp) -> None:
-    """Rows of `price_1,...,price_n,feasible,max_revenue` in lattice order."""
-    writer = csv.writer(fp)
-    writer.writerow(
-        [f"price_{d + 1}" for d in range(grid.n)] + ["feasible", "max_revenue"]
-    )
+    """Rows of `price_1,...,price_n,feasible,max_revenue` in lattice order,
+    byte for byte as csv.writer writes them: no field needs quoting, and
+    every line ends in CRLF."""
+    names = [f"price_{d + 1}" for d in range(grid.n)] + ["feasible", "max_revenue"]
+    fp.write(",".join(names) + "\r\n")
     labels = [[f"{float(v):.12g}" for v in axis] for axis in grid.axes]
-    # One lattice row at a time, so no full-grid list is ever built.
+    # Each last coordinate with either feasible flag, formatted once.
+    ends = [(label + ",0,", label + ",1,") for label in labels[-1]]
+    # One lattice row at a time, written as one string, so no full-grid list
+    # is ever built.
     rows = zip(
         itertools.product(*labels[:-1]),
         grid.membership.reshape(-1, grid.resolution),
         grid.revenue.reshape(-1, grid.resolution),
     )
     for head, feasible, revenue in rows:
-        writer.writerows(
-            [*head, last, int(f), f"{r:.12g}"]
-            for last, f, r in zip(labels[-1], feasible.tolist(), revenue.tolist())
-        )
+        prefix = "".join(label + "," for label in head)
+        fp.write("".join([
+            f"{prefix}{end[f]}{r:.12g}\r\n"
+            for end, f, r in zip(ends, feasible.tolist(), revenue.tolist())
+        ]))
 
 
 def export_boundary_csv(polylines: Sequence[Sequence[Tuple[float, float]]], fp) -> None:

@@ -137,8 +137,10 @@ class Market:
 
     @cached_property
     def _float_values(self) -> np.ndarray:
-        """The m x n value matrix as floats, which float demand_sets divides."""
-        return np.array([b.values for b in self.buyers], dtype=np.float64).reshape(self.m, self.n)
+        """The values as an n x m float matrix, goods first, which
+        float_demand divides."""
+        values = np.array([b.values for b in self.buyers], dtype=np.float64).reshape(self.m, self.n)
+        return np.ascontiguousarray(values.T)
 
     def rational_twin(self) -> "Market":
         """The market in exact arithmetic: itself when exact, else a new
@@ -259,21 +261,24 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
 
 
 def check_prices(p: PriceVector, n: int) -> None:
-    """PriceDomainError unless p holds n positive, finite prices. Compared
-    as _finite does, so a Fraction of any size passes."""
+    """PriceDomainError unless p holds n positive, finite prices. A Fraction
+    of any size is finite, so only its sign is read (its denominator is
+    positive); any other entry is compared as _finite does."""
     if len(p) != n:
         raise PriceDomainError(f"{len(p)} prices for {n} goods")
     for entry in p:
-        if not 0 < entry < math.inf:
+        if not (entry.numerator > 0 if type(entry) is Fraction else 0 < entry < math.inf):
             raise PriceDomainError(f"undefined ratio: price {entry} is not positive and finite")
 
 
 def read_prices(market: Market, p: PriceVector) -> PriceVector:
     """p as every check of `market` reads it, once check_prices passes: each
     entry as the rational it is, Fraction(x), in exact mode (a float
-    included), and as given in float mode."""
+    included, and a Fraction kept as it is), and as given in float mode."""
     check_prices(p, market.n)
-    return tuple(map(Fraction, p)) if market.mode.is_exact else tuple(p)
+    if not market.mode.is_exact:
+        return tuple(p)
+    return tuple([x if type(x) is Fraction else Fraction(x) for x in p])
 
 
 def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
@@ -326,21 +331,24 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
 
 
 def float_demand(market: Market, p: np.ndarray):
-    """Float mode's tie band over a (..., n) array of price vectors, with
-    bang_per_buck's own operations: ratios v / p, best = their maximum, and
-    the cutoff (1 - tol) * max(best, 1). Returns best (..., m), the goods
-    each buyer demands, those with a ratio at or above the cutoff (..., m, n),
-    and whether money's ratio 1 is (..., m)."""
-    ratios = market._float_values / p[..., None, :]
-    best = ratios.max(axis=-1)
+    """Float mode's tie band over an (n, ...) array of price vectors, goods
+    first, with bang_per_buck's own operations: ratios v / p, best = their
+    maximum, and the cutoff (1 - tol) * max(best, 1). Returns best (m, ...),
+    the goods each buyer demands, those with a ratio at or above the cutoff
+    (n, m, ...), and whether money's ratio 1 is (m, ...). Each good's ratios
+    form one (m, ...) plane, so the divisions run along the trailing price
+    axes and best is an elementwise maximum over the n planes."""
+    values = market._float_values.reshape(market.n, market.m, *(1,) * (p.ndim - 1))
+    ratios = values / p[:, None]
+    best = ratios.max(axis=0)
     cutoff = (1 - market.mode.tol) * np.maximum(best, 1.0)
-    return best, ratios >= cutoff[..., None], cutoff <= 1
+    return best, ratios >= cutoff, cutoff <= 1
 
 
 def _float_demand_sets(market: Market, p: PriceVector):
     best, demanded, money = float_demand(market, np.array(p, dtype=np.float64))
     width = market.n + 1
-    rows = np.column_stack((money, demanded)).tobytes()  # money, then goods 1..n
+    rows = np.column_stack((money, demanded.T)).tobytes()  # money, then goods 1..n
     shared = {}
     sets = []
     for start, ratio in zip(range(0, len(rows), width), best.tolist()):

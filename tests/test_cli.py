@@ -310,6 +310,25 @@ def test_region_boundary_needs_two_goods(fixture_dir, tmp_path):
     assert "exactly 2 goods" in err
 
 
+def test_calls_in_one_process_share_no_parsed_state(fixture_dir, tmp_path):
+    """main builds its parser once per process. A --boundary or --mode given
+    to one call does not carry over to the next, which writes the default
+    boundary path and scans in the default mode."""
+    argv = ["region", str(fixture_dir / "example2.json"), "--resolution", "9", "--no-timestamp"]
+    chosen = tmp_path / "b.csv"
+    code, out, _ = run_cli(
+        *argv, "--out", str(tmp_path / "one.csv"), "--boundary", str(chosen), "--mode", "exact"
+    )
+    report = json.loads(out)
+    assert code == EXIT_OK and report["mode"] == "exact"
+    assert report["boundary_csv"] == str(chosen) and chosen.exists()
+    code, out, _ = run_cli(*argv, "--out", str(tmp_path / "two.csv"))
+    report = json.loads(out)
+    default = tmp_path / "two.boundary.csv"
+    assert code == EXIT_OK and report["mode"] == "float"
+    assert report["boundary_csv"] == str(default) and default.exists()
+
+
 def test_region_requires_out(fixture_dir):
     code, _, err = run_cli("region", str(fixture_dir / "example2.json"))
     assert code == EXIT_INPUT

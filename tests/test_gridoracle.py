@@ -1,5 +1,6 @@
 """Grid ground truth: membership scans, reductions, contours, CSV exports."""
 
+import csv
 import io
 import random
 from fractions import Fraction
@@ -214,6 +215,77 @@ def test_scans_across_chunk_seams(ref_float, ref_grid, ref_exact, monkeypatch):
         _assert_scan_matches_the_flow(market, grid)
 
 
+def _points_major_scan(market, axes):
+    """The float scan's formula laid out points first, with no chunks:
+    prices (k, n), ratios and demand (k, m, n), cut terms (k, m, 2^n). Each
+    ratio, cutoff, cut and sum is taken with the operation grid_scan takes,
+    so the two layouts must agree bit for bit."""
+    m, n, tol = market.m, market.n, market.mode.tol
+    values = np.array([b.values for b in market.buyers], dtype=np.float64)
+    budgets = np.array([b.budget for b in market.buyers], dtype=np.float64)
+    supplies = np.array(market.supplies, dtype=np.float64)
+    p = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    ratios = values / p[:, None, :]
+    cutoff = (1 - tol) * np.maximum(ratios.max(axis=-1), 1.0)
+    demand = ((ratios >= cutoff[..., None]) * (1 << np.arange(n))).sum(axis=-1)
+    strict = np.where(cutoff <= 1, 0, budgets)
+    sets = np.arange(1 << n)
+    in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    missed = (demand[..., None] & ((1 << n) - 1 - sets)) != 0
+    caps = p * supplies
+    cut_caps = caps @ in_set.T
+    strict_flow = (cut_caps + np.einsum("kma,km->ka", missed, strict)).min(axis=-1)
+    scale = np.maximum(sum(b.budget for b in market.buyers), caps.sum(axis=-1))
+    feasible = strict.sum(axis=-1) - strict_flow <= tol * scale * (m + n + 4)
+    flow = (cut_caps + np.einsum("kma,m->ka", missed, budgets)).min(axis=-1)
+    shape = tuple(len(ax) for ax in axes)
+    return feasible.reshape(shape), np.where(feasible, flow, 0.0).reshape(shape)
+
+
+def _non_dyadic_markets():
+    """Float markets of 1 to 6 goods and 1 to 10 buyers whose entries are
+    not dyadic, so sums taken in another order round differently; some
+    values are 0."""
+    rng = random.Random(18)
+    for n in range(1, 7):
+        for _ in range(4):
+            m = rng.randint(1, 10)
+            goods = tuple(Good(f"g{j}", rng.uniform(0.3, 5.0)) for j in range(n))
+            rows = [[rng.choice((0.0, rng.uniform(0.1, 7.0))) for _ in range(n)] for _ in range(m)]
+            for j in range(n):
+                rows[rng.randrange(m)][j] = rng.uniform(0.1, 7.0)
+            buyers = tuple(
+                Buyer(f"b{i}", tuple(row), rng.uniform(0.05, 3.0)) for i, row in enumerate(rows)
+            )
+            window = (rng.uniform(0.05, 0.5), rng.uniform(2.0, 8.0))
+            yield Market(goods, buyers, float_mode()), window, {1: 40, 2: 17, 3: 8, 4: 5, 5: 4, 6: 3}[n]
+
+
+@pytest.mark.parametrize("elements", [gridoracle._CHUNK_ELEMENTS, 300, 1])
+def test_goods_major_scan_matches_the_points_major_formula(monkeypatch, elements):
+    """Membership and revenue, bit for bit, whatever the chunks: 300
+    elements seam most lattices mid-row, and 1 gives every chunk its
+    least, two points."""
+    monkeypatch.setattr(gridoracle, "_CHUNK_ELEMENTS", elements)
+    for market, window, resolution in _non_dyadic_markets():
+        grid = grid_scan(market, window, resolution)
+        membership, revenue = _points_major_scan(market, grid.axes)
+        assert np.array_equal(grid.membership, membership), (market.m, market.n)
+        assert np.array_equal(grid.revenue.view(np.uint64), revenue.view(np.uint64))
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-12])
+def test_float_scan_of_a_market_with_little_money_agrees_with_the_flow_check(s):
+    """Goods (1, 1), one buyer valuing them (2s, s) with budget s. With the
+    slack floored at money 1, the scan called every point feasible."""
+    market = Market(
+        (Good("a", 1.0), Good("b", 1.0)), (Buyer("x", (2 * s, s), s),), float_mode()
+    )
+    grid = grid_scan(market, (s / 10, 3 * s), 21)
+    assert 0 < grid.membership.sum() < grid.membership.size
+    _assert_scan_matches_the_flow(market, grid)
+
+
 def test_boundary_passes_near_the_region_corner(ref_grid):
     polylines = region_boundary_2d(ref_grid)
     assert polylines
@@ -231,6 +303,23 @@ def test_boundary_of_an_all_feasible_window_is_its_frame(ref_float):
     assert loop[0] == loop[-1]
     for x, y in loop:
         assert min(abs(x - 2.5), abs(x - 4.0), abs(y - 2.5), abs(y - 4.0)) < 1e-9
+
+
+def test_boundary_scales_with_money(ref_float):
+    """Endpoints keyed by coordinates rounded to 9 decimals all fell on
+    (0, 0) in a window of prices below 1e-9, which scrambled the polylines.
+    2^-40 is about 1e-12, and a power of two scales every float exactly."""
+    s = 2.0**-40
+    scaled = Market(
+        ref_float.goods,
+        tuple(
+            Buyer(b.name, tuple(v * s for v in b.values), b.budget * s) for b in ref_float.buyers
+        ),
+        ref_float.mode,
+    )
+    unit = region_boundary_2d(grid_scan(ref_float, (0.35, 3.0), 54))
+    small = region_boundary_2d(grid_scan(scaled, (0.35 * s, 3.0 * s), 54))
+    assert small == tuple(tuple((x * s, y * s) for x, y in line) for line in unit)
 
 
 def test_boundary_needs_two_goods():
@@ -253,6 +342,37 @@ def test_grid_csv_export(ref_float):
     # At (2.5, 2.5) only buyers 1 and 3 are strict; buyer 2's best ratio is
     # 0.8 < 1, so its budget cannot be extended and revenue caps at 2.
     assert float(first[3]) == pytest.approx(2.0, abs=1e-9)
+
+
+def _csv_writer_text(grid):
+    """The grid CSV as csv.writer writes it, one row per lattice point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"price_{d + 1}" for d in range(grid.n)] + ["feasible", "max_revenue"])
+    for idx in np.ndindex(grid.membership.shape):
+        writer.writerow(
+            [f"{float(grid.axes[d][i]):.12g}" for d, i in enumerate(idx)]
+            + [int(grid.membership[idx]), f"{grid.revenue[idx]:.12g}"]
+        )
+    return buf.getvalue()
+
+
+def test_grid_csv_is_what_csv_writer_writes(ref_grid, ref_exact, fixture_dir):
+    """One good (no head labels), two goods in each mode, and three goods."""
+    one_good = load_market((fixture_dir / "example1.json").read_bytes(), float_mode()).market
+    three_goods = _draws(float_mode())[0]
+    assert three_goods.n == 3
+    grids = (
+        grid_scan(one_good, (0.05, 1.2), 60),
+        ref_grid,
+        grid_scan(ref_exact, (F(1, 2), F(3)), 12),
+        grid_scan(three_goods, (0.1, 9.0), 7),
+    )
+    for grid in grids:
+        assert grid.membership.any() and not grid.membership.all()
+        buf = io.StringIO()
+        export_grid_csv(grid, buf)
+        assert buf.getvalue() == _csv_writer_text(grid)
 
 
 def test_boundary_csv_export():

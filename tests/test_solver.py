@@ -20,7 +20,11 @@ from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.flow import FlowNetwork
 from qfmarket.market import Buyer, Good, Market, MarketError, Outcome, aggregate
 from qfmarket.marketio import load_market
-from qfmarket.metrics import VERDICT_CERTIFIED, certify_constrained_efficiency
+from qfmarket.metrics import (
+    VERDICT_CERTIFIED,
+    certify_constrained_efficiency,
+    is_competitive_equilibrium,
+)
 from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
 from qfmarket.solver import (
@@ -299,6 +303,20 @@ def test_money_rescaling_scales_p_star_exactly(factor):
             EXACT,
         )
         assert solve(scaled).p_star == tuple(v * factor for v in solve(market).p_star)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-12])
+def test_a_float_market_with_little_money_sells_out(s):
+    """Goods (1, 1), one buyer valuing them (2s, s) with budget s. With the
+    flow's zero and slack floored at money 1, no flow was routed, and solve
+    returned p* with the allocation ((0.0, 0.0),) certified as clearing."""
+    market = Market(
+        (Good("a", 1.0), Good("b", 1.0)), (Buyer("x", (2 * s, s), s),), float_mode()
+    )
+    result = solve(market)
+    assert result.p_star == pytest.approx((2 * s / 3, s / 3), rel=1e-12)
+    assert result.allocation[0] == pytest.approx((1.0, 1.0), rel=1e-12)
+    assert is_competitive_equilibrium(market, Outcome(result.p_star, result.allocation))
 
 
 def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatch):
