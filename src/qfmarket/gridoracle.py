@@ -23,7 +23,6 @@ buyers in buyer order, whatever the chunking.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,6 +216,13 @@ _EDGE_TABLE = {
     13: (("bottom", "right"),),
     14: (("left", "bottom"),),
 }
+_EDGES = ("left", "bottom", "right", "top")
+# _EDGE_TABLE as one lookup: [code, entry] holds the entry's two edges as
+# indices into _EDGES, or -1 where the code has no such entry.
+_SEGMENT_TABLE = np.full((16, 2, 2), -1, dtype=np.intp)
+for _code, _entries in _EDGE_TABLE.items():
+    for _k, _pair in enumerate(_entries):
+        _SEGMENT_TABLE[_code, _k] = [_EDGES.index(edge) for edge in _pair]
 
 
 def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
@@ -224,22 +230,15 @@ def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...
 
     The bitmap is padded with an infeasible ring so a fully feasible window
     contours as its own frame; vertices are clamped back into the window.
+    The mixed cells, their edge midpoints, the clamp and the segments are
+    numpy arrays; segments run by cell in np.nonzero order, then by
+    _EDGE_TABLE entry, and a segment whose clamped ends meet is dropped.
+    Only the stitching runs in Python.
     """
     if grid.n != 2:
         raise MarketError("boundary extraction is only defined for two goods")
     padded = np.zeros((grid.resolution + 2, grid.resolution + 2), dtype=np.uint8)
     padded[1:-1, 1:-1] = grid.membership
-    xs = [float(v) for v in grid.axes[0]]
-    ys = [float(v) for v in grid.axes[1]]
-    sx, sy = xs[1] - xs[0], ys[1] - ys[0]
-    xs = [xs[0] - sx] + xs + [xs[-1] + sx]
-    ys = [ys[0] - sy] + ys + [ys[-1] + sy]
-    lo_x, hi_x = float(grid.bounds[0][0]), float(grid.bounds[0][1])
-    lo_y, hi_y = float(grid.bounds[1][0]), float(grid.bounds[1][1])
-
-    def clamp(pt):
-        return (min(max(pt[0], lo_x), hi_x), min(max(pt[1], lo_y), hi_y))
-
     codes = (
         padded[:-1, :-1]
         | padded[1:, :-1] << 1
@@ -247,20 +246,31 @@ def region_boundary_2d(grid: RegionGrid) -> Tuple[Tuple[Tuple[float, float], ...
         | padded[:-1, 1:] << 3
     )
     rows, cols = np.nonzero((codes != 0) & (codes != 15))  # mixed cells, i then j
-    segments = []
-    for i, j, code in zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist()):
-        mid = {
-            "bottom": ((xs[i] + xs[i + 1]) / 2, ys[j]),
-            "top": ((xs[i] + xs[i + 1]) / 2, ys[j + 1]),
-            "left": (xs[i], (ys[j] + ys[j + 1]) / 2),
-            "right": (xs[i + 1], (ys[j] + ys[j + 1]) / 2),
-        }
-        for a, b in _EDGE_TABLE[code]:
-            pa, pb = clamp(mid[a]), clamp(mid[b])
-            if pa != pb:
-                segments.append((pa, pb))
 
-    return _stitch(segments)
+    def edge_midpoints(axis, bounds, cells):
+        """Each cell's low side, midpoint and high side on one axis, clamped
+        into the window; the axis is padded by one step at either end."""
+        values = np.array([float(v) for v in axis])
+        step = values[1] - values[0]
+        padded_axis = np.concatenate(([values[0] - step], values, [values[-1] + step]))
+        low, high = padded_axis[cells], padded_axis[cells + 1]
+        lo, hi = float(bounds[0]), float(bounds[1])
+        return [np.minimum(np.maximum(v, lo), hi) for v in (low, (low + high) / 2, high)]
+
+    x_low, x_mid, x_high = edge_midpoints(grid.axes[0], grid.bounds[0], rows)
+    y_low, y_mid, y_high = edge_midpoints(grid.axes[1], grid.bounds[1], cols)
+    # (cells, 4 edges, 2 coordinates), the edges in _EDGES order.
+    midpoints = np.stack([
+        np.stack([x_low, x_mid, x_high, x_mid], axis=1),
+        np.stack([y_mid, y_low, y_mid, y_high], axis=1),
+    ], axis=2)
+    entries = _SEGMENT_TABLE[codes[rows, cols]]  # (cells, 2 entries, 2 ends)
+    cell, entry = np.nonzero(entries[:, :, 0] >= 0)  # by cell, then by entry
+    edges = entries[cell, entry]
+    start, end = midpoints[cell, edges[:, 0]], midpoints[cell, edges[:, 1]]
+    keep = (start != end).any(axis=1)
+    segments = zip(map(tuple, start[keep].tolist()), map(tuple, end[keep].tolist()))
+    return _stitch(list(segments))
 
 
 def _stitch(segments) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
@@ -277,21 +287,22 @@ def _stitch(segments) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
         adjacency.setdefault(b, []).append((sid, a))
     used = [False] * len(segments)
     polylines = []
-    for start in range(len(segments)):
+    for start, segment in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        chain = list(segments[start])
+        chain = list(segment)
         for _ in range(2):  # extend forward, then flip and extend again
+            tip = chain[-1]
             while True:
-                step = next(
-                    ((sid, far) for sid, far in adjacency.get(chain[-1], ()) if not used[sid]),
-                    None,
-                )
-                if step is None:
-                    break
-                used[step[0]] = True
-                chain.append(step[1])
+                for sid, far in adjacency[tip]:  # the first unused segment at tip
+                    if not used[sid]:
+                        break
+                else:
+                    break  # none: this end is done
+                used[sid] = True
+                chain.append(far)
+                tip = far
             chain.reverse()
         polylines.append(tuple(chain))
     return tuple(polylines)
@@ -300,31 +311,42 @@ def _stitch(segments) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
 def export_grid_csv(grid: RegionGrid, fp) -> None:
     """Rows of `price_1,...,price_n,feasible,max_revenue` in lattice order,
     byte for byte as csv.writer writes them: no field needs quoting, and
-    every line ends in CRLF."""
+    every line ends in CRLF.
+
+    Each axis value and each distinct revenue is formatted once with .12g;
+    revenues are told apart by their float bits, so 0.0 and -0.0 stay
+    apart. A row's tail `price_n,feasible,max_revenue` is then one of the
+    distinct (last coordinate, flag, revenue) pieces, and each lattice row
+    is written as one string.
+    """
     names = [f"price_{d + 1}" for d in range(grid.n)] + ["feasible", "max_revenue"]
     fp.write(",".join(names) + "\r\n")
     labels = [[f"{float(v):.12g}" for v in axis] for axis in grid.axes]
-    # Each last coordinate with either feasible flag, formatted once.
-    ends = [(label + ",0,", label + ",1,") for label in labels[-1]]
-    # One lattice row at a time, written as one string, so no full-grid list
-    # is ever built.
-    rows = zip(
-        itertools.product(*labels[:-1]),
-        grid.membership.reshape(-1, grid.resolution),
-        grid.revenue.reshape(-1, grid.resolution),
+    bits = np.ascontiguousarray(grid.revenue, dtype=np.float64).view(np.uint64)
+    distinct, revenue_class = np.unique(bits, return_inverse=True)
+    revenues = [f"{r:.12g}" for r in distinct.view(np.float64).tolist()]
+    shape = (-1, grid.resolution)  # lattice rows
+    flagged = np.arange(grid.resolution) * 2 + grid.membership.reshape(shape)
+    keys, tail_class = np.unique(
+        flagged * len(revenues) + revenue_class.reshape(shape), return_inverse=True
     )
-    for head, feasible, revenue in rows:
+    pieces = []
+    for key in keys.tolist():
+        flagged_column, revenue = divmod(key, len(revenues))
+        column, flag = divmod(flagged_column, 2)
+        pieces.append(f"{labels[-1][column]},{flag},{revenues[revenue]}")
+    pieces = np.array(pieces, dtype=object)
+    # One lattice row at a time, so no full-grid string is ever built.
+    for head, row in zip(itertools.product(*labels[:-1]), tail_class.reshape(shape)):
         prefix = "".join(label + "," for label in head)
-        fp.write("".join([
-            f"{prefix}{end[f]}{r:.12g}\r\n"
-            for end, f, r in zip(ends, feasible.tolist(), revenue.tolist())
-        ]))
+        fp.write(prefix + ("\r\n" + prefix).join(pieces[row].tolist()) + "\r\n")
 
 
 def export_boundary_csv(polylines: Sequence[Sequence[Tuple[float, float]]], fp) -> None:
-    """Rows of `x,y,segment_id`, vertices in order within each polyline."""
-    writer = csv.writer(fp)
-    writer.writerow(["x", "y", "segment_id"])
-    for sid, line in enumerate(polylines):
-        for x, y in line:
-            writer.writerow([f"{x:.12g}", f"{y:.12g}", sid])
+    """Rows of `x,y,segment_id`, vertices in order within each polyline,
+    written as one string, byte for byte as csv.writer writes them: no
+    field needs quoting, and every line ends in CRLF."""
+    fp.write("".join([
+        "x,y,segment_id\r\n",
+        *(f"{x:.12g},{y:.12g},{sid}\r\n" for sid, line in enumerate(polylines) for x, y in line),
+    ]))

@@ -381,8 +381,8 @@ def is_demanded(buyer: Buyer, p: PriceVector, x: Bundle, tol: Number = 0) -> boo
 
     True iff (a) positive quantities only on bang-per-buck goods, (b) spend
     does not exceed the budget, and (c) the budget is exhausted whenever money
-    is not a maximizer. Comparisons use a money-scale slack of
-    tol * max(1, budget).
+    is not a maximizer. Comparisons use a slack of tol * budget, which
+    scales with the buyer's money.
     """
     return _admits(bang_per_buck(buyer, p, tol), buyer.budget, p, x, tol)
 
@@ -392,7 +392,7 @@ def _admits(bpb: BangPerBuckSet, budget: Number, p: PriceVector, x: Bundle, tol:
     bpb at p."""
     if len(x) != len(p):
         return False
-    slack = tol * max(1, budget)
+    slack = tol * budget
     spend = 0
     for j, (price, qty) in enumerate(zip(p, x), start=1):
         if qty < -slack:
@@ -415,7 +415,9 @@ def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) 
     and finite with one entry per good, else PriceDomainError, and a float
     price on an exact market is the rational it is, as the flow checks read
     it. Every buyer's set comes from one demand_sets pass, and each bundle
-    is then held to is_demanded's test at the mode's tolerance.
+    is then held to is_demanded's test at the mode's tolerance. A good's
+    total may top its supply by tol * supply: both slacks scale with the
+    amount they bound, so a market's verdicts do not depend on its units.
     """
     p = read_prices(market, p)
     tol = market.mode.tol
@@ -423,7 +425,7 @@ def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) 
         return False
     totals = aggregate(allocation, market.n)
     for total, good in zip(totals, market.goods):
-        if total > good.supply + tol * max(1, good.supply):
+        if total > good.supply + tol * good.supply:
             return False
     return all(
         _admits(bpb, buyer.budget, p, bundle, tol)

@@ -60,14 +60,15 @@ def social_welfare(market: Market, allocation: Allocation) -> Number:
 
 
 def is_competitive_equilibrium(market: Market, outcome: Outcome) -> bool:
-    """True iff the outcome is feasible and sells out every good: every
-    price is positive once outcome_is_feasible has read it."""
+    """True iff the outcome is feasible and sells out every good, each to
+    within tol * its supply: every price is positive once
+    outcome_is_feasible has read it."""
     tol = market.mode.tol
     if not outcome_is_feasible(market, outcome.prices, outcome.allocation):
         return False
     totals = aggregate(outcome.allocation, market.n)
     return all(
-        good.supply - total <= tol * max(1, good.supply)
+        good.supply - total <= tol * good.supply
         for total, good in zip(totals, market.goods)
     )
 

@@ -67,7 +67,7 @@ from .numeric import EXACT, Number, NumericMode
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
-_GAP_TARGET = 1e-11  # solve's gap target per unit of total budget (at least 1)
+_GAP_TARGET = 1e-11  # solve's gap target per unit of total budget
 
 
 class SolverConvergenceError(MarketError):
@@ -153,8 +153,9 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     mass are excluded from the dynamics; their prices are imputed afterwards
     as the lowest level at which no buyer's bang-per-buck strictly prefers
     them. The run stops where solve's does (see _proportional_response):
-    when its support agrees, at the gap target 1e-11 * max(1, total budget),
-    or stalled at its iteration cap, which raises nothing. The duality gap
+    when its support agrees, at the gap target 1e-11 * total budget (the
+    duality gap is money, so the target scales with the money in play), or
+    stalled at its iteration cap, which raises nothing. The duality gap
     is read every 25 iterations, so iterations is a multiple of 25. None
     when an exact market has no float image.
     """
@@ -531,13 +532,13 @@ def _proportional_response(
     market: Market, twin: Market
 ) -> Tuple[Optional[EGSolution], Optional[PriceVector]]:
     """solve's proportional-response run, to the gap target _GAP_TARGET *
-    max(1, total budget) unless its support agrees first, and the exact price
+    total budget unless its support agrees first, and the exact price
     that support points to if every final price agrees with it (see
     _Support), else None. (None, None) when an exact market has no float
     image (a number beyond the float range, or a good whose only positive
     values fall below it)."""
     try:
-        scale = max(1.0, float(sum(b.budget for b in market.buyers)))
+        scale = float(sum(b.budget for b in market.buyers))
         image = _float_image(market)
     except OverflowError:
         return None, None
@@ -552,14 +553,14 @@ def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
     Proportional response runs first. It stops once every price agrees with
-    the exact candidate its spending support points to, or else at the fixed
-    gap target 1e-11 * max(1, total budget), so eg's gap may sit above that
-    target. When the final prices agree with the support's candidate, that
-    one candidate is p_star if it passes one exact clearing check on the
-    rational twin. That check is the whole certificate, so solve takes no
-    tolerance: clearing prices are unique. In exact mode it is the result's
-    certificate; a float market's rounded-back price is checked again in
-    floats. certified_by is then "rounding" and the descent trace is empty.
+    the exact candidate its spending support points to, or else at the gap
+    target 1e-11 * total budget, which scales with the money, so eg's gap
+    may sit above that target. When the final prices agree with the
+    support's candidate, that one candidate is p_star if it passes one exact
+    clearing check on the rational twin. That check is the whole
+    certificate, so solve takes no tolerance: clearing prices are unique. In
+    exact mode it is the result's certificate; a float market's rounded-back
+    price is checked again in floats. certified_by is then "rounding" and the descent trace is empty.
 
     Every other case goes to lattice_descent from a trivially feasible price
     (certified_by "descent"): a run that ends, at its gap target or stalled

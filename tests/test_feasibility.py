@@ -119,6 +119,29 @@ def test_outcome_is_feasible_rejects_oversupply_and_undemanded_bundles(ref_exact
     assert not outcome_is_feasible(ref_exact, MINIMAL, clearing[:2])
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
+def test_outcome_check_money_slack_scales_with_the_budget(s):
+    """Goods (1, 1), one buyer valuing them (2s, s) with budget s: at p* =
+    (2s/3, s/3) both goods tie above money, so the buyer must spend its
+    whole budget. With the money slack floored at 1, at s = 1e-12 the check
+    accepted the bundles that spend nothing and half the budget."""
+    market = Market((Good("a", 1.0), Good("b", 1.0)), (Buyer("x", (2 * s, s), s),), float_mode())
+    p = (2 * s / 3, s / 3)
+    for bundle, demanded in (((0.0, 0.0), False), ((0.5, 0.5), False), ((1.0, 1.0), True)):
+        assert outcome_is_feasible(market, p, (bundle,)) is demanded, bundle
+        assert is_demanded(market.buyers[0], p, bundle, market.mode.tol) is demanded, bundle
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
+def test_outcome_check_supply_slack_scales_with_the_supply(s):
+    """Goods of supply s at price 1, one buyer valuing each at 1 with budget
+    10, so money ties and every affordable bundle is demanded. With the
+    supply slack floored at 1 unit, at s = 1e-12 twice the supply passed."""
+    market = Market((Good("a", s), Good("b", s)), (Buyer("x", (1.0, 1.0), 10.0),), float_mode())
+    assert outcome_is_feasible(market, (1.0, 1.0), ((s, s),))
+    assert not outcome_is_feasible(market, (1.0, 1.0), ((2 * s, s),))
+
+
 def test_outcome_check_reads_a_float_price_as_the_flow_checks_do():
     """In floats 3 / 0.3 == 1 / 0.1 == 10.0, a tie. The rationals those
     floats are put good 1 strictly first, so the clearing check routes

@@ -358,21 +358,182 @@ def _csv_writer_text(grid):
 
 
 def test_grid_csv_is_what_csv_writer_writes(ref_grid, ref_exact, fixture_dir):
-    """One good (no head labels), two goods in each mode, and three goods."""
+    """Scans of one good (no head labels), two goods in each mode, and three
+    goods; then the hand-set grids, whose revenues range from one distinct
+    value to all distinct, with a -0.0 beside 0.0."""
     one_good = load_market((fixture_dir / "example1.json").read_bytes(), float_mode()).market
     three_goods = _draws(float_mode())[0]
     assert three_goods.n == 3
-    grids = (
+    scans = (
         grid_scan(one_good, (0.05, 1.2), 60),
         ref_grid,
         grid_scan(ref_exact, (F(1, 2), F(3)), 12),
         grid_scan(three_goods, (0.1, 9.0), 7),
     )
-    for grid in grids:
-        assert grid.membership.any() and not grid.membership.all()
+    assert all(grid.membership.any() and not grid.membership.all() for grid in scans)
+    hand_set = _hand_set_grids()
+    for grid in (*scans, *hand_set.values()):
         buf = io.StringIO()
         export_grid_csv(grid, buf)
         assert buf.getvalue() == _csv_writer_text(grid)
+    buf = io.StringIO()
+    export_grid_csv(hand_set["signed zero"], buf)
+    assert ",1,-0\r\n" in buf.getvalue() and ",1,0\r\n" in buf.getvalue()
+
+
+# Per-cell marching squares, one cell and one _EDGE_TABLE entry at a time,
+# and the stitching that takes the first unused segment at each end: the
+# reference that region_boundary_2d's array version must match.
+
+
+def _cell_codes(membership):
+    padded = np.zeros(tuple(k + 2 for k in membership.shape), dtype=np.uint8)
+    padded[1:-1, 1:-1] = membership
+    return (
+        padded[:-1, :-1] | padded[1:, :-1] << 1 | padded[1:, 1:] << 2 | padded[:-1, 1:] << 3
+    )
+
+
+def _per_cell_boundary(grid):
+    xs = [float(v) for v in grid.axes[0]]
+    ys = [float(v) for v in grid.axes[1]]
+    sx, sy = xs[1] - xs[0], ys[1] - ys[0]
+    xs = [xs[0] - sx] + xs + [xs[-1] + sx]
+    ys = [ys[0] - sy] + ys + [ys[-1] + sy]
+    lo_x, hi_x = float(grid.bounds[0][0]), float(grid.bounds[0][1])
+    lo_y, hi_y = float(grid.bounds[1][0]), float(grid.bounds[1][1])
+
+    def clamp(pt):
+        return (min(max(pt[0], lo_x), hi_x), min(max(pt[1], lo_y), hi_y))
+
+    codes = _cell_codes(grid.membership)
+    segments = []
+    for i in range(codes.shape[0]):
+        for j in range(codes.shape[1]):
+            mid = {
+                "bottom": ((xs[i] + xs[i + 1]) / 2, ys[j]),
+                "top": ((xs[i] + xs[i + 1]) / 2, ys[j + 1]),
+                "left": (xs[i], (ys[j] + ys[j + 1]) / 2),
+                "right": (xs[i + 1], (ys[j] + ys[j + 1]) / 2),
+            }
+            for a, b in gridoracle._EDGE_TABLE.get(int(codes[i, j]), ()):
+                pa, pb = clamp(mid[a]), clamp(mid[b])
+                if pa != pb:
+                    segments.append((pa, pb))
+    return _reference_stitch(segments)
+
+
+def _reference_stitch(segments):
+    adjacency = {}
+    for sid, (a, b) in enumerate(segments):
+        adjacency.setdefault(a, []).append((sid, b))
+        adjacency.setdefault(b, []).append((sid, a))
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        chain = list(segments[start])
+        for _ in range(2):
+            while True:
+                step = next(
+                    ((sid, far) for sid, far in adjacency[chain[-1]] if not used[sid]), None
+                )
+                if step is None:
+                    break
+                used[step[0]] = True
+                chain.append(step[1])
+            chain.reverse()
+        polylines.append(tuple(chain))
+    return tuple(polylines)
+
+
+def test_stitch_takes_the_first_unused_segment_at_each_end():
+    """Segment soups over a few vertices, where one vertex may end many
+    segments, so the rule that picks the next segment decides the chains."""
+    rng = random.Random(7)
+    for _ in range(200):
+        vertices = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(6)]
+        segments = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(0, 12))]
+        segments = [(a, b) for a, b in segments if a != b]
+        assert gridoracle._stitch(segments) == _reference_stitch(segments)
+
+
+def _hand_set_grids():
+    """2-good grids with hand-set membership and revenue, by name: random
+    densities, resolutions and windows; a checkerboard, with saddle codes 5
+    and 10 in every inner cell; fully feasible and fully infeasible
+    windows; one distinct revenue and all revenues distinct; a -0.0
+    revenue beside 0.0; and an exact window."""
+    rng = random.Random(19)
+
+    def grid(membership, revenue, window=None):
+        resolution = membership.shape[0]
+        if window is None:
+            lo = rng.uniform(0.01, 2.0)
+            window = (lo, lo + rng.uniform(0.001, 5.0))
+        lo, hi = window
+        axis = tuple(lo + (hi - lo) * k / (resolution - 1) for k in range(resolution))
+        tol = 0 if isinstance(lo, Fraction) else 1e-9
+        return gridoracle.RegionGrid((window,) * 2, resolution, (axis, axis), membership, revenue, tol)
+
+    def bits(shape, density):
+        return np.array([rng.random() < density for _ in range(np.prod(shape))]).reshape(shape)
+
+    grids = {}
+    for k in range(12):
+        shape = (rng.randint(2, 30),) * 2
+        membership = bits(shape, rng.random())
+        revenue = np.array([rng.choice((1.5, 2.0, 1 / 3)) for _ in range(np.prod(shape))])
+        grids[f"random{k}"] = grid(membership, np.where(membership, revenue.reshape(shape), 0.0))
+    shape = (9, 9)
+    checkerboard = np.indices(shape).sum(axis=0) % 2 == 0
+    grids["checkerboard"] = grid(checkerboard, np.where(checkerboard, 1.0, 0.0))
+    grids["one revenue"] = grid(np.ones(shape, dtype=bool), np.full(shape, 0.1 + 0.2))
+    grids["infeasible"] = grid(np.zeros(shape, dtype=bool), np.zeros(shape))
+    distinct = np.array([rng.uniform(-5.0, 5.0) for _ in range(np.prod(shape))]).reshape(shape)
+    grids["distinct revenues"] = grid(np.ones(shape, dtype=bool), distinct)
+    membership = bits(shape, 0.5)
+    membership[2, 3] = membership[2, 4] = True
+    signed = np.zeros(shape)
+    signed[2, 3] = -0.0
+    grids["signed zero"] = grid(membership, signed)
+    membership = bits(shape, 0.6)
+    grids["exact"] = grid(membership, np.where(membership, 3.0, 0.0), (F(1, 5), F(22, 5)))
+    return grids
+
+
+def test_boundary_is_the_per_cell_marching_squares():
+    saddles = clamped = 0
+    for name, grid in _hand_set_grids().items():
+        got = region_boundary_2d(grid)
+        assert got == _per_cell_boundary(grid), name
+        codes = _cell_codes(grid.membership)
+        saddles += int(((codes == 5) | (codes == 10)).sum())
+        bounds = {float(v) for pair in grid.bounds for v in pair}
+        clamped += sum(x in bounds or y in bounds for line in got for x, y in line)
+    assert saddles and clamped
+
+
+def test_boundary_csv_is_what_csv_writer_writes(ref_grid):
+    polylines = (
+        (),
+        (((0.0, 0.0), (1.0, 0.5)), ((2.0, 2.0), (2.5, 2.0), (2.5, 3.0))),
+        (((-0.0, 1e-300), (1 / 3, 2.0**70), (1, 7)),),
+        region_boundary_2d(ref_grid),
+        *(region_boundary_2d(grid) for grid in _hand_set_grids().values()),
+    )
+    for lines in polylines:
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["x", "y", "segment_id"])
+        for sid, line in enumerate(lines):
+            for x, y in line:
+                writer.writerow([f"{x:.12g}", f"{y:.12g}", sid])
+        buf = io.StringIO()
+        export_boundary_csv(lines, buf)
+        assert buf.getvalue() == expected.getvalue()
 
 
 def test_boundary_csv_export():

@@ -79,6 +79,18 @@ def test_an_equilibrium_sells_out_at_any_money_scale(ref_exact):
     assert not is_competitive_equilibrium(market, Outcome(p, ((0.0, 0.0),) * 3))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
+def test_an_equilibrium_sells_out_at_any_supply_scale(s):
+    """Goods of supply s at price 1, one buyer valuing each at 1 with budget
+    10, so any affordable bundle is demanded and only the sell-out test can
+    refuse one. With its slack floored at 1 unit, at s = 1e-12 the outcome
+    that sells nothing passed as an equilibrium."""
+    market = Market((Good("a", s), Good("b", s)), (Buyer("x", (1.0, 1.0), 10.0),), float_mode())
+    assert is_competitive_equilibrium(market, Outcome((1.0, 1.0), ((s, s),)))
+    assert not is_competitive_equilibrium(market, Outcome((1.0, 1.0), ((0.0, 0.0),)))
+    assert not is_competitive_equilibrium(market, Outcome((1.0, 1.0), ((s, s / 2),)))
+
+
 def test_eq1_slack_nonnegative_against_feasible_challengers(ref_exact):
     subject = _equilibrium(ref_exact)
     for q in ((F(1), F(1)), (F(2), F(2)), (F(7, 10), F(21, 20))):

@@ -319,6 +319,25 @@ def test_a_float_market_with_little_money_sells_out(s):
     assert is_competitive_equilibrium(market, Outcome(result.p_star, result.allocation))
 
 
+@pytest.mark.parametrize("s", [1, F(1, 10**6), F(1, 10**12)])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_gap_target_scales_with_the_money(mode, s):
+    """Goods (1, 1), buyers (2s, s) with budget s and (s, 3s) with budget 2s.
+    With the gap target floored at money 1, the run at s = 1e-12 stopped
+    after 25 iterations, before its support agreed, and fell to the descent;
+    at every scale it now certifies by rounding after 50."""
+    c = mode.coerce
+    market = Market(
+        (Good("a", c(1)), Good("b", c(1))),
+        (Buyer("x", (c(2 * s), c(s)), c(s)), Buyer("y", (c(s), c(3 * s)), c(2 * s))),
+        mode,
+    )
+    result = solve(market)
+    assert result.certified_by == "rounding"
+    assert result.eg.iterations == 50
+    assert result.p_star == (c(s), c(2 * s))
+
+
 def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatch):
     """The support of proportional response points to no candidate, so the
     run ends at its gap target and the descent answers; its endpoint needs
