@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Subcommands: solve, check-price, region, monopoly, proptest. Reports are
-JSON with a stable field order so runs diff cleanly; a short human summary
-goes to stdout when the JSON is routed to a file. Exit codes: 0 success,
-1 input problem, usage errors included, 2 solver failure (the descent
-fallback endpoint failing its clearing check, or a market with no minimal
-price) or property failure. A stalled proportional-response iteration is
-not a failure: solve checks its support's candidate or falls back to the
-descent.
+Subcommands: solve, check-price, region, monopoly, proptest. Each cmd_*
+builds a report, a JSON object with a stable field order so runs diff
+cleanly, and a few summary lines; it reads no clock and writes no report.
+main is the one report path: it starts the clock once the arguments parse,
+stamps the report unless --no-timestamp is given, and writes it to --out,
+printing the summary on stdout, or else writes it to stdout. region's --out
+names the grid CSV it writes, so its report always goes to stdout.
+
+Exit codes: 0 success, 1 input problem, usage errors and an unwritable
+--out included, 2 solver failure (the descent fallback endpoint failing its
+clearing check, or a market with no minimal price) or a proptest with
+failing suites. A stalled proportional-response iteration is not a failure:
+solve checks its support's candidate or falls back to the descent.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .gridoracle import (
     oracle_min_price,
     region_boundary_2d,
 )
-from .market import MarketError, aggregate
-from .marketio import LoadedMarket, ParseError, load_market, load_market_csv, reaggregate
+from .market import Market, MarketError, aggregate
+from .marketio import ParseError, load_market, load_market_csv, reaggregate
 from .monopoly import (
     MonopolyInstance,
     clearing_price,
@@ -62,25 +67,10 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _emit(report: dict, out_path, summary_lines) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for line in summary_lines:
-            print(line)
-    else:
-        sys.stdout.write(text)
-
-
-def _stamp(report: dict, started: float, no_timestamp: bool) -> None:
-    if no_timestamp:
-        return
-    report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
-
-
 def _load(args) -> tuple:
+    """(loaded market, the report's input block) for args.path. --supply and
+    --kind describe CSV rows; a JSON market carries its own, so they are
+    refused there rather than ignored."""
     with open(args.path, "rb") as fh:
         raw = fh.read()
     mode = {"exact": EXACT, "float": float_mode()}.get(args.mode)
@@ -88,33 +78,28 @@ def _load(args) -> tuple:
         if not args.supply:
             raise ParseError("csv", "CSV input needs --supply s_1,...,s_n")
         supplies = [s.strip() for s in args.supply.split(",")]
-        loaded = load_market_csv(
-            raw.decode("utf-8"),
-            supplies,
-            kind=args.kind,
-            mode=mode,
-        )
+        loaded = load_market_csv(raw.decode("utf-8"), supplies, args.kind or "market", mode)
     else:
+        for flag, value in (("--supply", args.supply), ("--kind", args.kind)):
+            if value is not None:
+                message = f"{flag} applies to CSV input only; a JSON market sets its own"
+                raise ParseError("json", message)
         loaded = load_market(raw, mode)
-    return loaded, _digest(raw)
+    return loaded, {"path": args.path, "sha256": _digest(raw), "kind": loaded.kind}
 
 
-def _parse_price(text: str, loaded: LoadedMarket):
-    mode = loaded.market.mode
+def _parse_price(text: str, market: Market):
     parts = [t.strip() for t in text.split(",")]
-    if len(parts) != loaded.market.n:
-        raise ParseError(
-            "price", f"expected {loaded.market.n} comma-separated prices, got {len(parts)}"
-        )
+    if len(parts) != market.n:
+        raise ParseError("price", f"expected {market.n} comma-separated prices, got {len(parts)}")
     try:
-        return tuple(parse_number(t, mode) for t in parts)
+        return tuple(parse_number(t, market.mode) for t in parts)
     except ValueError as exc:
         raise ParseError("price", str(exc)) from None
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    loaded, digest = _load(args)
+def cmd_solve(args) -> tuple:
+    loaded, source = _load(args)
     market = loaded.market
     exact = market.mode.is_exact
     result = solve(market)
@@ -122,7 +107,7 @@ def cmd_solve(args) -> int:
     totals = aggregate(result.allocation, market.n)
     report = {
         "command": "solve",
-        "input": {"path": args.path, "sha256": digest, "kind": loaded.kind},
+        "input": source,
         "mode": market.mode.kind,
         "goods": [g.name for g in market.goods],
         "p_star": [_num(v, exact) for v in result.p_star],
@@ -164,43 +149,28 @@ def cmd_solve(args) -> int:
                 loaded.owners, result.allocation, result.p_star
             )
         ]
-    _stamp(report, started, args.no_timestamp)
-    _emit(
-        report,
-        args.out,
-        [
-            "p* = (" + ", ".join(str(_num(v, exact)) for v in result.p_star) + ")",
-            f"revenue = {_num(result.revenue, exact)}",
-            f"welfare = {_num(result.welfare, exact)}",
-        ],
-    )
-    return EXIT_OK
+    return report, [
+        "p* = (" + ", ".join(str(v) for v in report["p_star"]) + ")",
+        f"revenue = {report['revenue']}",
+        f"welfare = {report['welfare']}",
+    ]
 
 
-def cmd_check_price(args) -> int:
-    started = time.perf_counter()
-    loaded, digest = _load(args)
+def cmd_check_price(args) -> tuple:
+    loaded, source = _load(args)
     market = loaded.market
     exact = market.mode.is_exact
-    price = _parse_price(args.price, loaded)
+    price = _parse_price(args.price, market)
     cert = check_clearing(market, price)
     report = {
         "command": "check-price",
-        "input": {"path": args.path, "sha256": digest, "kind": loaded.kind},
+        "input": source,
         "mode": market.mode.kind,
         "price": [_num(v, exact) for v in price],
         "feasible": cert.feasible,
         "clearing": cert.clearing,
     }
-    lines = []
-    if cert.feasible:
-        report["max_extension_revenue"] = _num(cert.max_extension_revenue, exact)
-        report["allocation"] = [
-            [_num(q, exact) for q in row] for row in cert.allocation
-        ]
-        lines.append("feasible" + (", clearing" if cert.clearing else ", not clearing"))
-        lines.append(f"max-extension revenue = {report['max_extension_revenue']}")
-    else:
+    if not cert.feasible:
         witness = cert.witness
         report["witness"] = {
             "goods": [market.goods[j - 1].name for j in witness.goods],
@@ -208,20 +178,18 @@ def cmd_check_price(args) -> int:
             "capacity": _num(witness.capacity, exact),
             "excess": _num(witness.excess, exact),
         }
-        lines.append("infeasible")
-        lines.append(
-            "over-demanded goods: " + ", ".join(report["witness"]["goods"])
-        )
-    _stamp(report, started, args.no_timestamp)
-    _emit(report, args.out, lines)
-    return EXIT_OK
+        over = ", ".join(report["witness"]["goods"])
+        return report, ["infeasible", f"over-demanded goods: {over}"]
+    report["max_extension_revenue"] = _num(cert.max_extension_revenue, exact)
+    report["allocation"] = [[_num(q, exact) for q in row] for row in cert.allocation]
+    return report, [
+        "feasible" + (", clearing" if cert.clearing else ", not clearing"),
+        f"max-extension revenue = {report['max_extension_revenue']}",
+    ]
 
 
-def cmd_region(args) -> int:
-    started = time.perf_counter()
-    if not args.out:
-        raise ParseError("out", "region needs --out for the grid CSV")
-    loaded, digest = _load(args)
+def cmd_region(args) -> tuple:
+    loaded, source = _load(args)
     market = loaded.market
     if args.mode is None and market.mode.is_exact:
         # Both modes scan in closed form, but an exact point reads its demand
@@ -245,44 +213,34 @@ def cmd_region(args) -> int:
     if args.boundary and market.n != 2:
         raise MarketError("boundary extraction needs exactly 2 goods")
     grid = grid_scan(market, (lo, hi), args.resolution)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.grid_csv, "w", encoding="utf-8", newline="") as fh:
         export_grid_csv(grid, fh)
-    boundary_path = args.boundary
-    polylines = ()
-    if market.n == 2:
-        boundary_path = boundary_path or (
-            args.out[:-4] + ".boundary.csv" if args.out.endswith(".csv") else args.out + ".boundary.csv"
-        )
-        polylines = region_boundary_2d(grid)
-        with open(boundary_path, "w", encoding="utf-8", newline="") as fh:
-            export_boundary_csv(polylines, fh)
     feasible_count = int(grid.membership.sum())
     report = {
         "command": "region",
-        "input": {"path": args.path, "sha256": digest, "kind": loaded.kind},
+        "input": source,
         "mode": market.mode.kind,
         "bounds": [_num(lo, exact), _num(hi, exact)],
         "resolution": args.resolution,
         "points": points,
         "feasible_points": feasible_count,
-        "grid_csv": args.out,
+        "grid_csv": args.grid_csv,
     }
     if market.n == 2:
-        report["boundary_csv"] = boundary_path
+        stem = args.grid_csv[:-4] if args.grid_csv.endswith(".csv") else args.grid_csv
+        report["boundary_csv"] = args.boundary or stem + ".boundary.csv"
+        polylines = region_boundary_2d(grid)
+        with open(report["boundary_csv"], "w", encoding="utf-8", newline="") as fh:
+            export_boundary_csv(polylines, fh)
         report["polylines"] = len(polylines)
     if feasible_count:
-        report["min_feasible_price"] = [
-            _num(v, exact) for v in oracle_min_price(grid)
-        ]
+        report["min_feasible_price"] = [_num(v, exact) for v in oracle_min_price(grid)]
         price, rev = oracle_max_revenue(grid)
         report["max_revenue"] = {
             "price": [_num(v, exact) for v in price],
             "revenue": _num(rev, False),
         }
-    _stamp(report, started, args.no_timestamp)
-    # --out names the grid CSV here, so the JSON report goes to stdout.
-    _emit(report, None, [])
-    return EXIT_OK
+    return report, []
 
 
 def _parse_valuation(text: str):
@@ -299,8 +257,18 @@ def _parse_valuation(text: str):
     raise ParseError("valuation", f"unknown valuation {text!r} (use example-a1 or linear:v)")
 
 
-def cmd_monopoly(args) -> int:
-    started = time.perf_counter()
+def _offer(price, quantity, revenue) -> dict:
+    """A monopoly report block: a price, the quantity sold there and its revenue."""
+    return {"price": _num(price, False), "quantity": _num(quantity, False),
+            "revenue": _num(revenue, False)}
+
+
+def _spoken(block: dict) -> str:
+    """A report block as summary text: "price 1.0, revenue 2.0"."""
+    return ", ".join(f"{key} {value}" for key, value in block.items())
+
+
+def cmd_monopoly(args) -> tuple:
     valuation = _parse_valuation(args.valuation)
     try:
         budget = math.inf if args.budget in (None, "inf") else float(args.budget)
@@ -308,7 +276,6 @@ def cmd_monopoly(args) -> int:
         raise ParseError("budget", f"bad number {args.budget!r}") from None
     instance = MonopolyInstance(valuation, float(args.supply), budget)
     clearing = clearing_price(instance)
-    opt_price, opt_qty, opt_rev = max_revenue_price(instance)
     report = {
         "command": "monopoly",
         "input": {
@@ -323,20 +290,13 @@ def cmd_monopoly(args) -> int:
             "price": _num(clearing, False),
             "revenue": _num(revenue_at(instance, clearing), False),
         },
-        "optimal": {
-            "price": _num(opt_price, False),
-            "quantity": _num(opt_qty, False),
-            "revenue": _num(opt_rev, False),
-        },
+        "optimal": _offer(*max_revenue_price(instance)),
     }
+    lines = [f"clearing {_spoken(report['clearing'])}", f"optimal {_spoken(report['optimal'])}"]
     if math.isfinite(budget):
         free = MonopolyInstance(valuation, instance.supply, math.inf)
-        f_price, f_qty, f_rev = max_revenue_price(free)
-        report["optimal_unconstrained"] = {
-            "price": _num(f_price, False),
-            "quantity": _num(f_qty, False),
-            "revenue": _num(f_rev, False),
-        }
+        report["optimal_unconstrained"] = _offer(*max_revenue_price(free))
+        lines.append(f"optimal ignoring the budget: {_spoken(report['optimal_unconstrained'])}")
     witness = divergence_witness(valuation, budget)
     report["divergence_witness"] = (
         None
@@ -349,28 +309,14 @@ def cmd_monopoly(args) -> int:
             "x_tilde": None if witness.x_tilde is None else _num(witness.x_tilde, False),
         }
     )
-    _stamp(report, started, args.no_timestamp)
-    lines = [
-        f"clearing price {report['clearing']['price']}, revenue {report['clearing']['revenue']}",
-        f"optimal price {report['optimal']['price']}, quantity {report['optimal']['quantity']}, "
-        f"revenue {report['optimal']['revenue']}",
-    ]
-    if "optimal_unconstrained" in report:
-        u = report["optimal_unconstrained"]
-        lines.append(
-            f"optimal ignoring the budget: price {u['price']}, quantity {u['quantity']}, "
-            f"revenue {u['revenue']}"
-        )
     lines.append(
         "divergence witness: "
         + ("none" if witness is None else f"s = {report['divergence_witness']['supply']}")
     )
-    _emit(report, args.out, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_proptest(args) -> int:
-    started = time.perf_counter()
+def cmd_proptest(args) -> tuple:
     _probes, merged = run_all(args.seed, markets=args.markets, pairs=args.pairs)
     report = {
         "command": "proptest",
@@ -388,13 +334,10 @@ def cmd_proptest(args) -> int:
         ],
         "ok": all(s.ok for s in merged),
     }
-    _stamp(report, started, args.no_timestamp)
-    lines = [
+    return report, [
         f"{s.name}: {s.cases} cases, {len(s.failures)} failures, {len(s.findings)} findings"
         for s in merged
     ]
-    _emit(report, args.out, lines)
-    return EXIT_OK if report["ok"] else EXIT_DISAGREE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, report_out=True):
         if with_input:
             p.add_argument("path", help="market JSON (or CSV with --supply)")
             p.add_argument("--mode", choices=["exact", "float"], default=None)
@@ -412,10 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--kind",
                 choices=["market", "arctic"],
-                default="market",
-                help="row semantics for CSV input",
+                default=None,
+                help="row semantics for CSV input (default: market)",
             )
-        p.add_argument("--out", default=None, help="write the JSON report here")
+        if report_out:
+            p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -432,11 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check_price)
 
     p_region = sub.add_parser("region", help="scan the feasible region on a grid")
-    common(p_region)
+    common(p_region, report_out=False)
+    p_region.add_argument(
+        "--out",
+        required=True,
+        dest="grid_csv",
+        help="write the grid CSV here; the JSON report goes to stdout",
+    )
     p_region.add_argument("--bounds", default="0.1:5", help="price window lo:hi")
     p_region.add_argument("--resolution", type=int, default=491)
     p_region.add_argument("--boundary", default=None, help="boundary CSV path (2 goods)")
-    p_region.set_defaults(fn=cmd_region)
+    p_region.set_defaults(fn=cmd_region, out=None)
 
     p_mono = sub.add_parser("monopoly", help="single-good concave-valuation analysis")
     common(p_mono, with_input=False)
@@ -467,14 +417,27 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the help, or the usage and its error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        report, summary = args.fn(args)
+        if not args.no_timestamp:
+            report["generated_at"] = datetime.now(timezone.utc).isoformat()
+            report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
+        text = json.dumps(report, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for line in summary:
+                print(line)
+        else:
+            sys.stdout.write(text)
     except (MethodDisagreementError, SolverConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
     except (MarketError, OSError) as exc:  # ParseError is a MarketError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if report.get("ok", True) else EXIT_DISAGREE  # proptest's verdict
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ class Market:
     built from another one (coerced, strip_worthless_goods) is a new object
     with a verdict of its own, except the twin of a valid float market (see
     rational_twin), which takes over its empty verdict. The value tables
-    that demand_sets reads are kept the same way, one per object.
+    that demand_sets reads and a float market's rational twin are kept the
+    same way, one per object.
     """
 
     goods: Tuple[Good, ...]
@@ -143,13 +144,17 @@ class Market:
         return np.ascontiguousarray(values.T)
 
     def rational_twin(self) -> "Market":
-        """The market in exact arithmetic: itself when exact, else a new
-        exact copy on every call. A valid float market's copy is valid too,
-        since a finite float read through its decimal stays finite, keeps its
-        sign and is zero only if it was zero, so it takes over the empty
-        verdict instead of validating again."""
+        """The market in exact arithmetic: itself when exact, else an exact
+        copy, built on the first call and kept. A valid float market's copy
+        is valid too, since a finite float read through its decimal stays
+        finite, keeps its sign and is zero only if it was zero, so it takes
+        over the empty verdict instead of validating again."""
         if self.mode.is_exact:
             return self
+        return self._twin
+
+    @cached_property
+    def _twin(self) -> "Market":
         twin = self.coerced(EXACT)
         if not self.violations:
             twin.__dict__["violations"] = ()

@@ -103,7 +103,9 @@ def certify_constrained_efficiency(
     The verdict rests on the equilibrium check alone; challenger outcomes
     (each must be feasible with one price per good, else
     ChallengerRejectedError with its index) add recorded welfare slacks that
-    a certified verdict must keep above minus the market mode's tolerance.
+    a certified verdict must keep above -tol * (the outcome's welfare plus
+    the challenger's), tol being the market mode's: a slack is a difference
+    of welfares and payments, whose float rounding grows with the money.
     The outcome's own prices, like any price vector, raise PriceDomainError
     unless they are positive and one per good; so do a challenger's of the
     right length.
@@ -115,14 +117,19 @@ def certify_constrained_efficiency(
             raise ChallengerRejectedError(k)
     slacks = tuple(eq1_slack(market, outcome, ch.allocation) for ch in challengers)
     min_slack = min(slacks) if slacks else None
+    welfare = social_welfare(market, outcome.allocation)
+    tol = market.mode.tol
     verdict = (
         VERDICT_CERTIFIED
         if is_competitive_equilibrium(market, outcome)
         else VERDICT_NOT_CE
     )
-    if verdict == VERDICT_CERTIFIED and slacks and min_slack < -market.mode.tol:
+    if verdict == VERDICT_CERTIFIED and any(
+        slack < -tol * (welfare + social_welfare(market, ch.allocation))
+        for slack, ch in zip(slacks, challengers)
+    ):
         # A genuine equilibrium cannot lose welfare to a feasible challenger;
         # reaching this line means the feasibility tolerance let a bad
         # challenger through, so refuse to certify.
         verdict = VERDICT_NOT_CE
-    return EfficiencyCertificate(verdict, social_welfare(market, outcome.allocation), slacks, min_slack)
+    return EfficiencyCertificate(verdict, welfare, slacks, min_slack)

@@ -63,7 +63,7 @@ from .market import (
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
-from .numeric import EXACT, Number, NumericMode
+from .numeric import EXACT, Number
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
@@ -160,7 +160,7 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     when an exact market has no float image.
     """
     require_valid(market)
-    return _proportional_response(market, market.rational_twin())[0]
+    return _proportional_response(market)[0]
 
 
 def _float_image(market: Market):
@@ -511,26 +511,19 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
         q = tuple(v * factor if k in down else v for k, v in enumerate(p, start=1))
         steps.append(DescentStep(tuple(sorted(down)), p, q))
         p = q
-    return _in_mode(DescentTrace(start, tuple(steps), p, probes), market.mode)
 
-
-def _in_mode(trace: DescentTrace, mode: NumericMode) -> DescentTrace:
-    """The trace with every price brought into `mode`."""
-
-    def own(prices):
-        return tuple(mode.coerce(v) for v in prices)
+    def own(prices):  # prices brought into the market's own mode
+        return tuple(market.mode.coerce(v) for v in prices)
 
     return DescentTrace(
-        own(trace.start),
-        tuple(DescentStep(s.goods, own(s.before), own(s.after)) for s in trace.steps),
-        own(trace.final),
-        trace.probes,
+        own(start),
+        tuple(DescentStep(s.goods, own(s.before), own(s.after)) for s in steps),
+        own(p),
+        probes,
     )
 
 
-def _proportional_response(
-    market: Market, twin: Market
-) -> Tuple[Optional[EGSolution], Optional[PriceVector]]:
+def _proportional_response(market: Market) -> Tuple[Optional[EGSolution], Optional[PriceVector]]:
     """solve's proportional-response run, to the gap target _GAP_TARGET *
     total budget unless its support agrees first, and the exact price
     that support points to if every final price agrees with it (see
@@ -544,7 +537,7 @@ def _proportional_response(
         return None, None
     if not (image[2] > 0).any(axis=0).all():
         return None, None
-    support = _Support(twin)
+    support = _Support(market.rational_twin())
     eg = _solve_eg(image, _GAP_TARGET * scale, stop=support)
     return eg, support.candidate if support.agrees else None
 
@@ -583,9 +576,8 @@ def solve(market: Market) -> EquilibriumResult:
     re-derives the same verdict from the outcome alone.)
     """
     require_valid(market)
-    twin = market.rational_twin()
-    eg, p_star = _proportional_response(market, twin)
-    cert = None if p_star is None else check_clearing(twin, p_star)
+    eg, p_star = _proportional_response(market)
+    cert = None if p_star is None else check_clearing(market.rational_twin(), p_star)
     if cert is not None and cert.clearing and not market.mode.is_exact:
         p_star = tuple(float(v) for v in p_star)
         cert = check_clearing(market, p_star)
@@ -594,11 +586,7 @@ def solve(market: Market) -> EquilibriumResult:
         trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
     else:
         certified_by = "descent"
-        # The descent runs on the twin already built, from the start
-        # lattice_descent(market, ...) would bring onto it; its trace comes
-        # back in the market's own mode.
-        start = tuple(map(EXACT.coerce, initial_feasible_price(market)))
-        trace = _in_mode(lattice_descent(twin, start), market.mode)
+        trace = lattice_descent(market, initial_feasible_price(market))
         p_star = trace.final
         cert = check_clearing(market, p_star)
         if not cert.clearing:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qfmarket.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, main
+from qfmarket.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, build_parser, main
 
 
 def run_cli(*argv):
@@ -76,6 +76,54 @@ def test_solve_reports_are_pinned(fixture_dir, name, mode):
     assert code == EXIT_OK
     report = out.replace(json.dumps(str(path)), json.dumps(name))
     assert hashlib.sha256(report.encode()).hexdigest() == _SOLVE_REPORT_PINS[name, mode]
+
+
+# sha256 of other `--no-timestamp` reports, example2's path written as the
+# bare file name and region's temporary directory as TMP.
+_REPORT_PINS = {
+    "check-price-infeasible": (
+        ["check-price", "example2.json", "--price", "1/2,1/2"],
+        "1d1a7c35b5d14d61d36c288611ac2e9d5638a435b756976e57d98644f2ff594a",
+    ),
+    "check-price-float": (
+        ["check-price", "example2.json", "--price", "3/5,3/5", "--mode", "float"],
+        "a246da7aeae9aa8cb491a2aae1e377a27149d07faece561e13136153d30b1247",
+    ),
+    "region-41": (
+        ["region", "example2.json", "--bounds", "0.4:3.2", "--resolution", "41"],
+        "6d07e6a4115f7013e6bc5e7faa0116815c4d2126103dbc40c17e97f903a66775",
+    ),
+    "region-21-exact": (
+        ["region", "example2.json", "--bounds", "0.4:3.2", "--resolution", "21", "--mode", "exact"],
+        "5e2cf1cf870f633c34c0137055c62360f7036eb18912269f82a300aefb99579f",
+    ),
+    "monopoly-curved": (
+        ["monopoly", "--valuation", "example-a1", "--supply", "3", "--budget", "2"],
+        "73a8c5bb535e0aef7a3bd624422c2974a4bbf3e419c495ed023a29b7142bd6fe",
+    ),
+    "monopoly-linear": (
+        ["monopoly", "--valuation", "linear:5", "--supply", "3"],
+        "501b878ff6c19e3bfa51f3200101629245c4f1e06f04fda3c55f99cb85070972",
+    ),
+    "proptest": (
+        ["proptest", "--markets", "2", "--pairs", "10"],
+        "ff28131f7bbc3e2c6257a8457bf2c895b3837ae84e471c43ecb4c6357c6c969d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_PINS))
+def test_reports_are_pinned(fixture_dir, tmp_path, name):
+    argv, pin = _REPORT_PINS[name]
+    path = fixture_dir / "example2.json"
+    argv = [str(path) if arg == "example2.json" else arg for arg in argv]
+    if argv[0] == "region":
+        argv += ["--out", str(tmp_path / "grid.csv")]
+    code, out, _ = run_cli(*argv, "--no-timestamp")
+    assert code == EXIT_OK
+    report = out.replace(json.dumps(str(path)), json.dumps("example2.json"))
+    report = report.replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(report.encode()).hexdigest() == pin
 
 
 def test_solve_float_mode(fixture_dir):
@@ -335,6 +383,14 @@ def test_region_requires_out(fixture_dir):
     assert "--out" in err
 
 
+def test_region_help_describes_out_as_the_grid_csv():
+    code, out, _ = run_cli("region", "--help")
+    assert code == EXIT_OK
+    text = " ".join(out.split())
+    assert "--out GRID_CSV write the grid CSV here; the JSON report goes to stdout" in text
+    assert "write the JSON report here" not in text
+
+
 def test_monopoly_curved_report():
     code, out, _ = run_cli(
         "monopoly", "--valuation", "example-a1", "--supply", "3", "--budget", "2", "--no-timestamp"
@@ -426,6 +482,58 @@ def test_csv_input_needs_supplies(tmp_path):
     code, _, err = run_cli("solve", str(table))
     assert code == EXIT_INPUT
     assert "--supply" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--supply", "9,9"], ["--kind", "arctic"], ["--kind", "market"]],
+    ids=["supply", "kind-arctic", "kind-market"],
+)
+def test_json_input_refuses_csv_flags(fixture_dir, flags):
+    """--supply and --kind describe CSV rows; a JSON market names its own
+    supplies and kind, so the flags are refused rather than ignored."""
+    code, out, err = run_cli("solve", str(fixture_dir / "example2.json"), *flags)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: json: {flags[0]} applies to CSV input only; a JSON market sets its own\n"
+
+
+def test_csv_input_takes_its_kind(tmp_path):
+    table = tmp_path / "bids.csv"
+    table.write_text("name,budget,v_1,v_2\nb1,1,2,3\nb2,1,2,2\nb3,1,4,2\n")
+    for kind in ([], ["--kind", "market"], ["--kind", "arctic"]):
+        code, out, _ = run_cli("solve", str(table), "--supply", "3,2", *kind, "--no-timestamp")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["input"]["kind"] == (kind[1] if kind else "market")
+        assert report["p_star"] == ["3/5", "3/5"]
+
+
+def test_subcommands_return_reports_and_main_writes_them(fixture_dir, tmp_path, capsys):
+    """A cmd_* builds its report and summary and writes neither; main stamps
+    the report, writes it to --out and prints the summary."""
+    path = str(fixture_dir / "example2.json")
+    args = build_parser().parse_args(["check-price", path, "--price", "3/5,3/5"])
+    report, summary = args.fn(args)
+    assert capsys.readouterr() == ("", "")
+    assert "generated_at" not in report and "elapsed_seconds" not in report
+    assert summary == ["feasible, clearing", "max-extension revenue = 3"]
+    target = tmp_path / "report.json"
+    assert main(["check-price", path, "--price", "3/5,3/5", "--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == "feasible, clearing\nmax-extension revenue = 3\n"
+    written = json.loads(target.read_text())
+    assert list(written) == [*report, "generated_at", "elapsed_seconds"]
+    assert written["elapsed_seconds"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "example2.json"], ["monopoly", "--valuation", "linear:5", "--supply", "3"]],
+    ids=["solve", "monopoly"],
+)
+def test_unwritable_out_is_an_input_error(fixture_dir, tmp_path, argv):
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "missing" / "report.json"))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "No such file or directory" in err
 
 
 @pytest.mark.parametrize(

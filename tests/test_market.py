@@ -166,6 +166,7 @@ def test_a_valid_float_market_twin_takes_over_its_verdict(monkeypatch, ref_exact
     runs = _count_validations(monkeypatch)
     twin = ref_float.rational_twin()
     assert twin == ref_exact and twin.mode.is_exact
+    assert ref_float.rational_twin() is twin  # built once and kept
     assert validate_market(twin) == []
     assert list(map(id, runs)) == [id(ref_float)]  # the twin took over its verdict
 

@@ -1,5 +1,6 @@
 """Revenue, welfare, and the equilibrium / efficiency certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,31 @@ def test_certify_constrained_efficiency(ref_exact):
     assert cert.welfare == F(15)
     assert len(cert.slacks) == 2
     assert cert.min_slack == min(cert.slacks) >= 0
+
+
+@pytest.mark.parametrize("s", [1.0, 1e8, 1e12])
+def test_certify_bounds_slacks_by_the_welfare_in_play(s):
+    """Goods A and B of supply 1 and two buyers valuing both at 2s with budget
+    s: p* = (s, s), and every split ((a, 1 - a), (1 - a, a)) is a feasible
+    outcome there with the same welfare, so each slack is 0 up to rounding.
+    Against the absolute bound -tol, rounding refused the equilibrium at
+    s = 1e8 (slacks of -5.96e-8) and at s = 1e12 (-4.9e-4)."""
+    market = Market(
+        (Good("A", 1.0), Good("B", 1.0)),
+        (Buyer("b1", (2 * s, 2 * s), s), Buyer("b2", (2 * s, 2 * s), s)),
+        float_mode(),
+    )
+    p = (s, s)
+    subject = Outcome(p, ((1.0, 0.0), (0.0, 1.0)))
+    rng = random.Random(0)
+    challengers = []
+    for _ in range(200):
+        a = rng.random()
+        challengers.append(Outcome(p, ((a, 1 - a), (1 - a, a))))
+    cert = certify_constrained_efficiency(market, subject, challengers)
+    assert cert.verdict == VERDICT_CERTIFIED
+    assert cert.welfare == 4 * s
+    assert abs(cert.min_slack) <= 1e-15 * cert.welfare
 
 
 def test_certify_rejects_non_equilibrium_outcomes(ref_exact):

@@ -433,9 +433,9 @@ def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
 def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
     """Seed-0 battery draw 15 is certified by the descent, whose path reads
     the verdict in solve, initial_feasible_price, lattice_descent's
-    feasibility check and the clearing check. solve builds a float market's
-    twin once and runs the descent on it; the trace is the one a bare
-    lattice_descent of the market gives."""
+    feasibility check and the clearing check. A float market builds its
+    twin once and keeps it, so solve, a later bare lattice_descent and
+    solve_eg share it; the trace is the one a bare lattice_descent gives."""
     market = _draw(0, 15, 6, 6).coerced(mode)
     validated, twins = [], []
     body, coerced = market_module._violations, Market.coerced
@@ -456,6 +456,8 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
     assert list(map(id, validated)) == [id(market)]
     assert list(map(id, twins)) == ([] if mode.is_exact else [id(market)])
     assert repr(result.descent) == repr(lattice_descent(market, initial_feasible_price(market)))
+    assert repr(result.eg) == repr(solve_eg(market))
+    assert list(map(id, twins)) == ([] if mode.is_exact else [id(market)])
 
 
 def test_support_stop_shortens_proportional_response():
