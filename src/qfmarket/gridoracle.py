@@ -9,10 +9,11 @@ Both modes read both numbers off Gale's supply-demand condition in closed
 form, vectorized over chunks of lattice points. With D_i the goods buyer i
 demands and c_j = p_j s_j, the max flow of budgets b_i into the goods is the
 minimum over good sets A of sum_{j in A} c_j plus the budgets of the buyers
-with D_i not inside A. An exact-mode scan reads each point's demand sets in
-integers (market.demand_sets) and scales the budgets and every lattice
-capacity to integers over one common denominator, so its cut values are
-exact.
+with D_i not inside A. Demand comes from market.demand_lattice, the one
+formula demand_sets also reads, run over whole chunks of points. An
+exact-mode scan scales the lattice's prices to integers once, over one
+common denominator, and its budgets and capacities over another, so its
+demand masks and cut values are exact.
 
 A chunk of k lattice points is laid out goods-major, with the points on the
 innermost axis: prices and capacities (n, k), demand masks (m, k), and the
@@ -30,8 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .flow import scale_to_integers
-from .market import Market, MarketError, PriceVector, demand_sets, float_demand, require_valid
+from .market import Market, MarketError, PriceVector, demand_lattice, mode_array, require_valid
 from .numeric import Number
 
 
@@ -109,25 +109,24 @@ def _gale_scan(market: Market, axes):
 
     A point is feasible when the strict budgets fall short of their max flow
     by no more than the flow check's slack tol * scale * (m + n + 4), which
-    is 0 in exact mode. Three things depend on the mode:
-    - demand sets: float_demand's tie band (the one float demand_sets reads)
-      in float mode, and one demand_sets call per point, in integers, in
-      exact mode;
-    - money: an exact scan carries budgets and capacities as Python ints,
-      times one common denominator `unit` (scale_to_integers), so its cut
-      values are exact; a float scan's unit is 1;
+    is 0 in exact mode. Both modes read demand as demand_sets does, with
+    demand_lattice over each chunk's (n, k) prices; only the numbers differ
+    (mode_array):
+    - an exact scan scales every axis value to integers once, over one
+      common `price_unit`, and carries budgets and capacities as Python
+      ints times another common denominator `unit`, so its cut values are
+      exact; a float scan keeps floats, and both its units are 1;
     - revenue: flow / unit, which for ints is one correctly rounded division.
     """
     m, n = market.m, market.n
-    exact = market.mode.is_exact
     tol = market.mode.tol
     amounts = [b.budget for b in market.buyers]
     amounts += [price * good.supply for ax, good in zip(axes, market.goods) for price in ax]
-    unit, amounts = scale_to_integers(amounts) if exact else (1, amounts)
-    amounts = np.array(amounts, dtype=object if exact else np.float64)
+    unit, amounts = mode_array(market, amounts)
     budgets, cap_axes = amounts[:m], amounts[m:].reshape(n, -1)  # c_j per axis value
-    grid_axes = [np.array(ax, dtype=amounts.dtype) for ax in axes]
-    total_budget = sum(b.budget for b in market.buyers) * unit
+    price_unit, grid_axes = mode_array(market, [x for ax in axes for x in ax])
+    grid_axes = grid_axes.reshape(n, -1)  # P_j per axis value
+    total_budget = sum(budgets.tolist())  # over the capacities' unit
     sets = np.arange(1 << n)
     in_set = ((sets[:, None] >> np.arange(n)) & 1).astype(amounts.dtype)  # (2^n, n)
     mask_type = np.min_scalar_type((1 << n) - 1)
@@ -144,19 +143,11 @@ def _gale_scan(market: Market, axes):
     for start, stop in zip(seams, seams[1:]):
         idx = np.unravel_index(np.arange(start, stop), shape)
         p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)])  # (n, k)
-        if exact:
-            rows = [demand_sets(market, point) for point in p.T]
-            # Bit j of a set's mask is good j + 1; money, index 0, shifts out.
-            demand = np.array(
-                [[sum(1 << j for j in s.goods) >> 1 for s in row] for row in rows], dtype=mask_type
-            ).T
-            money = np.array([[not s.strict for s in row] for row in rows]).T
-        else:
-            _, demanded, money = float_demand(market, p)  # (n, m, k), (m, k)
-            demand = np.zeros(money.shape, dtype=mask_type)
-            for j, plane in enumerate(demanded):
-                demand |= plane.astype(mask_type) << j
-        strict = np.where(money, 0, budgets[:, None])  # (m, k)
+        _, _, demanded = demand_lattice(market, p, price_unit)  # (n + 1, m, k), money first
+        demand = np.zeros(demanded.shape[1:], dtype=mask_type)
+        for j, plane in enumerate(demanded[1:]):
+            demand |= plane.astype(mask_type) << j
+        strict = np.where(demanded[0], 0, budgets[:, None])  # (m, k)
         caps = np.stack([c[i] for c, i in zip(cap_axes, idx)])  # (n, k)
         missed = (demand & outside) != 0  # (2^n, m, k): D_i not in A
         cut_caps = in_set @ caps  # (2^n, k)

@@ -14,6 +14,11 @@ Conventions used throughout the package:
   do, so a float price on an exact market is the rational it is in each.
   bang_per_buck, is_demanded and demand_vertices answer for one buyer at p
   exactly as given, with a tie band of the caller's choosing.
+* demand has one formula in both modes, demand_lattice: a table of ratios,
+  v / p in floats or, in exact mode, integers that are the ratios times one
+  positive integer per price point, then bang_per_buck's tie band.
+  demand_sets reads it at one price, and grid scans across a whole lattice
+  whose prices they scaled to integers once (mode_array).
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ class Market:
     built from another one (coerced, strip_worthless_goods) is a new object
     with a verdict of its own, except the twin of a valid float market (see
     rational_twin), which takes over its empty verdict. The value tables
-    that demand_sets reads and a float market's rational twin are kept the
-    same way, one per object.
+    that demand_lattice reads (float_values, and in exact mode one integer
+    table) and a float market's rational twin are kept the same way, one
+    per object.
     """
 
     goods: Tuple[Good, ...]
@@ -127,21 +133,24 @@ class Market:
         return tuple(_violations(self))
 
     @cached_property
-    def _integer_values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """(D, V) per buyer, its values v = V / D over their least common
-        denominator D, which exact demand_sets compares. A valid exact
-        market's values are ints and Fractions (see validate_market)."""
-        return tuple(
-            (unit, tuple(scaled))
-            for unit, scaled in (scale_to_integers(b.values) for b in self.buyers)
-        )
+    def float_values(self) -> np.ndarray:
+        """The values as a read-only n x m float table, goods first, each
+        read with float(): the table float-mode demand divides and
+        proportional response reads (as its transpose). OverflowError when
+        a value lies beyond the float range."""
+        rows = np.array([b.values for b in self.buyers], dtype=np.float64).reshape(self.m, self.n)
+        values = np.ascontiguousarray(rows.T)
+        values.flags.writeable = False
+        return values
 
     @cached_property
-    def _float_values(self) -> np.ndarray:
-        """The values as an n x m float matrix, goods first, which
-        float_demand divides."""
-        values = np.array([b.values for b in self.buyers], dtype=np.float64).reshape(self.m, self.n)
-        return np.ascontiguousarray(values.T)
+    def _integer_values(self) -> Tuple[int, np.ndarray]:
+        """(D, V): every value as V / D over one market-wide denominator D,
+        V an n x m table of Python ints, goods first, which exact demand
+        multiplies. A valid exact market's values are ints and Fractions
+        (see validate_market)."""
+        unit, scaled = scale_to_integers([v for b in self.buyers for v in b.values])
+        return unit, np.array(scaled, dtype=object).reshape(self.m, self.n).T
 
     def rational_twin(self) -> "Market":
         """The market in exact arithmetic: itself when exact, else an exact
@@ -292,68 +301,16 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     returns, at a fraction of its cost. Buyers whose sets and best ratios
     agree share one (immutable) set.
 
-    Exact mode compares in integers. p is scaled to integers once per call,
-    p_j = P_j / Q, and each buyer's values once per market, v_j = V_j / D
-    (Market._integer_values). With L the least common multiple of the P_j,
-    v_j / p_j = V_j (L / P_j) Q / (D L): a buyer's ratios order as its
-    scores V_j (L / P_j), so v_j / p_j > v_k / p_k exactly when
-    V_j P_k > V_k P_j, and the best ratio beats money's 1 exactly when the
-    top score times Q exceeds D L. Only a best ratio above 1 is divided
-    out, as max_ratio. The prices are read with read_prices, as the clearing
-    checks read them (a float as the rational it is), so the sets are
-    bang_per_buck's at those Fractions and every max_ratio is exact.
-
-    Float mode is one numpy pass with bang_per_buck's own operations, v / p
-    and then (1 - tol) * best, so its sets and ratios are the same floats.
+    p is read with read_prices, as the clearing checks read it (a float on
+    an exact market as the rational it is), and scaled to integers
+    P / unit in exact mode; demand_lattice then reads the sets at this one
+    point. A best ratio above money's is the set's max_ratio: best / one, a
+    Fraction, in exact mode, and the float ratio itself in float mode.
     """
-    p = read_prices(market, p)
-    if not market.mode.is_exact:
-        return _float_demand_sets(market, p)
-    unit, prices = scale_to_integers(p)
-    lcm = math.lcm(*prices)
-    weights = [lcm // price for price in prices]
-    only_money = BangPerBuckSet(frozenset({MONEY}), 1)
-    shared = {}
-    sets = []
-    for den, values in market._integer_values:
-        scores = [v * w for v, w in zip(values, weights)]
-        top = max(scores)
-        above = top * unit - den * lcm
-        if above < 0:
-            sets.append(only_money)
-            continue
-        tied = tuple(j for j, score in enumerate(scores, 1) if score == top)
-        key = (tied, top, den)
-        bpb = shared.get(key)
-        if bpb is None:
-            if above:
-                bpb = BangPerBuckSet(frozenset(tied), Fraction(top * unit, den * lcm))
-            else:
-                bpb = BangPerBuckSet(frozenset((MONEY,) + tied), 1)
-            shared[key] = bpb
-        sets.append(bpb)
-    return tuple(sets)
-
-
-def float_demand(market: Market, p: np.ndarray):
-    """Float mode's tie band over an (n, ...) array of price vectors, goods
-    first, with bang_per_buck's own operations: ratios v / p, best = their
-    maximum, and the cutoff (1 - tol) * max(best, 1). Returns best (m, ...),
-    the goods each buyer demands, those with a ratio at or above the cutoff
-    (n, m, ...), and whether money's ratio 1 is (m, ...). Each good's ratios
-    form one (m, ...) plane, so the divisions run along the trailing price
-    axes and best is an elementwise maximum over the n planes."""
-    values = market._float_values.reshape(market.n, market.m, *(1,) * (p.ndim - 1))
-    ratios = values / p[:, None]
-    best = ratios.max(axis=0)
-    cutoff = (1 - market.mode.tol) * np.maximum(best, 1.0)
-    return best, ratios >= cutoff, cutoff <= 1
-
-
-def _float_demand_sets(market: Market, p: PriceVector):
-    best, demanded, money = float_demand(market, np.array(p, dtype=np.float64))
+    unit, prices = mode_array(market, read_prices(market, p))
+    best, one, demanded = demand_lattice(market, prices, unit)
     width = market.n + 1
-    rows = np.column_stack((money, demanded.T)).tobytes()  # money, then goods 1..n
+    rows = demanded.T.tobytes()  # per buyer: money, then goods 1..n
     shared = {}
     sets = []
     for start, ratio in zip(range(0, len(rows), width), best.tolist()):
@@ -361,9 +318,64 @@ def _float_demand_sets(market: Market, p: PriceVector):
         bpb = shared.get(key)
         if bpb is None:
             goods = frozenset(j for j, on in enumerate(key[0]) if on)
-            bpb = shared[key] = BangPerBuckSet(goods, ratio if ratio > 1 else 1)
+            if ratio <= one:
+                ratio = 1
+            elif market.mode.is_exact:
+                ratio = Fraction(ratio, one)
+            bpb = shared[key] = BangPerBuckSet(goods, ratio)
         sets.append(bpb)
     return tuple(sets)
+
+
+def mode_array(market: Market, numbers) -> Tuple[Number, np.ndarray]:
+    """(unit, array): numbers as demand_lattice reads them, Python ints
+    times their least common denominator `unit` in exact mode (see
+    scale_to_integers), and floats with unit 1 in float mode."""
+    if market.mode.is_exact:
+        unit, numbers = scale_to_integers(numbers)
+        return unit, np.array(numbers, dtype=object)
+    return 1, np.array(numbers, dtype=np.float64)
+
+
+def demand_lattice(market: Market, prices: np.ndarray, unit):
+    """Every buyer's demand at each point of an (n, ...) array of price
+    vectors, goods first (a single vector is an (n,) array), by the one
+    demand formula of both modes: a ratio table, then the tie band. The
+    caller has validated the market and read the prices. Returns best
+    (m, ...), each buyer's largest ratio, money's included; one, money's
+    ratio; and demanded (n + 1, m, ...), whether each buyer demands money
+    (row 0) and each good (rows 1..n).
+
+    The ratio table holds money's ratio in row 0 and v_ij / p_j in row j,
+    all times one positive number per price point, so that order and ties
+    are the ratios' own. Float mode takes float prices and keeps
+    bang_per_buck's own v / p and money's 1.0. Exact mode takes Python
+    ints P over one common `unit` (p = P / unit), reads the values as V / D
+    over one market-wide denominator (Market._integer_values) and scales by
+    D * prod(P) / unit, so no division is left: the ratio of good j is
+    V_ij * unit * prod_{l != j} P_l and money's is D * prod(P), all Python
+    ints, and best / one is the exact best ratio. The products run along
+    the goods axis (math.prod of an (n, ...) array multiplies its rows).
+
+    The tie band is bang_per_buck's: the cutoff is best times (1 - tol), a
+    pass skipped at tol 0, and a ratio at or above it is demanded.
+    """
+    n, m = market.n, market.m
+    ratios = np.empty((n + 1, m) + prices.shape[1:], dtype=prices.dtype)  # money first
+    values_shape = (n, m) + (1,) * (prices.ndim - 1)  # broadcast along the price points
+    if market.mode.is_exact:
+        den, values = market._integer_values
+        total = math.prod(prices)
+        one = den * total
+        np.multiply(values.reshape(values_shape), (unit * total // prices)[:, None], out=ratios[1:])
+    else:
+        one = 1.0
+        np.divide(market.float_values.reshape(values_shape), prices[:, None], out=ratios[1:])
+    ratios[0] = one
+    best = ratios.max(axis=0)
+    tol = market.mode.tol
+    cutoff = (1 - tol) * best if tol else best
+    return best, one, ratios >= cutoff
 
 
 def demand_vertices(buyer: Buyer, p: PriceVector, tol: Number = 0) -> Tuple[Bundle, ...]:

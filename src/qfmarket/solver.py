@@ -165,12 +165,12 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
 
 def _float_image(market: Market):
     """(budgets, supplies, values): a market's numbers as float arrays, each
-    read once with float(). OverflowError when one lies beyond the float
-    range."""
+    read once with float(); the values are the market's own float table,
+    buyers first (Market.float_values, transposed). OverflowError when one
+    lies beyond the float range."""
     beta = np.array([float(b.budget) for b in market.buyers])
     supply = np.array([float(g.supply) for g in market.goods])
-    values = np.array([[float(v) for v in b.values] for b in market.buyers])
-    return beta, supply, values
+    return beta, supply, market.float_values.T
 
 
 def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:

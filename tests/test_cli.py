@@ -358,6 +358,39 @@ def test_region_boundary_needs_two_goods(fixture_dir, tmp_path):
     assert "exactly 2 goods" in err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_region_with_an_unwritable_boundary_leaves_the_grid_csv_as_it_was(
+    fixture_dir, tmp_path, existing
+):
+    """Every output is opened before any is written: a --boundary that cannot
+    be opened neither creates the grid CSV nor truncates one already there."""
+    grid_path = tmp_path / "g.csv"
+    if existing:
+        grid_path.write_text("kept\n")
+    code, _, err = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--resolution", "9",
+        "--out", str(grid_path), "--boundary", str(tmp_path / "nodir" / "b.csv"),
+    )
+    assert code == EXIT_INPUT and "nodir" in err
+    assert grid_path.read_text() == "kept\n" if existing else not grid_path.exists()
+    code, _, _ = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--resolution", "9", "--out", str(grid_path)
+    )
+    fresh = tmp_path / "fresh.csv"
+    run_cli("region", str(fixture_dir / "example2.json"), "--resolution", "9", "--out", str(fresh))
+    assert code == EXIT_OK and grid_path.read_bytes() == fresh.read_bytes()
+
+
+def test_region_with_an_unwritable_out_writes_no_boundary_csv(fixture_dir, tmp_path):
+    boundary = tmp_path / "b.csv"
+    code, _, err = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--resolution", "9",
+        "--out", str(tmp_path / "nodir" / "g.csv"), "--boundary", str(boundary),
+    )
+    assert code == EXIT_INPUT and "nodir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calls_in_one_process_share_no_parsed_state(fixture_dir, tmp_path):
     """main builds its parser once per process. A --boundary or --mode given
     to one call does not carry over to the next, which writes the default

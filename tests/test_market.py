@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qfmarket import market as market_module
@@ -11,14 +12,17 @@ from qfmarket.market import (
     Buyer,
     Good,
     Market,
+    BangPerBuckSet,
     MarketError,
     Outcome,
     PriceDomainError,
     aggregate,
     bang_per_buck,
+    demand_lattice,
     demand_sets,
     demand_vertices,
     is_demanded,
+    mode_array,
     require_valid,
     strip_worthless_goods,
     validate_market,
@@ -357,3 +361,86 @@ def test_demand_sets_are_bang_per_buck_sets(mode):
             money_ties += sum(MONEY in s.goods and len(s.goods) > 1 for s in expected)
     assert checked >= 4000
     assert money_ties >= 100
+
+
+def _float_tie_band(market, p):
+    """Float mode's tie band as it stood before demand_lattice: best (m, ...)
+    over the goods alone, demanded (n, m, ...) and money (m, ...), at an
+    (n, ...) array of price vectors."""
+    values = market.float_values.reshape(market.n, market.m, *(1,) * (p.ndim - 1))
+    ratios = values / p[:, None]
+    best = ratios.max(axis=0)
+    cutoff = (1 - market.mode.tol) * np.maximum(best, 1.0)
+    return best, ratios >= cutoff, cutoff <= 1
+
+
+def _tie_heavy_lattices():
+    """(market, axes) pairs in exact numbers. Each market has n = 1..8 goods,
+    one to four buyers with small rational values, and a buyer who values
+    nothing. Each axis draws from the buyers' own values for its good and
+    simple fractions of them, so goods tie each other and money at many
+    points. Every lattice comes again with values and prices scaled by
+    10^40 and by 10^-40, and the first of each n by 10^400, past the float
+    range."""
+    rng = random.Random(21)
+    cases = []
+    for n in range(1, 9):
+        for first in (True, False):
+            rows = [[F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(1, 4))]
+            for j in range(n):
+                rows[0][j] = rows[0][j] or F(1)
+            rows.append([F(0)] * n)
+            size = {1: 12, 2: 8, 3: 4, 4: 3}.get(n, 2)
+            axes = []
+            for j in range(n):
+                options = {row[j] * f for row in rows if row[j] for f in (1, F(1, 2), F(2, 3), 2)}
+                axes.append(sorted(rng.sample(sorted(options), min(size, len(options)))))
+            for scale in (1, F(10**40), F(1, 10**40)) + (F(10**400),) * first:
+                buyers = tuple(
+                    Buyer(f"b{i}", tuple(v * scale for v in row), F(rng.randint(1, 5)))
+                    for i, row in enumerate(rows)
+                )
+                goods = tuple(Good(f"g{j}", F(rng.randint(1, 3))) for j in range(n))
+                cases.append((Market(goods, buyers), [[x * scale for x in ax] for ax in axes]))
+    return cases
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_lattice_demand_is_demand_sets_and_bang_per_buck(mode):
+    """At every point of each lattice, demand_lattice read as sets equals
+    demand_sets field for field, and both equal bang_per_buck at the mode's
+    band. The lattice is read as grid scans read it: its prices scaled once
+    by mode_array. Float planes match the float tie band bit for bit."""
+    checked = ties = 0
+    for market, axes in _tie_heavy_lattices():
+        if not mode.is_exact:
+            if any(x > 1e300 for ax in axes for x in ax):
+                continue  # beyond the float range
+            market, axes = market.coerced(mode), [[float(x) for x in ax] for ax in axes]
+        unit, flat = mode_array(market, [x for ax in axes for x in ax])
+        index = np.indices([len(ax) for ax in axes]).reshape(market.n, -1)
+        offsets = np.cumsum([0] + [len(ax) for ax in axes[:-1]])[:, None]
+        prices = flat[index + offsets]  # (n, k)
+        best, one, demanded = demand_lattice(market, prices, unit)
+        ones = np.broadcast_to(np.asarray(one, dtype=best.dtype), best.shape[1:]).tolist()
+        if not mode.is_exact:
+            old_best, old_demanded, old_money = _float_tie_band(market, prices)
+            assert best.tobytes() == np.maximum(old_best, 1.0).tobytes()
+            assert demanded[1:].tobytes() == old_demanded.tobytes()
+            assert demanded[0].tobytes() == old_money.tobytes()
+        for k, point in enumerate(index.T):
+            p = tuple(ax[i] for ax, i in zip(axes, point))
+            lattice = []
+            for ratio, row in zip(best[:, k].tolist(), demanded[:, :, k].T):
+                if ratio <= ones[k]:
+                    ratio = 1
+                elif mode.is_exact:
+                    ratio = F(ratio, ones[k])
+                lattice.append(BangPerBuckSet(frozenset(np.flatnonzero(row).tolist()), ratio))
+            expected = [bang_per_buck(b, p, mode.tol) for b in market.buyers]
+            assert _fields(lattice) == _fields(demand_sets(market, p)) == _fields(expected), p
+            checked += 1
+            ties += any(len(s.goods) > 1 for s in expected)
+    assert checked >= (4500 if mode.is_exact else 3900)
+    assert ties >= checked // 2
