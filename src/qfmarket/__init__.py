@@ -7,192 +7,20 @@ and ships oracles plus randomized property suites that cross-check every
 structural claim the solver relies on.
 """
 
-from .feasibility import (
-    FeasibilityCertificate,
-    OutcomeInfeasibleError,
-    OverDemandWitness,
-    SpendingGraph,
-    build_spending_graph,
-    check_clearing,
-    check_feasible,
-    meet,
-    meet_allocation,
-    outcome_is_feasible,
-)
-from .gridoracle import (
-    RegionGrid,
-    export_boundary_csv,
-    export_grid_csv,
-    grid_scan,
-    oracle_max_revenue,
-    oracle_min_price,
-    region_boundary_2d,
-)
-from .market import (
-    MONEY,
-    BangPerBuckSet,
-    Buyer,
-    Good,
-    Market,
-    MarketError,
-    Outcome,
-    PriceDomainError,
-    aggregate,
-    bang_per_buck,
-    demand_sets,
-    demand_vertices,
-    is_demanded,
-    require_valid,
-    strip_worthless_goods,
-    validate_market,
-    zero_bundle,
-)
-from .marketio import (
-    ArcticBid,
-    BidCollection,
-    LoadedMarket,
-    ParseError,
-    flatten_bids,
-    load_market,
-    load_market_csv,
-    parse_market,
-    reaggregate,
-    serialize_bid_collection,
-    serialize_market,
-)
-from .metrics import (
-    ChallengerRejectedError,
-    EfficiencyCertificate,
-    certify_constrained_efficiency,
-    eq1_slack,
-    is_competitive_equilibrium,
-    revenue,
-    social_welfare,
-)
-from .monopoly import (
-    ConcaveValuation,
-    DivergenceWitness,
-    MonopolyInstance,
-    clearing_price,
-    demand_single,
-    divergence_witness,
-    example_a1,
-    linear_valuation,
-    max_revenue_price,
-    revenue_at,
-)
-from .numeric import (
-    DEFAULT_FLOAT_TOL,
-    EXACT,
-    FLOAT_DEFAULT,
-    Number,
-    NumericMode,
-    float_mode,
-    format_number,
-    parse_number,
-)
-from .proptest import MarketProbe, SuiteResult, build_probe, random_market, run_all
-from .solver import (
-    DescentStep,
-    DescentTrace,
-    EGSolution,
-    EquilibriumResult,
-    InfeasibleStartError,
-    MethodDisagreementError,
-    SolverConvergenceError,
-    initial_feasible_price,
-    lattice_descent,
-    solve,
-    solve_eg,
-)
+from . import feasibility, gridoracle, market, marketio, metrics, monopoly, numeric, proptest, solver
+from .feasibility import *
+from .gridoracle import *
+from .market import *
+from .marketio import *
+from .metrics import *
+from .monopoly import *
+from .numeric import *
+from .proptest import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MONEY",
-    "ArcticBid",
-    "BangPerBuckSet",
-    "BidCollection",
-    "Buyer",
-    "ChallengerRejectedError",
-    "ConcaveValuation",
-    "DEFAULT_FLOAT_TOL",
-    "DescentStep",
-    "DescentTrace",
-    "DivergenceWitness",
-    "EGSolution",
-    "EXACT",
-    "EfficiencyCertificate",
-    "EquilibriumResult",
-    "FLOAT_DEFAULT",
-    "FeasibilityCertificate",
-    "Good",
-    "InfeasibleStartError",
-    "LoadedMarket",
-    "Market",
-    "MarketError",
-    "MarketProbe",
-    "MethodDisagreementError",
-    "MonopolyInstance",
-    "Number",
-    "NumericMode",
-    "Outcome",
-    "OutcomeInfeasibleError",
-    "OverDemandWitness",
-    "ParseError",
-    "PriceDomainError",
-    "RegionGrid",
-    "SolverConvergenceError",
-    "SpendingGraph",
-    "SuiteResult",
-    "aggregate",
-    "bang_per_buck",
-    "build_probe",
-    "build_spending_graph",
-    "certify_constrained_efficiency",
-    "check_clearing",
-    "check_feasible",
-    "clearing_price",
-    "demand_single",
-    "demand_sets",
-    "demand_vertices",
-    "divergence_witness",
-    "eq1_slack",
-    "example_a1",
-    "export_boundary_csv",
-    "export_grid_csv",
-    "flatten_bids",
-    "float_mode",
-    "format_number",
-    "grid_scan",
-    "initial_feasible_price",
-    "is_competitive_equilibrium",
-    "is_demanded",
-    "lattice_descent",
-    "linear_valuation",
-    "load_market",
-    "load_market_csv",
-    "max_revenue_price",
-    "meet",
-    "meet_allocation",
-    "oracle_max_revenue",
-    "oracle_min_price",
-    "outcome_is_feasible",
-    "parse_market",
-    "parse_number",
-    "random_market",
-    "reaggregate",
-    "region_boundary_2d",
-    "require_valid",
-    "revenue",
-    "revenue_at",
-    "run_all",
-    "serialize_bid_collection",
-    "serialize_market",
-    "social_welfare",
-    "solve",
-    "solve_eg",
-    "strip_worthless_goods",
-    "validate_market",
-    "zero_bundle",
-]
+__all__ = sorted(
+    feasibility.__all__ + gridoracle.__all__ + market.__all__ + marketio.__all__
+    + metrics.__all__ + monopoly.__all__ + numeric.__all__ + proptest.__all__ + solver.__all__
+)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .flow import FlowNetwork, scale_to_integers
+from .flow import FlowNetwork
 from .market import (
     MONEY,
     Allocation,
@@ -40,7 +40,19 @@ from .market import (
     read_prices,
     require_valid,
 )
-from .numeric import Number
+from .numeric import Number, scale_to_integers
+
+__all__ = [
+    "FeasibilityCertificate",
+    "OutcomeInfeasibleError",
+    "OverDemandWitness",
+    "SpendingGraph",
+    "build_spending_graph",
+    "check_clearing",
+    "check_feasible",
+    "meet",
+    "meet_allocation",
+]
 
 
 class OutcomeInfeasibleError(MarketError):

@@ -8,10 +8,10 @@ right -> sink; add_edge refuses any other.
 max_flow is Edmonds-Karp (BFS shortest augmenting paths) over adjacency
 lists. Capacities may be any ordered numbers. In this package exact callers
 hand it Python ints and float-mode callers floats: exact callers scale their
-rational amounts to integers with `scale_to_integers` and read flows back as
-Fraction(flow, unit). The kernel only compares residuals and takes minima,
-and both keep their order under one positive scale, so the scaled network
-takes the same augmenting paths as the rational one without Fraction
+rational amounts to integers with `numeric.scale_to_integers` and read flows
+back as Fraction(flow, unit). The kernel only compares residuals and takes
+minima, and both keep their order under one positive scale, so the scaled
+network takes the same augmenting paths as the rational one without Fraction
 arithmetic. Augmentation order is fixed by edge insertion order, which
 callers use to make allocations reproducible.
 
@@ -32,15 +32,7 @@ saturated (0 for exact arithmetic, a tiny scale-relative slack for floats).
 
 from __future__ import annotations
 
-import math
 from collections import deque
-
-
-def scale_to_integers(amounts):
-    """(unit, integers): the least common denominator of the rational
-    `amounts` and each amount times it."""
-    unit = math.lcm(*(a.denominator for a in amounts))
-    return unit, [a.numerator * (unit // a.denominator) for a in amounts]
 
 
 class FlowNetwork:

@@ -34,6 +34,16 @@ import numpy as np
 from .market import Market, MarketError, PriceVector, demand_lattice, mode_array, require_valid
 from .numeric import Number
 
+__all__ = [
+    "RegionGrid",
+    "export_boundary_csv",
+    "export_grid_csv",
+    "grid_scan",
+    "oracle_max_revenue",
+    "oracle_min_price",
+    "region_boundary_2d",
+]
+
 
 @dataclass(frozen=True)
 class RegionGrid:

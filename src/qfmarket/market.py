@@ -31,8 +31,28 @@ from typing import Tuple
 
 import numpy as np
 
-from .flow import scale_to_integers
-from .numeric import EXACT, Number, NumericMode
+from .numeric import EXACT, Number, NumericMode, scale_to_integers
+
+__all__ = [
+    "BangPerBuckSet",
+    "Buyer",
+    "Good",
+    "MONEY",
+    "Market",
+    "MarketError",
+    "Outcome",
+    "PriceDomainError",
+    "aggregate",
+    "bang_per_buck",
+    "demand_sets",
+    "demand_vertices",
+    "is_demanded",
+    "outcome_is_feasible",
+    "require_valid",
+    "strip_worthless_goods",
+    "validate_market",
+    "zero_bundle",
+]
 
 MONEY = 0
 

@@ -39,6 +39,20 @@ from typing import Optional, Sequence, Tuple
 from .market import Buyer, Good, Market, MarketError
 from .numeric import EXACT, FLOAT_DEFAULT, Number, NumericMode, number_to_json, parse_number
 
+__all__ = [
+    "ArcticBid",
+    "BidCollection",
+    "LoadedMarket",
+    "ParseError",
+    "flatten_bids",
+    "load_market",
+    "load_market_csv",
+    "parse_market",
+    "reaggregate",
+    "serialize_bid_collection",
+    "serialize_market",
+]
+
 KIND_MARKET = "market"
 KIND_ARCTIC = "arctic"
 

@@ -15,6 +15,16 @@ from typing import Optional, Sequence, Tuple
 from .market import Allocation, Market, MarketError, Outcome, aggregate, outcome_is_feasible
 from .numeric import Number
 
+__all__ = [
+    "ChallengerRejectedError",
+    "EfficiencyCertificate",
+    "certify_constrained_efficiency",
+    "eq1_slack",
+    "is_competitive_equilibrium",
+    "revenue",
+    "social_welfare",
+]
+
 VERDICT_CERTIFIED = "certified-CE-hence-efficient"
 VERDICT_NOT_CE = "not-CE"
 

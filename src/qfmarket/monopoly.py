@@ -18,6 +18,19 @@ from typing import Callable, Optional
 
 from .market import MarketError
 
+__all__ = [
+    "ConcaveValuation",
+    "DivergenceWitness",
+    "MonopolyInstance",
+    "clearing_price",
+    "demand_single",
+    "divergence_witness",
+    "example_a1",
+    "linear_valuation",
+    "max_revenue_price",
+    "revenue_at",
+]
+
 _GOLDEN = (math.sqrt(5) - 1) / 2
 _PRICE_TOL = 1e-10  # max_revenue_price's relative bracket width and price floor
 
@@ -93,18 +106,14 @@ def example_a1() -> ConcaveValuation:
 
 
 def _rightmost_at_or_above(f, target, hi, tol=1e-13, iters=200):
-    """Largest x in [0, hi] with f(x) >= target, for decreasing f.
+    """Largest x in [0, hi] with f(x) >= target, for decreasing f, given
+    f(0) >= target > f(hi) (demand_single returns before calling it
+    otherwise).
 
     Raises when evaluations betray non-monotonicity of f along the way.
     """
     flo = f(0.0)
-    if flo < target:
-        return 0.0
     fhi = f(hi)
-    if fhi > flo + 1e-12 * max(1.0, abs(flo)):
-        raise MarketError("derivative increased along the bracket; not concave")
-    if fhi >= target:
-        return hi
     lo = 0.0
     for _ in range(iters):
         mid = (lo + hi) / 2

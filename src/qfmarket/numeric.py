@@ -5,6 +5,10 @@ either a `fractions.Fraction` (exact mode) or a `float` (float mode). Exact
 mode uses a zero tolerance everywhere; float mode uses the fixed relative
 tolerance DEFAULT_FLOAT_TOL for argmax ties, budget checks, and flow
 saturation tests.
+
+Exact arithmetic that runs on integers instead of Fractions (the max flows,
+exact demand) brings its rationals onto one integer scale with
+`scale_to_integers`, a helper of the package, not of its public surface.
 """
 
 from __future__ import annotations
@@ -14,6 +18,17 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
+
+__all__ = [
+    "DEFAULT_FLOAT_TOL",
+    "EXACT",
+    "FLOAT_DEFAULT",
+    "Number",
+    "NumericMode",
+    "float_mode",
+    "format_number",
+    "parse_number",
+]
 
 Number = Union[Fraction, float, int]
 
@@ -66,6 +81,13 @@ FLOAT_DEFAULT = NumericMode(FLOAT_KIND)
 
 def float_mode() -> NumericMode:
     return FLOAT_DEFAULT
+
+
+def scale_to_integers(amounts):
+    """(unit, integers): the least common denominator of the rational
+    `amounts` and each amount times it."""
+    unit = math.lcm(*(a.denominator for a in amounts))
+    return unit, [a.numerator * (unit // a.denominator) for a in amounts]
 
 
 def parse_number(token, mode: NumericMode) -> Number:

@@ -26,6 +26,14 @@ from .metrics import social_welfare
 from .numeric import EXACT
 from .solver import EquilibriumResult, initial_feasible_price, solve
 
+__all__ = [
+    "MarketProbe",
+    "SuiteResult",
+    "build_probe",
+    "random_market",
+    "run_all",
+]
+
 # Lattice points per axis, chosen to keep full scans near a few thousand
 # points regardless of dimension.
 _RESOLUTION = {1: 129, 2: 33, 3: 13, 4: 7, 5: 5, 6: 4}

@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .feasibility import FeasibilityCertificate, check_clearing, check_feasible
-from .flow import FlowNetwork, scale_to_integers
+from .flow import FlowNetwork
 from .market import (
     Allocation,
     Market,
@@ -63,7 +63,21 @@ from .market import (
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
-from .numeric import EXACT, Number
+from .numeric import EXACT, Number, scale_to_integers
+
+__all__ = [
+    "DescentStep",
+    "DescentTrace",
+    "EGSolution",
+    "EquilibriumResult",
+    "InfeasibleStartError",
+    "MethodDisagreementError",
+    "SolverConvergenceError",
+    "initial_feasible_price",
+    "lattice_descent",
+    "solve",
+    "solve_eg",
+]
 
 BID_FLOOR = 1e-250
 _GAP_EVERY = 25  # iterations between duality-gap checks
@@ -405,15 +419,18 @@ def _next_event(market: Market, p: PriceVector, best, down: frozenset) -> Number
 
 
 def _captured(market: Market, best, down: frozenset):
-    """(budget, goods) of each buyer whose bang-per-buck set best[i] meets
-    `down`, goods being the members of `down` it demands. Once those prices
-    fall the buyer prefers them to money and to every other good, so its
-    whole budget must go there."""
-    captured = []
+    """{pattern: budget}: the demand patterns of the buyers whose
+    bang-per-buck set best[i] meets `down`, a pattern being the goods of
+    `down` that a buyer demands, each with its buyers' summed budget. Once
+    those prices fall such a buyer prefers them to money and to every other
+    good, so its whole budget must go there. Buyers with one pattern are
+    parallel nodes of the descent's networks, and one node with their summed
+    budget leaves every cut set the descent reads unchanged."""
+    captured = {}
     for buyer, bpb in zip(market.buyers, best):
         goods = bpb.goods & down
         if goods:
-            captured.append((buyer.budget, sorted(goods)))
+            captured[goods] = captured.get(goods, 0) + buyer.budget
     return captured
 
 
@@ -421,18 +438,18 @@ def _route(market: Market, p: PriceVector, captured, down: frozenset, factor):
     """Max flow of the captured budgets into `down`, whose capacities
     p_j * s_j are scaled by factor.
 
-    The captured buyers are the network's left nodes 1..len(captured) and
-    the goods of `down` its right nodes (returned as node). Budgets and
-    capacities enter the network times their least common denominator, so
-    it runs on ints; callers read only its cut sets, which that one positive
-    scale leaves unchanged.
+    The captured demand patterns (see _captured) are the network's left
+    nodes 1..len(captured), in the dict's order, and the goods of `down` its
+    right nodes (returned as node). Budgets and capacities enter the network
+    times their least common denominator, so it runs on ints; callers read
+    only its cut sets, which that one positive scale leaves unchanged.
     """
     goods_down = sorted(down)
     node = {j: 1 + len(captured) + k for k, j in enumerate(goods_down)}
     caps = [factor * p[j - 1] * market.goods[j - 1].supply for j in goods_down]
-    _, scaled = scale_to_integers([budget for budget, _ in captured] + caps)
+    _, scaled = scale_to_integers(list(captured.values()) + caps)
     net = FlowNetwork(len(captured), len(down))
-    for b, ((_, goods), budget) in enumerate(zip(captured, scaled), start=1):
+    for b, (goods, budget) in enumerate(zip(captured, scaled), start=1):
         net.add_edge(net.source, b, budget)
         for j in goods:
             net.add_edge(b, node[j], budget)
@@ -448,12 +465,13 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     The walk runs on the market's rational twin. Each step has two parts:
 
     1. Find D, the goods whose prices can fall together. Starting from all
-       goods, the captured buyers (see _captured) are routed into D by max
-       flow. A good that cannot reach spare capacity in the residual graph
-       sits in a set whose capacity the captured budgets already fill; every
-       good demanded by a positive-budget buyer confined to such goods leaves
-       D, and the flow is rerun. Goods that no budget is forced into, such as
-       zero-supply goods nobody demands, stay in D.
+       goods, the captured buyers' budgets, summed per demand pattern (see
+       _captured), are routed into D by max flow. A good that cannot reach
+       spare capacity in the residual graph sits in a set whose capacity the
+       captured budgets already fill; every good demanded by a
+       positive-budget buyer confined to such goods leaves D, and the flow is
+       rerun. Goods that no budget is forced into, such as zero-supply goods
+       nobody demands, stay in D.
     2. Lower D by one common factor to the nearest event (see _next_event).
        If the captured budgets no longer route there, the factor rises to the
        ratio forced / capacity of the min-cut witness, until they do.
@@ -483,7 +501,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             stuck = {j for j in down if not spare[node[j]]}
             blocked = {
                 j
-                for budget, goods in captured
+                for goods, budget in captured.items()
                 if budget > 0 and stuck.issuperset(goods)
                 for j in goods
             }
@@ -497,7 +515,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             net, node = _route(twin, p, captured, down, factor)
             probes += 1
             reach = net.reachable_from()
-            forced = sum(b for k, (b, _) in enumerate(captured, start=1) if reach[k])
+            forced = sum(b for k, b in enumerate(captured.values(), start=1) if reach[k])
             if not forced:
                 break
             factor = forced / sum(

@@ -27,10 +27,71 @@ def _traced_names():
     return tracing.TRACED + tracing.COUNTED
 
 
+def _reexported_modules():
+    """The modules __init__ re-exports with `from .x import *`, in its order."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [
+        importlib.import_module(f"qfmarket.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def _top_level_names(module):
+    """Names a module's own top-level statements define (imports excluded)."""
+    names = set()
+    for node in ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 def test_every_exported_name_resolves():
     assert len(set(qfmarket.__all__)) == len(qfmarket.__all__)
     missing = [name for name in qfmarket.__all__ if not hasattr(qfmarket, name)]
     assert missing == []
+
+
+def test_the_package_exports_the_sorted_union_of_its_modules_lists():
+    modules = _reexported_modules()
+    assert [m.__name__.split(".")[1] for m in modules] == [
+        "feasibility", "gridoracle", "market", "marketio", "metrics",
+        "monopoly", "numeric", "proptest", "solver",
+    ]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(set(listed)) == len(listed)
+    assert qfmarket.__all__ == sorted(listed)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qfmarket, name) is getattr(module, name)
+    namespace = {}
+    exec("from qfmarket import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qfmarket.__all__)
+
+
+@pytest.mark.parametrize("module", _reexported_modules(), ids=lambda m: m.__name__)
+def test_each_listed_name_is_public_and_defined_where_it_is_listed(module):
+    assert [name for name in module.__all__ if name.startswith("_")] == []
+    assert set(module.__all__) <= _top_level_names(module)
+
+
+def test_the_package_init_names_no_public_name_itself():
+    """__init__ only re-exports: a public name is listed once, in its
+    module's __all__, beside its definition."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert named & set(qfmarket.__all__) == set()
 
 
 @pytest.mark.parametrize("module,attr", _traced_names())

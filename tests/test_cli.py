@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from qfmarket import solver
 from qfmarket.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, build_parser, main
 
 
@@ -162,6 +163,18 @@ def test_solve_market_without_a_float_image(tmp_path):
     assert diagnostics["eg_iterations"] is None
 
 
+def test_solve_whose_descent_endpoint_does_not_clear_exits_2(fixture_dir, monkeypatch):
+    def stuck(market, p0):
+        return solver.DescentTrace(p0, (), p0, 0)  # feasible, but sells nothing
+
+    monkeypatch.setattr(solver, "_snap", lambda market, sets: None)
+    monkeypatch.setattr(solver, "lattice_descent", stuck)
+    code, out, err = run_cli("solve", str(fixture_dir / "example2.json"), "--no-timestamp")
+    assert code == EXIT_DISAGREE
+    assert out == ""
+    assert err == "error: descent endpoint failed its clearing check\n"
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_solve_without_a_minimal_price_exits_2(tmp_path, mode):
     """Good A is valued only by a buyer without money, so its price can fall
@@ -252,6 +265,25 @@ def test_check_price_arity_error(fixture_dir):
     )
     assert code == EXIT_INPUT
     assert "expected 2 comma-separated prices" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-price", "--price", "1,abc"], "error: price: bad numeric literal 'abc'\n"),
+        (["region", "--bounds", "0.4:abc"], "error: bounds: expected lo:hi, got '0.4:abc'\n"),
+        (["region", "--bounds", "0.4"], "error: bounds: expected lo:hi, got '0.4'\n"),
+    ],
+    ids=["price-token", "bounds-number", "bounds-without-colon"],
+)
+def test_bad_numbers_in_options_are_input_errors(fixture_dir, tmp_path, argv, message):
+    grid = tmp_path / "grid.csv"
+    out_flag = ["--out", str(grid)] if argv[0] == "region" else []
+    code, out, err = run_cli(
+        argv[0], str(fixture_dir / "example2.json"), *argv[1:], *out_flag, "--no-timestamp"
+    )
+    assert (code, out, err) == (EXIT_INPUT, "", message)
+    assert not grid.exists()
 
 
 def test_region_writes_grid_and_boundary(fixture_dir, tmp_path):
@@ -442,9 +474,11 @@ def test_monopoly_curved_report():
 
 
 def test_monopoly_linear_report():
-    for budget in ([], ["--budget", "inf"]):  # inf, like the default, is no budget
+    # inf, like the default, is no budget; linear:v=5 reads as linear:5
+    for valuation, budget in (("linear:5", []), ("linear:5", ["--budget", "inf"]),
+                              ("linear:v=5", [])):
         code, out, _ = run_cli(
-            "monopoly", "--valuation", "linear:5", "--supply", "3", *budget, "--no-timestamp"
+            "monopoly", "--valuation", valuation, "--supply", "3", *budget, "--no-timestamp"
         )
         assert code == EXIT_OK
         report = json.loads(out)
@@ -469,8 +503,11 @@ def test_monopoly_rejects_unknown_valuations():
         ("--supply", "nan", "supply must be finite"),
         ("--supply", "inf", "supply must be finite"),
         ("--valuation", "linear:nan", "per-unit value must be positive and finite"),
+        ("--valuation", "linear:abc", "bad linear value 'abc'"),
+        ("--valuation", "linear:v=abc", "bad linear value 'abc'"),
     ],
-    ids=["budget-abc", "budget-nan", "supply-nan", "supply-inf", "linear-nan"],
+    ids=["budget-abc", "budget-nan", "supply-nan", "supply-inf", "linear-nan", "linear-abc",
+         "linear-v-abc"],
 )
 def test_monopoly_rejects_bad_numbers(flag, value, message):
     argv = {"--valuation": "linear:5", "--supply": "3", flag: value}

@@ -103,8 +103,11 @@ def test_meet_allocation_rejects_nonextending_inputs(ref_exact):
     q = (F(3, 2), F(1))
     junk = ((F(9), F(9)),) * 3
     good = check_feasible(ref_exact, q).allocation
-    with pytest.raises(OutcomeInfeasibleError):
+    with pytest.raises(OutcomeInfeasibleError, match="first outcome"):
         meet_allocation(ref_exact, p, q, junk, good)
+    good_p = check_feasible(ref_exact, p).allocation
+    with pytest.raises(OutcomeInfeasibleError, match="second outcome"):
+        meet_allocation(ref_exact, p, q, good_p, junk)
 
 
 def test_outcome_is_feasible_rejects_oversupply_and_undemanded_bundles(ref_exact):

@@ -260,6 +260,7 @@ def test_is_demanded(ref_exact):
     assert not is_demanded(b3, p, (F(0), F(5, 3)))  # positive quantity off the argmax
     assert not is_demanded(b3, p, (F(10, 3), F(0)))  # overspends the budget
     assert not is_demanded(b3, p, (F(5, 3),))  # wrong arity
+    assert not is_demanded(b3, p, (F(8, 3), F(-1)))  # spends its budget, but a quantity is negative
 
 
 def test_aggregate_and_zero_bundle(ref_exact):

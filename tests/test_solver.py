@@ -126,6 +126,38 @@ def test_zero_supply_goods_get_imputed_prices():
     assert res.revenue == F(2)
 
 
+def test_a_market_without_active_goods_imputes_every_price():
+    """Every good has zero supply, so proportional response runs no
+    iteration: every buyer's best ratio is money's 1, and each price is the
+    highest value anyone holds for that good."""
+    market = Market(
+        (Good("A", F(0)), Good("B", F(0))),
+        (Buyer("x", (F(2), F(1)), F(1)), Buyer("y", (F(1), F(3)), F(2))),
+        EXACT,
+    )
+    eg = solve_eg(market)
+    assert (eg.iterations, eg.duality_gap) == (0, 0.0)
+    assert eg.prices == (2.0, 3.0) and eg.leftover == (1.0, 2.0)
+    res = solve(market)
+    assert res.p_star == (F(2), F(3))
+    assert res.certified_by == "descent"
+
+
+def test_a_descent_endpoint_that_does_not_clear_raises_with_both_solutions(
+    ref_exact, monkeypatch
+):
+    """The descent's endpoint gets its own clearing check: a non-clearing
+    one raises MethodDisagreementError carrying both solvers' results."""
+    start = initial_feasible_price(ref_exact)
+    stuck = solver.DescentTrace(start, (), start, 0)  # feasible, but sells nothing
+    monkeypatch.setattr(solver, "_snap", lambda market, sets: None)
+    monkeypatch.setattr(solver, "lattice_descent", lambda market, p0: stuck)
+    with pytest.raises(solver.MethodDisagreementError, match="failed its clearing check") as err:
+        solve(ref_exact)
+    assert err.value.descent is stuck
+    assert err.value.eg == solve_eg(ref_exact)
+
+
 def test_initial_feasible_price_is_feasible(ref_exact):
     p0 = initial_feasible_price(ref_exact)
     assert p0 == (F(5), F(4))

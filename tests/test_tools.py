@@ -1,12 +1,24 @@
-"""tools/: the code-line count that the change log cites."""
+"""tools/: the code-line count that the change log cites, and the output
+digests that compare two trees."""
 
 import importlib.util
+import random
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(code_lines)
+from qfmarket.proptest import random_market
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+digests = _load("digests")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -44,3 +56,15 @@ def test_code_lines_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["a.py", "1"], ["b.py", "2"], ["total", "3"]]
+
+
+def test_market_digests_repeat_and_tell_families_apart():
+    def family(count):
+        rng = random.Random(0)
+        return [random_market(rng) for _ in range(count)]
+
+    first = digests.market_digests(family(3))
+    assert list(first) == list(digests.OUTPUTS)
+    assert all(len(value) == 64 for value in first.values())
+    assert digests.market_digests(family(3)) == first
+    assert digests.market_digests(family(2))["solve"] != first["solve"]

@@ -1,0 +1,140 @@
+"""sha256 digests of qfmarket's outputs, one line per market family and output.
+
+    python tools/digests.py               # qfmarket from src/
+    python tools/digests.py path/to/src   # e.g. from a `git archive` of another commit
+
+Two trees give the same answers when their printouts are the same, so
+"identical to the parent" is one diff between two runs, each in its own
+process. Each line is `family output sha256`. For every market of a family,
+in exact mode and as the same market in floats, the outputs are:
+
+- solve: repr(solve(m));
+- descent: repr(lattice_descent(m, initial_feasible_price(m)));
+- demand_sets, check_clearing: their reprs at p* and at that start price.
+
+The families are the seed-0 6x6 acceptance battery, random_market draws
+12345/8x4 #0-59 and Random(7) 6x6 #0-39, crowd_market draws from Random(100)
+at 50x3, 120x4 and 200x4, a ladder from one Random(100) at 200x4, 500x4 and
+1000x8, and the benchmark's `crowd` and `region` markets (read from
+perfbench/workloads.py's generators). Also digested: the grid_scan membership
+and revenue of the acceptance battery's windows and of the `region` markets,
+in both modes, and the `--no-timestamp` solve reports of the four fixtures in
+both modes. Markets, fixtures and generators come from this tool's own
+checkout, so the two runs differ only in the qfmarket they import. A run
+takes about 25 s (2 vCPUs, Python 3.11).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("solve", "descent", "demand_sets", "check_clearing")
+
+
+def import_program(src: Path):
+    """Import qfmarket from src and nowhere else, and put this checkout's
+    perfbench/ on the path for its workload generators; returns the package."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import qfmarket
+
+    if Path(qfmarket.__file__).resolve().parent != src.resolve() / "qfmarket":
+        raise ImportError(f"qfmarket was imported from {qfmarket.__file__}, not {src}")
+    return qfmarket
+
+
+def market_digests(markets) -> dict:
+    """{output: sha256} over every market, in exact mode and in floats."""
+    import qfmarket as q
+
+    hashes = {name: hashlib.sha256() for name in OUTPUTS}
+
+    def feed(name, value):
+        hashes[name].update(repr(value).encode("utf-8") + b"\n")
+
+    for market in markets:
+        for m in (market, market.coerced(q.float_mode())):
+            result = q.solve(m)
+            start = q.initial_feasible_price(m)
+            feed("solve", result)
+            feed("descent", q.lattice_descent(m, start))
+            for p in (result.p_star, start):
+                feed("demand_sets", q.demand_sets(m, p))
+                feed("check_clearing", q.check_clearing(m, p))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def grid_digest(windows) -> str:
+    """sha256 of grid_scan's membership and revenue for each (market,
+    bounds, resolution), in exact mode and in floats."""
+    import qfmarket as q
+
+    h = hashlib.sha256()
+    for market, bounds, resolution in windows:
+        for m in (market, market.coerced(q.float_mode())):
+            grid = q.grid_scan(m, bounds, resolution)
+            h.update(repr((grid.membership.tolist(), grid.revenue.tolist())).encode("utf-8"))
+    return h.hexdigest()
+
+
+def cli_digest() -> str:
+    """sha256 of the `--no-timestamp` solve reports of the four fixtures."""
+    from qfmarket.cli import main
+
+    h = hashlib.sha256()
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
+        for mode in ("exact", "float"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["solve", str(path), "--mode", mode, "--no-timestamp"])
+            h.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+    return h.hexdigest()
+
+
+def families():
+    """[(name, markets)]: the market families, each drawn afresh."""
+    import qfmarket as q
+    import workloads
+
+    def draws(seed, count, buyers, goods):
+        rng = random.Random(seed)
+        return [q.random_market(rng, buyers, goods) for _ in range(count)]
+
+    ladder = random.Random(100)
+    return [
+        ("battery", draws(0, 20, 6, 6)),
+        ("12345-8x4", draws(12345, 60, 8, 4)),
+        ("7-6x6", draws(7, 40, 6, 6)),
+        ("crowd-100", [workloads.crowd_market(random.Random(100), m, n)
+                       for m, n in ((50, 3), (120, 4), (200, 4))]),
+        ("ladder-100", [workloads.crowd_market(ladder, m, n)
+                        for m, n in ((200, 4), (500, 4), (1000, 8))]),
+        ("bench-crowd", workloads.crowd_base()),
+        ("bench-region", [market for market, _, _ in workloads.region_base()]),
+    ]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    q = import_program(Path(args[0]) if args else ROOT / "src")
+    for name, markets in families():
+        for output, digest in market_digests(markets).items():
+            print(f"{name} {output} {digest}")
+    import workloads
+
+    rng = random.Random(0)  # run_all(seed=0) builds its probes from these draws first
+    probes = [q.build_probe(q.random_market(rng)) for _ in range(20)]
+    battery_windows = [(probe.market, probe.grid.bounds, probe.grid.resolution) for probe in probes]
+    print(f"battery grid_scan {grid_digest(battery_windows)}")
+    print(f"bench-region grid_scan {grid_digest(workloads.region_base())}")
+    print(f"fixtures cli {cli_digest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
