@@ -214,6 +214,8 @@ def cmd_region(args) -> tuple:
         )
     if args.boundary and market.n != 2:
         raise MarketError("boundary extraction needs exactly 2 goods")
+    if args.boundary and os.path.realpath(args.boundary) == os.path.realpath(args.grid_csv):
+        raise MarketError(f"--boundary {args.boundary} is the --out file")
     grid = grid_scan(market, (lo, hi), args.resolution)
     outputs = [(args.grid_csv, functools.partial(export_grid_csv, grid))]
     feasible_count = int(grid.membership.sum())

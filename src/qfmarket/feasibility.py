@@ -13,7 +13,11 @@ augmenting, which never unsaturates a source edge, so the final value is the
 maximal total spend extractable at p (the "max-extension revenue"). Since
 every lower-bounded edge touches the source or the sink, p clears the market
 exactly when that value equals sum_j p_j s_j: total inflow equal to total
-good capacity forces each positively-priced good to sell out.
+good capacity forces each positively-priced good to sell out. One function,
+_flow_check, builds the network and runs both phases: check_feasible stops
+after phase 1, check_clearing runs phase 2 too. A float network counts
+residuals at or below tol * scale as saturated and lets the routed flow fall
+short by flow_slack, which the grid scans read as well.
 
 Outcome checks ask the same demand question of a given allocation:
 outcome_is_feasible (in market, beside demand_sets) and meet_allocation read
@@ -107,90 +111,83 @@ def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
     return SpendingGraph(prices, demand_sets(market, prices), caps)
 
 
-class _Routing:
-    """Shared two-phase flow state behind check_feasible / check_clearing.
+def flow_slack(market: Market, scale):
+    """How far the routed flow may fall short of what it must route, at money
+    scale `scale`: the mode's tolerance times the scale and m + n + 4. It is
+    0 in exact mode. The flow checks and the grid scans both read it."""
+    return market.mode.tol * scale * (market.m + market.n + 4)
+
+
+def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCertificate:
+    """The two-phase flow behind check_feasible (extend False) and
+    check_clearing (extend True).
 
     The prices are those the spending graph read (graph.prices, see
     read_prices): exact rationals on an exact market (Fraction of a float is
     exact). There the network carries every budget and capacity times their
     least common denominator `unit`: its residuals are ints, and flows come
-    back as Fraction(flow, unit). On a float market the flow's zero and its
-    saturation slack scale the mode's tolerance by the money in play.
-    Buyer i is the network's left node 1 + i and good k its right node
-    1 + m + k.
+    back as Fraction(flow, unit). The flow's zero, tol * scale, and its
+    saturation slack (flow_slack) scale the mode's tolerance by the money in
+    play, in network units; both are 0 in exact mode. Buyer i is the
+    network's left node 1 + i and good k its right node 1 + m + k.
+
+    The strict phase routes the strict budgets. If they fall short, the
+    certificate names the goods on the source side of a minimum cut. Else,
+    with `extend`, the flexible buyers join and the extension phase reads
+    the max-extension revenue and whether it clears; the allocation is the
+    routed spend either way.
     """
+    require_valid(market)
+    graph = build_spending_graph(market, p)
+    m, n = market.m, market.n
+    budgets = [b.budget for b in market.buyers]
+    caps = list(graph.capacities)
+    unit = None
+    if market.mode.is_exact:
+        unit, scaled = scale_to_integers(budgets + caps)
+        budgets, caps = scaled[:m], scaled[m:]
+    scale = max(sum(budgets), sum(caps))
+    slack = flow_slack(market, scale)
+    net = FlowNetwork(m, n, zero=market.mode.tol * scale)
+    spend_edges = []  # (buyer, good index 0-based, edge id)
+    # Spend edges hold more than every budget and capacity together, so no
+    # minimum cut uses one, and the goods on a cut's source side are the
+    # over-demanded set that the witness names.
+    unbounded = sum(budgets) + sum(caps) + 1
+    for i, bpb in enumerate(graph.bpb):
+        if bpb.strict:
+            net.add_edge(net.source, 1 + i, budgets[i])
+        for j in sorted(bpb.goods - {MONEY}):
+            spend_edges.append((i, j - 1, net.add_edge(1 + i, 1 + m + (j - 1), unbounded)))
+    for k in range(n):
+        net.add_edge(1 + m + k, net.sink, caps[k])
 
-    def __init__(self, market: Market, p: PriceVector):
-        self.market = market
-        exact = market.mode.is_exact
-        self.graph = build_spending_graph(market, p)
-        m, n = market.m, market.n
-        budgets = [b.budget for b in market.buyers]
-        caps = list(self.graph.capacities)
-        if exact:
-            self.unit, scaled = scale_to_integers(budgets + caps)
-            budgets, caps = scaled[:m], scaled[m:]
-            self.slack = zero = 0
-        else:
-            self.unit = None
-            tol = market.mode.tol
-            scale = max(sum(budgets), sum(caps))
-            self.slack = tol * scale * (m + n + 4)
-            zero = tol * scale
-        self.budgets = budgets  # in network units, as is self.slack
-        self.net = net = FlowNetwork(m, n, zero=zero)
-        self.spend_edges = [[] for _ in range(m)]  # (good index 0-based, edge id)
-        # Spend edges hold more than every budget and capacity together, so
-        # no minimum cut uses one, and the goods on a cut's source side are
-        # the over-demanded set that witness() names.
-        unbounded = sum(budgets) + sum(caps) + 1
-        for i, bpb in enumerate(self.graph.bpb):
-            if bpb.strict:
-                net.add_edge(net.source, 1 + i, budgets[i])
-            for j in sorted(bpb.goods - {MONEY}):
-                eid = net.add_edge(1 + i, 1 + m + (j - 1), unbounded)
-                self.spend_edges[i].append((j - 1, eid))
-        for k in range(n):
-            net.add_edge(1 + m + k, net.sink, caps[k])
-
-    def _money(self, flow):
+    def money(flow):
         """A flow of the network in the market's money."""
-        return flow if self.unit is None else Fraction(flow, self.unit)
+        return flow if unit is None else Fraction(flow, unit)
 
-    def run_strict_phase(self):
-        required = sum(self.budgets[i] for i in self.graph.strict_buyers)
-        self.strict_flow = self.net.max_flow()
-        return required - self.strict_flow <= self.slack
-
-    def run_extension_phase(self):
-        for i, bpb in enumerate(self.graph.bpb):
+    strict = graph.strict_buyers
+    strict_flow = net.max_flow()
+    if not sum(budgets[i] for i in strict) - strict_flow <= slack:
+        reach = net.reachable_from()
+        goods = tuple(k + 1 for k in range(n) if reach[1 + m + k])
+        forced = sum(market.buyers[i].budget for i in strict if reach[1 + i])
+        capacity = sum(graph.capacities[j - 1] for j in goods)
+        witness = OverDemandWitness(goods, forced, capacity)
+        return FeasibilityCertificate(False, False if extend else None, None, witness)
+    revenue = clearing = None
+    if extend:
+        for i, bpb in enumerate(graph.bpb):
             if not bpb.strict:
-                self.net.add_edge(self.net.source, 1 + i, self.budgets[i])
-        extension = self.net.max_flow()
-        return self._money(self.strict_flow + extension)
-
-    def allocation(self) -> Allocation:
-        prices = self.graph.prices
-        zeros = [0 * price for price in prices]
-        bundles = []
-        for i in range(self.market.m):
-            bundle = list(zeros)
-            for k, eid in self.spend_edges[i]:
-                bundle[k] = self._money(self.net.flow_on(eid)) / prices[k]
-            bundles.append(tuple(bundle))
-        return tuple(bundles)
-
-    def witness(self) -> OverDemandWitness:
-        reach = self.net.reachable_from()
-        m = self.market.m
-        goods = tuple(k + 1 for k in range(self.market.n) if reach[1 + m + k])
-        forced = sum(
-            self.market.buyers[i].budget
-            for i in self.graph.strict_buyers
-            if reach[1 + i]
-        )
-        capacity = sum(self.graph.capacities[j - 1] for j in goods)
-        return OverDemandWitness(goods, forced, capacity)
+                net.add_edge(net.source, 1 + i, budgets[i])
+        revenue = money(strict_flow + net.max_flow())
+        clearing = sum(graph.capacities) - revenue <= slack
+    zeros = [0 * price for price in graph.prices]
+    bundles = [list(zeros) for _ in range(m)]
+    for i, k, eid in spend_edges:
+        bundles[i][k] = money(net.flow_on(eid)) / graph.prices[k]
+    allocation = tuple(map(tuple, bundles))
+    return FeasibilityCertificate(True, clearing, allocation, None, revenue)
 
 
 def check_feasible(market: Market, p: PriceVector) -> FeasibilityCertificate:
@@ -198,13 +195,9 @@ def check_feasible(market: Market, p: PriceVector) -> FeasibilityCertificate:
 
     Feasible: an allocation (strict buyers' routed spends, flexible buyers at
     zero) extending p to a feasible outcome. Infeasible: an over-demanded good
-    set from the minimum cut.
+    set from the minimum cut. One strict phase of _flow_check.
     """
-    require_valid(market)
-    routing = _Routing(market, p)
-    if routing.run_strict_phase():
-        return FeasibilityCertificate(True, None, routing.allocation(), None)
-    return FeasibilityCertificate(False, None, None, routing.witness())
+    return _flow_check(market, p, extend=False)
 
 
 def check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
@@ -212,16 +205,10 @@ def check_clearing(market: Market, p: PriceVector) -> FeasibilityCertificate:
 
     A feasible certificate also carries the max-extension revenue at p and an
     allocation attaining it: strict budgets are routed first as a hard
-    requirement, then flexible buyers top the goods up.
+    requirement, then flexible buyers top the goods up (_flow_check with its
+    extension phase).
     """
-    require_valid(market)
-    routing = _Routing(market, p)
-    if not routing.run_strict_phase():
-        return FeasibilityCertificate(False, False, None, routing.witness())
-    revenue = routing.run_extension_phase()
-    total_capacity = sum(routing.graph.capacities)
-    clearing = total_capacity - revenue <= routing.slack
-    return FeasibilityCertificate(True, clearing, routing.allocation(), None, revenue)
+    return _flow_check(market, p, extend=True)
 
 
 def meet(p: PriceVector, q: PriceVector) -> PriceVector:

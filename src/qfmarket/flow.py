@@ -26,6 +26,12 @@ that runs on three-edge paths, and its searches then only find the rare
 longer paths. The residuals and the returned total are the ones the searches
 alone would leave.
 
+One breadth-first search over the residual graph, `_search`, serves both
+uses: it records the edge that first reached each node, and it returns early
+once an optional `stop` node is reached. max_flow stops it at the sink and
+augments back along the recorded edges; reachable_from and reaching run it to
+the end, from the source forward and from the sink backward, for the cuts.
+
 `zero` is the residual threshold: residual capacities at or below it count as
 saturated (0 for exact arithmetic, a tiny scale-relative slack for floats).
 """
@@ -69,23 +75,6 @@ class FlowNetwork:
     def flow_on(self, eid: int):
         """Flow currently pushed through edge eid (= residual of its reverse)."""
         return self.residual[eid ^ 1]
-
-    def _find_path(self):
-        adj, to, residual, zero = self.adj, self.to, self.residual, self.zero
-        sink = self.sink
-        parent_edge = [-1] * self.n_nodes
-        parent_edge[self.source] = -2
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            for eid in adj[u]:
-                v = to[eid]
-                if parent_edge[v] == -1 and residual[eid] > zero:
-                    parent_edge[v] = eid
-                    if v == sink:
-                        return parent_edge
-                    queue.append(v)
-        return None
 
     def _sweep(self):
         """Augment every path source -> left -> right -> sink in breadth-first
@@ -139,8 +128,8 @@ class FlowNetwork:
         to, residual, source, sink = self.to, self.residual, self.source, self.sink
         total = self._sweep()
         while True:
-            parent_edge = self._find_path()
-            if parent_edge is None:
+            parent_edge = self._search(source, 0, sink)
+            if parent_edge[sink] == -1:
                 return total
             bottleneck = None
             v = sink
@@ -161,25 +150,31 @@ class FlowNetwork:
     def reachable_from(self):
         """Nodes reachable from the source through positive residuals; after
         max_flow this is the source side of a minimum cut."""
-        return self._search(self.source, 0)
+        return [e != -1 for e in self._search(self.source, 0)]
 
     def reaching(self):
         """Nodes with a positive-residual path to the sink; after max_flow,
         the nodes that could still pass more flow on to it."""
-        return self._search(self.sink, 1)
+        return [e != -1 for e in self._search(self.sink, 1)]
 
-    def _search(self, start: int, flip: int):
+    def _search(self, start: int, flip: int, stop: int = -1):
         """Breadth-first search from start along each adjacent edge eid whose
-        residual at eid ^ flip is positive: the edge itself (flip 0) walks
-        forward, its reverse (flip 1) walks backward."""
-        seen = [False] * self.n_nodes
-        seen[start] = True
+        residual at eid ^ flip is above zero: the edge itself (flip 0) walks
+        forward, its reverse (flip 1) walks backward. Returns each node's
+        parent edge, the edge the search first reached it by: -2 at start
+        and -1 where it never arrived. The search returns as soon as it
+        reaches node `stop` (-1, no node, searches everything)."""
+        adj, to, residual, zero = self.adj, self.to, self.residual, self.zero
+        parent_edge = [-1] * self.n_nodes
+        parent_edge[start] = -2
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if not seen[v] and self.residual[eid ^ flip] > self.zero:
-                    seen[v] = True
+            for eid in adj[u]:
+                v = to[eid]
+                if parent_edge[v] == -1 and residual[eid ^ flip] > zero:
+                    parent_edge[v] = eid
+                    if v == stop:
+                        return parent_edge
                     queue.append(v)
-        return seen
+        return parent_edge

@@ -31,6 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .feasibility import flow_slack
 from .market import Market, MarketError, PriceVector, demand_lattice, mode_array, require_valid
 from .numeric import Number
 
@@ -118,8 +119,8 @@ def _gale_scan(market: Market, axes):
     """Membership and revenue by Gale's condition, chunk by chunk.
 
     A point is feasible when the strict budgets fall short of their max flow
-    by no more than the flow check's slack tol * scale * (m + n + 4), which
-    is 0 in exact mode. Both modes read demand as demand_sets does, with
+    by no more than the flow checks' slack, feasibility.flow_slack, which is
+    0 in exact mode. Both modes read demand as demand_sets does, with
     demand_lattice over each chunk's (n, k) prices; only the numbers differ
     (mode_array):
     - an exact scan scales every axis value to integers once, over one
@@ -129,7 +130,6 @@ def _gale_scan(market: Market, axes):
     - revenue: flow / unit, which for ints is one correctly rounded division.
     """
     m, n = market.m, market.n
-    tol = market.mode.tol
     amounts = [b.budget for b in market.buyers]
     amounts += [price * good.supply for ax, good in zip(axes, market.goods) for price in ax]
     unit, amounts = mode_array(market, amounts)
@@ -163,8 +163,7 @@ def _gale_scan(market: Market, axes):
         cut_caps = in_set @ caps  # (2^n, k)
         strict_flow = (cut_caps + np.einsum("amk,mk->ak", missed, strict)).min(axis=0)
         scale = np.maximum(total_budget, caps.sum(axis=0))
-        slack = tol * scale * (m + n + 4)
-        feasible = strict.sum(axis=0) - strict_flow <= slack
+        feasible = strict.sum(axis=0) - strict_flow <= flow_slack(market, scale)
         flow = (cut_caps + np.einsum("amk,m->ak", missed, budgets)).min(axis=0)
         membership[start:stop] = feasible
         revenue[start:stop] = np.where(feasible, flow / unit, 0.0)

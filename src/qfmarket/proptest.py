@@ -95,9 +95,14 @@ def build_probe(market: Market) -> MarketProbe:
 
 
 def _feasible_points(grid: RegionGrid):
-    for idx in np.ndindex(grid.membership.shape):
-        if grid.membership[idx]:
-            yield tuple(grid.axes[d][idx[d]] for d in range(grid.n))
+    """The feasible lattice points, in lattice order."""
+    for idx in zip(*(i.tolist() for i in np.nonzero(grid.membership))):
+        yield tuple(ax[i] for ax, i in zip(grid.axes, idx))
+
+
+def _point(grid: RegionGrid, idx) -> tuple:
+    """The lattice point at index idx, in floats."""
+    return tuple(float(ax[i]) for ax, i in zip(grid.axes, idx))
 
 
 def suite_meet_closure(probe: MarketProbe, rng: random.Random, pairs: int = 100) -> SuiteResult:
@@ -144,18 +149,13 @@ def suite_revenue_dominance(probe: MarketProbe) -> SuiteResult:
     step = max(grid.step)
     slack = step * sum(g.supply for g in market.goods)
     best = float(probe.result.revenue) + float(slack) + 1e-9
-    failures = []
-    cases = 0
-    for idx in np.ndindex(grid.membership.shape):
-        if not grid.membership[idx]:
-            continue
-        cases += 1
-        if grid.revenue[idx] > best:
-            point = tuple(float(grid.axes[d][idx[d]]) for d in range(grid.n))
-            failures.append(
-                f"revenue {grid.revenue[idx]} at {point} exceeds equilibrium "
-                f"revenue {float(probe.result.revenue)} + {float(slack)}"
-            )
+    over = grid.membership & (grid.revenue > best)
+    failures = [
+        f"revenue {grid.revenue[tuple(idx)]} at {_point(grid, idx)} exceeds equilibrium "
+        f"revenue {float(probe.result.revenue)} + {float(slack)}"
+        for idx in np.argwhere(over).tolist()
+    ]
+    cases = int(grid.membership.sum())
     return SuiteResult("revenue-dominance", cases, tuple(failures))
 
 
@@ -213,23 +213,18 @@ def suite_upward_closure(probe: MarketProbe) -> SuiteResult:
     dents. Violations are reported as findings, never failures.
     """
     grid = probe.grid
-    findings = []
+    feasible = grid.membership
     cases = 0
-    res = grid.resolution
-    for idx in np.ndindex(grid.membership.shape):
-        if not grid.membership[idx]:
-            continue
-        for d in range(grid.n):
-            if idx[d] + 1 >= res:
-                continue
-            up = list(idx)
-            up[d] += 1
-            cases += 1
-            if not grid.membership[tuple(up)]:
-                point = tuple(float(grid.axes[k][idx[k]]) for k in range(grid.n))
-                findings.append(
-                    f"feasible {point} turns infeasible one step up along axis {d + 1}"
-                )
+    found = []  # (lattice index, axis)
+    for d in range(grid.n):
+        below = tuple(slice(None, -1) if k == d else slice(None) for k in range(grid.n))
+        above = tuple(slice(1, None) if k == d else slice(None) for k in range(grid.n))
+        cases += int(feasible[below].sum())
+        found += [(idx, d) for idx in np.argwhere(feasible[below] & ~feasible[above]).tolist()]
+    findings = [
+        f"feasible {_point(grid, idx)} turns infeasible one step up along axis {d + 1}"
+        for idx, d in sorted(found)
+    ]
     return SuiteResult("upward-closure", cases, (), tuple(findings))
 
 

@@ -256,33 +256,23 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
         maximum(bids, floor, out=bids)
         iterations += 1
 
-    prices = [0.0] * n
-    for col, k in enumerate(active):
-        prices[k] = float(goods_p[col])
-    if na:
-        rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
-    else:
-        rmax = np.full(m, 1.0)
+    prices = np.zeros(n)
+    prices[active] = goods_p
+    rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
     for k in range(n):
-        if k in active:
-            continue
-        # Lowest price at which nobody strictly prefers good k to their
-        # current best ratio; positive because someone values k.
-        prices[k] = max(
-            float(values_all[i, k]) / float(rmax[i]) for i in range(m)
-            if values_all[i, k] > 0
-        )
-
-    allocation = [[0.0] * n for _ in range(m)]
-    leftover = [0.0] * m
-    for row, i in enumerate(live):
-        for col, k in enumerate(active):
-            allocation[i][k] = float(x[row, col])
-        leftover[i] = float(money[row])
+        if k not in active:
+            # Lowest price at which nobody strictly prefers good k to their
+            # current best ratio; positive because someone values k.
+            valued = values_all[:, k] > 0
+            prices[k] = (values_all[valued, k] / rmax[valued]).max()
+    allocation = np.zeros((m, n))
+    allocation[np.ix_(live, active)] = x[:, :na]
+    leftover = np.zeros(m)
+    leftover[live] = money
     return EGSolution(
-        allocation=tuple(tuple(bundle) for bundle in allocation),
-        leftover=tuple(leftover),
-        prices=tuple(prices),
+        allocation=tuple(map(tuple, allocation.tolist())),
+        leftover=tuple(leftover.tolist()),
+        prices=tuple(prices.tolist()),
         duality_gap=float(gap),
         iterations=iterations,
     )

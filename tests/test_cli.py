@@ -413,6 +413,29 @@ def test_region_with_an_unwritable_boundary_leaves_the_grid_csv_as_it_was(
     assert code == EXIT_OK and grid_path.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_region_refuses_a_boundary_that_is_the_out_file(
+    fixture_dir, tmp_path, monkeypatch, spelling, existing
+):
+    """A --boundary naming the --out file, however spelled, is an input error
+    raised before the scan: no file is created, and one already there keeps
+    its bytes."""
+    from qfmarket import cli
+
+    monkeypatch.setattr(cli, "grid_scan", lambda *a: pytest.fail("the scan ran"))
+    grid_path = tmp_path / "g.csv"
+    if existing:
+        grid_path.write_bytes(b"kept\r\n")
+    boundary = str(grid_path) if spelling == "same" else f"{tmp_path}/./g.csv"
+    code, out, err = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--bounds", "0.4:3.2",
+        "--resolution", "5", "--out", str(grid_path), "--boundary", boundary,
+    )
+    assert code == EXIT_INPUT and out == "" and "--out" in err
+    assert grid_path.read_bytes() == b"kept\r\n" if existing else list(tmp_path.iterdir()) == []
+
+
 def test_region_with_an_unwritable_out_writes_no_boundary_csv(fixture_dir, tmp_path):
     boundary = tmp_path / "b.csv"
     code, _, err = run_cli(

@@ -98,8 +98,8 @@ def _reference_max_flow(net):
     to, residual, source, sink = net.to, net.residual, net.source, net.sink
     total = 0 * net.zero if net.zero else 0
     while True:
-        parent_edge = net._find_path()
-        if parent_edge is None:
+        parent_edge = net._search(source, 0, sink)
+        if parent_edge[sink] == -1:
             return total
         path = []
         v = sink
@@ -119,7 +119,7 @@ def _reference_max_flow(net):
 def _layered(rng, number, spend=None):
     """(edges, m, n): the edges of a random network with m left and n right
     nodes, as (u, v, capacity) in insertion order. Spend edges carry
-    `spend` when given, as _route and _Routing build them, else random
+    `spend` when given, as _route and _flow_check build them, else random
     capacities."""
     m, n = rng.randint(1, 12), rng.randint(1, 5)
     left = list(range(1, m + 1))
@@ -176,7 +176,7 @@ def test_sweep_matches_breadth_first_search_on_layered_networks(exact):
         edges, m, n = _layered(rng, number, spend)
         kernel, reference = _network(edges, m, n, zero), _network(edges, m, n, zero)
         _same(kernel, reference)
-        # A second call after new source edges, as _Routing's extension
+        # A second call after new source edges, as _flow_check's extension
         # phase adds its flexible buyers.
         for b in rng.sample(range(1, m + 1), rng.randint(0, m)):
             cap = number()
@@ -186,15 +186,15 @@ def test_sweep_matches_breadth_first_search_on_layered_networks(exact):
 
 
 def test_sweep_takes_most_augmentations_on_spending_networks():
-    """A _Routing-shaped network is swept: its searches then run only for
+    """A _flow_check-shaped network is swept: its searches then run only for
     longer paths, and once more to find none. The searches alone need
     seven on this one; the sweep leaves the last."""
     rng = random.Random(5)
     edges, m, n = _layered(rng, _numbers(rng, True), 10**7)
     net, reference = _network(edges, m, n, 0), _network(edges, m, n, 0)
     searches = []
-    find = net._find_path
-    net._find_path = lambda: searches.append(1) or find()
+    search = net._search
+    net._search = lambda *args: searches.append(1) or search(*args)
     assert net.max_flow() == _reference_max_flow(reference)
     assert len(searches) == 1
 

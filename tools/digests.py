@@ -10,7 +10,10 @@ in exact mode and as the same market in floats, the outputs are:
 
 - solve: repr(solve(m));
 - descent: repr(lattice_descent(m, initial_feasible_price(m)));
-- demand_sets, check_clearing: their reprs at p* and at that start price.
+- demand_sets, check_clearing: their reprs at p* and at that start price;
+- check_feasible: its repr at the start price, at p*, and at p* with each
+  coordinate in turn times 99/100 in the market's mode (the minimality
+  suite's cuts, which are infeasible, so their witnesses are digested too).
 
 The families are the seed-0 6x6 acceptance battery, random_market draws
 12345/8x4 #0-59 and Random(7) 6x6 #0-39, crowd_market draws from Random(100)
@@ -21,7 +24,7 @@ and revenue of the acceptance battery's windows and of the `region` markets,
 in both modes, and the `--no-timestamp` solve reports of the four fixtures in
 both modes. Markets, fixtures and generators come from this tool's own
 checkout, so the two runs differ only in the qfmarket they import. A run
-takes about 25 s (2 vCPUs, Python 3.11).
+takes about 20 s (2 vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ import hashlib
 import io
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUTS = ("solve", "descent", "demand_sets", "check_clearing")
+OUTPUTS = ("solve", "descent", "demand_sets", "check_clearing", "check_feasible")
 
 
 def import_program(src: Path):
@@ -66,6 +70,11 @@ def market_digests(markets) -> dict:
             for p in (result.p_star, start):
                 feed("demand_sets", q.demand_sets(m, p))
                 feed("check_clearing", q.check_clearing(m, p))
+            cut = Fraction(99, 100) if m.mode.is_exact else 0.99
+            p_star = result.p_star
+            cuts = [p_star[:j] + (p_star[j] * cut,) + p_star[j + 1:] for j in range(m.n)]
+            for p in (start, p_star, *cuts):
+                feed("check_feasible", q.check_feasible(m, p))
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
