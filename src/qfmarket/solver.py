@@ -10,17 +10,20 @@ fraction of utility its good contributes. The supply duals are the prices,
 and the iteration stops on a computable duality gap.
 The gap does not bound the price error linearly: the measured error tracks
 its square root, and it stalls near 1e-5 when a buyer is exactly indifferent
-to money at the minimum.
+to money at the minimum. Proportional response is mirror descent (Birnbaum,
+Devanur and Xiao 2011), and its final approach on quasi-linear markets is
+slow (Cheung, Cole and Tao 2018), so the answer does not wait for it.
 
 Certified rounding turns those prices into the exact answer. Once each
 buyer's demand set is known, the prices solve a linear system, so a demand
 structure read off the iterate points to one exact candidate. The structure
 read is the support: what each buyer spends more than 1% of its budget on.
-`solve` stops proportional response as soon as every price is within 1e-6
-(relative) of the support's candidate, or else at a fixed gap target. When
-the final prices agree with the candidate, it gets one exact clearing check,
-and if it passes it is the answer, because clearing prices are unique;
-proportional response only has to point at the right ties.
+The support's candidate gets one exact clearing check when every price is
+within 1e-6 (relative) of it, or once it has stayed the same for 500
+iterations, and if it passes it is the answer, because clearing prices are
+unique; proportional response only has to point at the right ties, not
+reach them. `solve` stops proportional response as soon as a check passes or
+the prices agree with the candidate, or else at a fixed gap target.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -34,12 +37,13 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response until its support agrees, its gap is met
-or its iterations run out, checks the support's candidate or else falls back
-to the descent, and packages the clearing allocation with revenue, welfare,
-and certificates. Both certificates rest on the one clearing check: a
-clearing price with its clearing allocation is a competitive equilibrium,
-and those outcomes, and only those, are constrained-efficient.
+`solve` runs proportional response until its support's candidate clears or
+agrees, its gap is met or its iterations run out, takes the cleared
+candidate or else falls back to the descent, and packages the clearing
+allocation with revenue, welfare, and certificates. Both certificates rest
+on the one clearing check: a clearing price with its clearing allocation is
+a competitive equilibrium, and those outcomes, and only those, are
+constrained-efficient.
 """
 
 from __future__ import annotations
@@ -167,11 +171,15 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     mass are excluded from the dynamics; their prices are imputed afterwards
     as the lowest level at which no buyer's bang-per-buck strictly prefers
     them. The run stops where solve's does (see _proportional_response):
-    when its support agrees, at the gap target 1e-11 * total budget (the
-    duality gap is money, so the target scales with the money in play), or
-    stalled at its iteration cap, which raises nothing. The duality gap
-    is read every 25 iterations, so iterations is a multiple of 25. None
-    when an exact market has no float image.
+    when its support's candidate passes its exact clearing check or every
+    price agrees with it (see _Support), at the gap target 1e-11 * total
+    budget (the duality gap is money, so the target scales with the money in
+    play), or stalled at its iteration cap, which raises nothing. A run
+    stopped by a check that passed once its candidate settled may end far
+    from that candidate: on markets where a buyer is indifferent to money at
+    p*, about 1e-2 relative. The duality gap is read every 25 iterations, so
+    iterations is a multiple of 25. None when an exact market has no float
+    image.
     """
     require_valid(market)
     return _proportional_response(market)[0]
@@ -283,6 +291,9 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 _SUPPORT = 1e-2
 # Relative distance within which every price agrees with a support candidate.
 _AGREE = 1e-6
+# Iterations after which a support candidate that has stayed the same is
+# checked exactly, although the prices have not come within _AGREE of it.
+_SETTLE = 500
 
 
 def _snap(market: Market, sets) -> Optional[PriceVector]:
@@ -354,25 +365,34 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
 
 
 class _Support:
-    """Proportional response's support and the exact price it points to.
+    """Proportional response's support, the exact price it points to, and
+    that price's clearing check.
 
     A buyer's support is the options it spends more than _SUPPORT of its
     budget on, read off its bids: goods, and money as the bids' last column.
-    Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), it snaps
-    the supports onto the rational twin (see _snap) when they differ from
-    the last call's, and answers whether every price of p is within _AGREE
-    (relative) of that candidate. `candidate` and `agrees` keep the last
-    call's candidate and answer, so after a run they describe its end.
+    Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), every
+    _GAP_EVERY iterations, it snaps the supports onto the rational twin (see
+    _snap) when they differ from the last call's. It checks the candidate
+    exactly with check_clearing on the twin at either of two triggers: every
+    price of p is within _AGREE (relative) of it, or it has stayed the same
+    for _SETTLE iterations. Clearing prices are unique, so a candidate that
+    clears is p* however far p still is from it. Each distinct candidate is
+    checked at most once. The answer is True, and the run stops, when a check
+    clears or when every price agrees with the candidate, cleared or not.
+    `cleared` is (candidate, certificate) once a check has cleared, else None.
     """
 
     def __init__(self, twin: Market):
         self.twin = twin
         self.candidate = None
-        self.agrees = False
+        self.cleared = None
+        self._held = 0  # iterations the candidate has stayed the same
+        self._failed = set()  # candidates whose clearing check failed
         self._mask = None  # the bytes of the last supports' boolean mask
         self._target = None  # the candidate's prices of the goods asked about
 
     def __call__(self, buyers, goods, bids, p) -> bool:
+        self._held += _GAP_EVERY
         mask = bids > _SUPPORT * bids.sum(axis=1, keepdims=True)
         key = mask.tobytes()
         if key != self._mask:
@@ -381,13 +401,24 @@ class _Support:
             sets = [()] * self.twin.m
             for i, row in zip(buyers, mask.tolist()):
                 sets[i] = [label for label, on in zip(labels, row) if on]
-            self.candidate = _snap(self.twin, sets)
-            self._target = None
-            if self.candidate is not None:
-                self._target = np.array([float(self.candidate[k]) for k in goods])
+            candidate = _snap(self.twin, sets)
+            if candidate != self.candidate:
+                self.candidate = candidate
+                self._held = 0
+                self._target = None
+                if candidate is not None:
+                    self._target = np.array([float(candidate[k]) for k in goods])
         target = self._target
-        self.agrees = target is not None and bool((np.abs(p - target) <= _AGREE * target).all())
-        return self.agrees
+        if target is None:
+            return False
+        agrees = bool((np.abs(p - target) <= _AGREE * target).all())
+        if (agrees or self._held >= _SETTLE) and self.candidate not in self._failed:
+            cert = check_clearing(self.twin, self.candidate)
+            if cert.clearing:
+                self.cleared = (self.candidate, cert)
+                return True
+            self._failed.add(self.candidate)
+        return agrees
 
 
 def _next_event(market: Market, p: PriceVector, best, down: frozenset) -> Number:
@@ -531,13 +562,15 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     )
 
 
-def _proportional_response(market: Market) -> Tuple[Optional[EGSolution], Optional[PriceVector]]:
-    """solve's proportional-response run, to the gap target _GAP_TARGET *
-    total budget unless its support agrees first, and the exact price
-    that support points to if every final price agrees with it (see
-    _Support), else None. (None, None) when an exact market has no float
-    image (a number beyond the float range, or a good whose only positive
-    values fall below it)."""
+def _proportional_response(
+    market: Market,
+) -> Tuple[Optional[EGSolution], Optional[Tuple[PriceVector, FeasibilityCertificate]]]:
+    """(eg, cleared): solve's proportional-response run, stopped by its
+    support (see _Support) or at the gap target _GAP_TARGET * total budget,
+    and (p, certificate) when the support's candidate p passed its exact
+    clearing check on the rational twin, else None. (None, None) when an
+    exact market has no float image (a number beyond the float range, or a
+    good whose only positive values fall below it)."""
     try:
         scale = float(sum(b.budget for b in market.buyers))
         image = _float_image(market)
@@ -547,30 +580,34 @@ def _proportional_response(market: Market) -> Tuple[Optional[EGSolution], Option
         return None, None
     support = _Support(market.rational_twin())
     eg = _solve_eg(image, _GAP_TARGET * scale, stop=support)
-    return eg, support.candidate if support.agrees else None
+    return eg, support.cleared
 
 
 def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
-    Proportional response runs first. It stops once every price agrees with
-    the exact candidate its spending support points to, or else at the gap
-    target 1e-11 * total budget, which scales with the money, so eg's gap
-    may sit above that target. When the final prices agree with the
-    support's candidate, that one candidate is p_star if it passes one exact
-    clearing check on the rational twin. That check is the whole
-    certificate, so solve takes no tolerance: clearing prices are unique. In
-    exact mode it is the result's certificate; a float market's rounded-back
-    price is checked again in floats. certified_by is then "rounding" and the descent trace is empty.
+    Proportional response runs first. The exact candidate its spending
+    support points to gets one clearing check on the rational twin once
+    every price agrees with it or once it has stayed the same for 500
+    iterations (see _Support). The run stops when a check passes, when the
+    prices agree with the candidate, or else at the gap target 1e-11 * total
+    budget, which scales with the money, so eg's gap may sit above that
+    target. A candidate that passed is p_star: that check is the whole
+    certificate, so solve takes no tolerance, since clearing prices are
+    unique, and solve does not repeat it. In exact mode it is the result's
+    certificate; a float market's rounded-back price is checked again in
+    floats. certified_by is then "rounding" and the descent trace is empty.
 
     Every other case goes to lattice_descent from a trivially feasible price
-    (certified_by "descent"): a run that ends, at its gap target or stalled
-    at its iteration cap, without agreeing with a candidate, or a candidate
-    that fails its check. The descent's endpoint must pass the same clearing
-    check; a MethodDisagreementError, carrying both solutions, is raised if
-    it does not. On either path method_agreement reports the largest
-    per-coordinate gap between p_star and the proportional-response prices,
-    as a diagnostic.
+    (certified_by "descent"): a run that ends, at its gap target, stalled
+    at its iteration cap or agreeing with a candidate, without a check that
+    passed, or a float price that fails its float re-check. The descent's
+    endpoint must pass the same clearing check; a MethodDisagreementError,
+    carrying both solutions, is raised if it does not. On either path
+    method_agreement reports the largest per-coordinate gap between p_star
+    and the proportional-response prices, as a diagnostic; after a settled
+    candidate's check it measures how early the run stopped, up to about
+    1e-2, not an error of p_star.
 
     An exact market with a number beyond the float range, or a good whose
     only positive values lie below it, has no float image for proportional
@@ -584,12 +621,12 @@ def solve(market: Market) -> EquilibriumResult:
     re-derives the same verdict from the outcome alone.)
     """
     require_valid(market)
-    eg, p_star = _proportional_response(market)
-    cert = None if p_star is None else check_clearing(market.rational_twin(), p_star)
-    if cert is not None and cert.clearing and not market.mode.is_exact:
-        p_star = tuple(float(v) for v in p_star)
-        cert = check_clearing(market, p_star)
-    if cert is not None and cert.clearing:
+    eg, cleared = _proportional_response(market)
+    if cleared is not None and not market.mode.is_exact:
+        p_star = tuple(float(v) for v in cleared[0])
+        cleared = p_star, check_clearing(market, p_star)
+    if cleared is not None and cleared[1].clearing:
+        p_star, cert = cleared
         certified_by = "rounding"
         trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
     else:

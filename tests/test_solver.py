@@ -259,8 +259,10 @@ def test_descent_escapes_singleton_demand_wedges():
 
 def test_agreement_gate_tolerates_money_indifferent_degeneracy():
     """A buyer exactly indifferent to money at the minimum flattens the dual,
-    so proportional response stalls microns away; descent still lands the
-    exact point and the certified result must come back, not a disagreement."""
+    so proportional response stalls microns away from p*: it ran 120,575
+    iterations to 2.3e-6 and fell to the descent. Its support's candidate
+    settles early, and its one exact check certifies p* by rounding after 525
+    (agreement 5.2e-4)."""
     market = Market(
         (Good("g1", F(3)), Good("g2", F(3))),
         (
@@ -272,16 +274,21 @@ def test_agreement_gate_tolerates_money_indifferent_degeneracy():
     )
     res = solve(market)
     assert res.p_star == (F(1, 3), F(14, 9))
-    assert res.method_agreement <= 1e-5
+    assert res.certified_by == "rounding"
+    assert res.eg.iterations <= 1_000
     assert res.clearing_certificate.clearing
 
 
 def test_random_markets_solve_to_certified_minimal_prices():
+    """Each draw is certified by rounding, and no 1% cut of p* is feasible.
+    Draw 3 once ran 330,950 iterations to 6.8e-6 and fell to the descent;
+    its settled candidate now clears after 550 (agreement 4.3e-3)."""
     rng = random.Random(11)
     for _ in range(6):
         market = random_market(rng)
         res = solve(market)
-        assert res.method_agreement <= 1e-5
+        assert res.certified_by == "rounding"
+        assert res.eg.iterations <= 1_000
         cert = check_clearing(market, res.p_star)
         assert cert.feasible and cert.clearing
         for j in range(market.n):
@@ -318,22 +325,69 @@ def test_float_wedge_market_solves():
 )
 def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
     """p* of 12345-family draws, exact and in floats. On #31 and #35 the
-    float descent once stopped above p*. #60 meets its gap target within
-    6e-10 of p* after 3,100 iterations, yet its support's candidate does
-    not agree, so it falls to the descent."""
+    float descent once stopped above p*. On #60 the support points at p*
+    from iteration 75 to 525, 450 iterations, short of _SETTLE. At 550 it
+    drifts to (61/46, 3/2, 122/69), which fails its check, so the run ends
+    at its gap target at 3,100, within 6e-10 of p* but not agreeing with
+    that candidate, and falls to the descent."""
+    certified_by = "descent" if index == 60 else "rounding"
     market = _draw(12345, index, 8, 4)
-    assert solve(market).p_star == p_star
-    _assert_float_p_star(solve(market.coerced(float_mode())), p_star)
+    exact = solve(market)
+    assert exact.p_star == p_star
+    assert exact.certified_by == certified_by
+    floaty = solve(market.coerced(float_mode()))
+    _assert_float_p_star(floaty, p_star)
+    assert floaty.certified_by == certified_by
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_support_share_under_the_threshold_leaves_no_candidate(mode):
+    """Random(7) 6x6 draw 11, with the same cause as seed-0 battery draw 15:
+    its one buyer ties all five goods at p* but spends 0.99% of its budget on g1,
+    under _SUPPORT, so g1 has no level and _snap finds no candidate. The gap
+    is 0 at the first check, and the descent answers."""
+    market = _draw(7, 11, 6, 6).coerced(mode)
+    res = solve(market)
+    assert res.certified_by == "descent"
+    assert (res.eg.iterations, res.eg.duality_gap) == (25, 0.0)
+    spent = res.eg.allocation[0][0] * res.eg.prices[0] / float(market.buyers[0].budget)
+    assert 0.0098 < spent < solver._SUPPORT
+    p_star = (F(4, 101), F(128, 101), F(4, 101), F(40, 101), F(16, 101))
+    assert res.p_star == tuple(map(mode.coerce, p_star))
 
 
 def test_money_indifferent_draw_beyond_absolute_agreement_gate():
     """Proportional response stalls about 1e-5 from p* = 3/2 here, past the
-    descent's old agreement gate, and its final prices never agree with its
-    support's candidate; the descent lands p* exactly instead."""
+    descent's old agreement gate, so its prices never agree with its
+    support's candidate: it ran 143,050 iterations and fell to the descent.
+    The candidate settles, and its exact check certifies p* after 525."""
     res = solve(_draw(12345, 125, 8, 4))
     assert res.p_star == (F(3, 2),)
-    assert res.certified_by == "descent"
+    assert res.certified_by == "rounding"
+    assert res.eg.iterations <= 1_000
     assert res.clearing_certificate.clearing
+
+
+# Draws (seed, index, buyers, goods) whose proportional response crawled to
+# 10^5 iterations or more, past every agreement stop, and fell to the descent.
+_EG_TAIL = (
+    *((12345, index, 8, 4) for index in (20, 48, 98, 113, 123, 125, 138)),
+    *((5, index, 10, 8) for index in (2, 6, 14, 16)),
+    *((7, index, 6, 6) for index in (28, 39)),
+)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+@pytest.mark.parametrize("draw", _EG_TAIL, ids=[f"{s}-{i}" for s, i, _, _ in _EG_TAIL])
+def test_settled_support_candidates_end_the_eg_tail(mode, draw):
+    """Each of these supports points at p* within a few hundred iterations;
+    once its candidate has held for _SETTLE iterations, one exact check
+    certifies it, although the prices are still far from it."""
+    market = _draw(*draw).coerced(mode)
+    res = solve(market)
+    assert res.certified_by == "rounding"
+    assert res.eg.iterations <= 1_000
+    assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
 
 
 @pytest.mark.parametrize("factor", [F(10**6), F(1, 10**6)])
