@@ -9,9 +9,10 @@ printing the summary on stdout, or else writes it to stdout. region's --out
 names the grid CSV it writes, so its report always goes to stdout.
 
 Exit codes: 0 success, 1 input problem, usage errors and an unwritable
---out included, 2 solver failure (the descent fallback endpoint failing its
-clearing check, or a market with no minimal price) or a proptest with
-failing suites. A stalled proportional-response iteration is not a failure:
+--out included, 2 solver failure (solve's price failing its clearing check,
+whether rounded from a certified candidate or reached by the descent
+fallback, or a market with no minimal price) or a proptest with failing
+suites. A stalled proportional-response iteration is not a failure:
 solve checks its support's candidate or falls back to the descent.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -193,12 +195,6 @@ def cmd_check_price(args) -> tuple:
 def cmd_region(args) -> tuple:
     loaded, source = _load(args)
     market = loaded.market
-    if args.mode is None and market.mode.is_exact:
-        # Both modes scan in closed form, but an exact scan reads its demand
-        # and cut values in Python ints: example2's scan at resolution 141
-        # takes about 0.003 s in float and 0.04 s exact (2 vCPUs,
-        # Python 3.11). Default to float unless the caller forces exact.
-        market = market.coerced(float_mode())
     exact = market.mode.is_exact
     try:
         lo_text, hi_text = args.bounds.split(":")
@@ -322,17 +318,10 @@ def cmd_monopoly(args) -> tuple:
         report["optimal_unconstrained"] = _offer(*max_revenue_price(free))
         lines.append(f"optimal ignoring the budget: {_spoken(report['optimal_unconstrained'])}")
     witness = divergence_witness(valuation, budget)
-    report["divergence_witness"] = (
-        None
-        if witness is None
-        else {
-            "supply": _num(witness.supply, False),
-            "epsilon": _num(witness.epsilon, False),
-            "prop1": witness.prop1,
-            "prop2": witness.prop2,
-            "x_tilde": None if witness.x_tilde is None else _num(witness.x_tilde, False),
-        }
-    )
+    report["divergence_witness"] = None if witness is None else {
+        key: value if value is None or isinstance(value, bool) else _num(value, False)
+        for key, value in dataclasses.asdict(witness).items()
+    }
     lines.append(
         "divergence witness: "
         + ("none" if witness is None else f"s = {report['divergence_witness']['supply']}")
@@ -347,15 +336,7 @@ def cmd_proptest(args) -> tuple:
         "seed": args.seed,
         "markets": args.markets,
         "pairs": args.pairs,
-        "suites": [
-            {
-                "name": s.name,
-                "cases": s.cases,
-                "failures": list(s.failures),
-                "findings": list(s.findings),
-            }
-            for s in merged
-        ],
+        "suites": [dataclasses.asdict(s) for s in merged],
         "ok": all(s.ok for s in merged),
     }
     return report, [
@@ -410,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--bounds", default="0.1:5", help="price window lo:hi")
     p_region.add_argument("--resolution", type=int, default=491)
     p_region.add_argument("--boundary", default=None, help="boundary CSV path (2 goods)")
-    p_region.set_defaults(fn=cmd_region, out=None)
+    # Both modes scan in closed form, but an exact scan reads its demand and
+    # cut values in Python ints: example2's scan at resolution 141 takes
+    # about 0.003 s in float and 0.04 s exact (2 vCPUs, Python 3.11). So
+    # region reads its market in floats unless the caller forces exact.
+    p_region.set_defaults(fn=cmd_region, out=None, mode="float")
 
     p_mono = sub.add_parser("monopoly", help="single-good concave-valuation analysis")
     common(p_mono, with_input=False)

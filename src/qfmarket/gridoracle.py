@@ -25,7 +25,7 @@ buyers in buyer order, whatever the chunking.
 from __future__ import annotations
 
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -73,6 +73,10 @@ class RegionGrid:
 
 
 def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ...]:
+    """One (lo, hi) pair per good, each in the market's mode: a single pair
+    is every good's. "bad price window" unless 0 < lo < hi and hi lies in
+    the float range, in both modes: a float scan coerces the window to
+    floats, and an exact scan's boundary and CSV read its axes as floats."""
     coerce = market.mode.coerce
     if len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
         bounds = [bounds] * market.n
@@ -82,8 +86,8 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
     for lo, hi in bounds:
         # Checked before coercion, which raises on NaN and infinities; NaN
         # fails every comparison.
-        if not 0 < lo < hi < math.inf:
-            raise MarketError(f"bad price window ({lo}, {hi}): need 0 < lo < hi < inf")
+        if not 0 < lo < hi <= sys.float_info.max:
+            raise MarketError(f"bad price window ({lo}, {hi}): need 0 < lo < hi <= max float")
         out.append((coerce(lo), coerce(hi)))
     return tuple(out)
 

@@ -24,6 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,8 +79,9 @@ class Outcome:
 
 
 class PriceDomainError(MarketError):
-    """A price vector had an entry that is not positive and finite, or not
-    one entry per good; bang-per-buck ratios are undefined there."""
+    """A price vector had an entry that is not positive and finite (on a
+    float market, one beyond the float range), or not one entry per good;
+    bang-per-buck ratios are undefined there."""
 
 
 @dataclass(frozen=True)
@@ -308,9 +310,12 @@ def check_prices(p: PriceVector, n: int) -> None:
 def read_prices(market: Market, p: PriceVector) -> PriceVector:
     """p as every check of `market` reads it, once check_prices passes: each
     entry as the rational it is, Fraction(x), in exact mode (a float
-    included, and a Fraction kept as it is), and as given in float mode."""
+    included, and a Fraction kept as it is), and as given in float mode,
+    where an entry beyond the float range raises PriceDomainError too."""
     check_prices(p, market.n)
     if not market.mode.is_exact:
+        if max(p) > sys.float_info.max:
+            raise PriceDomainError("a price of a float market is beyond the float range")
         return tuple(p)
     return tuple([x if type(x) is Fraction else Fraction(x) for x in p])
 

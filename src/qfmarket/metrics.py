@@ -50,11 +50,12 @@ class EfficiencyCertificate:
 
 
 def revenue(outcome: Outcome) -> Number:
-    """Total money the seller collects: sum over buyers of p . x_i."""
+    """Total money the seller collects: p . (sum over buyers of x_i), each
+    price times its good's aggregate sales, summed good by good (the one
+    revenue formula; solve reports it for its clearing outcome)."""
     total = 0
-    for bundle in outcome.allocation:
-        for price, qty in zip(outcome.prices, bundle):
-            total = total + price * qty
+    for price, qty in zip(outcome.prices, aggregate(outcome.allocation, len(outcome.prices))):
+        total = total + price * qty
     return total
 
 

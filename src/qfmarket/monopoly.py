@@ -274,8 +274,12 @@ def divergence_witness(
     grid = [hi * k / 512 for k in range(1, 513)]
     x_tilde = None
     prop2 = None
+    x_max = hi
     if math.isfinite(budget):
-        above = [x for x in grid if spend(x) > budget]
+        spent = [spend(x) for x in grid]
+        above = [x for x, y in zip(grid, spent) if y > budget]
+        inside = [x for x, y in zip(grid, spent) if y <= budget]
+        x_max = max(inside) if inside else 0.0
         if above:
             if spend(hi) >= budget:
                 x_tilde = hi
@@ -301,10 +305,6 @@ def divergence_witness(
             return s, eps
         return None
 
-    x_max = hi
-    if math.isfinite(budget):
-        inside = [x for x in grid if spend(x) <= budget]
-        x_max = max(inside) if inside else 0.0
     for s in grid:
         if s > x_max:
             break

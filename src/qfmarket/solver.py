@@ -60,13 +60,13 @@ from .market import (
     Allocation,
     Market,
     MarketError,
+    Outcome,
     PriceVector,
-    aggregate,
     demand_sets,
     read_prices,
     require_valid,
 )
-from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, social_welfare
+from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, revenue, social_welfare
 from .numeric import EXACT, Number, scale_to_integers
 
 __all__ = [
@@ -100,8 +100,10 @@ class SolverConvergenceError(MarketError):
 
 
 class MethodDisagreementError(MarketError):
-    """The descent fallback's endpoint failed its clearing check; exposes the
-    results of both solvers."""
+    """solve's p_star failed its clearing check in the market's own mode:
+    the rounded-back float price of a candidate that cleared on the rational
+    twin, or the descent fallback's endpoint. Exposes the results of both
+    solvers (descent is the empty trace on the rounding path)."""
 
     def __init__(self, message, eg=None, descent=None):
         super().__init__(message)
@@ -601,9 +603,11 @@ def solve(market: Market) -> EquilibriumResult:
     Every other case goes to lattice_descent from a trivially feasible price
     (certified_by "descent"): a run that ends, at its gap target, stalled
     at its iteration cap or agreeing with a candidate, without a check that
-    passed, or a float price that fails its float re-check. The descent's
-    endpoint must pass the same clearing check; a MethodDisagreementError,
-    carrying both solutions, is raised if it does not. On either path
+    passed. The descent's endpoint must pass the same clearing check. One
+    check and one refusal serve both paths: a p_star that fails its check in
+    the market's mode raises MethodDisagreementError, carrying both
+    solutions. A float re-check that fails raises at once, since the descent
+    could only end at the same rational and fail the same check. On either path
     method_agreement reports the largest per-coordinate gap between p_star
     and the proportional-response prices, as a diagnostic; after a settled
     candidate's check it measures how early the run stopped, up to about
@@ -622,34 +626,32 @@ def solve(market: Market) -> EquilibriumResult:
     """
     require_valid(market)
     eg, cleared = _proportional_response(market)
-    if cleared is not None and not market.mode.is_exact:
-        p_star = tuple(float(v) for v in cleared[0])
-        cleared = p_star, check_clearing(market, p_star)
-    if cleared is not None and cleared[1].clearing:
-        p_star, cert = cleared
+    own = market.mode.coerce
+    if cleared is not None:
         certified_by = "rounding"
-        trace = DescentTrace(tuple(market.mode.coerce(v) for v in eg.prices), (), p_star, 0)
+        p_star = tuple(map(own, cleared[0]))
+        trace = DescentTrace(tuple(map(own, eg.prices)), (), p_star, 0)
     else:
         certified_by = "descent"
         trace = lattice_descent(market, initial_feasible_price(market))
         p_star = trace.final
+    if cleared is not None and market.mode.is_exact:
+        cert = cleared[1]
+    else:
         cert = check_clearing(market, p_star)
         if not cert.clearing:
             raise MethodDisagreementError(
-                "descent endpoint failed its clearing check", eg=eg, descent=trace
+                f"{certified_by} endpoint failed its clearing check", eg=eg, descent=trace
             )
     agreement = None
     if eg is not None:
         agreement = max(abs(float(a) - float(b)) for a, b in zip(p_star, eg.prices))
     allocation = cert.allocation
-    revenue = 0
-    for price, qty in zip(p_star, aggregate(allocation, market.n)):
-        revenue = revenue + price * qty
     welfare = social_welfare(market, allocation)
     return EquilibriumResult(
         p_star=p_star,
         allocation=allocation,
-        revenue=revenue,
+        revenue=revenue(Outcome(p_star, allocation)),
         welfare=welfare,
         method_agreement=agreement,
         clearing_certificate=cert,

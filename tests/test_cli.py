@@ -245,18 +245,35 @@ def test_check_price_witness(fixture_dir):
 
 
 @pytest.mark.parametrize(
-    "command", [["solve"], ["check-price", "--price", "1,1"]], ids=["solve", "check-price"]
+    "command, values, budget, message",
+    [
+        (["solve"], "[2.0, Infinity]", "1", "non-finite"),
+        (["check-price", "--price", "1,1"], "[2.0, Infinity]", "1", "non-finite"),
+        (
+            ["region"],
+            "[2, 1]",
+            '"1e400"',
+            "buyers[0].budget: number '1e400' is beyond the float range",
+        ),
+    ],
+    ids=["solve", "check-price", "region"],
 )
-def test_non_finite_market_file_is_an_input_error(tmp_path, command):
+def test_non_finite_market_file_is_an_input_error(tmp_path, command, values, budget, message):
+    """region reads its market in floats, so a budget beyond the float range
+    is refused as it is by solve --mode float; it raised a bare
+    OverflowError when region read the market exactly and then coerced it."""
     path = tmp_path / "inf.json"
     path.write_text(
         '{"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}],'
-        ' "buyers": [{"name": "b", "values": [2.0, Infinity], "budget": 1}]}'
+        f' "buyers": [{{"name": "b", "values": {values}, "budget": {budget}}}]}}'
     )
-    code, out, err = run_cli(command[0], str(path), *command[1:])
+    grid = tmp_path / "grid.csv"
+    out_flag = ["--out", str(grid)] if command[0] == "region" else []
+    code, out, err = run_cli(command[0], str(path), *command[1:], *out_flag)
     assert code == EXIT_INPUT and out == ""
-    assert err.startswith("error:") and "non-finite" in err
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    assert not grid.exists()
 
 
 def test_check_price_arity_error(fixture_dir):

@@ -23,6 +23,7 @@ from qfmarket.market import (
     aggregate,
     demand_sets,
     is_demanded,
+    read_prices,
 )
 from qfmarket.marketio import load_market
 from qfmarket.numeric import EXACT, float_mode
@@ -418,8 +419,15 @@ def test_non_finite_prices_are_rejected(fixture_dir, mode, check, p):
         check(market, p)
 
 
-def test_a_huge_fraction_price_is_finite(ref_exact):
+def test_a_huge_fraction_price_is_finite(ref_exact, ref_float):
     """A Fraction beyond the float range is a finite price: it is compared,
-    never converted."""
+    never converted. A float market refuses such a price, which its checks
+    raised a bare OverflowError on, and reads one inside the float range as
+    given."""
     cert = check_feasible(ref_exact, (F(10) ** 400, F(1)))
     assert not cert.feasible and cert.witness.goods == (2,)
+    for p in ((10**400, 1), (F(10) ** 400, 1.0)):
+        for check in (check_clearing, check_feasible, demand_sets):
+            with pytest.raises(PriceDomainError, match="beyond the float range"):
+                check(ref_float, p)
+    assert read_prices(ref_float, (10**300, F(1, 3))) == (10**300, F(1, 3))

@@ -92,12 +92,14 @@ def test_bounds_validation(ref_float):
 
 
 @pytest.mark.parametrize(
-    "window", [(0.5, float("inf")), (0.5, float("nan")), (float("nan"), 2.0)]
+    "window", [(0.5, float("inf")), (0.5, float("nan")), (float("nan"), 2.0), (1, 10**400)]
 )
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_non_finite_windows_are_refused(fixture_dir, mode, window):
     """A float scan over (0.5, inf) returned axes (nan, inf, inf, inf, inf)
-    and no feasible point; an exact one raised a bare ValueError."""
+    and no feasible point; an exact one raised a bare ValueError. Over
+    (1, 10**400) a float scan raised a bare OverflowError, and an exact one
+    completed and left it to the boundary and the CSV export."""
     market = load_market((fixture_dir / "example2.json").read_text(), mode).market
     with pytest.raises(MarketError, match="bad price window"):
         grid_scan(market, window, 5)

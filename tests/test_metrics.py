@@ -144,6 +144,25 @@ def test_certify_rejects_non_equilibrium_outcomes(ref_exact):
     assert cert.min_slack is None
 
 
+def test_certify_refuses_an_outcome_that_a_challenger_out_earns():
+    """At price 1, b2 values good A at 0.5 and so demands only money, yet
+    the float budget check admits purchases up to tol * its budget of 1e12:
+    the outcome that sells b2 one unit passes as an equilibrium. Leaving
+    that unit unsold loses b2's welfare 0.5 but saves the payment 1, a slack
+    of -0.5, far below the bound, so the verdict is refused."""
+    market = Market(
+        (Good("A", 2.0),),
+        (Buyer("b1", (1000.0,), 1.0), Buyer("b2", (0.5,), 1e12)),
+        float_mode(),
+    )
+    subject = Outcome((1.0,), ((1.0,), (1.0,)))
+    challenger = Outcome((1.0,), ((1.0,), (0.0,)))
+    assert is_competitive_equilibrium(market, subject)
+    cert = certify_constrained_efficiency(market, subject, (challenger,))
+    assert cert.verdict == VERDICT_NOT_CE
+    assert cert.slacks == (-0.5,) and cert.min_slack == -0.5
+
+
 def test_certify_rejects_infeasible_challengers_by_index(ref_exact):
     subject = _equilibrium(ref_exact)
     bad = Outcome((F(1, 2), F(1, 2)), ((F(9), F(9)),) * 3)

@@ -1,5 +1,6 @@
 """Single-good concave monopoly: demand, clearing, revenue search, divergence."""
 
+import dataclasses
 import math
 import random
 
@@ -89,6 +90,17 @@ def test_clearing_price_errors():
         clearing_price(MonopolyInstance(satiating, 3.0))
 
 
+def test_clearing_price_refuses_a_value_that_outruns_its_derivative():
+    """The derivative says 1 everywhere but the value rises at 2, so at the
+    candidate price 1 buying past the supply gains utility: the supply lies
+    outside the demand range. (The affordability refusal cannot fire: the
+    candidate is at most budget / supply, so its spend tops the budget by
+    rounding at most, far below the check's slack.)"""
+    lying = ConcaveValuation(value=lambda x: 2.0 * x, derivative=lambda x: 1.0)
+    with pytest.raises(MarketError, match="outside the demand range at price 1.0"):
+        clearing_price(MonopolyInstance(lying, 3.0))
+
+
 def test_max_revenue_unconstrained_interior_optimum():
     price, qty, rev = max_revenue_price(MonopolyInstance(example_a1(), 3.0))
     assert price == pytest.approx(4.0 / math.e, abs=1e-4)
@@ -155,3 +167,42 @@ def test_divergence_witness_requires_a_modulus():
     anon = ConcaveValuation(value=lambda x: x, derivative=lambda x: 1.0)
     with pytest.raises(MarketError):
         divergence_witness(anon)
+
+
+def _strongly_concave(derivative, m):
+    """A valuation given by its derivative alone, with modulus m; the
+    divergence search reads no values."""
+    return ConcaveValuation(value=lambda x: 0.0, derivative=derivative, strong_concavity=m)
+
+
+def test_divergence_witness_from_the_budget_exhaustion_point():
+    """With budget 0.1, x v'(x) tops the budget even at the window's end
+    x = 8, so x_tilde is 8; the scan stops at the last supply the budget
+    affords, 1/64, and the witness comes from x_tilde (prop2)."""
+    wit = divergence_witness(example_a1(), 0.1)
+    assert wit is not None
+    assert (wit.supply, wit.prop1, wit.prop2, wit.x_tilde) == (8.0, False, True, 8.0)
+    deriv = example_a1().derivative
+    held = wit.supply - wit.epsilon
+    assert 0 < wit.epsilon < wit.supply
+    assert deriv(held) * held > deriv(wit.supply) * wit.supply
+
+
+def test_divergence_witness_with_a_budget_that_never_binds():
+    """x v'(x) peaks at 4 / (e ln 2) < 2.13 for example A.1, so a budget of 5
+    never binds: prop2 is False and the scan finds the unbudgeted witness."""
+    wit = divergence_witness(example_a1(), 5.0)
+    assert wit == dataclasses.replace(divergence_witness(example_a1()), prop2=False)
+
+
+@pytest.mark.parametrize(
+    "derivative, m",
+    [
+        (lambda x: 0.0, 1.0),  # v'(0) = 0: the search window [0, v'(0)/m] is empty
+        (lambda x: 1.0 if x < 0.5 else -1.0, 1.0),  # falls: epsilon would pass s
+        (lambda x: 1.0 - 0.1 * x, 1.0),  # m overstated: the revenue check fails
+    ],
+    ids=["empty-window", "falling", "overstated-modulus"],
+)
+def test_divergence_witness_refuses_what_its_checks_do_not_confirm(derivative, m):
+    assert divergence_witness(_strongly_concave(derivative, m)) is None

@@ -8,6 +8,7 @@ when a buyer is exactly indifferent to money at the minimum, and markets on
 which the descent alone stopped above p* or failed its agreement gate.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -156,6 +157,30 @@ def test_a_descent_endpoint_that_does_not_clear_raises_with_both_solutions(
         solve(ref_exact)
     assert err.value.descent is stuck
     assert err.value.eg == solve_eg(ref_exact)
+
+
+def test_a_rounded_candidate_that_fails_its_float_check_raises_at_once(ref_float, monkeypatch):
+    """A candidate that cleared on the rational twin is p*, since clearing
+    prices are unique, so the descent could only end at the same rational
+    and fail the same float check. solve raises on the float re-check's
+    failure without running the descent."""
+
+    def float_checks_fail(market, p):
+        cert = check_clearing(market, p)
+        return cert if market.mode.is_exact else dataclasses.replace(cert, clearing=False)
+
+    def no_descent(market, p0):
+        pytest.fail("lattice_descent ran after a candidate cleared")
+
+    monkeypatch.setattr(solver, "check_clearing", float_checks_fail)
+    monkeypatch.setattr(solver, "lattice_descent", no_descent)
+    with pytest.raises(
+        solver.MethodDisagreementError, match="rounding endpoint failed its clearing check"
+    ) as err:
+        solve(ref_float)
+    assert err.value.descent.final == (0.6, 0.6)
+    assert err.value.descent.steps == () and err.value.descent.probes == 0
+    assert err.value.eg == solve_eg(ref_float)
 
 
 def test_initial_feasible_price_is_feasible(ref_exact):

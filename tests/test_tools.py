@@ -1,8 +1,10 @@
-"""tools/: the code-line count that the change log cites, and the output
-digests that compare two trees."""
+"""tools/: the code-line count that the change log cites, the output digests
+that compare two trees, and the line tracer that lists statements no test
+runs."""
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from qfmarket.proptest import random_market
@@ -11,14 +13,17 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _load(name):
+    """tools/<name>.py as module `name`, registered so that a later tool can
+    import it as it does when run from tools/."""
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 code_lines = _load("code_lines")
 digests = _load("digests")
+linecov = _load("linecov")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -68,3 +73,35 @@ def test_market_digests_repeat_and_tell_families_apart():
     assert all(len(value) == 64 for value in first.values())
     assert digests.market_digests(family(3)) == first
     assert digests.market_digests(family(2))["solve"] != first["solve"]
+
+
+BRANCHY = '''"""Module docstring."""
+
+
+def sign(x):
+    """Function docstring."""
+    global calls
+    if x > 0:
+        return 1
+    return -1
+'''
+
+
+def test_linecov_lists_the_statements_that_never_ran(tmp_path):
+    """sign(2) takes the first branch, so only `return -1` never runs; the
+    docstrings and the `global` statement, which compiles to no code, are
+    not counted."""
+    path = tmp_path / "branchy.py"
+    path.write_text(BRANCHY)
+    files = [str(path)]
+
+    def run():
+        spec = importlib.util.spec_from_file_location("branchy", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.sign(2)
+
+    result, executed = linecov.traced(files, run)
+    assert result == 1
+    assert linecov.never_ran(files, executed) == {str(path): [(9, "return -1")]}
+    assert [line for line, _, _ in linecov.statements(BRANCHY)] == [4, 7, 8, 9]
