@@ -6,7 +6,8 @@ cleanly, and a few summary lines; it reads no clock and writes no report.
 main is the one report path: it starts the clock once the arguments parse,
 stamps the report unless --no-timestamp is given, and writes it to --out,
 printing the summary on stdout, or else writes it to stdout. region's --out
-names the grid CSV it writes, so its report always goes to stdout.
+names the grid CSV it writes, so its report always goes to stdout. Every
+file the CLI writes, report or CSV, goes through _write_all.
 
 Exit codes: 0 success, 1 input problem, usage errors and an unwritable
 --out included, 2 solver failure (solve's price failing its clearing check,
@@ -434,8 +435,7 @@ def main(argv=None) -> int:
             report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
         text = json.dumps(report, indent=2) + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_all([(args.out, lambda fh: fh.write(text))])
             for line in summary:
                 print(line)
         else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .feasibility import flow_slack
 from .market import Market, MarketError, PriceVector, demand_lattice, mode_array, require_valid
-from .numeric import Number
+from .numeric import Number, float_mode, format_number
 
 __all__ = [
     "RegionGrid",
@@ -76,7 +76,9 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
     """One (lo, hi) pair per good, each in the market's mode: a single pair
     is every good's. "bad price window" unless 0 < lo < hi and hi lies in
     the float range, in both modes: a float scan coerces the window to
-    floats, and an exact scan's boundary and CSV read its axes as floats."""
+    floats, and an exact scan's boundary and CSV read its axes as floats.
+    The message prints each bound to 12 significant digits (format_number),
+    so a bound of 10**400 reads "1e+400"."""
     coerce = market.mode.coerce
     if len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
         bounds = [bounds] * market.n
@@ -87,6 +89,7 @@ def _normalize_bounds(market: Market, bounds) -> Tuple[Tuple[Number, Number], ..
         # Checked before coercion, which raises on NaN and infinities; NaN
         # fails every comparison.
         if not 0 < lo < hi <= sys.float_info.max:
+            lo, hi = (format_number(x, float_mode()) for x in (lo, hi))
             raise MarketError(f"bad price window ({lo}, {hi}): need 0 < lo < hi <= max float")
         out.append((coerce(lo), coerce(hi)))
     return tuple(out)

@@ -12,8 +12,9 @@ Conventions used throughout the package:
 * market-level demand questions go through demand_sets, which reads p with
   read_prices: the flow checks' spending graph and outcome_is_feasible both
   do, so a float price on an exact market is the rational it is in each.
-  bang_per_buck, is_demanded and demand_vertices answer for one buyer at p
-  exactly as given, with a tie band of the caller's choosing.
+  bang_per_buck answers for one buyer at p exactly as given, with a tie
+  band of the caller's choosing. No module calls it: it is the single-buyer
+  reference that tests hold demand_sets to.
 * demand has one formula in both modes, demand_lattice: a table of ratios,
   v / p in floats or, in exact mode, integers that are the ratios times one
   positive integer per price point, then bang_per_buck's tie band.
@@ -46,13 +47,10 @@ __all__ = [
     "aggregate",
     "bang_per_buck",
     "demand_sets",
-    "demand_vertices",
-    "is_demanded",
     "outcome_is_feasible",
     "require_valid",
     "strip_worthless_goods",
     "validate_market",
-    "zero_bundle",
 ]
 
 MONEY = 0
@@ -280,8 +278,16 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     Money (index 0, ratio 1) always competes. A good j is included whenever
     v_j / p_j >= (1 - tol) * max_ratio, so tol = 0 gives the exact argmax and a
     small relative tol makes boundary ties reproducible in float mode.
+
+    No module calls it: it is the single-buyer reference that the tests hold
+    demand_sets to, and the benchmark traces it. A buyer with a float value
+    cannot divide it by a price beyond the float range, so such a price
+    raises PriceDomainError, as read_prices does on a float market; an
+    exact buyer reads any positive price.
     """
     check_prices(p, len(buyer.values))
+    if max(p) > sys.float_info.max and any(isinstance(v, float) for v in buyer.values):
+        raise PriceDomainError("a price for a float-valued buyer is beyond the float range")
     best = 1  # money
     ratios = []
     for v, price in zip(buyer.values, p):
@@ -403,37 +409,14 @@ def demand_lattice(market: Market, prices: np.ndarray, unit):
     return best, one, ratios >= cutoff
 
 
-def demand_vertices(buyer: Buyer, p: PriceVector, tol: Number = 0) -> Tuple[Bundle, ...]:
-    """Extreme points of the demanded set: one spike per maximizing good, plus
-    the zero bundle when money maximizes. The demanded set is their convex hull."""
-    bpb = bang_per_buck(buyer, p, tol)
-    n = len(p)
-    vertices = []
-    if MONEY in bpb.goods:
-        vertices.append(tuple(0 * v for v in p))
-    for j in sorted(bpb.goods - {MONEY}):
-        spike = [0 * v for v in p]
-        spike[j - 1] = buyer.budget / p[j - 1]
-        vertices.append(tuple(spike))
-    return tuple(vertices)
-
-
-def is_demanded(buyer: Buyer, p: PriceVector, x: Bundle, tol: Number = 0) -> bool:
-    """Membership test for the demand correspondence.
-
-    True iff (a) positive quantities only on bang-per-buck goods, (b) spend
-    does not exceed the budget, and (c) the budget is exhausted whenever money
-    is not a maximizer. Comparisons use a slack of tol * budget, which
-    scales with the buyer's money.
-    """
-    return _admits(bang_per_buck(buyer, p, tol), buyer.budget, p, x, tol)
-
-
 def _admits(bpb: BangPerBuckSet, budget: Number, p: PriceVector, x: Bundle, tol: Number) -> bool:
-    """is_demanded's test of bundle x, given the buyer's bang-per-buck set
-    bpb at p."""
-    if len(x) != len(p):
-        return False
+    """Whether bundle x is demanded at p by a buyer with this budget and
+    bang-per-buck set bpb: (a) positive quantities only on bpb's goods, (b)
+    spend within the budget, and (c) the budget spent whenever money is not
+    in bpb. Comparisons use a slack of tol * budget, which scales with the
+    buyer's money. outcome_is_feasible asks it, at the mode's tolerance, for
+    the package's one answer to "is this bundle demanded". x holds one
+    quantity per good."""
     slack = tol * budget
     spend = 0
     for j, (price, qty) in enumerate(zip(p, x), start=1):
@@ -457,13 +440,15 @@ def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) 
     and finite with one entry per good, else PriceDomainError, and a float
     price on an exact market is the rational it is, as the flow checks read
     it. Every buyer's set comes from one demand_sets pass, and each bundle
-    is then held to is_demanded's test at the mode's tolerance. A good's
+    is then held to _admits's test at the mode's tolerance. A good's
     total may top its supply by tol * supply: both slacks scale with the
     amount they bound, so a market's verdicts do not depend on its units.
+    An allocation without one bundle per buyer, or a bundle without one
+    quantity per good, is not feasible.
     """
     p = read_prices(market, p)
     tol = market.mode.tol
-    if len(allocation) != market.m:
+    if len(allocation) != market.m or any(len(x) != market.n for x in allocation):
         return False
     totals = aggregate(allocation, market.n)
     for total, good in zip(totals, market.goods):
@@ -482,7 +467,3 @@ def aggregate(allocation: Allocation, n: int) -> Bundle:
             totals[k] = totals[k] + bundle[k]
     return tuple(totals)
 
-
-def zero_bundle(market: Market) -> Bundle:
-    zero = market.mode.coerce(0)
-    return tuple(zero for _ in range(market.n))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .market import Buyer, Good, Market, MarketError
-from .numeric import EXACT, FLOAT_DEFAULT, Number, NumericMode, number_to_json, parse_number
+from .numeric import EXACT, Number, NumericMode, float_mode, number_to_json, parse_number
 
 __all__ = [
     "ArcticBid",
@@ -47,7 +47,6 @@ __all__ = [
     "flatten_bids",
     "load_market",
     "load_market_csv",
-    "parse_market",
     "reaggregate",
     "serialize_bid_collection",
     "serialize_market",
@@ -124,7 +123,7 @@ def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarke
             (cost for _, cost in costs),
         )
         exact = all(_token_is_exact(t) for t in tokens if t is not None)
-        mode = EXACT if exact else FLOAT_DEFAULT
+        mode = EXACT if exact else float_mode()
     for path, cost in costs:
         _require(
             _number(cost, path, mode) == 0,
@@ -247,12 +246,6 @@ def load_market(source, mode: Optional[NumericMode] = None) -> LoadedMarket:
         rows.append((path, name, entry.get("budget"), values))
     costs = [(f"costs[{j}]", c) for j, c in enumerate(costs_raw or ())]
     return _build(kind, goods, rows, costs, mode)
-
-
-def parse_market(source, mode: Optional[NumericMode] = None) -> Market:
-    """Market from JSON text, bytes, or a decoded object (arctic inputs are
-    flattened; use load_market to keep the owner mapping)."""
-    return load_market(source, mode).market
 
 
 def _serialize(kind: str, goods, rows) -> str:

@@ -14,15 +14,15 @@ exact demand) brings its rationals onto one integer scale with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Union
 
 __all__ = [
     "DEFAULT_FLOAT_TOL",
     "EXACT",
-    "FLOAT_DEFAULT",
     "Number",
     "NumericMode",
     "float_mode",
@@ -76,11 +76,12 @@ class NumericMode:
 
 
 EXACT = NumericMode(EXACT_KIND)
-FLOAT_DEFAULT = NumericMode(FLOAT_KIND)
+_FLOAT = NumericMode(FLOAT_KIND)
 
 
 def float_mode() -> NumericMode:
-    return FLOAT_DEFAULT
+    """The float mode, one shared object."""
+    return _FLOAT
 
 
 def scale_to_integers(amounts):
@@ -120,13 +121,24 @@ def parse_number(token, mode: NumericMode) -> Number:
         raise ValueError(f"number {token!r} is beyond the float range") from None
 
 
+# format_number's rounding of a rational beyond the float range.
+_TWELVE_DIGITS = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def format_number(value: Number, mode: NumericMode = None) -> str:
-    """Render a number for reports: 'p/q' in exact mode, 12 significant digits otherwise."""
+    """Render a number for reports: 'p/q' in exact mode, 12 significant
+    digits otherwise, as format(float(value), ".12g") prints them. A
+    rational beyond the float range has no float, so it is rounded to 12
+    digits in Decimal instead ("1e+400" for 10**400)."""
     if isinstance(value, Fraction) and (mode is None or mode.is_exact):
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
-    return format(float(value), ".12g")
+    if isinstance(value, float) or abs(value) <= sys.float_info.max:
+        return format(float(value), ".12g")
+    value = Fraction(value)
+    digits = _TWELVE_DIGITS.divide(Decimal(value.numerator), Decimal(value.denominator))
+    return format(digits.normalize(_TWELVE_DIGITS), ".12g")
 
 
 def number_to_json(value: Number) -> object:

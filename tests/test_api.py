@@ -120,13 +120,12 @@ def test_no_module_imports_a_private_sibling_name():
     assert crossings == PRIVATE_IMPORTS_ALLOWED
 
 
-@pytest.mark.parametrize("reader", ["check_prices", "bang_per_buck", "is_demanded"])
+@pytest.mark.parametrize("reader", ["check_prices", "bang_per_buck"])
 def test_only_market_reads_prices_through_check_prices(reader):
     """Every other module reads prices with market.read_prices, and demand
     with market.demand_sets, so a price is read the same way by every check.
-    bang_per_buck and is_demanded read one buyer's demand at a price as
-    given, and only market itself may call them; __init__ may re-export
-    a public name."""
+    bang_per_buck reads one buyer's demand at a price as given, and only
+    market itself may call it; __init__ may re-export a public name."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -482,6 +482,20 @@ def test_calls_in_one_process_share_no_parsed_state(fixture_dir, tmp_path):
     assert report["boundary_csv"] == str(default) and default.exists()
 
 
+def test_region_refuses_a_window_beyond_the_float_range_in_one_short_line(
+    fixture_dir, tmp_path
+):
+    """The error line printed both bounds in full: 862 characters."""
+    grid = tmp_path / "grid.csv"
+    code, out, err = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--mode", "exact",
+        "--bounds", "1e400:2e400", "--out", str(grid),
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: bad price window (1e+400, 2e+400): need 0 < lo < hi <= max float\n"
+    assert not grid.exists()
+
+
 def test_region_requires_out(fixture_dir):
     code, _, err = run_cli("region", str(fixture_dir / "example2.json"))
     assert code == EXIT_INPUT

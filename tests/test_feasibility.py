@@ -20,9 +20,10 @@ from qfmarket.market import (
     Market,
     MarketError,
     PriceDomainError,
+    _admits,
     aggregate,
+    bang_per_buck,
     demand_sets,
-    is_demanded,
     read_prices,
 )
 from qfmarket.marketio import load_market
@@ -133,7 +134,7 @@ def test_outcome_check_money_slack_scales_with_the_budget(s):
     p = (2 * s / 3, s / 3)
     for bundle, demanded in (((0.0, 0.0), False), ((0.5, 0.5), False), ((1.0, 1.0), True)):
         assert outcome_is_feasible(market, p, (bundle,)) is demanded, bundle
-        assert is_demanded(market.buyers[0], p, bundle, market.mode.tol) is demanded, bundle
+        assert _is_demanded(market.buyers[0], p, bundle, market.mode.tol) is demanded, bundle
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
@@ -172,9 +173,14 @@ def test_outcome_is_feasible_reads_the_prices_first(ref_exact, ref_float, p):
                 outcome_is_feasible(market, p, allocation)
 
 
+def _is_demanded(buyer, p, x, tol):
+    """One buyer's demand test at p as given, its set from bang_per_buck."""
+    return _admits(bang_per_buck(buyer, p, tol), buyer.budget, p, x, tol)
+
+
 def _per_buyer_verdict(market, p, allocation):
     """The per-buyer reference for outcome_is_feasible: the supply check,
-    then is_demanded buyer by buyer at p as given."""
+    then _is_demanded buyer by buyer at p as given."""
     tol = market.mode.tol
     return (
         len(allocation) == market.m
@@ -182,7 +188,7 @@ def _per_buyer_verdict(market, p, allocation):
             total <= good.supply + tol * max(1, good.supply)
             for total, good in zip(aggregate(allocation, market.n), market.goods)
         )
-        and all(is_demanded(b, p, x, tol) for b, x in zip(market.buyers, allocation))
+        and all(_is_demanded(b, p, x, tol) for b, x in zip(market.buyers, allocation))
     )
 
 

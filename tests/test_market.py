@@ -20,15 +20,13 @@ from qfmarket.market import (
     bang_per_buck,
     demand_lattice,
     demand_sets,
-    demand_vertices,
-    is_demanded,
     mode_array,
+    outcome_is_feasible,
     require_valid,
     strip_worthless_goods,
     validate_market,
-    zero_bundle,
 )
-from qfmarket.numeric import EXACT, FLOAT_DEFAULT, float_mode
+from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
 from qfmarket.solver import solve
 
@@ -103,9 +101,9 @@ def test_validate_market_flags_non_finite_numbers(bad):
     good = Good("A", 1.0)
     ok = Buyer("b", (1.0,), 1.0)
     cases = (
-        (Market((Good("A", bad),), (ok,), FLOAT_DEFAULT), "non-finite supply"),
-        (Market((good,), (Buyer("b", (bad,), 1.0),), FLOAT_DEFAULT), "non-finite value"),
-        (Market((good,), (Buyer("b", (1.0,), bad),), FLOAT_DEFAULT), "non-finite budget"),
+        (Market((Good("A", bad),), (ok,), float_mode()), "non-finite supply"),
+        (Market((good,), (Buyer("b", (bad,), 1.0),), float_mode()), "non-finite value"),
+        (Market((good,), (Buyer("b", (1.0,), bad),), float_mode()), "non-finite budget"),
     )
     for market, message in cases:
         assert any(message in v for v in validate_market(market))
@@ -176,7 +174,7 @@ def test_a_valid_float_market_twin_takes_over_its_verdict(monkeypatch, ref_exact
 
 
 def test_an_invalid_float_market_twin_validates_itself(monkeypatch):
-    market = Market((Good("A", -1.0),), (Buyer("b", (1.0,), 1.0),), FLOAT_DEFAULT)
+    market = Market((Good("A", -1.0),), (Buyer("b", (1.0,), 1.0),), float_mode())
     runs = _count_validations(monkeypatch)
     twin = market.rational_twin()
     assert validate_market(twin) == ["good A: negative supply -1"]
@@ -232,7 +230,7 @@ def test_nonpositive_prices_raise():
     with pytest.raises(PriceDomainError):
         bang_per_buck(buyer, (F(0),))
     with pytest.raises(PriceDomainError):
-        is_demanded(buyer, (F(-1),), (F(0),))
+        outcome_is_feasible(Market((Good("A", F(1)),), (buyer,)), (F(-1),), ((F(0),),))
 
 
 @pytest.mark.parametrize("p", [(), (F(1), F(1))])
@@ -242,31 +240,39 @@ def test_price_vectors_of_the_wrong_length_raise(p):
         bang_per_buck(buyer, p)
 
 
-def test_demand_vertices(ref_exact):
-    p = (F(3, 5), F(3, 5))
-    b2, b3 = ref_exact.buyers[1], ref_exact.buyers[2]
-    assert demand_vertices(b3, p) == ((F(5, 3), F(0)),)
-    assert demand_vertices(b2, p) == ((F(5, 3), F(0)), (F(0), F(5, 3)))
-    flexible = demand_vertices(b3, (F(4), F(2)))
-    assert flexible[0] == (F(0), F(0))  # money maximizes, so opting out is a vertex
+def test_price_beyond_the_float_range_for_a_float_buyer():
+    """A float value cannot be divided by a price of 10**400: bang_per_buck
+    raised a bare OverflowError ("int too large to convert to float"). An
+    exact buyer reads that price as any other."""
+    for price in (10**400, F(10) ** 400):
+        with pytest.raises(PriceDomainError, match="beyond the float range") as caught:
+            bang_per_buck(Buyer("b", (1.0,), 1.0), (price,))
+        assert len(str(caught.value)) < 80
+        exact = bang_per_buck(Buyer("b", (F(1),), F(1)), (price,))
+        assert exact.goods == frozenset({MONEY}) and exact.max_ratio == 1
 
 
-def test_is_demanded(ref_exact):
-    p = (F(3, 5), F(3, 5))
-    b2, b3 = ref_exact.buyers[1], ref_exact.buyers[2]
-    assert is_demanded(b3, p, (F(5, 3), F(0)))
-    assert is_demanded(b2, p, (F(5, 6), F(5, 6)))  # interior of the demand face
-    assert not is_demanded(b2, p, (F(0), F(0)))  # strict buyer must spend
-    assert not is_demanded(b3, p, (F(0), F(5, 3)))  # positive quantity off the argmax
-    assert not is_demanded(b3, p, (F(10, 3), F(0)))  # overspends the budget
-    assert not is_demanded(b3, p, (F(5, 3),))  # wrong arity
-    assert not is_demanded(b3, p, (F(8, 3), F(-1)))  # spends its budget, but a quantity is negative
+def test_one_buyer_outcomes(ref_exact):
+    """A one-buyer market of ample supply is feasible exactly when the
+    bundle is demanded, here at the reference market's p* = (3/5, 3/5)."""
+    goods = (Good("A", F(10)), Good("B", F(10)))
+    b2, b3 = (Market(goods, (b,)) for b in ref_exact.buyers[1:])
+    cases = (
+        (b3, (F(5, 3), F(0)), True),
+        (b2, (F(5, 6), F(5, 6)), True),  # interior of the demand face
+        (b2, (F(0), F(0)), False),  # strict buyer must spend
+        (b3, (F(0), F(5, 3)), False),  # positive quantity off the argmax
+        (b3, (F(10, 3), F(0)), False),  # overspends the budget
+        (b3, (F(5, 3),), False),  # wrong arity
+        (b3, (F(8, 3), F(-1)), False),  # spends its budget, but a quantity is negative
+    )
+    for market, bundle, demanded in cases:
+        assert outcome_is_feasible(market, (F(3, 5), F(3, 5)), (bundle,)) is demanded, bundle
 
 
-def test_aggregate_and_zero_bundle(ref_exact):
+def test_aggregate():
     rows = ((F(0), F(5, 3)), (F(4, 3), F(1, 3)), (F(5, 3), F(0)))
     assert aggregate(rows, 2) == (F(3), F(2))
-    assert zero_bundle(ref_exact) == (F(0), F(0))
 
 
 def _fields(sets):

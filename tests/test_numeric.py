@@ -8,7 +8,6 @@ import pytest
 from qfmarket.numeric import (
     DEFAULT_FLOAT_TOL,
     EXACT,
-    FLOAT_DEFAULT,
     NumericMode,
     float_mode,
     format_number,
@@ -19,9 +18,8 @@ from qfmarket.numeric import (
 
 def test_mode_constants():
     assert EXACT.is_exact and EXACT.tol == 0
-    assert not FLOAT_DEFAULT.is_exact
-    assert FLOAT_DEFAULT.tol == DEFAULT_FLOAT_TOL
-    assert float_mode() is FLOAT_DEFAULT
+    assert not float_mode().is_exact
+    assert float_mode().tol == DEFAULT_FLOAT_TOL
 
 
 def test_mode_validation():
@@ -62,6 +60,10 @@ def test_format_number():
     assert format_number(Fraction(4)) == "4"
     assert format_number(Fraction(3, 5), float_mode()) == "0.6"
     assert format_number(0.1) == "0.1"
+    # beyond the float range: 12 significant digits without float()
+    assert format_number(Fraction(10**400), float_mode()) == "1e+400"
+    assert format_number(-Fraction(2 * 10**400, 3), float_mode()) == "-6.66666666667e+399"
+    assert format_number(10**400) == "1e+400"
 
 
 def test_number_to_json():
