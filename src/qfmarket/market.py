@@ -78,7 +78,8 @@ class Outcome:
 
 class PriceDomainError(MarketError):
     """A price vector had an entry that is not positive and finite (on a
-    float market, one beyond the float range), or not one entry per good;
+    float market, one without a finite float bang-per-buck ratio: beyond
+    the float range, or too small), or not one entry per good;
     bang-per-buck ratios are undefined there."""
 
 
@@ -281,13 +282,13 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
 
     No module calls it: it is the single-buyer reference that the tests hold
     demand_sets to, and the benchmark traces it. A buyer with a float value
-    cannot divide it by a price beyond the float range, so such a price
-    raises PriceDomainError, as read_prices does on a float market; an
-    exact buyer reads any positive price.
+    refuses a price without a finite float ratio v / p (see
+    _check_float_ratios) with PriceDomainError, as read_prices does on a
+    float market; an exact buyer reads any positive price.
     """
     check_prices(p, len(buyer.values))
-    if max(p) > sys.float_info.max and any(isinstance(v, float) for v in buyer.values):
-        raise PriceDomainError("a price for a float-valued buyer is beyond the float range")
+    if any(isinstance(v, float) for v in buyer.values):
+        _check_float_ratios("a price for a float-valued buyer", buyer.values, p)
     best = 1  # money
     ratios = []
     for v, price in zip(buyer.values, p):
@@ -313,15 +314,31 @@ def check_prices(p: PriceVector, n: int) -> None:
             raise PriceDomainError(f"undefined ratio: price {entry} is not positive and finite")
 
 
+def _check_float_ratios(what: str, values, p: PriceVector) -> None:
+    """PriceDomainError unless each positive price p_j has a finite float
+    ratio values[j] / p_j, values[j] being the largest value on good j (or
+    one buyer's value). A price beyond the float range has no float; one
+    that reads as 0.0 (Fraction(1, 10**400)), or one so small that the
+    ratio overflows (1e-320 under a value of 1.0), has an infinite ratio.
+    A float quotient overflows to inf without raising, so the test reads
+    the quotient that float-mode demand would divide out."""
+    if max(p) > sys.float_info.max:
+        raise PriceDomainError(f"{what} is beyond the float range")
+    for v, x in zip(values, p):
+        f = float(x)
+        if f == 0 or v / f == math.inf:
+            raise PriceDomainError(f"{what} is too small: a bang-per-buck ratio overflows")
+
+
 def read_prices(market: Market, p: PriceVector) -> PriceVector:
     """p as every check of `market` reads it, once check_prices passes: each
     entry as the rational it is, Fraction(x), in exact mode (a float
     included, and a Fraction kept as it is), and as given in float mode,
-    where an entry beyond the float range raises PriceDomainError too."""
+    where a price without a finite float ratio to its good's values raises
+    PriceDomainError too (see _check_float_ratios)."""
     check_prices(p, market.n)
     if not market.mode.is_exact:
-        if max(p) > sys.float_info.max:
-            raise PriceDomainError("a price of a float market is beyond the float range")
+        _check_float_ratios("a price of a float market", market.float_values.max(axis=1).tolist(), p)
         return tuple(p)
     return tuple([x if type(x) is Fraction else Fraction(x) for x in p])
 

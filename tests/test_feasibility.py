@@ -437,3 +437,20 @@ def test_a_huge_fraction_price_is_finite(ref_exact, ref_float):
             with pytest.raises(PriceDomainError, match="beyond the float range"):
                 check(ref_float, p)
     assert read_prices(ref_float, (10**300, F(1, 3))) == (10**300, F(1, 3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("price", [1e-320, F(1, 10**400)], ids=["overflowing", "zero-as-float"])
+def test_a_float_market_refuses_a_price_too_small_for_floats(price):
+    """Over a value of 1.0, 1e-320 overflows the float ratio and
+    Fraction(1, 10**400) reads as 0.0: numpy warned "overflow encountered in
+    divide", and the checks answered "not feasible" with an infinite
+    max_ratio. read_prices now refuses such a price before any check
+    divides; one whose ratio stays finite is read as given, and the exact
+    twin reads both."""
+    market = Market((Good("A", 1.0),), (Buyer("b", (1.0,), 1.0),), float_mode())
+    for check in (read_prices, check_clearing, check_feasible, demand_sets):
+        with pytest.raises(PriceDomainError, match="too small"):
+            check(market, (price,))
+    assert read_prices(market, (1e-300,)) == (1e-300,)
+    assert not check_feasible(market.rational_twin(), (price,)).feasible

@@ -252,6 +252,20 @@ def test_price_beyond_the_float_range_for_a_float_buyer():
         assert exact.goods == frozenset({MONEY}) and exact.max_ratio == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("price", [1e-320, F(1, 10**400)], ids=["overflowing", "zero-as-float"])
+def test_price_too_small_for_a_float_buyer(price):
+    """A float value over Fraction(1, 10**400), which reads as 0.0, raised a
+    bare ZeroDivisionError, and over 1e-320 gave an infinite ratio. Both are
+    refused as a price beyond the float range is. An exact buyer reads a
+    tiny rational as any other."""
+    with pytest.raises(PriceDomainError, match="too small") as caught:
+        bang_per_buck(Buyer("b", (1.0,), 1.0), (price,))
+    assert len(str(caught.value)) < 80
+    exact = bang_per_buck(Buyer("b", (F(1),), F(1)), (F(1, 10**400),))
+    assert exact.goods == frozenset({1}) and exact.max_ratio == 10**400
+
+
 def test_one_buyer_outcomes(ref_exact):
     """A one-buyer market of ample supply is feasible exactly when the
     bundle is demanded, here at the reference market's p* = (3/5, 3/5)."""

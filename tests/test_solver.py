@@ -13,6 +13,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qfmarket import market as market_module
@@ -349,20 +350,22 @@ def test_float_wedge_market_solves():
     ],
 )
 def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
-    """p* of 12345-family draws, exact and in floats. On #31 and #35 the
-    float descent once stopped above p*. On #60 the support points at p*
-    from iteration 75 to 525, 450 iterations, short of _SETTLE. At 550 it
-    drifts to (61/46, 3/2, 122/69), which fails its check, so the run ends
-    at its gap target at 3,100, within 6e-10 of p* but not agreeing with
-    that candidate, and falls to the descent."""
-    certified_by = "descent" if index == 60 else "rounding"
+    """p* of 12345-family draws, exact and in floats, each certified by
+    rounding. On #31 and #35 the float descent once stopped above p*. On
+    #60 the support points at p* from iteration 75; at 100 its gap to the
+    prices shrinks too slowly to agree before _SETTLE, so its check comes
+    at once and clears. While the check waited for _SETTLE, the support
+    drifted at 550 to (61/46, 3/2, 122/69), which failed its check, and the
+    run fell to the descent after 3,100 iterations."""
     market = _draw(12345, index, 8, 4)
     exact = solve(market)
     assert exact.p_star == p_star
-    assert exact.certified_by == certified_by
+    assert exact.certified_by == "rounding"
     floaty = solve(market.coerced(float_mode()))
     _assert_float_p_star(floaty, p_star)
-    assert floaty.certified_by == certified_by
+    assert floaty.certified_by == "rounding"
+    if index == 60:
+        assert exact.eg.iterations == floaty.eg.iterations == 100
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
@@ -601,6 +604,29 @@ def test_support_stop_shortens_proportional_response():
             assert res.method_agreement <= 1e-6 * max(res.p_star)
 
 
+# (eg.iterations, certified_by) of solve on seed-0 random_market(rng, 6, 6)
+# draws 0-19, in exact mode and in floats alike: the runs whose agreement
+# acceptance check 8 reads.
+_BATTERY_STOPS = tuple(
+    (iterations, "descent" if draw == 15 else "rounding")
+    for draw, iterations in enumerate(
+        (600, 500, 50, 125, 550, 150, 25, 25, 50, 25, 175, 225, 25, 25, 200, 25, 250, 175, 150, 150)
+    )
+)
+
+
+def test_battery_stops_are_pinned():
+    """Where proportional response stops on the acceptance battery, and how
+    p* is certified. A stop-rule change that moves these runs moves the
+    agreement that acceptance check 8 reads."""
+    rng = random.Random(0)
+    for draw, stop in enumerate(_BATTERY_STOPS):
+        market = random_market(rng, 6, 6)
+        for m in (market, market.coerced(float_mode())):
+            res = solve(m)
+            assert (res.eg.iterations, res.certified_by) == stop, (draw, m.mode)
+
+
 def test_float_draw_whose_twin_breaks_tie_cycles():
     """Reading this float market's values as decimals breaks a tie cycle, so
     rounding finds nothing; the descent answered 1.3e-8 relative below p*."""
@@ -664,6 +690,57 @@ def test_many_buyer_descent_trace_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bce244b62f86734fff83f7626784b3471d46f414b215dca6ed92964cdd77441b"
     )
+
+
+def _crowd40():
+    """The first market of the benchmark's `crowd` workload: perfbench's
+    crowd_market at Random(0), 40x2, which draws what _many_buyers draws
+    when every good has a positive value, as both do here."""
+    return _many_buyers(random.Random(0), 40, 2)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_gap_too_slow_to_agree_is_checked_at_once(mode):
+    """The support points at p* early, but the prices close in on it too
+    slowly to agree before _SETTLE, so its one check comes at once and
+    clears. The check used to wait for the candidate to settle, at 650
+    iterations."""
+    market = _crowd40().coerced(mode)
+    res = solve(market)
+    assert res.certified_by == "rounding"
+    assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
+    assert res.eg.iterations < 650
+
+
+def test_a_gap_that_does_not_shrink_waits_for_the_candidate_to_settle(monkeypatch):
+    """_Support fed the final bids of the crowd market's run, at prices a
+    fixed 1% above their candidate p*: the gap never shrinks, so the check
+    waits until the candidate has held for _SETTLE iterations. A gap that
+    shrinks by 1% per call would take far longer than that to reach _AGREE,
+    so it is checked at the second call."""
+    market = _crowd40()
+    res = solve(market)
+    eg = res.eg
+    bids = np.array(
+        [[x * p for x, p in zip(row, eg.prices)] + [money] for row, money in zip(eg.allocation, eg.leftover)]
+    )
+    target = np.array([float(v) for v in res.p_star])
+    checks = []
+
+    def counted(m, p):
+        checks.append(p)
+        return check_clearing(m, p)
+
+    monkeypatch.setattr(solver, "check_clearing", counted)
+    for shrink, first_check in ((1.0, 1 + solver._SETTLE // solver._GAP_EVERY), (0.99, 2)):
+        support = solver._Support(market)
+        for calls in range(1, 2 * first_check):
+            stopped = support(np.arange(market.m), [0, 1], bids, target * (1 + 0.01 * shrink**calls))
+            if checks:
+                break
+        assert support.candidate == res.p_star
+        assert (calls, stopped, len(checks)) == (first_check, True, 1)
+        checks.clear()
 
 
 # (draw, iterations, prices, duality gap) of proportional response run to
