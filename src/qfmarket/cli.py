@@ -7,7 +7,8 @@ main is the one report path: it starts the clock once the arguments parse,
 stamps the report unless --no-timestamp is given, and writes it to --out,
 printing the summary on stdout, or else writes it to stdout. region's --out
 names the grid CSV it writes, so its report always goes to stdout. Every
-file the CLI writes, report or CSV, goes through _write_all.
+file the CLI writes, report or CSV, goes through _write_all, which writes
+them whole or not at all.
 
 Exit codes: 0 success, 1 input problem, usage errors and an unwritable
 --out included, 2 solver failure (solve's price failing its clearing check,
@@ -27,7 +28,9 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -244,24 +247,34 @@ def cmd_region(args) -> tuple:
 
 
 def _write_all(outputs) -> None:
-    """Write each (path, export) pair, or none: every path is opened before
-    any is written, in append mode so that opening truncates nothing, and a
-    path that cannot be opened leaves the others as they were (removing a
-    file this call made) and raises its OSError."""
-    with contextlib.ExitStack() as stack:
-        existed = [os.path.exists(path) for path, _ in outputs]
-        try:
-            files = [stack.enter_context(open(path, "a", encoding="utf-8", newline=""))
-                     for path, _ in outputs]
-        except OSError:
-            stack.close()
-            for (path, _), was in zip(outputs, existed):
-                if not was and os.path.exists(path):
-                    os.remove(path)
-            raise
-        for fh, (_, export) in zip(files, outputs):
-            fh.truncate(0)
-            export(fh)
+    """Write each (path, export) pair whole, or none. Each path is opened in
+    append mode first, which truncates nothing but refuses a path that
+    cannot be written. Its export then writes a temporary file beside the
+    path's target (a symlink is written through), with the target's
+    permission bits, and the temporaries replace their targets only once
+    every export has finished. On any failure the temporaries and the files
+    this call created are removed, and the error is raised."""
+    existed = [os.path.exists(path) for path, _ in outputs]
+    temps = []
+    try:
+        for path, export in outputs:
+            open(path, "a").close()
+            target = os.path.realpath(path)
+            fd, temp = tempfile.mkstemp(dir=os.path.dirname(target))
+            temps.append((temp, target))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+                export(fh)
+        for temp, target in temps:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        for (path, _), was in zip(outputs, existed):
+            if not was and os.path.exists(path):
+                os.remove(path)
+        raise
 
 
 def _parse_valuation(text: str):

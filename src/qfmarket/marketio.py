@@ -1,7 +1,7 @@
-"""Market and bid-collection file formats.
+"""Market and arctic bid document formats.
 
 One JSON schema with a discriminating `kind` field carries both plain markets
-and arctic bid collections:
+and arctic bid documents:
 
     { "kind": "market" | "arctic",
       "goods":  [ {"name": str, "supply": num|"p/q"} ],
@@ -21,8 +21,11 @@ When every numeric token is an integer, a string or a Fraction, the input is
 read in exact rational mode; a single raw float switches the whole input to
 float mode. Every number must be nonnegative, and a funded bid
 (an arctic row with a positive budget) needs at least one positive value. An
-arctic collection reduces to a market with one pseudo-buyer per funded bid;
-the owner of each pseudo-buyer is retained so reports can re-aggregate.
+arctic document is read straight into a market with one pseudo-buyer
+`owner#k` per funded bid, k counting that owner's funded bids; zero-budget
+bids are dropped with a warning. The owner of each pseudo-buyer is kept so
+reports can re-aggregate. Only markets are written back (`serialize_market`):
+bid documents are read-only.
 """
 
 from __future__ import annotations
@@ -40,15 +43,11 @@ from .market import Buyer, Good, Market, MarketError
 from .numeric import EXACT, Number, NumericMode, float_mode, number_to_json, parse_number
 
 __all__ = [
-    "ArcticBid",
-    "BidCollection",
     "LoadedMarket",
     "ParseError",
-    "flatten_bids",
     "load_market",
     "load_market_csv",
     "reaggregate",
-    "serialize_bid_collection",
     "serialize_market",
 ]
 
@@ -69,25 +68,10 @@ class ParseError(MarketError):
 
 
 @dataclass(frozen=True)
-class ArcticBid:
-    owner: str
-    vector: Tuple[Number, ...]
-    budget: Number
-
-
-@dataclass(frozen=True)
-class BidCollection:
-    goods: Tuple[Good, ...]
-    bids: Tuple[ArcticBid, ...]
-    mode: NumericMode
-
-
-@dataclass(frozen=True)
 class LoadedMarket:
     kind: str
     market: Market
     owners: Optional[Tuple[str, ...]]  # set for arctic inputs
-    collection: Optional[BidCollection]
 
 
 def _require(condition, path, message):
@@ -110,7 +94,7 @@ def _number(token, path, mode, what=None) -> Number:
 
 
 def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarket:
-    """Market (or flattened bid collection) from structurally checked tokens.
+    """Market, or arctic pseudo-buyers with their owners, from checked tokens.
 
     `goods` holds `(path, name, supply)`, `rows` holds `(path, name, budget,
     [(path, value), ...])` and `costs` holds `(path, cost)`. With no `mode`,
@@ -145,27 +129,16 @@ def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarke
         entries.append((name, vector, budget))
     if kind == KIND_MARKET:
         buyers = tuple(Buyer(name, vector, budget) for name, vector, budget in entries)
-        return LoadedMarket(kind, Market(parsed_goods, buyers, mode), None, None)
-    bids = tuple(ArcticBid(owner, vector, budget) for owner, vector, budget in entries)
-    return flatten_bids(BidCollection(parsed_goods, bids, mode))
-
-
-def flatten_bids(collection: BidCollection) -> LoadedMarket:
-    """One pseudo-buyer per funded bid; zero-budget bids are dropped loudly."""
-    buyers = []
-    owners = []
-    per_owner = {}
-    for bid in collection.bids:
-        if bid.budget == 0:
-            warnings.warn(f"dropping zero-budget bid by owner {bid.owner!r}")
+        return LoadedMarket(kind, Market(parsed_goods, buyers, mode), None)
+    buyers, owners, funded = [], [], {}
+    for owner, vector, budget in entries:
+        if budget == 0:
+            warnings.warn(f"dropping zero-budget bid by owner {owner!r}")
             continue
-        per_owner[bid.owner] = per_owner.get(bid.owner, 0) + 1
-        buyers.append(
-            Buyer(f"{bid.owner}#{per_owner[bid.owner]}", bid.vector, bid.budget)
-        )
-        owners.append(bid.owner)
-    market = Market(collection.goods, tuple(buyers), collection.mode)
-    return LoadedMarket(KIND_ARCTIC, market, tuple(owners), collection)
+        funded[owner] = funded.get(owner, 0) + 1
+        buyers.append(Buyer(f"{owner}#{funded[owner]}", vector, budget))
+        owners.append(owner)
+    return LoadedMarket(kind, Market(parsed_goods, tuple(buyers), mode), tuple(owners))
 
 
 def reaggregate(owners: Sequence[str], allocation, prices):
@@ -208,7 +181,7 @@ def _as_object(source) -> dict:
 
 
 def load_market(source, mode: Optional[NumericMode] = None) -> LoadedMarket:
-    """Market or arctic collection from JSON text, bytes, or a decoded object."""
+    """Market or arctic document from JSON text, bytes, or a decoded object."""
     obj = _as_object(source)
     kind = obj.get("kind")
     _require(kind in (KIND_MARKET, KIND_ARCTIC), "kind", 'expected "market" or "arctic"')
@@ -248,32 +221,21 @@ def load_market(source, mode: Optional[NumericMode] = None) -> LoadedMarket:
     return _build(kind, goods, rows, costs, mode)
 
 
-def _serialize(kind: str, goods, rows) -> str:
-    """JSON document of `kind` from goods and `(name, vector, budget)` rows."""
-    key, name_key, vec_key = _ROW_KEYS[kind]
+def serialize_market(market: Market) -> str:
+    """The `market` JSON document of a market, in the fixtures' layout."""
     obj = {
-        "kind": kind,
-        "goods": [{"name": g.name, "supply": number_to_json(g.supply)} for g in goods],
-        key: [
+        "kind": KIND_MARKET,
+        "goods": [{"name": g.name, "supply": number_to_json(g.supply)} for g in market.goods],
+        "buyers": [
             {
-                name_key: name,
-                vec_key: [number_to_json(v) for v in vector],
-                "budget": number_to_json(budget),
+                "name": b.name,
+                "values": [number_to_json(v) for v in b.values],
+                "budget": number_to_json(b.budget),
             }
-            for name, vector, budget in rows
+            for b in market.buyers
         ],
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def serialize_market(market: Market) -> str:
-    rows = ((b.name, b.values, b.budget) for b in market.buyers)
-    return _serialize(KIND_MARKET, market.goods, rows)
-
-
-def serialize_bid_collection(collection: BidCollection) -> str:
-    rows = ((bid.owner, bid.vector, bid.budget) for bid in collection.bids)
-    return _serialize(KIND_ARCTIC, collection.goods, rows)
 
 
 def load_market_csv(

@@ -19,9 +19,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .feasibility import check_clearing, check_feasible, meet, meet_allocation, outcome_is_feasible
+from .feasibility import check_clearing, check_feasible, meet, meet_allocation
 from .gridoracle import RegionGrid, grid_scan
-from .market import Buyer, Good, Market, MarketError, demand_sets
+from .market import Buyer, Good, Market, MarketError, demand_sets, outcome_is_feasible
 from .metrics import social_welfare
 from .numeric import EXACT
 from .solver import EquilibriumResult, initial_feasible_price, solve

@@ -120,6 +120,23 @@ def test_no_module_imports_a_private_sibling_name():
     assert crossings == PRIVATE_IMPORTS_ALLOWED
 
 
+def test_every_import_names_its_modules_own_definition():
+    """A module imports each name from the module that defines it, not from
+    a sibling that only imports it in turn."""
+    borrowed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            defined = _top_level_names(importlib.import_module(f"qfmarket.{node.module}"))
+            borrowed.update(
+                (path.stem, node.module, alias.name)
+                for alias in node.names
+                if alias.name != "*" and alias.name not in defined
+            )
+    assert borrowed == set()
+
+
 @pytest.mark.parametrize("reader", ["check_prices", "bang_per_buck"])
 def test_only_market_reads_prices_through_check_prices(reader):
     """Every other module reads prices with market.read_prices, and demand

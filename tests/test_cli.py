@@ -1,9 +1,11 @@
 """Command-line interface: reports, exit codes, files, reproducibility."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import stat
 import subprocess
 import sys
 
@@ -461,6 +463,57 @@ def test_region_with_an_unwritable_out_writes_no_boundary_csv(fixture_dir, tmp_p
     )
     assert code == EXIT_INPUT and "nodir" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_region_export_failing_midway_leaves_every_file_as_it_was(
+    fixture_dir, tmp_path, monkeypatch
+):
+    """An export that fails after writing part of its file (a full disk)
+    leaves both outputs' old bytes and no temporary file behind."""
+    from qfmarket import cli
+
+    def full_disk(polylines, fh):
+        fh.write("x,y\n0.5,")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "export_boundary_csv", full_disk)
+    grid_path, boundary = tmp_path / "g.csv", tmp_path / "b.csv"
+    grid_path.write_bytes(b"kept\r\n")
+    boundary.write_bytes(b"old\n")
+    code, out, err = run_cli(
+        "region", str(fixture_dir / "example2.json"), "--resolution", "9",
+        "--out", str(grid_path), "--boundary", str(boundary),
+    )
+    assert code == EXIT_INPUT and out == "" and "No space left on device" in err
+    assert grid_path.read_bytes() == b"kept\r\n" and boundary.read_bytes() == b"old\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["b.csv", "g.csv"]
+
+
+def test_writes_go_through_symlinks_and_keep_permission_bits(fixture_dir, tmp_path):
+    """A symlinked --out stays a link to its rewritten target, an existing
+    file keeps its permission bits, and a new file gets those a plain open
+    gives it."""
+    argv = ["check-price", str(fixture_dir / "example2.json"), "--price", "3/5,3/5",
+            "--no-timestamp"]
+    _, report, _ = run_cli(*argv)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    target.chmod(0o604)
+    link.symlink_to(target)
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    plain = tmp_path / "plain"
+    plain.touch()
+    for path in (link, kept, tmp_path / "new.json"):
+        assert run_cli(*argv, "--out", str(path))[0] == EXIT_OK
+        assert path.read_text() == report
+    assert link.is_symlink() and link.resolve() == target
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {
+        "target.json": 0o604, "link.json": 0o604, "kept.json": 0o640,
+        "new.json": modes["plain"], "plain": modes["plain"],
+    }
 
 
 def test_calls_in_one_process_share_no_parsed_state(fixture_dir, tmp_path):

@@ -1,5 +1,6 @@
 """File formats: JSON round trips, mode inference, arctic flattening, CSV."""
 
+import dataclasses
 import json
 import random
 import warnings
@@ -7,16 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from qfmarket.market import Good
 from qfmarket.marketio import (
-    ArcticBid,
-    BidCollection,
     ParseError,
-    flatten_bids,
     load_market,
     load_market_csv,
     reaggregate,
-    serialize_bid_collection,
     serialize_market,
 )
 from qfmarket.numeric import EXACT, float_mode, number_to_json
@@ -51,14 +47,12 @@ def test_fixture_files_round_trip_byte_for_byte(fixture_dir):
     for name in ("example2.json", "example1.json"):
         text = (fixture_dir / name).read_text()
         assert serialize_market(load_market(text).market) == text
-    for name in ("example2_arctic_split.json", "example2_arctic_merged.json"):
-        text = (fixture_dir / name).read_text()
-        assert serialize_bid_collection(load_market(text).collection) == text
 
 
 def test_arctic_documents_flatten_to_pseudo_buyers(fixture_dir):
     split = load_market((fixture_dir / "example2_arctic_split.json").read_text())
     assert split.kind == "arctic"
+    assert [f.name for f in dataclasses.fields(split)] == ["kind", "market", "owners"]
     assert split.owners == ("owner1", "owner2", "owner3")
     assert [b.name for b in split.market.buyers] == ["owner1#1", "owner2#1", "owner3#1"]
     merged = load_market((fixture_dir / "example2_arctic_merged.json").read_text())
@@ -70,18 +64,27 @@ def test_arctic_documents_flatten_to_pseudo_buyers(fixture_dir):
 
 
 def test_flatten_drops_zero_budget_bids_with_a_warning():
-    collection = BidCollection(
-        (Good("A", F(1)),),
-        (ArcticBid("x", (F(2),), F(1)), ArcticBid("y", (F(1),), F(0))),
-        EXACT,
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loaded = flatten_bids(collection)
-    assert loaded.kind == "arctic" and loaded.collection is collection
-    assert [b.name for b in loaded.market.buyers] == ["x#1"]
-    assert loaded.owners == ("x",)
-    assert any("zero-budget" in str(w.message) for w in caught)
+    """The same two bids, one funded and one not, read as arctic JSON and as
+    `--kind arctic` CSV."""
+    doc = {
+        "kind": "arctic",
+        "goods": [{"name": "g1", "supply": 1}],
+        "bids": [
+            {"owner": "x", "vector": [2], "budget": 1},
+            {"owner": "y", "vector": [1], "budget": 0},
+        ],
+    }
+    for read in (
+        lambda: load_market(json.dumps(doc)),
+        lambda: load_market_csv("name,budget,v_1\nx,1,2\ny,0,1\n", ["1"], kind="arctic"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = read()
+        assert loaded.kind == "arctic" and loaded.market.mode == EXACT
+        assert [b.name for b in loaded.market.buyers] == ["x#1"]
+        assert loaded.owners == ("x",)
+        assert [str(w.message) for w in caught] == ["dropping zero-budget bid by owner 'y'"]
 
 
 def test_reaggregate_sums_by_owner_in_first_appearance_order():
@@ -205,11 +208,22 @@ def test_every_format_reads_the_same_market():
     load to the same goods, values, budgets and inferred mode."""
     rng = random.Random(3)
     for market in [random_market(rng, 8, 5) for _ in range(3)]:
-        bids = tuple(ArcticBid(b.name, b.values, b.budget) for b in market.buyers)
+        arctic = {
+            "kind": "arctic",
+            "goods": [{"name": g.name, "supply": number_to_json(g.supply)} for g in market.goods],
+            "bids": [
+                {
+                    "owner": b.name,
+                    "vector": [number_to_json(v) for v in b.values],
+                    "budget": number_to_json(b.budget),
+                }
+                for b in market.buyers
+            ],
+        }
         supplies = [str(number_to_json(s)) for s in market.supplies]
         loads = [
             load_market(serialize_market(market)),
-            load_market(serialize_bid_collection(BidCollection(market.goods, bids, EXACT))),
+            load_market(json.dumps(arctic)),
             load_market_csv(_csv_table(market), supplies),
             load_market_csv(_csv_table(market), supplies, kind="arctic"),
         ]

@@ -26,18 +26,24 @@ at 50x3, 120x4 and 200x4, a ladder from one Random(100) at 200x4, 500x4 and
 perfbench/workloads.py's generators). Also digested: the grid_scan membership
 and revenue of the acceptance battery's windows and of the `region` markets,
 in both modes, and the `--no-timestamp` solve reports of the four fixtures in
-both modes. Markets, fixtures and generators come from this tool's own
-checkout, so the two runs differ only in the qfmarket they import. A run
-takes about 10 s (2 vCPUs, Python 3.11).
+both modes. The readers are digested too: repr((kind, market, owners)) of
+each fixture read by load_market with no mode, exact and in floats, and of
+one CSV table with a repeated owner and a zero-budget row read by
+load_market_csv in the same modes as a market and as arctic bids, with the
+warnings each read gives. Markets, fixtures and generators come from this
+tool's own checkout, so the two runs differ only in the qfmarket they
+import. A run takes about 10 s (2 vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +117,26 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
+def load_digest() -> str:
+    """sha256 of what the readers make of the fixtures and of one CSV table."""
+    import qfmarket as q
+
+    table = "name,budget,v_1,v_2\no,1,2,3\no,0,1,0\np,2,1,1\no,3,1/2,4\nz,0,0,1\n"
+    reads = [(q.load_market, path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests" / "fixtures").glob("*.json"))]
+    reads += [(functools.partial(q.load_market_csv, supplies=["3", "2"], kind=kind), table)
+              for kind in ("market", "arctic")]
+    h = hashlib.sha256()
+    for read, text in reads:
+        for mode in (None, q.EXACT, q.float_mode()):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = read(text, mode=mode)
+            messages = [str(w.message) for w in caught]
+            h.update(repr((loaded.kind, loaded.market, loaded.owners, messages)).encode("utf-8"))
+    return h.hexdigest()
+
+
 def families():
     """[(name, markets)]: the market families, each drawn afresh."""
     import qfmarket as q
@@ -148,6 +174,7 @@ def main(argv=None) -> int:
     print(f"battery grid_scan {grid_digest(battery_windows)}")
     print(f"bench-region grid_scan {grid_digest(workloads.region_base())}")
     print(f"fixtures cli {cli_digest()}")
+    print(f"fixtures load {load_digest()}")
     return 0
 
 
