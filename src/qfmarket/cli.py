@@ -7,8 +7,8 @@ main is the one report path: it starts the clock once the arguments parse,
 stamps the report unless --no-timestamp is given, and writes it to --out,
 printing the summary on stdout, or else writes it to stdout. region's --out
 names the grid CSV it writes, so its report always goes to stdout. Every
-file the CLI writes, report or CSV, goes through _write_all, which writes
-them whole or not at all.
+file the CLI writes, report or CSV, goes through _write_all, which refuses
+a path that is not a regular file and replaces each file whole.
 
 Exit codes: 0 success, 1 input problem, usage errors and an unwritable
 --out included, 2 solver failure (solve's price failing its clearing check,
@@ -21,7 +21,6 @@ solve checks its support's candidate or falls back to the descent.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -247,18 +246,28 @@ def cmd_region(args) -> tuple:
 
 
 def _write_all(outputs) -> None:
-    """Write each (path, export) pair whole, or none. Each path is opened in
-    append mode first, which truncates nothing but refuses a path that
-    cannot be written. Its export then writes a temporary file beside the
-    path's target (a symlink is written through), with the target's
-    permission bits, and the temporaries replace their targets only once
-    every export has finished. On any failure the temporaries and the files
-    this call created are removed, and the error is raised."""
-    existed = [os.path.exists(path) for path, _ in outputs]
+    """Write each (path, export) pair, each file whole. Every path is checked
+    before any export runs: one that names something other than a regular
+    file (a directory, a device, a FIFO) is refused, and each is opened in
+    append mode, which truncates nothing but refuses a path that cannot be
+    written. Each export then writes a temporary file beside its path's
+    target (a symlink is written through), with the target's permission
+    bits, and the temporaries are renamed over their targets once every
+    export has finished. On a failure before the renames the temporaries and
+    the files this call created are removed, so every old file keeps its
+    bytes, and the error is raised. The temporaries are not flushed to disk,
+    so this guards against failures in the process (an exception, a full
+    disk), not a crash of the machine. A rename gives the target a new
+    inode: other hard links to it keep the old bytes, and the file takes the
+    writer's owner and group, without the old file's ACL."""
+    new = [path for path, _ in outputs if not os.path.exists(path)]
     temps = []
     try:
-        for path, export in outputs:
+        for path, _ in outputs:
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(f"{path}: not a regular file")
             open(path, "a").close()
+        for path, export in outputs:
             target = os.path.realpath(path)
             fd, temp = tempfile.mkstemp(dir=os.path.dirname(target))
             temps.append((temp, target))
@@ -268,12 +277,8 @@ def _write_all(outputs) -> None:
         for temp, target in temps:
             os.replace(temp, target)
     except BaseException:
-        for temp, _ in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-        for (path, _), was in zip(outputs, existed):
-            if not was and os.path.exists(path):
-                os.remove(path)
+        for path in filter(os.path.exists, [temp for temp, _ in temps] + new):
+            os.remove(path)
         raise
 
 

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import os
 import stat
 import subprocess
 import sys
@@ -514,6 +515,26 @@ def test_writes_go_through_symlinks_and_keep_permission_bits(fixture_dir, tmp_pa
         "target.json": 0o604, "link.json": 0o604, "kept.json": 0o640,
         "new.json": modes["plain"], "plain": modes["plain"],
     }
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_an_out_that_is_not_a_regular_file_is_refused(fixture_dir, tmp_path, kind):
+    """An --out naming a FIFO or a directory is an input error, and it is
+    left as it was, not replaced by a regular file. A reader is held open
+    on the FIFO so that no writer's open of it can block."""
+    target = tmp_path / "out"
+    (os.mkfifo if kind == "fifo" else os.mkdir)(target)
+    with contextlib.ExitStack() as stack:
+        if kind == "fifo":
+            reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+            stack.callback(os.close, reader)
+        code, out, err = run_cli(
+            "check-price", str(fixture_dir / "example2.json"), "--price", "3/5,3/5",
+            "--out", str(target),
+        )
+    assert code == EXIT_INPUT and out == "" and err.startswith("error:")
+    assert stat.S_ISFIFO(target.stat().st_mode) if kind == "fifo" else target.is_dir()
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_calls_in_one_process_share_no_parsed_state(fixture_dir, tmp_path):
