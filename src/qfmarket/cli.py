@@ -31,6 +31,7 @@ import stat
 import sys
 import tempfile
 import time
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -77,7 +78,9 @@ def _digest(data: bytes) -> str:
 def _load(args) -> tuple:
     """(loaded market, the report's input block) for args.path. --supply and
     --kind describe CSV rows; a JSON market carries its own, so they are
-    refused there rather than ignored."""
+    refused there rather than ignored. Each warning of the read (a dropped
+    zero-budget bid) is one `warning: ...` line on stderr, printed before
+    any refusal of the input."""
     with open(args.path, "rb") as fh:
         raw = fh.read()
     mode = {"exact": EXACT, "float": float_mode()}.get(args.mode)
@@ -85,13 +88,22 @@ def _load(args) -> tuple:
         if not args.supply:
             raise ParseError("csv", "CSV input needs --supply s_1,...,s_n")
         supplies = [s.strip() for s in args.supply.split(",")]
-        loaded = load_market_csv(raw.decode("utf-8"), supplies, args.kind or "market", mode)
+        read = functools.partial(
+            load_market_csv, raw.decode("utf-8"), supplies, args.kind or "market", mode
+        )
     else:
         for flag, value in (("--supply", args.supply), ("--kind", args.kind)):
             if value is not None:
                 message = f"{flag} applies to CSV input only; a JSON market sets its own"
                 raise ParseError("json", message)
-        loaded = load_market(raw, mode)
+        read = functools.partial(load_market, raw, mode)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = read()
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     return loaded, {"path": args.path, "sha256": _digest(raw), "kind": loaded.kind}
 
 

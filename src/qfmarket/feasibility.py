@@ -27,6 +27,7 @@ read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -40,11 +41,12 @@ from .market import (
     MarketError,
     PriceVector,
     demand_sets,
+    integer_budgets,
     outcome_is_feasible,
     read_prices,
     require_valid,
 )
-from .numeric import Number, scale_to_integers
+from .numeric import Number
 
 __all__ = [
     "FeasibilityCertificate",
@@ -125,8 +127,11 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
     The prices are those the spending graph read (graph.prices, see
     read_prices): exact rationals on an exact market (Fraction of a float is
     exact). There the network carries every budget and capacity times their
-    least common denominator `unit`: its residuals are ints, and flows come
-    back as Fraction(flow, unit). The flow's zero, tol * scale, and its
+    least common denominator `unit`, the lcm of the budgets' own (kept with
+    the market, see integer_budgets) and the capacities' denominators: its
+    residuals are ints, money flows come back as Fraction(flow, unit), and
+    a flow into good k at price P / Q is the bundle entry
+    Fraction(flow * Q, unit * P). The flow's zero, tol * scale, and its
     saturation slack (flow_slack) scale the mode's tolerance by the money in
     play, in network units; both are 0 in exact mode. Buyer i is the
     network's left node 1 + i and good k its right node 1 + m + k.
@@ -140,12 +145,15 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
     require_valid(market)
     graph = build_spending_graph(market, p)
     m, n = market.m, market.n
-    budgets = [b.budget for b in market.buyers]
     caps = list(graph.capacities)
     unit = None
     if market.mode.is_exact:
-        unit, scaled = scale_to_integers(budgets + caps)
-        budgets, caps = scaled[:m], scaled[m:]
+        budget_unit, budgets = integer_budgets(market)
+        unit = math.lcm(budget_unit, *(c.denominator for c in caps))
+        budgets = [b * (unit // budget_unit) for b in budgets]
+        caps = [c.numerator * (unit // c.denominator) for c in caps]
+    else:
+        budgets = [b.budget for b in market.buyers]
     scale = max(sum(budgets), sum(caps))
     slack = flow_slack(market, scale)
     net = FlowNetwork(m, n, zero=market.mode.tol * scale)
@@ -162,10 +170,6 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
     for k in range(n):
         net.add_edge(1 + m + k, net.sink, caps[k])
 
-    def money(flow):
-        """A flow of the network in the market's money."""
-        return flow if unit is None else Fraction(flow, unit)
-
     strict = graph.strict_buyers
     strict_flow = net.max_flow()
     if not sum(budgets[i] for i in strict) - strict_flow <= slack:
@@ -180,12 +184,18 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
         for i, bpb in enumerate(graph.bpb):
             if not bpb.strict:
                 net.add_edge(net.source, 1 + i, budgets[i])
-        revenue = money(strict_flow + net.max_flow())
-        clearing = sum(graph.capacities) - revenue <= slack
+        routed = strict_flow + net.max_flow()
+        revenue = routed if unit is None else Fraction(routed, unit)
+        clearing = sum(caps) - routed <= slack
     zeros = [0 * price for price in graph.prices]
     bundles = [list(zeros) for _ in range(m)]
-    for i, k, eid in spend_edges:
-        bundles[i][k] = money(net.flow_on(eid)) / graph.prices[k]
+    if unit is None:
+        for i, k, eid in spend_edges:
+            bundles[i][k] = net.flow_on(eid) / graph.prices[k]
+    else:
+        for i, k, eid in spend_edges:
+            price = graph.prices[k]
+            bundles[i][k] = Fraction(net.flow_on(eid) * price.denominator, unit * price.numerator)
     allocation = tuple(map(tuple, bundles))
     return FeasibilityCertificate(True, clearing, allocation, None, revenue)
 

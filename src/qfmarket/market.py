@@ -115,8 +115,9 @@ class Market:
     with a verdict of its own, except the twin of a valid float market (see
     rational_twin), which takes over its empty verdict. The value tables
     that demand_lattice reads (float_values, and in exact mode one integer
-    table) and a float market's rational twin are kept the same way, one
-    per object.
+    table), an exact market's budgets as ints over one denominator (which
+    the clearing checks route and certified rounding sums), and a float
+    market's rational twin are kept the same way, one per object.
     """
 
     goods: Tuple[Good, ...]
@@ -172,6 +173,12 @@ class Market:
         (see validate_market)."""
         unit, scaled = scale_to_integers([v for b in self.buyers for v in b.values])
         return unit, np.array(scaled, dtype=object).reshape(self.m, self.n).T
+
+    @cached_property
+    def _integer_budgets(self) -> Tuple[int, Tuple[int, ...]]:
+        """See integer_budgets."""
+        unit, scaled = scale_to_integers([b.budget for b in self.buyers])
+        return unit, tuple(scaled)
 
     def rational_twin(self) -> "Market":
         """The market in exact arithmetic: itself when exact, else an exact
@@ -373,6 +380,15 @@ def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
             bpb = shared[key] = BangPerBuckSet(goods, ratio)
         sets.append(bpb)
     return tuple(sets)
+
+
+def integer_budgets(market: Market) -> Tuple[int, Tuple[int, ...]]:
+    """(U, B): a valid exact market's budgets as B_i / U over one
+    market-wide denominator U, their least common denominator, B a tuple of
+    Python ints in buyer order (see scale_to_integers). It is worked out
+    once per market and kept: the clearing checks route budgets and
+    certified rounding sums them on this scale."""
+    return market._integer_budgets
 
 
 def mode_array(market: Market, numbers) -> Tuple[Number, np.ndarray]:

@@ -13,7 +13,8 @@ A CSV alternative with header `name,budget,v_1,...,v_n` covers the buyer
 
 Each format's reader checks only the structure of its input and hands raw
 tokens to one builder: goods as `(path, name, supply)`, rows as
-`(path, name, budget, [(path, value), ...])`, and any seller costs. The
+`(k, name, budget, [value, ...])`, any seller costs, and how the format names
+the rows and their values; a row's paths are built only for an error. The
 builder infers the numeric mode, parses every number, and builds the market
 the same way whatever the format. Numbers may be written as JSON numbers or as
 strings ("3/5", "0.25"); inputs built in Python may also hand in Fractions.
@@ -23,9 +24,10 @@ float mode. Every number must be nonnegative, and a funded bid
 (an arctic row with a positive budget) needs at least one positive value. An
 arctic document is read straight into a market with one pseudo-buyer
 `owner#k` per funded bid, k counting that owner's funded bids; zero-budget
-bids are dropped with a warning. The owner of each pseudo-buyer is kept so
-reports can re-aggregate. Only markets are written back (`serialize_market`):
-bid documents are read-only.
+bids are dropped with a warning, and a document with no funded bid is
+refused. The owner of each pseudo-buyer is kept so reports can re-aggregate.
+Only markets are written back (`serialize_market`): bid documents are
+read-only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .market import Buyer, Good, Market, MarketError
 from .numeric import EXACT, Number, NumericMode, float_mode, number_to_json, parse_number
@@ -83,49 +85,54 @@ def _token_is_exact(token) -> bool:
     return isinstance(token, (int, str, Fraction)) and not isinstance(token, bool)
 
 
-def _number(token, path, mode, what=None) -> Number:
-    """Parse one token; when `what` names it, it must be nonnegative."""
+def _number(token, mode, path, what=None) -> Number:
+    """Parse one token; when `what` names it, it must be nonnegative. path()
+    builds the token's path, only for an error."""
     try:
         value = parse_number(token, mode)
     except ValueError as exc:
-        raise ParseError(path, str(exc)) from None
-    _require(what is None or value >= 0, path, f"{what} must be nonnegative")
+        raise ParseError(path(), str(exc)) from None
+    if what is not None and value < 0:
+        raise ParseError(path(), f"{what} must be nonnegative")
     return value
 
 
-def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarket:
+def _build(kind, goods, rows, costs, mode: Optional[NumericMode], rows_path: str,
+           value_path: Callable[[int, int], str]) -> LoadedMarket:
     """Market, or arctic pseudo-buyers with their owners, from checked tokens.
 
-    `goods` holds `(path, name, supply)`, `rows` holds `(path, name, budget,
-    [(path, value), ...])` and `costs` holds `(path, cost)`. With no `mode`,
-    it is exact unless some token is a raw float; the scan stops there.
+    `goods` holds `(path, name, supply)`, `rows` holds `(k, name, budget,
+    [value, ...])` and `costs` holds `(path, cost)`. Row k's path is
+    `rows_path[k]` and value_path(k, j) is its value j's; both are built only
+    for an error. With no `mode`, it is exact unless some token is a raw
+    float; the scan stops there. An arctic input with no funded bid left is
+    refused at `rows_path`, after the warnings of the bids it dropped.
     """
     if mode is None:
         tokens = itertools.chain(
             (supply for _, _, supply in goods),
-            (t for _, _, budget, values in rows for t in (budget, *(v for _, v in values))),
+            (t for _, _, budget, values in rows for t in (budget, *values)),
             (cost for _, cost in costs),
         )
         exact = all(_token_is_exact(t) for t in tokens if t is not None)
         mode = EXACT if exact else float_mode()
     for path, cost in costs:
         _require(
-            _number(cost, path, mode) == 0,
+            _number(cost, mode, lambda: path) == 0,
             path,
             "nonzero seller costs are out of scope; remove the costs field",
         )
     parsed_goods = tuple(
-        Good(name, _number(supply, path, mode, "supply")) for path, name, supply in goods
+        Good(name, _number(supply, mode, lambda: path, "supply")) for path, name, supply in goods
     )
     entries = []
-    for path, name, budget, values in rows:
-        vector = tuple(_number(v, vpath, mode, "values") for vpath, v in values)
-        budget = _number(budget, f"{path}.budget", mode, "budget")
-        _require(
-            kind == KIND_MARKET or budget == 0 or any(v > 0 for v in vector),
-            path,
-            "a funded bid needs at least one positive value",
-        )
+    for k, name, budget, values in rows:
+        vector = tuple([
+            _number(v, mode, lambda: value_path(k, j), "values") for j, v in enumerate(values)
+        ])
+        budget = _number(budget, mode, lambda: f"{rows_path}[{k}].budget", "budget")
+        if not (kind == KIND_MARKET or budget == 0 or any(v > 0 for v in vector)):
+            raise ParseError(f"{rows_path}[{k}]", "a funded bid needs at least one positive value")
         entries.append((name, vector, budget))
     if kind == KIND_MARKET:
         buyers = tuple(Buyer(name, vector, budget) for name, vector, budget in entries)
@@ -138,6 +145,7 @@ def _build(kind, goods, rows, costs, mode: Optional[NumericMode]) -> LoadedMarke
         funded[owner] = funded.get(owner, 0) + 1
         buyers.append(Buyer(f"{owner}#{funded[owner]}", vector, budget))
         owners.append(owner)
+    _require(buyers, rows_path, "no funded bid: every bid has a zero budget")
     return LoadedMarket(kind, Market(parsed_goods, tuple(buyers), mode), tuple(owners))
 
 
@@ -201,24 +209,22 @@ def load_market(source, mode: Optional[NumericMode] = None) -> LoadedMarket:
     _require(isinstance(rows_raw, list) and rows_raw, key, "need a nonempty array")
     rows = []
     for k, entry in enumerate(rows_raw):
-        path = f"{key}[{k}]"
-        _require(isinstance(entry, dict), path, "expected an object")
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key}[{k}]", "expected an object")
         name = entry.get(name_key)
-        _require(
-            isinstance(name, str) and name, f"{path}.{name_key}", "need a nonempty string"
-        )
-        vec_path = f"{path}.{vec_key}"
+        if not (isinstance(name, str) and name):
+            raise ParseError(f"{key}[{k}].{name_key}", "need a nonempty string")
         vec_raw = entry.get(vec_key)
-        _require(isinstance(vec_raw, list), vec_path, "expected an array")
-        _require(
-            len(vec_raw) == len(goods),
-            vec_path,
-            f"expected {len(goods)} entries, got {len(vec_raw)}",
-        )
-        values = [(f"{vec_path}[{j}]", v) for j, v in enumerate(vec_raw)]
-        rows.append((path, name, entry.get("budget"), values))
+        if not isinstance(vec_raw, list):
+            raise ParseError(f"{key}[{k}].{vec_key}", "expected an array")
+        if len(vec_raw) != len(goods):
+            message = f"expected {len(goods)} entries, got {len(vec_raw)}"
+            raise ParseError(f"{key}[{k}].{vec_key}", message)
+        rows.append((k, name, entry.get("budget"), vec_raw))
     costs = [(f"costs[{j}]", c) for j, c in enumerate(costs_raw or ())]
-    return _build(kind, goods, rows, costs, mode)
+    return _build(
+        kind, goods, rows, costs, mode, key, lambda k, j: f"{key}[{k}].{vec_key}[{j}]"
+    )
 
 
 def serialize_market(market: Market) -> str:
@@ -269,11 +275,11 @@ def load_market_csv(
     _require(bool(body), "csv", "no data rows")
     goods = [(f"supply[{j}]", f"g{j + 1}", s) for j, s in enumerate(supplies)]
     rows = []
-    for k, r in enumerate(body):
-        path = f"csv.row[{k + 1}]"
-        _require(len(r) == n + 2, path, f"expected {n + 2} cells, got {len(r)}")
+    for k, r in enumerate(body, start=1):
+        if len(r) != n + 2:
+            raise ParseError(f"csv.row[{k}]", f"expected {n + 2} cells, got {len(r)}")
         name = r[0].strip()
-        _require(bool(name), path, "need a nonempty name")
-        values = [(f"{path}.v_{j + 1}", cell.strip()) for j, cell in enumerate(r[2:])]
-        rows.append((path, name, r[1].strip(), values))
-    return _build(kind, goods, rows, (), mode)
+        if not name:
+            raise ParseError(f"csv.row[{k}]", "need a nonempty name")
+        rows.append((k, name, r[1].strip(), [cell.strip() for cell in r[2:]]))
+    return _build(kind, goods, rows, (), mode, "csv.row", lambda k, j: f"csv.row[{k}].v_{j + 1}")

@@ -37,6 +37,11 @@ DEFAULT_FLOAT_TOL = 1e-9
 EXACT_KIND = "exact"
 FLOAT_KIND = "float"
 
+# coerce's fast read of a float n / 2**k: 5**k for each 2**k with k <= 21,
+# and the bound n * 5**k stays under (at most 15 significant digits).
+_FIVE_POWERS = {1 << k: 5**k for k in range(22)}
+_FIFTEEN_DIGITS = 10**15
+
 
 @dataclass(frozen=True)
 class NumericMode:
@@ -56,21 +61,34 @@ class NumericMode:
         return 0 if self.is_exact else DEFAULT_FLOAT_TOL
 
     def coerce(self, value: Number) -> Number:
-        """Bring a number into this mode's representation."""
+        """Bring a number into this mode's representation.
+
+        In exact mode a float is the rational its shortest decimal repr
+        names, so a literal 0.1 becomes 1/10 rather than its binary
+        expansion. A float whose exact binary value n / 2**k has at most 15
+        significant digits, n * 5**k < 10**15 (so k <= 21), is read straight
+        from as_integer_ratio(): every decimal of at most 15 significant
+        digits rounds to a float of its own, so the shortest repr names that
+        exact value too. Every other float is read through Decimal(repr(x)),
+        at about 1.7 times the cost. A non-finite float is refused with
+        ValueError.
+        """
         if self.is_exact:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, int):
-                return Fraction(value)
             if isinstance(value, float):
-                # Read floats through their shortest decimal repr so that a
-                # literal 0.1 becomes 1/10 rather than the binary expansion.
-                # Fraction(Decimal(...)) reads it about 3x faster than
-                # Fraction(repr(value)), but raises OverflowError on an
-                # infinity, so non-finite floats are refused here.
                 if not math.isfinite(value):
                     raise ValueError(f"cannot coerce non-finite {value!r} to rational")
-                return Fraction(Decimal(repr(value)))
+                num, den = value.as_integer_ratio()
+                five = _FIVE_POWERS.get(den)
+                if five is not None and abs(num) * five < _FIFTEEN_DIGITS:
+                    return Fraction(num, den)
+                # Fraction(Decimal(...)) reads a repr about 3x faster than
+                # Fraction(repr(value)). float's own repr, since a subclass
+                # such as numpy's float64 may print itself otherwise.
+                return Fraction(Decimal(float.__repr__(value)))
+            if isinstance(value, int):
+                return Fraction(value)
             raise TypeError(f"cannot coerce {type(value).__name__} to rational")
         return float(value)
 

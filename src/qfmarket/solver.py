@@ -67,6 +67,7 @@ from .market import (
     Outcome,
     PriceVector,
     demand_sets,
+    integer_budgets,
     read_prices,
     require_valid,
 )
@@ -314,8 +315,9 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
     linking goods are positive: a demanded good's ratio is the buyer's best,
     which is at least money's 1). A component that ties money takes that
     money-tie level, and otherwise the level at which its attached buyers'
-    budgets buy its supply. None when two link paths or two money ties
-    disagree, or a component has neither level.
+    budgets buy its supply; those budgets are summed as ints on the
+    market's budget scale (see integer_budgets). None when two link paths
+    or two money ties disagree, or a component has neither level.
     """
     n = market.n
     weight = {}
@@ -349,13 +351,14 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
                         frontier.append(k)
 
     level = [None] * len(members)
-    attached_budget = [0] * len(members)
-    for buyer, goods in zip(market.buyers, sets):
+    unit, budgets = integer_budgets(market)
+    attached_budget = [0] * len(members)  # times unit
+    for buyer, budget, goods in zip(market.buyers, budgets, sets):
         tied = [j for j in goods if j != 0]
         if not tied:
             continue
         cid = component[tied[0]]
-        attached_budget[cid] += buyer.budget
+        attached_budget[cid] += budget
         if 0 in goods:
             for j in tied:
                 pin = buyer.values[j - 1] / weight[j]
@@ -368,7 +371,7 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
             mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
             if mass <= 0 or attached_budget[cid] <= 0:
                 return None
-            level[cid] = attached_budget[cid] / mass
+            level[cid] = Fraction(attached_budget[cid], unit) / mass
     return tuple(level[component[j]] * weight[j] for j in range(1, n + 1))
 
 
@@ -380,13 +383,15 @@ class _Support:
     budget on, read off its bids: goods, and money as the bids' last column.
     Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), every
     _GAP_EVERY iterations, it snaps the supports onto the rational twin (see
-    _snap) when they differ from the last call's. It checks the candidate
-    exactly with check_clearing on the twin at the first of three triggers:
-    every price of p is within _AGREE (relative) of it; it has stayed the
-    same for _SETTLE iterations; or p's largest relative gap to it, g, shrank
-    from the last call's g_prev (kept per candidate), but at that rate
-    reaching _AGREE would take _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev)
-    iterations, more than remain before _SETTLE. A gap that did not shrink
+    _snap) when they differ from the last call's, reading each distinct
+    support row once and sharing its labels among the buyers that have it.
+    It checks the candidate exactly with check_clearing on the twin at the
+    first of three triggers: every price of p is within _AGREE (relative)
+    of it; it has stayed the same for _SETTLE iterations; or p's largest
+    relative gap to it, g, shrank from the last call's g_prev (kept per
+    candidate), but at that rate reaching _AGREE would take
+    _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev) iterations, more than
+    remain before _SETTLE. A gap that did not shrink
     waits for _SETTLE. Clearing prices are unique, so a candidate that
     clears is p* however far p still is from it. Each distinct candidate is
     checked at most once. The answer is True, and the run stops, when a check
@@ -411,9 +416,15 @@ class _Support:
         if key != self._mask:
             self._mask = key
             labels = [k + 1 for k in goods] + [0]  # money is the last column
+            width = len(labels)
+            read = {}  # a support row's bytes -> its labels
             sets = [()] * self.twin.m
-            for i, row in zip(buyers, mask.tolist()):
-                sets[i] = [label for label, on in zip(labels, row) if on]
+            for i, start in zip(buyers, range(0, len(key), width)):
+                row = key[start:start + width]
+                support = read.get(row)
+                if support is None:
+                    support = read[row] = tuple(label for label, on in zip(labels, row) if on)
+                sets[i] = support
             candidate = _snap(self.twin, sets)
             if candidate != self.candidate:
                 self.candidate = candidate

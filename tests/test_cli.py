@@ -212,6 +212,38 @@ def test_solve_arctic_reports_owner_bundles(fixture_dir):
     assert all(row["spend"] == 1 for row in owners.values())
 
 
+def test_a_dropped_zero_budget_bid_is_one_warning_line(tmp_path):
+    """The funded bid is solved; the unfunded one is named on one stderr
+    line, not as Python's raw warning with its source line."""
+    path = tmp_path / "bids.json"
+    path.write_text(json.dumps({
+        "kind": "arctic",
+        "goods": [{"name": "A", "supply": 1}],
+        "bids": [{"owner": "o", "vector": [1], "budget": 0}, {"owner": "p", "vector": [2], "budget": 1}],
+    }))
+    code, out, err = run_cli("solve", str(path), "--no-timestamp")
+    assert code == EXIT_OK
+    assert err == "warning: dropping zero-budget bid by owner 'o'\n"
+    assert json.loads(out)["buyers"] == ["p#1"]
+
+
+def test_a_document_with_no_funded_bid_is_refused_at_bids(tmp_path):
+    """Every bid is dropped, so the document is refused as input, after the
+    warning that names the dropped bid."""
+    path = tmp_path / "bids.json"
+    path.write_text(json.dumps({
+        "kind": "arctic",
+        "goods": [{"name": "A", "supply": 1}],
+        "bids": [{"owner": "o", "vector": [1], "budget": 0}],
+    }))
+    code, out, err = run_cli("solve", str(path), "--no-timestamp")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (
+        "warning: dropping zero-budget bid by owner 'o'\n"
+        "error: bids: no funded bid: every bid has a zero budget\n"
+    )
+
+
 def test_solve_out_file_writes_json_and_prints_summary(fixture_dir, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

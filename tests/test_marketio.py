@@ -116,12 +116,74 @@ def test_reaggregate_sums_by_owner_in_first_appearance_order():
         ("nan budget", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": float("nan")}]}),
         ("beyond float range", {"kind": "market", "goods": [{"name": "A", "supply": 1.5}], "buyers": [{"name": "b", "values": [1], "budget": "1e400"}]}),
         ("unhashable kind", {"kind": ["market"], "goods": [], "buyers": []}),
+        ("row not an object", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": 1}, 3]}),
+        ("row without a name", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": 1}, {"values": [1], "budget": 1}]}),
+        ("values not an array", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": "1", "budget": 1}]}),
+        ("negative value", {"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}], "buyers": [{"name": "a", "values": [1, 1], "budget": 1}, {"name": "b", "values": [1, -2], "budget": 1}]}),
+        ("bad value", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": ["1/0"], "budget": 1}]}),
+        ("negative before bad value", {"kind": "market", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}], "buyers": [{"name": "b", "values": [-1, "x"], "budget": 1}]}),
+        ("negative bid value", {"kind": "arctic", "goods": [{"name": "A", "supply": 1}, {"name": "B", "supply": 1}], "bids": [{"owner": "o", "vector": [1, -1], "budget": 1}]}),
+        ("bad budget", {"kind": "market", "goods": [{"name": "A", "supply": 1}], "buyers": [{"name": "b", "values": [1], "budget": 1}, {"name": "c", "values": [1], "budget": "one"}]}),
     ],
 )
 def test_parse_errors(label, doc):
+    """Each refusal's whole message, its path included."""
     text = doc if isinstance(doc, str) else json.dumps(doc)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as refused:
         load_market(text)
+    assert str(refused.value) == _PARSE_ERRORS[label]
+
+
+_PARSE_ERRORS = {
+    "not json": "$: not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    "top level": "$: top level must be an object",
+    "kind": 'kind: expected "market" or "arctic"',
+    "empty goods": "goods: need a nonempty array",
+    "negative supply": "goods[0].supply: supply must be nonnegative",
+    "values arity": "buyers[0].values: expected 1 entries, got 2",
+    "negative budget": "buyers[0].budget: budget must be nonnegative",
+    "nonzero costs": "costs[0]: nonzero seller costs are out of scope; remove the costs field",
+    "unfunded bid": "bids[0]: a funded bid needs at least one positive value",
+    "empty bids": "bids: need a nonempty array",
+    "infinite supply": "goods[0].supply: non-finite number inf",
+    "infinite value": "buyers[0].values[1]: non-finite number inf",
+    "nan budget": "buyers[0].budget: non-finite number nan",
+    "beyond float range": "buyers[0].budget: number '1e400' is beyond the float range",
+    "unhashable kind": 'kind: expected "market" or "arctic"',
+    "row not an object": "buyers[1]: expected an object",
+    "row without a name": "buyers[1].name: need a nonempty string",
+    "values not an array": "buyers[0].values: expected an array",
+    "negative value": "buyers[1].values[1]: values must be nonnegative",
+    "bad value": "buyers[0].values[0]: bad numeric literal '1/0'",
+    # The first token refused in row order, though a later one fails to parse.
+    "negative before bad value": "buyers[0].values[0]: values must be nonnegative",
+    "negative bid value": "bids[0].vector[1]: values must be nonnegative",
+    "bad budget": "buyers[1].budget: bad numeric literal 'one'",
+}
+
+
+def test_load_market_refuses_a_document_with_no_funded_bid():
+    """Every bid has a zero budget: each is dropped with its warning, and
+    then the document is refused, as the CSV table is at `csv.row`."""
+    doc = {
+        "kind": "arctic",
+        "goods": [{"name": "A", "supply": 1}],
+        "bids": [{"owner": "o", "vector": [1], "budget": 0}, {"owner": "p", "vector": [2], "budget": 0}],
+    }
+    for read, message in (
+        (lambda: load_market(json.dumps(doc)), "bids: no funded bid: every bid has a zero budget"),
+        (lambda: load_market_csv("name,budget,v_1\no,0,1\np,0,2\n", ["1"], kind="arctic"),
+         "csv.row: no funded bid: every bid has a zero budget"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError) as refused:
+                read()
+        assert str(refused.value) == message
+        assert [str(w.message) for w in caught] == [
+            "dropping zero-budget bid by owner 'o'",
+            "dropping zero-budget bid by owner 'p'",
+        ]
 
 
 def test_zero_costs_are_tolerated():
@@ -176,11 +238,29 @@ def test_fraction_tokens_read_as_exact():
         ("", ["1"]),  # empty file
         ("name,budget,v_1\n", ["1"]),  # header only
         ("name,budget,v_1\nb1,-1,2\n", ["1"]),  # negative budget
+        ("name,budget,v_1,v_2\nb1,1,2,3\nb2,1,2,-3\n", ["1", "1"]),  # negative value
+        ("name,budget,v_1\n ,1,2\n", ["1"]),  # blank name
+        ("name,budget,v_1\nb1,1,2\nb2,1,x\n", ["1"]),  # bad value
     ],
 )
 def test_csv_loader_errors(text, supplies):
-    with pytest.raises(ParseError):
+    """Each refusal's whole message, its path included."""
+    with pytest.raises(ParseError) as refused:
         load_market_csv(text, supplies)
+    assert str(refused.value) == _CSV_ERRORS[text]
+
+
+_CSV_ERRORS = {
+    "name,b,v_1\nb1,1,2\n": "csv.header: expected name,budget,v_1,...,v_n",
+    "name,budget,v_1\nb1,1,2\n": "csv: 1 value columns but 2 supplies given",
+    "name,budget,v_1,v_2\nb1,1,2\n": "csv.row[1]: expected 4 cells, got 3",
+    "": "csv: empty input",
+    "name,budget,v_1\n": "csv: no data rows",
+    "name,budget,v_1\nb1,-1,2\n": "csv.row[1].budget: budget must be nonnegative",
+    "name,budget,v_1,v_2\nb1,1,2,3\nb2,1,2,-3\n": "csv.row[2].v_2: values must be nonnegative",
+    "name,budget,v_1\n ,1,2\n": "csv.row[1]: need a nonempty name",
+    "name,budget,v_1\nb1,1,2\nb2,1,x\n": "csv.row[2].v_1: bad numeric literal 'x'",
+}
 
 
 def test_csv_arctic_rows_follow_the_funded_bid_rule():

@@ -1,10 +1,13 @@
 """Numeric modes: coercion, parsing, and report formatting."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qfmarket.market import Buyer, Good, Market
 from qfmarket.numeric import (
     DEFAULT_FLOAT_TOL,
     EXACT,
@@ -33,6 +36,38 @@ def test_exact_coercion_reads_floats_by_decimal_repr():
     assert EXACT.coerce(Fraction(2, 7)) == Fraction(2, 7)
     with pytest.raises(TypeError):
         EXACT.coerce("3/5")
+
+
+def _fifteen_digits(x: float) -> bool:
+    """Whether x's exact binary value n / 2**k has at most 15 significant
+    digits, n * 5**k < 10**15: the floats that coerce reads straight from
+    as_integer_ratio()."""
+    num, den = x.as_integer_ratio()
+    return abs(num) * 5 ** (den.bit_length() - 1) < 10**15
+
+
+def test_exact_coercion_of_sampled_floats_is_their_decimal_reading():
+    """Seeded dyadic floats (n / 2**k, most inside coerce's 15-digit guard)
+    and decimal ones (most outside it), both signs, with either side of the
+    guard met by each sample."""
+    rng = random.Random(0)
+    dyadic = [rng.randint(-(2**50), 2**50) / 2 ** rng.randint(0, 40) for _ in range(2000)]
+    decimal = [float(f"{rng.uniform(-1e9, 1e9):.{rng.randint(1, 17)}g}") for _ in range(2000)]
+    for sample in (dyadic, decimal):
+        assert {_fifteen_digits(x) for x in sample} == {True, False}
+        for x in sample:
+            assert EXACT.coerce(x) == Fraction(Decimal(repr(x))), x
+
+
+def test_exact_coercion_reads_a_float_subclass_by_float_repr():
+    """numpy's float64 is a float whose repr is 'np.float64(0.1)' under
+    numpy 2; a float market built from such numbers validates, and its
+    rational twin reads each as the float it is."""
+    assert EXACT.coerce(np.float64(0.1)) == Fraction(1, 10)
+    assert EXACT.coerce(np.float64(2.25)) == Fraction(9, 4)
+    buyer = Buyer("b", (np.float64(0.3),), np.float64(0.1))
+    market = Market((Good("A", np.float64(1.0)),), (buyer,), float_mode())
+    assert market.rational_twin().buyers[0].values == (Fraction(3, 10),)
 
 
 def test_float_coercion():
@@ -81,7 +116,10 @@ def test_exact_parse_format_round_trip():
 
 @pytest.mark.parametrize(
     "value",
-    [0.1, 1e-300, 5e-324, 1.7976931348623157e308, -0.1, -2.5, 3.0, 0.0, -0.0, 1e22, 2.0**60],
+    [0.1, 1e-300, 5e-324, 1.7976931348623157e308, -0.1, -2.5, 3.0, 0.0, -0.0, 1e22, 2.0**60,
+     # around coerce's 15-digit guard: of these, 2.25 and 999999999999999.0
+     # are read straight from as_integer_ratio(), the others by their decimal
+     2.25, 1e-7, 1e15, 999999999999999.0, 999999999999999.9, 2.0**53 + 2, 1e16],
 )
 def test_exact_coercion_reads_a_float_through_its_shortest_decimal(value):
     got = EXACT.coerce(value)

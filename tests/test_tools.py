@@ -1,6 +1,6 @@
 """tools/: the code-line count that the change log cites, the output digests
-that compare two trees, and the line tracer that lists statements no test
-runs."""
+that compare two trees, the line tracer that lists statements no test runs,
+and the summary of alternated benchmark pairs."""
 
 import importlib.util
 import random
@@ -21,6 +21,7 @@ def _load(name):
     return module
 
 
+ab = _load("ab")
 code_lines = _load("code_lines")
 digests = _load("digests")
 linecov = _load("linecov")
@@ -105,3 +106,23 @@ def test_linecov_lists_the_statements_that_never_ran(tmp_path):
     assert result == 1
     assert linecov.never_ran(files, executed) == {str(path): [(9, "return -1")]}
     assert [line for line, _, _ in linecov.statements(BRANCHY)] == [4, 7, 8, 9]
+
+
+def test_ab_summary_counts_wins_and_reads_the_claim_rule():
+    """A tie counts for neither side; the claim needs 9 wins of every 10
+    pairs (rounded up) and a median gain beyond the parent's interquartile
+    range."""
+    s = ab.summarize([10, 11, 12, 13, 14], [9, 9.5, 12, 11, 10], "lower")
+    assert (s["parent_median"], s["change_median"]) == (12, 10)
+    assert (s["parent_quartiles"], s["change_quartiles"]) == ([11, 13], [9.5, 11])
+    assert (s["change_wins"], s["change_losses"]) == ("4/5", "0/5")
+    assert s["gain"] == 2 / 12
+    assert s["claim_holds"] is False  # 4 of 5 wins, and a gain of 2 is not above the IQR of 2
+
+    parent = [8.7, 8.9, 8.6, 8.8, 8.75, 8.85, 8.65, 8.8, 8.7, 8.9]
+    change = [7.9, 7.8, 8.0, 7.85, 7.9, 9.0, 7.8, 7.95, 7.9, 7.85]
+    s = ab.summarize(parent, change, "lower")
+    assert s["change_wins"] == "9/10" and s["claim_holds"] is True
+    # The same numbers read as a rate: the change loses every pair but one.
+    s = ab.summarize(parent, change, "higher")
+    assert s["change_wins"] == "1/10" and s["claim_holds"] is False and s["gain"] < 0
