@@ -221,9 +221,12 @@ def _violations(market: Market) -> list:
     exact = market.mode.is_exact
 
     def check(x, owner, what, shown=True):
-        # An exact market holds ints (not bools) and Fractions only.
+        # An exact market holds ints (not bools) and Fractions only, a float
+        # market ints (not bools) and floats, numpy's float64 among them.
         if exact and type(x) not in (int, Fraction):
             violations.append(f"{owner}: {what} {x!r} is not an int or a Fraction in an exact market")
+        elif not exact and type(x) is not int and not isinstance(x, float):
+            violations.append(f"{owner}: {what} {x!r} is not an int or a float in a float market")
         elif not _finite(x):
             violations.append(f"{owner}: non-finite {what}" + f" {x}" * shown)
         elif x < 0:

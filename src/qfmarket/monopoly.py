@@ -161,10 +161,13 @@ def clearing_price(instance: MonopolyInstance) -> float:
     """The price at which the buyer demands exactly the supply.
 
     Candidate is min(v'(s), beta/s); the verification asks whether s lies in
-    the demand set at that price (utility within tolerance of the maximizing
-    quantity, budget respected). Demand is an interval wherever v has a
-    linear stretch, so comparing utilities is the correct membership test;
-    a supply past satiation fails it and raises instead.
+    the demand set at that price, its utility within tolerance of the
+    maximizing quantity's. The budget needs no check: the candidate is at
+    most beta/s, so s costs beta at most up to rounding, far inside the
+    tolerance (a beta/s that overflows leaves v'(s)). Demand is an
+    interval wherever v has a linear stretch, so comparing utilities is the
+    correct membership test; a supply past satiation fails it and raises
+    instead.
     """
     s = instance.supply
     if s <= 0:
@@ -177,8 +180,6 @@ def clearing_price(instance: MonopolyInstance) -> float:
     value = instance.valuation.value
     best_qty = min(demand_single(instance, candidate), s + 1.0)
     slack = 1e-9 * max(1.0, abs(value(best_qty)), candidate * s)
-    if candidate * s > instance.budget + slack:
-        raise MarketError(f"supply {s} is not affordable at the candidate price")
     utility_gap = (value(best_qty) - candidate * best_qty) - (value(s) - candidate * s)
     if utility_gap > slack:
         raise MarketError(

@@ -18,11 +18,8 @@ Certified rounding turns those prices into the exact answer. Once each
 buyer's demand set is known, the prices solve a linear system, so a demand
 structure read off the iterate points to one exact candidate. The structure
 read is the support: what each buyer spends more than 1% of its budget on.
-The support's candidate gets one exact clearing check at the first of three
-triggers: every price is within 1e-6 (relative) of it; it has stayed the
-same for 500 iterations; or the prices' largest relative gap to it shrank
-since the last reading, but at that rate would not reach 1e-6 before those
-500 iterations are up, so waiting could only end at the second trigger. If
+The support's candidate gets one exact clearing check, when the prices
+agree with it or can no longer agree in time (the rule is _Support's). If
 the check passes the candidate is the answer, because clearing prices are
 unique; proportional response only has to point at the right ties, not
 reach them. `solve` stops proportional response as soon as a check passes or
@@ -181,14 +178,12 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     when its support's candidate passes its exact clearing check or every
     price agrees with it (see _Support), at the gap target 1e-11 * total
     budget (the duality gap is money, so the target scales with the money in
-    play), or stalled at its iteration cap, which raises nothing. The check
-    comes when the prices agree with the candidate, when it has held for 500
-    iterations, or as soon as the prices' gap to it shrinks too slowly to
-    agree before then. A run stopped by a check that passed before the
-    prices agreed may end far from that candidate: up to about 2e-2
-    relative on the random families tried. The duality gap is read every 25
-    iterations, so iterations is a multiple of 25. None when an exact market
-    has no float image.
+    play), or stalled at its iteration cap, which raises nothing. Clearing
+    prices are unique, so a check that passes is a whole certificate, and a
+    run it stops before the prices agreed may end far from that candidate:
+    up to about 2e-2 relative on the random families tried. The duality gap
+    is read every 25 iterations, so iterations is a multiple of 25. None when
+    an exact market has no float image.
     """
     require_valid(market)
     return _proportional_response(market)[0]
@@ -300,8 +295,9 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 _SUPPORT = 1e-2
 # Relative distance within which every price agrees with a support candidate.
 _AGREE = 1e-6
-# Iterations after which a support candidate that has stayed the same is
-# checked exactly, although the prices have not come within _AGREE of it.
+# The horizon of _Support's check: a candidate is checked once its prices
+# cannot come within _AGREE of it by _SETTLE iterations after its first
+# reading, at the rate last read.
 _SETTLE = 500
 
 
@@ -385,15 +381,18 @@ class _Support:
     _GAP_EVERY iterations, it snaps the supports onto the rational twin (see
     _snap) when they differ from the last call's, reading each distinct
     support row once and sharing its labels among the buyers that have it.
-    It checks the candidate exactly with check_clearing on the twin at the
-    first of three triggers: every price of p is within _AGREE (relative)
-    of it; it has stayed the same for _SETTLE iterations; or p's largest
-    relative gap to it, g, shrank from the last call's g_prev (kept per
-    candidate), but at that rate reaching _AGREE would take
-    _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev) iterations, more than
-    remain before _SETTLE. A gap that did not shrink
-    waits for _SETTLE. Clearing prices are unique, so a candidate that
-    clears is p* however far p still is from it. Each distinct candidate is
+    The stop rule: a candidate gets one exact check, check_clearing on the
+    twin, at the first reading where either every price of p is within
+    _AGREE (relative) of it, or, from its second reading on, p cannot get
+    there by _SETTLE iterations after its first reading. "Cannot" reads p's
+    largest relative gap to the candidate, g, against the last reading's
+    g_prev. A gap that did not shrink cannot. One that did cannot when, at
+    that rate, reaching _AGREE would take more iterations than are left:
+    _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev) > _SETTLE - held, where
+    held counts the iterations since the candidate's first reading.
+    Clearing prices are unique, so a candidate that clears is p* however
+    far p still is from it, and waiting for the prices only delays that one
+    check. Each distinct candidate is
     checked at most once. The answer is True, and the run stops, when a check
     clears or when every price agrees with the candidate, cleared or not.
     `cleared` is (candidate, certificate) once a check has cleared, else None.
@@ -440,15 +439,12 @@ class _Support:
         agrees = bool((diff <= _AGREE * target).all())
         gap, last = float((diff / target).max()), self._gap
         self._gap = gap
-        # At the rate the gap shrank since the last call, the prices cannot
-        # agree before the candidate settles, so settling only waits.
-        hopeless = (
-            not agrees
-            and last is not None
-            and gap < last
-            and _GAP_EVERY * math.log(_AGREE / gap) / math.log(gap / last) > _SETTLE - self._held
+        # The prices agree, or cannot agree by _SETTLE at the rate last read.
+        due = agrees or last is not None and (
+            gap >= last
+            or _GAP_EVERY * math.log(_AGREE / gap) / math.log(gap / last) > _SETTLE - self._held
         )
-        if (agrees or hopeless or self._held >= _SETTLE) and self.candidate not in self._failed:
+        if due and self.candidate not in self._failed:
             cert = check_clearing(self.twin, self.candidate)
             if cert.clearing:
                 self.cleared = (self.candidate, cert)
@@ -623,17 +619,16 @@ def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
     Proportional response runs first. The exact candidate its spending
-    support points to gets one clearing check on the rational twin at the
-    first of three triggers (see _Support): every price agrees with it; it
-    has stayed the same for 500 iterations; or the prices' gap to it shrinks
-    too slowly to agree before then. The run stops when a check passes, when
-    the prices agree with the candidate, or else at the gap target 1e-11 * total
-    budget, which scales with the money, so eg's gap may sit above that
-    target. A candidate that passed is p_star: that check is the whole
-    certificate, so solve takes no tolerance, since clearing prices are
-    unique, and solve does not repeat it. In exact mode it is the result's
-    certificate; a float market's rounded-back price is checked again in
-    floats. certified_by is then "rounding" and the descent trace is empty.
+    support points to gets one clearing check on the rational twin when the
+    prices agree with it or can no longer agree in time (see _Support). The
+    run stops when a check passes, when the prices agree with the candidate,
+    or else at the gap target 1e-11 * total budget, which scales with the
+    money, so eg's gap may sit above that target. Clearing prices are
+    unique, so a candidate that passed is p_star: that check is the whole
+    certificate, solve takes no tolerance, and it does not repeat the check.
+    In exact mode it is the result's certificate; a float market's
+    rounded-back price is checked again in floats. certified_by is then
+    "rounding" and the descent trace is empty.
 
     Every other case goes to lattice_descent from a trivially feasible price
     (certified_by "descent"): a run that ends, at its gap target, stalled

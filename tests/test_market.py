@@ -1,6 +1,7 @@
 """Market types, validation, and the budget-constrained demand correspondence."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,27 @@ def test_exact_markets_hold_only_ints_and_fractions():
     ]
     assert validate_market(market.coerced(EXACT)) == []
     assert validate_market(market.coerced(float_mode())) == []
+
+
+def test_float_markets_hold_only_ints_and_floats():
+    """numpy's float32, a Decimal or a bool in a float market used to pass
+    validation, and solve then died building the rational twin with
+    "TypeError: cannot coerce float32 to rational". numpy's float64 is a
+    float, so a market of those still solves."""
+    market = Market(
+        (Good("a", np.float32(1.0)), Good("b", 2)),
+        (Buyer("x", (Decimal("0.5"), 1.0), 1.0), Buyer("y", (1.0, 3), True)),
+        float_mode(),
+    )
+    assert validate_market(market) == [
+        "good a: supply np.float32(1.0) is not an int or a float in a float market",
+        "buyer x: value for good a Decimal('0.5') is not an int or a float in a float market",
+        "buyer y: budget True is not an int or a float in a float market",
+    ]
+    with pytest.raises(MarketError, match=r"^invalid market: good a: supply np\.float32"):
+        solve(market)
+    buyer = Buyer("b", (np.float64(0.3),), np.float64(0.1))
+    assert solve(Market((Good("A", np.float64(1.0)),), (buyer,), float_mode())).p_star == (0.1,)
 
 
 def test_strip_worthless_goods():

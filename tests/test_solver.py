@@ -10,6 +10,8 @@ which the descent alone stopped above p* or failed its agreement gate.
 
 import dataclasses
 import hashlib
+import importlib
+import pathlib
 import random
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from qfmarket.solver import (
 )
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_solve_exact_reference_market(ref_exact):
@@ -73,8 +76,8 @@ def test_solve_eg_converges_with_certified_gap(ref_float):
 
 
 def test_solve_eg_is_the_run_solve_makes(ref_exact):
-    """In both modes, and on draw 15, whose run ends before its support
-    settles and which the descent certifies."""
+    """In both modes, and on draw 15, whose support points to no candidate,
+    so its run ends at its first gap check and the descent certifies it."""
     markets = [ref_exact] + [_draw(0, k, 6, 6) for k in (0, 8, 15)]
     for market in markets:
         for m in (market, market.coerced(float_mode())):
@@ -286,9 +289,9 @@ def test_descent_escapes_singleton_demand_wedges():
 def test_agreement_gate_tolerates_money_indifferent_degeneracy():
     """A buyer exactly indifferent to money at the minimum flattens the dual,
     so proportional response stalls microns away from p*: it ran 120,575
-    iterations to 2.3e-6 and fell to the descent. Its support's candidate
-    settles early, and its one exact check certifies p* by rounding after 525
-    (agreement 5.2e-4)."""
+    iterations to 2.3e-6 and fell to the descent. Its support points at p*
+    early, and its one exact check certifies p* by rounding after 75
+    (agreement 3.6e-3)."""
     market = Market(
         (Good("g1", F(3)), Good("g2", F(3))),
         (
@@ -308,7 +311,7 @@ def test_agreement_gate_tolerates_money_indifferent_degeneracy():
 def test_random_markets_solve_to_certified_minimal_prices():
     """Each draw is certified by rounding, and no 1% cut of p* is feasible.
     Draw 3 once ran 330,950 iterations to 6.8e-6 and fell to the descent;
-    its settled candidate now clears after 550 (agreement 4.3e-3)."""
+    its support's candidate now clears after 75 (agreement 3.3e-2)."""
     rng = random.Random(11)
     for _ in range(6):
         market = random_market(rng)
@@ -353,7 +356,7 @@ def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
     """p* of 12345-family draws, exact and in floats, each certified by
     rounding. On #31 and #35 the float descent once stopped above p*. On
     #60 the support points at p* from iteration 75; at 100 its gap to the
-    prices shrinks too slowly to agree before _SETTLE, so its check comes
+    prices shrinks too slowly to agree within _SETTLE, so its check comes
     at once and clears. While the check waited for _SETTLE, the support
     drifted at 550 to (61/46, 3/2, 122/69), which failed its check, and the
     run fell to the descent after 3,100 iterations."""
@@ -388,7 +391,8 @@ def test_money_indifferent_draw_beyond_absolute_agreement_gate():
     """Proportional response stalls about 1e-5 from p* = 3/2 here, past the
     descent's old agreement gate, so its prices never agree with its
     support's candidate: it ran 143,050 iterations and fell to the descent.
-    The candidate settles, and its exact check certifies p* after 525."""
+    Its gap shrinks too slowly to agree in time, so its exact check comes
+    early and certifies p* after 75."""
     res = solve(_draw(12345, 125, 8, 4))
     assert res.p_star == (F(3, 2),)
     assert res.certified_by == "rounding"
@@ -409,8 +413,8 @@ _EG_TAIL = (
 @pytest.mark.parametrize("draw", _EG_TAIL, ids=[f"{s}-{i}" for s, i, _, _ in _EG_TAIL])
 def test_settled_support_candidates_end_the_eg_tail(mode, draw):
     """Each of these supports points at p* within a few hundred iterations;
-    once its candidate has held for _SETTLE iterations, one exact check
-    certifies it, although the prices are still far from it."""
+    once its prices cannot agree with it within _SETTLE iterations, one
+    exact check certifies it, although the prices are still far from it."""
     market = _draw(*draw).coerced(mode)
     res = solve(market)
     assert res.certified_by == "rounding"
@@ -517,32 +521,21 @@ def _assert_close(p, exact, rel):
     assert all(abs(a - float(b)) <= rel * float(b) for a, b in zip(p, exact))
 
 
-def test_acceptance_battery_is_certified_by_rounding(monkeypatch):
-    """Every seed-0 random_market(rng, 6, 6) draw but 15 is certified by one
-    exact clearing check of its support's candidate (plus the float re-check
-    in float mode). Draw 15's run ends at its first gap check, before its
-    support settles, so the descent answers it with one clearing check of its
-    endpoint. The descent alone reaches the same p* on every draw through
-    feasible, falling steps."""
-    checks = []
-
-    def counted(market, p):
-        checks.append(p)
-        return check_clearing(market, p)
-
-    monkeypatch.setattr(solver, "check_clearing", counted)
+def test_acceptance_battery_is_certified_by_rounding():
+    """Every seed-0 random_market(rng, 6, 6) draw but 15 is certified by its
+    support's candidate, exactly and in floats. Draw 15's support points to
+    no candidate and its run ends at its first gap check, so the descent
+    answers it. (test_battery_stops_are_pinned counts their clearing checks.)
+    The descent alone reaches the same p* on every draw through feasible,
+    falling steps."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
         certified_by = "descent" if draw == 15 else "rounding"
-        checks.clear()
         exact = solve(market)
         assert exact.certified_by == certified_by
-        assert len(checks) == 1
-        checks.clear()
         floaty = solve(market.coerced(float_mode()))
         assert floaty.certified_by == certified_by
-        assert len(checks) == (1 if draw == 15 else 2)
         _assert_float_p_star(floaty, exact.p_star)
         for m in (market, market.coerced(float_mode())):
             trace = lattice_descent(m, initial_feasible_price(m))
@@ -592,8 +585,8 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
 def test_support_stop_shortens_proportional_response():
     """On the seed-0 battery, solve stops proportional response no later than
     a gap stop at 1e-8, within 1e-6 of p*. Every draw but 15 is certified by
-    its support candidate; draw 15's run ends at its first gap check, before
-    its support settles."""
+    its support candidate; draw 15's support points to no candidate, and its
+    run ends at its first gap check."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
@@ -606,7 +599,10 @@ def test_support_stop_shortens_proportional_response():
 
 # (eg.iterations, certified_by) of solve on seed-0 random_market(rng, 6, 6)
 # draws 0-19, in exact mode and in floats alike: the runs whose agreement
-# acceptance check 8 reads.
+# acceptance check 8 reads. Each draw calls check_clearing once, the check
+# that clears its support's candidate or, on draw 15, the descent endpoint's;
+# a float draw certified by rounding calls it once more, on its rounded-back
+# price in floats.
 _BATTERY_STOPS = tuple(
     (iterations, "descent" if draw == 15 else "rounding")
     for draw, iterations in enumerate(
@@ -615,16 +611,26 @@ _BATTERY_STOPS = tuple(
 )
 
 
-def test_battery_stops_are_pinned():
-    """Where proportional response stops on the acceptance battery, and how
-    p* is certified. A stop-rule change that moves these runs moves the
-    agreement that acceptance check 8 reads."""
+def test_battery_stops_are_pinned(monkeypatch):
+    """Where proportional response stops on the acceptance battery, how p*
+    is certified, and how many clearing checks it takes. A stop-rule change
+    that moves these runs moves the agreement that acceptance check 8 reads,
+    and one that adds failed checks shows here and not only as time."""
+    checks = []
+
+    def counted(market, p):
+        checks.append(p)
+        return check_clearing(market, p)
+
+    monkeypatch.setattr(solver, "check_clearing", counted)
     rng = random.Random(0)
     for draw, stop in enumerate(_BATTERY_STOPS):
         market = random_market(rng, 6, 6)
         for m in (market, market.coerced(float_mode())):
+            checks.clear()
             res = solve(m)
-            assert (res.eg.iterations, res.certified_by) == stop, (draw, m.mode)
+            pinned = (*stop, 1 + (not m.mode.is_exact and stop[1] == "rounding"))
+            assert (res.eg.iterations, res.certified_by, len(checks)) == pinned, (draw, m.mode)
 
 
 def test_float_draw_whose_twin_breaks_tie_cycles():
@@ -700,6 +706,26 @@ def _crowd40():
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_gap_that_grows_is_checked_at_once(mode, monkeypatch):
+    """The third market that perfbench's crowd_market draws from Random(11)
+    at 100x4. Its support first points at p* after 1,275 iterations, and at
+    the next reading the prices' gap to it has grown, so they cannot agree
+    in time: the check comes then and clears, after 1,300. While a gap that
+    did not shrink waited for the candidate to hold for _SETTLE iterations,
+    the check came at 1,775."""
+    rng = random.Random(11)
+    drawn = [_many_buyers(rng, 100, 4) for _ in range(3)][2]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(11)
+    assert [workloads.crowd_market(rng, 100, 4) for _ in range(3)][2] == drawn
+    market = drawn.coerced(mode)
+    res = solve(market)
+    assert (res.eg.iterations, res.certified_by) == (1_300, "rounding")
+    assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_a_gap_too_slow_to_agree_is_checked_at_once(mode):
     """The support points at p* early, but the prices close in on it too
     slowly to agree before _SETTLE, so its one check comes at once and
@@ -712,12 +738,14 @@ def test_a_gap_too_slow_to_agree_is_checked_at_once(mode):
     assert res.eg.iterations < 650
 
 
-def test_a_gap_that_does_not_shrink_waits_for_the_candidate_to_settle(monkeypatch):
-    """_Support fed the final bids of the crowd market's run, at prices a
-    fixed 1% above their candidate p*: the gap never shrinks, so the check
-    waits until the candidate has held for _SETTLE iterations. A gap that
-    shrinks by 1% per call would take far longer than that to reach _AGREE,
-    so it is checked at the second call."""
+def test_a_gap_that_does_not_shrink_is_checked_at_the_second_reading(monkeypatch):
+    """_Support fed the final bids of the crowd market's run, at prices 1%
+    above their candidate p* and closing in by a fixed factor per call. A
+    gap that never shrinks cannot reach _AGREE, and one that shrinks by 1%
+    per call would take far longer than _SETTLE to, so each is checked at
+    the second call, the first with a rate to read. A gap that halves per
+    call reaches _AGREE in time, so its check waits for the prices to agree,
+    at the 14th call."""
     market = _crowd40()
     res = solve(market)
     eg = res.eg
@@ -732,7 +760,7 @@ def test_a_gap_that_does_not_shrink_waits_for_the_candidate_to_settle(monkeypatc
         return check_clearing(m, p)
 
     monkeypatch.setattr(solver, "check_clearing", counted)
-    for shrink, first_check in ((1.0, 1 + solver._SETTLE // solver._GAP_EVERY), (0.99, 2)):
+    for shrink, first_check in ((1.0, 2), (0.99, 2), (0.5, 14)):
         support = solver._Support(market)
         for calls in range(1, 2 * first_check):
             stopped = support(np.arange(market.m), [0, 1], bids, target * (1 + 0.01 * shrink**calls))

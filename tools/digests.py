@@ -21,7 +21,8 @@ in exact mode and as the same market in floats, the outputs are:
 
 The families are the seed-0 6x6 acceptance battery, random_market draws
 12345/8x4 #0-59 and Random(7) 6x6 #0-39, crowd_market draws from Random(100)
-at 50x3, 120x4 and 200x4, a ladder from one Random(100) at 200x4, 500x4 and
+at 50x3, 120x4 and 200x4, the first three crowd_market draws from one
+Random(11) at 100x4, a ladder from one Random(100) at 200x4, 500x4 and
 1000x8, and the benchmark's `crowd` and `region` markets (read from
 perfbench/workloads.py's generators). Also digested: the grid_scan membership
 and revenue of the acceptance battery's windows and of the `region` markets,
@@ -146,13 +147,14 @@ def families():
         rng = random.Random(seed)
         return [q.random_market(rng, buyers, goods) for _ in range(count)]
 
-    ladder = random.Random(100)
+    ladder, crowd11 = random.Random(100), random.Random(11)
     return [
         ("battery", draws(0, 20, 6, 6)),
         ("12345-8x4", draws(12345, 60, 8, 4)),
         ("7-6x6", draws(7, 40, 6, 6)),
         ("crowd-100", [workloads.crowd_market(random.Random(100), m, n)
                        for m, n in ((50, 3), (120, 4), (200, 4))]),
+        ("crowd-11", [workloads.crowd_market(crowd11, 100, 4) for _ in range(3)]),
         ("ladder-100", [workloads.crowd_market(ladder, m, n)
                         for m, n in ((200, 4), (500, 4), (1000, 8))]),
         ("bench-crowd", workloads.crowd_base()),
