@@ -5,19 +5,25 @@ without exceeding supply. Routing money instead of units makes this a
 bipartite flow problem: buyer i must push exactly beta_i (strict buyer,
 money not bang-per-buck-maximal) or at most beta_i (flexible buyer) along
 edges to the goods maximizing its bang-per-buck, and good j absorbs at most
-p_j * s_j money.
+p_j * s_j money. Buyers with the same bang-per-buck set are parallel in that
+network, so one node per demand pattern (a set of goods plus the money flag)
+carries their summed budget, and leaves every cut and flow value as it was.
+pattern_network builds that network, for the checks here and for the
+descent's probes alike; its node order is sorted, so buyer order never
+reaches a verdict or an allocation.
 
 The flow runs in two phases. Phase 1 routes strict budgets only; p is
-feasible iff they saturate. Phase 2 adds the flexible buyers and keeps
+feasible iff they saturate. Phase 2 adds the flexible patterns and keeps
 augmenting, which never unsaturates a source edge, so the final value is the
 maximal total spend extractable at p (the "max-extension revenue"). Since
 every lower-bounded edge touches the source or the sink, p clears the market
 exactly when that value equals sum_j p_j s_j: total inflow equal to total
 good capacity forces each positively-priced good to sell out. One function,
-_flow_check, builds the network and runs both phases: check_feasible stops
-after phase 1, check_clearing runs phase 2 too. A float network counts
-residuals at or below tol * scale as saturated and lets the routed flow fall
-short by flow_slack, which the grid scans read as well.
+_flow_check, runs both phases: check_feasible stops after phase 1,
+check_clearing runs phase 2 too. Each pattern's flow is split among its
+buyers in proportion to their budgets. A float network counts residuals at
+or below tol * scale as saturated and lets the routed flow fall short by
+flow_slack, which the grid scans read as well.
 
 Outcome checks ask the same demand question of a given allocation:
 outcome_is_feasible (in market, beside demand_sets) and meet_allocation read
@@ -74,10 +80,6 @@ class SpendingGraph:
     bpb: Tuple[BangPerBuckSet, ...]
     capacities: Tuple[Number, ...]  # p_j * s_j per good
 
-    @property
-    def strict_buyers(self) -> Tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bpb) if b.strict)
-
 
 @dataclass(frozen=True)
 class OverDemandWitness:
@@ -120,82 +122,117 @@ def flow_slack(market: Market, scale):
     return market.mode.tol * scale * (market.m + market.n + 4)
 
 
-def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCertificate:
-    """The two-phase flow behind check_feasible (extend False) and
-    check_clearing (extend True).
+def pattern_network(market: Market, patterns: dict, caps):
+    """(net, order, budgets, unit, slack): the max-flow network of demand
+    patterns behind every flow check, the descent's included.
 
-    The prices are those the spending graph read (graph.prices, see
-    read_prices): exact rationals on an exact market (Fraction of a float is
-    exact). There the network carries every budget and capacity times their
-    least common denominator `unit`, the lcm of the budgets' own (kept with
-    the market, see integer_budgets) and the capacities' denominators: its
-    residuals are ints, money flows come back as Fraction(flow, unit), and
-    a flow into good k at price P / Q is the bundle entry
-    Fraction(flow * Q, unit * P). The flow's zero, tol * scale, and its
-    saturation slack (flow_slack) scale the mode's tolerance by the money in
-    play, in network units; both are 0 in exact mode. Buyer i is the
-    network's left node 1 + i and good k its right node 1 + m + k.
+    `patterns` maps each demand pattern, a frozenset of 1-based goods that
+    may hold MONEY, to its buyers' summed budget: an int on the market's
+    budget scale (integer_budgets) in exact mode, a float in float mode.
+    caps[j - 1] is good j's money capacity. order[i] is the pattern at left
+    node 1 + i: the strict patterns (without MONEY) first, each group sorted
+    by its goods, so the network never depends on buyer order. Good j is
+    node len(order) + j. A strict pattern's source edge carries its budget;
+    a flexible pattern gets its node and spend edges, and the caller adds
+    its source edge to extend a flow (see _flow_check). Spend edges hold
+    more than every budget and capacity together, so no minimum cut uses
+    one, and the goods on a cut's source side are an over-demanded set.
 
-    The strict phase routes the strict budgets. If they fall short, the
-    certificate names the goods on the source side of a minimum cut. Else,
-    with `extend`, the flexible buyers join and the extension phase reads
-    the max-extension revenue and whether it clears; the allocation is the
-    routed spend either way.
+    In exact mode the network runs on ints: every budget and capacity times
+    `unit`, the lcm of the budget scale and the capacities' denominators,
+    so a flow f is the money Fraction(f, unit). One positive scale leaves
+    every augmenting path and cut of the rational network as it was. In
+    float mode unit is 1 and residuals at or below tol * scale count as
+    saturated. `budgets` are the patterns' budgets in network units, in
+    node order, and `slack` is flow_slack at the network's scale.
     """
-    require_valid(market)
-    graph = build_spending_graph(market, p)
-    m, n = market.m, market.n
-    caps = list(graph.capacities)
-    unit = None
+    order = sorted(patterns, key=lambda goods: (MONEY in goods, sorted(goods)))
+    budgets = [patterns[goods] for goods in order]
+    unit = 1
     if market.mode.is_exact:
-        budget_unit, budgets = integer_budgets(market)
+        budget_unit = integer_budgets(market)[0]
         unit = math.lcm(budget_unit, *(c.denominator for c in caps))
         budgets = [b * (unit // budget_unit) for b in budgets]
         caps = [c.numerator * (unit // c.denominator) for c in caps]
-    else:
-        budgets = [b.budget for b in market.buyers]
     scale = max(sum(budgets), sum(caps))
-    slack = flow_slack(market, scale)
-    net = FlowNetwork(m, n, zero=market.mode.tol * scale)
-    spend_edges = []  # (buyer, good index 0-based, edge id)
-    # Spend edges hold more than every budget and capacity together, so no
-    # minimum cut uses one, and the goods on a cut's source side are the
-    # over-demanded set that the witness names.
+    net = FlowNetwork(len(order), len(caps), zero=market.mode.tol * scale)
     unbounded = sum(budgets) + sum(caps) + 1
-    for i, bpb in enumerate(graph.bpb):
-        if bpb.strict:
-            net.add_edge(net.source, 1 + i, budgets[i])
-        for j in sorted(bpb.goods - {MONEY}):
-            spend_edges.append((i, j - 1, net.add_edge(1 + i, 1 + m + (j - 1), unbounded)))
-    for k in range(n):
-        net.add_edge(1 + m + k, net.sink, caps[k])
+    for node, (goods, budget) in enumerate(zip(order, budgets), start=1):
+        if MONEY not in goods:
+            net.add_edge(net.source, node, budget)
+        for j in sorted(goods - {MONEY}):
+            net.add_edge(node, len(order) + j, unbounded)
+    for j, cap in enumerate(caps, start=1):
+        net.add_edge(len(order) + j, net.sink, cap)
+    return net, order, budgets, unit, flow_slack(market, scale)
 
-    strict = graph.strict_buyers
+
+def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCertificate:
+    """The two-phase flow behind check_feasible (extend False) and
+    check_clearing (extend True), on the pattern network (pattern_network).
+
+    The prices are those the spending graph read (graph.prices, see
+    read_prices): exact rationals on an exact market. Buyers with one
+    bang-per-buck set form one demand pattern, which carries their summed
+    budget: an int on the integer_budgets scale in exact mode, and a
+    math.fsum in float mode, so that no sum depends on buyer order.
+    Pattern order[i] is the network's left node 1 + i and good j its right
+    node len(order) + j (see pattern_network).
+
+    The strict phase routes the strict patterns' budgets. If they fall
+    short, the certificate names the goods on the source side of a minimum
+    cut. Else, with `extend`, the flexible patterns join and the extension
+    phase reads the max-extension revenue and whether it clears. The
+    allocation splits each pattern's flow on each good among its buyers in
+    proportion to their budgets, one Fraction per exact entry: a flow f into
+    good k at price P / Q gives buyer i, of budget b_i in a pattern of
+    budget b, Fraction(f * b_i * Q, unit * b * P). A strict pattern's buyers
+    each spend their whole budget, and every other buyer at most its own.
+    """
+    require_valid(market)
+    graph = build_spending_graph(market, p)
+    exact = market.mode.is_exact
+    budgets = integer_budgets(market)[1] if exact else [b.budget for b in market.buyers]
+    members = {}  # pattern -> its buyers
+    for i, bpb in enumerate(graph.bpb):
+        members.setdefault(bpb.goods, []).append(i)
+    total = sum if exact else math.fsum
+    patterns = {goods: total(budgets[i] for i in buyers) for goods, buyers in members.items()}
+    net, order, routed, unit, slack = pattern_network(market, patterns, graph.capacities)
+    strict = [node for node, goods in enumerate(order, start=1) if MONEY not in goods]
     strict_flow = net.max_flow()
-    if not sum(budgets[i] for i in strict) - strict_flow <= slack:
+    if not sum(routed[node - 1] for node in strict) - strict_flow <= slack:
         reach = net.reachable_from()
-        goods = tuple(k + 1 for k in range(n) if reach[1 + m + k])
-        forced = sum(market.buyers[i].budget for i in strict if reach[1 + i])
+        goods = tuple(j for j in range(1, market.n + 1) if reach[len(order) + j])
+        forced = sum(routed[node - 1] for node in strict if reach[node])
+        forced = Fraction(forced, unit) if exact else forced
         capacity = sum(graph.capacities[j - 1] for j in goods)
         witness = OverDemandWitness(goods, forced, capacity)
         return FeasibilityCertificate(False, False if extend else None, None, witness)
     revenue = clearing = None
     if extend:
-        for i, bpb in enumerate(graph.bpb):
-            if not bpb.strict:
-                net.add_edge(net.source, 1 + i, budgets[i])
-        routed = strict_flow + net.max_flow()
-        revenue = routed if unit is None else Fraction(routed, unit)
-        clearing = sum(caps) - routed <= slack
+        for node, goods in enumerate(order, start=1):
+            if MONEY in goods:
+                net.add_edge(net.source, node, routed[node - 1])
+        revenue = strict_flow + net.max_flow()
+        revenue = Fraction(revenue, unit) if exact else revenue
+        clearing = sum(graph.capacities) - revenue <= slack
     zeros = [0 * price for price in graph.prices]
-    bundles = [list(zeros) for _ in range(m)]
-    if unit is None:
-        for i, k, eid in spend_edges:
-            bundles[i][k] = net.flow_on(eid) / graph.prices[k]
-    else:
-        for i, k, eid in spend_edges:
+    bundles = [list(zeros) for _ in range(market.m)]
+    for node, goods in enumerate(order, start=1):
+        whole = patterns[goods]
+        for eid in net.adj[node]:
+            flow = net.flow_on(eid)
+            if eid & 1 or not flow:  # the source edge's reverse, or no spend
+                continue
+            k = net.to[eid] - len(order) - 1
             price = graph.prices[k]
-            bundles[i][k] = Fraction(net.flow_on(eid) * price.denominator, unit * price.numerator)
+            for i in members[goods]:
+                if exact:
+                    share = flow * budgets[i] * price.denominator
+                    bundles[i][k] = Fraction(share, unit * whole * price.numerator)
+                else:
+                    bundles[i][k] = flow * budgets[i] / whole / price
     allocation = tuple(map(tuple, bundles))
     return FeasibilityCertificate(True, clearing, allocation, None, revenue)
 

@@ -1,15 +1,16 @@
 """Small deterministic max-flow kernel on layered networks.
 
 A FlowNetwork's layout is fixed when it is built: the source is node 0, the
-`left` nodes (buyers) come next, then the `right` nodes (goods), and the sink
-is the last node. Every edge runs source -> left, left -> right or
+`left` nodes (demand patterns) come next, then the `right` nodes (goods), and
+the sink is the last node. Every edge runs source -> left, left -> right or
 right -> sink; add_edge refuses any other.
 
 max_flow is Edmonds-Karp (BFS shortest augmenting paths) over adjacency
-lists. Capacities may be any ordered numbers. In this package exact callers
-hand it Python ints and float-mode callers floats: exact callers scale their
-rational amounts to integers with `numeric.scale_to_integers` and read flows
-back as Fraction(flow, unit). The kernel only compares residuals and takes
+lists. Capacities may be any ordered numbers. In this package its one
+builder, `feasibility.pattern_network`, hands it Python ints in exact mode
+and floats in float mode: it brings the budgets (on the market's
+`integer_budgets` scale) and the capacities onto one integer unit, and its
+callers read flows back as Fraction(flow, unit). The kernel only compares residuals and takes
 minima, and both keep their order under one positive scale, so the scaled
 network takes the same augmenting paths as the rational one without Fraction
 arithmetic. Augmentation order is fixed by edge insertion order, which

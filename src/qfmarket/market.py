@@ -389,8 +389,8 @@ def integer_budgets(market: Market) -> Tuple[int, Tuple[int, ...]]:
     """(U, B): a valid exact market's budgets as B_i / U over one
     market-wide denominator U, their least common denominator, B a tuple of
     Python ints in buyer order (see scale_to_integers). It is worked out
-    once per market and kept: the clearing checks route budgets and
-    certified rounding sums them on this scale."""
+    once per market and kept: the demand patterns of the flow checks and of
+    the descent, and certified rounding, sum budgets on this scale."""
     return market._integer_budgets
 
 

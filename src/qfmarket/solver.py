@@ -55,8 +55,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .feasibility import FeasibilityCertificate, check_clearing, check_feasible
-from .flow import FlowNetwork
+from .feasibility import FeasibilityCertificate, check_clearing, check_feasible, pattern_network
 from .market import (
     Allocation,
     Market,
@@ -69,7 +68,7 @@ from .market import (
     require_valid,
 )
 from .metrics import VERDICT_CERTIFIED, EfficiencyCertificate, revenue, social_welfare
-from .numeric import EXACT, Number, scale_to_integers
+from .numeric import EXACT, Number
 
 __all__ = [
     "DescentStep",
@@ -474,42 +473,17 @@ def _next_event(market: Market, p: PriceVector, best, down: frozenset) -> Number
 def _captured(market: Market, best, down: frozenset):
     """{pattern: budget}: the demand patterns of the buyers whose
     bang-per-buck set best[i] meets `down`, a pattern being the goods of
-    `down` that a buyer demands, each with its buyers' summed budget. Once
-    those prices fall such a buyer prefers them to money and to every other
-    good, so its whole budget must go there. Buyers with one pattern are
-    parallel nodes of the descent's networks, and one node with their summed
-    budget leaves every cut set the descent reads unchanged."""
+    `down` that a buyer demands, each with its buyers' summed budget, an int
+    on the market's budget scale (see integer_budgets). Once those prices
+    fall such a buyer prefers them to money and to every other good, so its
+    whole budget must go there. These are the left nodes of the descent's
+    pattern networks (see pattern_network)."""
     captured = {}
-    for buyer, bpb in zip(market.buyers, best):
+    for budget, bpb in zip(integer_budgets(market)[1], best):
         goods = bpb.goods & down
         if goods:
-            captured[goods] = captured.get(goods, 0) + buyer.budget
+            captured[goods] = captured.get(goods, 0) + budget
     return captured
-
-
-def _route(market: Market, p: PriceVector, captured, down: frozenset, factor):
-    """Max flow of the captured budgets into `down`, whose capacities
-    p_j * s_j are scaled by factor.
-
-    The captured demand patterns (see _captured) are the network's left
-    nodes 1..len(captured), in the dict's order, and the goods of `down` its
-    right nodes (returned as node). Budgets and capacities enter the network
-    times their least common denominator, so it runs on ints; callers read
-    only its cut sets, which that one positive scale leaves unchanged.
-    """
-    goods_down = sorted(down)
-    node = {j: 1 + len(captured) + k for k, j in enumerate(goods_down)}
-    caps = [factor * p[j - 1] * market.goods[j - 1].supply for j in goods_down]
-    _, scaled = scale_to_integers(list(captured.values()) + caps)
-    net = FlowNetwork(len(captured), len(down))
-    for b, (goods, budget) in enumerate(zip(captured, scaled), start=1):
-        net.add_edge(net.source, b, budget)
-        for j in goods:
-            net.add_edge(b, node[j], budget)
-    for j, cap in zip(goods_down, scaled[len(captured):]):
-        net.add_edge(node[j], net.sink, cap)
-    net.max_flow()
-    return net, node
 
 
 def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
@@ -543,21 +517,23 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     every = frozenset(range(1, market.n + 1))
     steps = []
     probes = 0
+
+    def capacities(factor):  # p_j * s_j times factor for each good j of down, else 0
+        return [factor * v * g.supply if j in down else 0
+                for j, (v, g) in enumerate(zip(p, twin.goods), start=1)]
+
     while True:
         best = demand_sets(twin, p)
         down = every
         while down:
             captured = _captured(twin, best, down)
-            net, node = _route(twin, p, captured, down, 1)
+            net, order, budgets, _, _ = pattern_network(twin, captured, capacities(1))
+            net.max_flow()
             probes += 1
             spare = net.reaching()
-            stuck = {j for j in down if not spare[node[j]]}
-            blocked = {
-                j
-                for goods, budget in captured.items()
-                if budget > 0 and stuck.issuperset(goods)
-                for j in goods
-            }
+            stuck = {j for j in down if not spare[len(order) + j]}
+            blocked = {j for goods, budget in zip(order, budgets)
+                       if budget > 0 and stuck.issuperset(goods) for j in goods}
             if not blocked:
                 break
             down -= blocked
@@ -565,14 +541,15 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             break
         factor = _next_event(twin, p, best, down)
         while True:
-            net, node = _route(twin, p, captured, down, factor)
+            net, order, budgets, unit, _ = pattern_network(twin, captured, capacities(factor))
+            net.max_flow()
             probes += 1
             reach = net.reachable_from()
-            forced = sum(b for k, b in enumerate(captured.values(), start=1) if reach[k])
+            forced = sum(b for node, b in enumerate(budgets, start=1) if reach[node])
             if not forced:
                 break
-            factor = forced / sum(
-                p[j - 1] * twin.goods[j - 1].supply for j in down if reach[node[j]]
+            factor = Fraction(forced, unit) / sum(
+                cap for j, cap in enumerate(capacities(1), start=1) if reach[len(order) + j]
             )
         if factor == 0:
             raise SolverConvergenceError(

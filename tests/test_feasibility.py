@@ -226,9 +226,9 @@ def test_outcome_is_feasible_is_the_per_buyer_check(mode):
 def test_spending_graph_structure(ref_exact):
     graph = build_spending_graph(ref_exact, MINIMAL)
     assert graph.capacities == (F(9, 5), F(6, 5))
-    assert graph.strict_buyers == (0, 1, 2)
+    assert [bpb.strict for bpb in graph.bpb] == [True, True, True]
     relaxed = build_spending_graph(ref_exact, (F(5), F(4)))
-    assert relaxed.strict_buyers == ()
+    assert not any(bpb.strict for bpb in relaxed.bpb)
 
 
 def test_spending_graph_reads_a_float_price_as_the_rational_it_is(ref_exact):
@@ -309,7 +309,7 @@ _CERTIFICATE_PINS = (
               ("31/49", "0", "22/35", "0"), ("18/49", "0", "0", "0")),
         ((1,), F(4)),
         F(11),
-        _rows(("0", "12/5", "0", "0"), ("0", "3/5", "21/5", "0"),
+        _rows(("0", "0", "0", "14/5"), ("0", "3", "9/5", "0"),
               ("4/7", "0", "0", "0"), ("0", "0", "0", "0")),
     ),
     (

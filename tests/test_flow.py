@@ -11,7 +11,7 @@ F = Fraction
 
 
 def _diamond():
-    """Source 0, buyers 1 and 2, goods 3 and 4, sink 5. The sweep routes
+    """Source 0, patterns 1 and 2, goods 3 and 4, sink 5. The sweep routes
     4 of the 5 units; the fifth takes the five-edge path
     0 -> 2 -> 3 -> 1 -> 4 -> 5, back through the flow on 1 -> 3."""
     net = FlowNetwork(2, 2)
@@ -37,7 +37,7 @@ def test_max_flow_value_and_conservation():
     assert net.max_flow() == F(5)
     flow = {name: net.flow_on(eid) for name, eid in edges.items()}
     assert flow["s1"] + flow["s2"] == flow["3t"] + flow["4t"] == F(5)
-    # each buyer and each good conserves
+    # each pattern and each good conserves
     assert flow["s1"] == flow["13"] + flow["14"]
     assert flow["s2"] == flow["23"]
     assert flow["13"] + flow["23"] == flow["3t"]
@@ -119,8 +119,8 @@ def _reference_max_flow(net):
 def _layered(rng, number, spend=None):
     """(edges, m, n): the edges of a random network with m left and n right
     nodes, as (u, v, capacity) in insertion order. Spend edges carry
-    `spend` when given, as _route and _flow_check build them, else random
-    capacities."""
+    `spend` when given, as feasibility.pattern_network builds them for the
+    flow checks and the descent alike, else random capacities."""
     m, n = rng.randint(1, 12), rng.randint(1, 5)
     left = list(range(1, m + 1))
     right = list(range(m + 1, m + n + 1))
@@ -177,7 +177,7 @@ def test_sweep_matches_breadth_first_search_on_layered_networks(exact):
         kernel, reference = _network(edges, m, n, zero), _network(edges, m, n, zero)
         _same(kernel, reference)
         # A second call after new source edges, as _flow_check's extension
-        # phase adds its flexible buyers.
+        # phase adds its flexible patterns.
         for b in rng.sample(range(1, m + 1), rng.randint(0, m)):
             cap = number()
             kernel.add_edge(0, b, cap)

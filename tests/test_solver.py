@@ -659,6 +659,21 @@ def test_descent_lowers_zero_supply_goods_to_their_minimum():
     assert trace.final == (F(9, 16), F(9, 4), F(9, 8))
 
 
+def test_the_descent_from_p_star_takes_no_step():
+    """Minimality over every set of goods: started at p*, lattice_descent
+    finds no set of goods whose prices can fall together, so it takes no
+    step and spends one probe. That proves p* minimal without the uniqueness
+    theorem. On every exact market of the seed-0 battery, 12345/8x4 #0-59
+    and Random(7) 6x6 #0-39."""
+    for seed, count, buyers, goods in ((0, 20, 6, 6), (12345, 60, 8, 4), (7, 40, 6, 6)):
+        rng = random.Random(seed)
+        for draw in range(count):
+            market = random_market(rng, buyers, goods)
+            p_star = solve(market).p_star
+            trace = lattice_descent(market, p_star)
+            assert (trace.steps, trace.probes, trace.final) == ((), 1, p_star), (seed, draw)
+
+
 def test_descent_probe_count_stays_small_on_eight_goods():
     """The subset sweep spent 74,946 probes on this 9x8 market."""
     market = _draw(5, 22, 10, 8)
@@ -867,18 +882,29 @@ def test_efficiency_certificate_matches_the_reference_certifier(fixture_dir):
             assert res.efficiency_certificate.welfare == reference.welfare == res.welfare
 
 
+# 12345/8x4 draws whose allocation once moved when their buyers were
+# shuffled: the clearing check routed one node per buyer, in buyer order.
+_PERMUTED_DRAWS = (15, 20, 30, 36, 47, 80, 107, 124, 128)
+
+
 def test_permuting_buyers_or_goods_permutes_p_star():
     """Buyer order does not move p*, and reordering the goods reorders p*,
-    exactly, in both modes."""
+    exactly, in both modes. Shuffling the buyers shuffles the allocation's
+    bundles the same way: the clearing check routes demand patterns in an
+    order that buyer order does not reach. On the seed-0 battery and the
+    12345/8x4 draws of _PERMUTED_DRAWS, each shuffled by Random(its index)."""
     rng = random.Random(0)
-    for draw in range(20):
-        market = random_market(rng, 6, 6)
+    inputs = [(draw, random_market(rng, 6, 6)) for draw in range(20)]
+    rng = random.Random(12345)
+    draws = [random_market(rng, 8, 4) for _ in range(max(_PERMUTED_DRAWS) + 1)]
+    inputs += [(index, draws[index]) for index in _PERMUTED_DRAWS]
+    for draw, market in inputs:
         shuffle = random.Random(draw)
-        buyers = list(market.buyers)
-        shuffle.shuffle(buyers)
+        perm = list(range(market.m))
+        shuffle.shuffle(perm)
         order = list(range(market.n))
         shuffle.shuffle(order)
-        by_buyers = Market(market.goods, tuple(buyers), EXACT)
+        by_buyers = Market(market.goods, tuple(market.buyers[i] for i in perm), EXACT)
         by_goods = Market(
             tuple(market.goods[k] for k in order),
             tuple(
@@ -888,8 +914,11 @@ def test_permuting_buyers_or_goods_permutes_p_star():
             EXACT,
         )
         for mode in (EXACT, float_mode()):
-            p_star = solve(market.coerced(mode)).p_star
-            assert solve(by_buyers.coerced(mode)).p_star == p_star
+            base = solve(market.coerced(mode))
+            shuffled = solve(by_buyers.coerced(mode))
+            assert shuffled.p_star == base.p_star
+            assert shuffled.allocation == tuple(base.allocation[i] for i in perm), (draw, mode)
+            p_star = base.p_star
             assert solve(by_goods.coerced(mode)).p_star == tuple(p_star[k] for k in order)
 
 
@@ -924,8 +953,14 @@ def _assert_redenominating_scales_p_star(market, j, c):
 
 
 def _assert_splitting_keeps_p_star(market, i, shares):
+    """p* and revenue stay; each bid gets its budget share of buyer i's
+    bundle, and every other buyer keeps its bundle."""
     base, split = solve(market), solve(_split(market, i, shares))
     assert (split.p_star, split.revenue) == (base.p_star, base.revenue)
+    bids = split.allocation[i:i + len(shares)]
+    assert bids == tuple(tuple(share * x for x in base.allocation[i]) for share in shares)
+    others = split.allocation[:i] + split.allocation[i + len(shares):]
+    assert others == base.allocation[:i] + base.allocation[i + 1:]
 
 
 def test_redenominating_a_good_scales_its_price_exactly():
@@ -941,7 +976,8 @@ def test_redenominating_a_good_scales_its_price_exactly():
 
 def test_splitting_a_buyer_keeps_p_star_exactly():
     """A buyer replaced by same-valued bids whose budgets sum to its own
-    leaves p* and revenue unchanged, exactly, on the seed-0 battery."""
+    leaves p* and revenue unchanged, exactly, on the seed-0 battery; each
+    bid gets its share of the buyer's bundle, and the other bundles stay."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
@@ -950,9 +986,9 @@ def test_splitting_a_buyer_keeps_p_star_exactly():
 
 
 def test_redenominating_and_splitting_float_markets():
-    """The same two relations in float mode, on dyadic markets (values and
-    budgets in quarters), where scaling by a power of two and halving or
-    quartering a budget round nothing."""
+    """The same two relations in float mode, bundles included, on dyadic
+    markets (values and budgets in quarters), where scaling by a power of
+    two and halving or quartering a budget round nothing."""
     for seed in range(10):
         market = _many_buyers(random.Random(seed), 6, 4).coerced(float_mode())
         for c in (4.0, 0.125):

@@ -7,6 +7,7 @@ import random
 import sys
 from pathlib import Path
 
+from qfmarket import Market, aggregate, check_clearing, check_feasible, float_mode, solve
 from qfmarket.proptest import random_market
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -74,6 +75,37 @@ def test_market_digests_repeat_and_tell_families_apart():
     assert all(len(value) == 64 for value in first.values())
     assert digests.market_digests(family(3)) == first
     assert digests.market_digests(family(2))["solve"] != first["solve"]
+
+
+def test_outcomes_hold_no_bundle():
+    """Reversing the buyers reverses the bundles, so `answers` moves, but
+    not `outcomes`. That record holds p* and each check's verdicts and
+    witness goods; in exact mode also solve's revenue, welfare and sales,
+    and each check's max-extension revenue, forced budget and capacity."""
+    rng = random.Random(0)
+    markets = [random_market(rng) for _ in range(3)]
+    reversed_ = [Market(m.goods, m.buyers[::-1], m.mode) for m in markets]
+    first, second = digests.market_digests(markets), digests.market_digests(reversed_)
+    assert first["outcomes"] == second["outcomes"]
+    assert first["answers"] != second["answers"]
+
+    market = markets[0]
+    result = solve(market)
+    cut = (result.p_star[0] / 2,) + result.p_star[1:]
+    clearing, infeasible = check_clearing(market, result.p_star), check_feasible(market, cut)
+    witness = infeasible.witness
+    assert digests.outcomes(market, result, [clearing, infeasible]) == (
+        result.p_star, result.revenue, result.welfare, aggregate(result.allocation, market.n),
+        [(True, True, None, clearing.max_extension_revenue, None),
+         (False, None, witness.goods, None, (witness.forced_budget, witness.capacity))],
+    )
+    floats = market.coerced(float_mode())
+    result = solve(floats)
+    cut = (result.p_star[0] / 2,) + result.p_star[1:]
+    certificates = [check_clearing(floats, result.p_star), check_feasible(floats, cut)]
+    assert digests.outcomes(floats, result, certificates) == (
+        result.p_star, [(True, True, None), (False, None, certificates[1].witness.goods)],
+    )
 
 
 BRANCHY = '''"""Module docstring."""

@@ -17,7 +17,13 @@ in exact mode and as the same market in floats, the outputs are:
 - demand_sets, check_clearing: their reprs at p* and at that start price;
 - check_feasible: its repr at the start price, at p*, and at p* with each
   coordinate in turn times 99/100 in the market's mode (the minimality
-  suite's cuts, which are infeasible, so their witnesses are digested too).
+  suite's cuts, which are infeasible, so their witnesses are digested too);
+- outcomes: what does not depend on which bundles an allocation hands
+  out. In both modes: p* and each digested check's verdicts and witness
+  goods. In exact mode also: solve's revenue, welfare and per-good sales
+  (the same for every clearing allocation), and each check's max-extension
+  revenue and its witness's forced budget and capacity. Float sums of
+  these depend on the order of their terms, so float mode leaves them out.
 
 The families are the seed-0 6x6 acceptance battery, random_market draws
 12345/8x4 #0-59 and Random(7) 6x6 #0-39, crowd_market draws from Random(100)
@@ -49,7 +55,9 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUTS = ("answers", "solve", "descent", "demand_sets", "check_clearing", "check_feasible")
+OUTPUTS = (
+    "answers", "solve", "descent", "demand_sets", "check_clearing", "check_feasible", "outcomes",
+)
 
 
 def import_program(src: Path):
@@ -80,15 +88,38 @@ def market_digests(markets) -> dict:
                              result.clearing_certificate, result.efficiency_certificate))
             feed("solve", result)
             feed("descent", q.lattice_descent(m, start))
+            certificates = []
             for p in (result.p_star, start):
                 feed("demand_sets", q.demand_sets(m, p))
-                feed("check_clearing", q.check_clearing(m, p))
+                certificates.append(q.check_clearing(m, p))
+                feed("check_clearing", certificates[-1])
             cut = Fraction(99, 100) if m.mode.is_exact else 0.99
             p_star = result.p_star
             cuts = [p_star[:j] + (p_star[j] * cut,) + p_star[j + 1:] for j in range(m.n)]
             for p in (start, p_star, *cuts):
-                feed("check_feasible", q.check_feasible(m, p))
+                certificates.append(q.check_feasible(m, p))
+                feed("check_feasible", certificates[-1])
+            feed("outcomes", outcomes(m, result, certificates))
     return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def outcomes(market, result, certificates):
+    """The `outcomes` record of one market: see the module docstring."""
+    import qfmarket as q
+
+    exact = market.mode.is_exact
+    checks = []
+    for cert in certificates:
+        witness = cert.witness
+        check = (cert.feasible, cert.clearing, witness and witness.goods)
+        if exact:
+            check += (cert.max_extension_revenue,
+                      witness and (witness.forced_budget, witness.capacity))
+        checks.append(check)
+    if not exact:
+        return result.p_star, checks
+    sales = q.aggregate(result.allocation, market.n)
+    return result.p_star, result.revenue, result.welfare, sales, checks
 
 
 def grid_digest(windows) -> str:
