@@ -8,9 +8,11 @@ edges to the goods maximizing its bang-per-buck, and good j absorbs at most
 p_j * s_j money. Buyers with the same bang-per-buck set are parallel in that
 network, so one node per demand pattern (a set of goods plus the money flag)
 carries their summed budget, and leaves every cut and flow value as it was.
-pattern_network builds that network, for the checks here and for the
-descent's probes alike; its node order is sorted, so buyer order never
-reaches a verdict or an allocation.
+The checks read the patterns off the demand table, grouped by its rows
+(market.demand_patterns, on which demand_sets builds too), with no
+per-buyer set. pattern_network builds that network, for the checks here
+and for the descent's probes alike; its node order is sorted, so buyer
+order never reaches a verdict or an allocation.
 
 The flow runs in two phases. Phase 1 routes strict budgets only; p is
 feasible iff they saturate. Phase 2 adds the flexible patterns and keeps
@@ -46,6 +48,7 @@ from .market import (
     Market,
     MarketError,
     PriceVector,
+    demand_patterns,
     demand_sets,
     integer_budgets,
     outcome_is_feasible,
@@ -109,7 +112,9 @@ def build_spending_graph(market: Market, p: PriceVector) -> SpendingGraph:
     read_prices reads it: on an exact market each price is the rational it
     is, so the capacities are exact too. The sets come from demand_sets in
     one pass over the buyers: integer comparisons in exact mode and one
-    numpy pass in float mode."""
+    numpy pass in float mode. The flow checks read the same prices,
+    capacities and demand, grouped by pattern, without building this
+    graph."""
     prices = read_prices(market, p)
     caps = tuple(price * good.supply for price, good in zip(prices, market.goods))
     return SpendingGraph(prices, demand_sets(market, prices), caps)
@@ -171,10 +176,11 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
     """The two-phase flow behind check_feasible (extend False) and
     check_clearing (extend True), on the pattern network (pattern_network).
 
-    The prices are those the spending graph read (graph.prices, see
-    read_prices): exact rationals on an exact market. Buyers with one
-    bang-per-buck set form one demand pattern, which carries their summed
-    budget: an int on the integer_budgets scale in exact mode, and a
+    The prices are p as read_prices reads it: exact rationals on an exact
+    market. The demand patterns are read off the demand table, grouped by
+    its rows (demand_patterns), with no per-buyer bang-per-buck set: the
+    buyers with one set form one pattern, which carries their summed
+    budget, an int on the integer_budgets scale in exact mode and a
     math.fsum in float mode, so that no sum depends on buyer order.
     Pattern order[i] is the network's left node 1 + i and good j its right
     node len(order) + j (see pattern_network).
@@ -190,15 +196,13 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
     each spend their whole budget, and every other buyer at most its own.
     """
     require_valid(market)
-    graph = build_spending_graph(market, p)
+    prices, _, _, members = demand_patterns(market, p)  # pattern -> its buyers
+    capacities = [price * good.supply for price, good in zip(prices, market.goods)]
     exact = market.mode.is_exact
     budgets = integer_budgets(market)[1] if exact else [b.budget for b in market.buyers]
-    members = {}  # pattern -> its buyers
-    for i, bpb in enumerate(graph.bpb):
-        members.setdefault(bpb.goods, []).append(i)
     total = sum if exact else math.fsum
     patterns = {goods: total(budgets[i] for i in buyers) for goods, buyers in members.items()}
-    net, order, routed, unit, slack = pattern_network(market, patterns, graph.capacities)
+    net, order, routed, unit, slack = pattern_network(market, patterns, capacities)
     strict = [node for node, goods in enumerate(order, start=1) if MONEY not in goods]
     strict_flow = net.max_flow()
     if not sum(routed[node - 1] for node in strict) - strict_flow <= slack:
@@ -206,7 +210,7 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
         goods = tuple(j for j in range(1, market.n + 1) if reach[len(order) + j])
         forced = sum(routed[node - 1] for node in strict if reach[node])
         forced = Fraction(forced, unit) if exact else forced
-        capacity = sum(graph.capacities[j - 1] for j in goods)
+        capacity = sum(capacities[j - 1] for j in goods)
         witness = OverDemandWitness(goods, forced, capacity)
         return FeasibilityCertificate(False, False if extend else None, None, witness)
     revenue = clearing = None
@@ -216,8 +220,8 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
                 net.add_edge(net.source, node, routed[node - 1])
         revenue = strict_flow + net.max_flow()
         revenue = Fraction(revenue, unit) if exact else revenue
-        clearing = sum(graph.capacities) - revenue <= slack
-    zeros = [0 * price for price in graph.prices]
+        clearing = sum(capacities) - revenue <= slack
+    zeros = [0 * price for price in prices]
     bundles = [list(zeros) for _ in range(market.m)]
     for node, goods in enumerate(order, start=1):
         whole = patterns[goods]
@@ -226,7 +230,7 @@ def _flow_check(market: Market, p: PriceVector, extend: bool) -> FeasibilityCert
             if eid & 1 or not flow:  # the source edge's reverse, or no spend
                 continue
             k = net.to[eid] - len(order) - 1
-            price = graph.prices[k]
+            price = prices[k]
             for i in members[goods]:
                 if exact:
                     share = flow * budgets[i] * price.denominator

@@ -9,17 +9,19 @@ Conventions used throughout the package:
   entry k belongs to good k+1.
 * a buyer is "strict" at prices p if money is not among its bang-per-buck
   maximizers, in which case any demanded bundle spends the full budget.
-* market-level demand questions go through demand_sets, which reads p with
-  read_prices: the flow checks' spending graph and outcome_is_feasible both
-  do, so a float price on an exact market is the rational it is in each.
+* market-level demand questions go through demand_patterns, which reads p
+  with read_prices and groups the buyers by demand set: the flow checks read
+  its groups, and demand_sets (which the spending graph and
+  outcome_is_feasible read) builds each buyer's set on them, so a float
+  price on an exact market is the rational it is in each.
   bang_per_buck answers for one buyer at p exactly as given, with a tie
   band of the caller's choosing. No module calls it: it is the single-buyer
   reference that tests hold demand_sets to.
 * demand has one formula in both modes, demand_lattice: a table of ratios,
   v / p in floats or, in exact mode, integers that are the ratios times one
   positive integer per price point, then bang_per_buck's tie band.
-  demand_sets reads it at one price, and grid scans across a whole lattice
-  whose prices they scaled to integers once (mode_array).
+  demand_patterns reads it at one price, and grid scans across a whole
+  lattice whose prices they scaled to integers once (mode_array).
 """
 
 from __future__ import annotations
@@ -353,35 +355,61 @@ def read_prices(market: Market, p: PriceVector) -> PriceVector:
     return tuple([x if type(x) is Fraction else Fraction(x) for x in p])
 
 
+def demand_patterns(market: Market, p: PriceVector):
+    """(prices, best, one, patterns): every buyer's demand at p, grouped by
+    demand pattern, the one grouping that demand_sets and the flow checks
+    read.
+
+    prices is p as read_prices reads it (a float on an exact market is the
+    rational it is, as every check reads it). best and one are
+    demand_lattice's at that one point, in exact mode after scaling the
+    prices to integers P / unit (mode_array): best holds each buyer's
+    largest ratio, money's included, as a list, and best / one is the exact
+    best ratio. patterns maps each distinct demand set, a frozenset of
+    1-based goods that holds MONEY when money is demanded, to its buyers'
+    indices in buyer order. Buyers are grouped by the bytes of their rows of
+    demand_lattice's table, so each distinct set is built once.
+    """
+    prices = read_prices(market, p)
+    unit, scaled = mode_array(market, prices)
+    best, one, demanded = demand_lattice(market, scaled, unit)
+    width = market.n + 1
+    rows = demanded.T.tobytes()  # per buyer: money, then goods 1..n
+    by_row = {}
+    for i, start in enumerate(range(0, len(rows), width)):
+        by_row.setdefault(rows[start:start + width], []).append(i)
+    patterns = {
+        frozenset(j for j, on in enumerate(row) if on): buyers for row, buyers in by_row.items()
+    }
+    return prices, best.tolist(), one, patterns
+
+
 def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
     """Every buyer's bang-per-buck set at p, ties read at the market mode's
     tolerance: field for field what bang_per_buck(buyer, p, market.mode.tol)
     returns, at a fraction of its cost. Buyers whose sets and best ratios
     agree share one (immutable) set.
 
-    p is read with read_prices, as the clearing checks read it (a float on
-    an exact market as the rational it is), and scaled to integers
-    P / unit in exact mode; demand_lattice then reads the sets at this one
-    point. A best ratio above money's is the set's max_ratio: best / one, a
-    Fraction, in exact mode, and the float ratio itself in float mode.
+    The sets are demand_patterns' (p read with read_prices, as the clearing
+    checks read it). A best ratio above money's is the set's max_ratio:
+    best / one, a Fraction, in exact mode, and the float ratio itself in
+    float mode.
     """
-    unit, prices = mode_array(market, read_prices(market, p))
-    best, one, demanded = demand_lattice(market, prices, unit)
-    width = market.n + 1
-    rows = demanded.T.tobytes()  # per buyer: money, then goods 1..n
-    shared = {}
-    sets = []
-    for start, ratio in zip(range(0, len(rows), width), best.tolist()):
-        key = (rows[start:start + width], ratio)
-        bpb = shared.get(key)
-        if bpb is None:
-            goods = frozenset(j for j, on in enumerate(key[0]) if on)
-            if ratio <= one:
-                ratio = 1
-            elif market.mode.is_exact:
-                ratio = Fraction(ratio, one)
-            bpb = shared[key] = BangPerBuckSet(goods, ratio)
-        sets.append(bpb)
+    _, best, one, patterns = demand_patterns(market, p)
+    sets = [None] * market.m
+    for goods, buyers in patterns.items():
+        shared = {}  # a best ratio -> its set
+        for i in buyers:
+            ratio = best[i]
+            bpb = shared.get(ratio)
+            if bpb is None:
+                max_ratio = ratio
+                if ratio <= one:
+                    max_ratio = 1
+                elif market.mode.is_exact:
+                    max_ratio = Fraction(ratio, one)
+                bpb = shared[ratio] = BangPerBuckSet(goods, max_ratio)
+            sets[i] = bpb
     return tuple(sets)
 
 

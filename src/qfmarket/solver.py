@@ -202,14 +202,31 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
     """Proportional response on a validated market's _float_image, returning
     its last iterate even on a stall.
 
-    Zero-budget buyers and inactive goods are dropped once, before the loop,
-    and every update writes into buffers allocated once. Money is the bid
-    matrix's last column, priced 1 and valued 1, so one update moves the bids
-    on goods and on money alike. Each iteration's first half (prices, units,
-    gains, utilities) is also the snapshot that the duality gap is read from
-    every _GAP_EVERY iterations.
+    Zero-budget buyers and inactive goods are dropped once, before the loop.
+    Money is the bid matrix's last column, priced 1 and valued 1, so one
+    update moves the bids on goods and on money alike. An iteration has two
+    halves: prices, then the utility each bid buys (gains) and each buyer's
+    utility u; then the bids, rescaled to gains * beta / u and held at
+    BID_FLOOR. The duality gap is read every _GAP_EVERY iterations, between
+    the halves, off the same snapshot.
 
-    The run ends at the first check where `stop` (asked first, so it sees
+    The loop sits at numpy's dispatch floor: on markets of a few goods each
+    ufunc call costs more to dispatch than to compute, so the loop is laid
+    out to make few and cheap calls. Each iteration makes eight calls, each
+    writing into a buffer allocated once (`out` passed positionally where
+    numpy allows it), and an inner loop of _GAP_EVERY iterations runs
+    between readings with no test of its own; the first half of iteration 0
+    runs before it. The reading's buffers are allocated once too. The
+    iterates must stay bit-identical to the plain loop that writes the same
+    float operations in the same order, which tests/test_eg_oracle.py keeps
+    as its reference: so the units bought are the bids over the prices and
+    then times the values (never the bids times values over prices), and
+    the bid matrix is column-major, so that each price's bid sum adds along
+    contiguous memory in numpy's pairwise order over buyers. Row-major sums
+    add row by row and move the iterates of markets with eight or more
+    buyers in their last bits.
+
+    The run ends at the first reading where `stop` (asked first, so it sees
     the final iterate) answers True, the gap is at most `target`, or max_iter
     iterations have run. stop(buyers, goods, bids, p) gets the indices of the
     live buyers and active goods, their bids (money last) and goods' prices.
@@ -217,17 +234,13 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
     beta_all, supply_all, values_all = image
     m, n = values_all.shape
     live = np.flatnonzero(beta_all > 0)
-    active = [
-        k for k in range(n) if supply_all[k] > 0 and np.any(values_all[live, k] > 0)
-    ]
+    values = values_all[live]
+    active = np.flatnonzero((supply_all > 0) & (values > 0).any(axis=0)).tolist()
     beta = beta_all[live]
     s = supply_all[active]
     na = len(active)
-    # Column-major: each price's bid sum then adds along contiguous memory
-    # in numpy's pairwise order. Row-major sums add row by row and move the
-    # iterates of markets with eight or more buyers in their last bits.
     va = np.ones((len(live), na + 1), order="F")
-    va[:, :na] = values_all[np.ix_(live, active)]
+    va[:, :na] = values[:, active]
 
     valued = va > 0
     shares = 1.0 / valued.sum(axis=1)
@@ -237,54 +250,70 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 
     p = np.ones(na + 1)  # the last entry is money's price
     goods_p = p[:na]
-    x = np.empty_like(bids)  # bids / p: units bought
-    gains = np.empty_like(bids)  # utility each bid buys
+    gains = np.empty_like(bids)  # bids / p, then times va: the utility each bid buys
     u = np.empty(len(live))
     scale = np.empty(len(live))
     scale_col = scale[:, None]
-    add_reduce, divide, multiply, maximum = np.add.reduce, np.divide, np.multiply, np.maximum
+    ratios = np.empty_like(bids)  # the reading's va / p
+    best = np.empty(len(live))  # the reading's largest ratio per buyer
+    terms = np.empty(len(live))
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+    divide, multiply, maximum, subtract, log, dot = (
+        np.divide, np.multiply, np.maximum, np.subtract, np.log, np.dot)
     gap = float("inf") if na else 0.0
     iterations = 0
+    if na:  # iteration 0's first half
+        add_reduce(goods_bids, 0, None, goods_p)
+        divide(goods_p, s, goods_p)
+        divide(bids, p, gains)
+        multiply(va, gains, gains)
+        add_reduce(gains, 1, None, u)
     while na:
-        add_reduce(goods_bids, axis=0, out=goods_p)
-        goods_p /= s
-        divide(bids, p, out=x)
-        multiply(va, x, out=gains)
-        add_reduce(gains, axis=1, out=u)
-        if iterations and iterations % _GAP_EVERY == 0:
-            # x sells exactly s at these p, and u = v.x + money, so the
-            # primal value is genuine.
-            primal = float(np.dot(beta, np.log(u)) - money.sum())
-            rmax = (va / p).max(axis=1)  # at least money's 1
-            dual = float(np.dot(goods_p, s) + (beta * np.log(beta * rmax) - beta).sum())
-            gap = dual - primal
-            if stop is not None and stop(live, active, bids, goods_p):
-                break
-            if gap <= target or iterations >= max_iter:
-                break
-        divide(beta, u, out=scale)
-        multiply(gains, scale_col, out=bids)
-        maximum(bids, floor, out=bids)
-        iterations += 1
+        for _ in range(_GAP_EVERY):
+            divide(beta, u, scale)
+            multiply(gains, scale_col, bids)
+            maximum(bids, floor, out=bids)
+            add_reduce(goods_bids, 0, None, goods_p)
+            divide(goods_p, s, goods_p)
+            divide(bids, p, gains)
+            multiply(va, gains, gains)
+            add_reduce(gains, 1, None, u)
+        iterations += _GAP_EVERY
+        # bids / p sells exactly s at these p, and u = v.x + money, so the
+        # primal value is genuine.
+        log(u, terms)
+        primal = float(dot(beta, terms) - money.sum())
+        divide(va, p, ratios)
+        max_reduce(ratios, 1, None, best)  # at least money's 1
+        multiply(beta, best, terms)
+        log(terms, terms)
+        multiply(beta, terms, terms)
+        subtract(terms, beta, terms)
+        gap = float(dot(goods_p, s) + terms.sum()) - primal
+        if stop is not None and stop(live, active, bids, goods_p):
+            break
+        if gap <= target or iterations >= max_iter:
+            break
 
     prices = np.zeros(n)
     prices[active] = goods_p
-    rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
-    for k in range(n):
-        if k not in active:
+    idle = [k for k in range(n) if k not in active]
+    if idle:
+        rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
+        for k in idle:
             # Lowest price at which nobody strictly prefers good k to their
             # current best ratio; positive because someone values k.
             valued = values_all[:, k] > 0
             prices[k] = (values_all[valued, k] / rmax[valued]).max()
     allocation = np.zeros((m, n))
-    allocation[np.ix_(live, active)] = x[:, :na]
+    allocation[live[:, None], active] = goods_bids / goods_p
     leftover = np.zeros(m)
     leftover[live] = money
     return EGSolution(
         allocation=tuple(map(tuple, allocation.tolist())),
         leftover=tuple(leftover.tolist()),
         prices=tuple(prices.tolist()),
-        duality_gap=float(gap),
+        duality_gap=gap,
         iterations=iterations,
     )
 
@@ -391,10 +420,17 @@ class _Support:
     held counts the iterations since the candidate's first reading.
     Clearing prices are unique, so a candidate that clears is p* however
     far p still is from it, and waiting for the prices only delays that one
-    check. Each distinct candidate is
-    checked at most once. The answer is True, and the run stops, when a check
-    clears or when every price agrees with the candidate, cleared or not.
-    `cleared` is (candidate, certificate) once a check has cleared, else None.
+    check. Each distinct candidate is checked at most once. The answer is
+    True, and the run stops, when a check clears or when every price agrees
+    with the candidate, cleared or not. `cleared` is (candidate,
+    certificate) once a check has cleared, else None.
+
+    A reading costs little next to _GAP_EVERY iterations, and is kept so:
+    the supports are re-read only when the mask's bytes change; the agree
+    and gap test on the at most n prices runs on Python floats, which make
+    the same float operations as numpy would, in one pass; and a candidate
+    is looked up among the failed ones once, when it appears, since hashing
+    a tuple of Fractions costs more than the rest of the reading.
     """
 
     def __init__(self, twin: Market):
@@ -403,8 +439,9 @@ class _Support:
         self.cleared = None
         self._held = 0  # iterations the candidate has stayed the same
         self._failed = set()  # candidates whose clearing check failed
+        self._checked = False  # whether the candidate's check has run
         self._mask = None  # the bytes of the last supports' boolean mask
-        self._target = None  # the candidate's prices of the goods asked about
+        self._target = None  # the candidate's prices of the goods asked about, as floats
         self._gap = None  # the prices' largest relative gap to it at the last call
 
     def __call__(self, buyers, goods, bids, p) -> bool:
@@ -430,20 +467,26 @@ class _Support:
                 self._gap = None
                 self._target = None
                 if candidate is not None:
-                    self._target = np.array([float(candidate[k]) for k in goods])
+                    self._checked = candidate in self._failed
+                    self._target = [float(candidate[k]) for k in goods]
         target = self._target
         if target is None:
             return False
-        diff = np.abs(p - target)
-        agrees = bool((diff <= _AGREE * target).all())
-        gap, last = float((diff / target).max()), self._gap
-        self._gap = gap
+        gap, agrees = 0.0, True
+        for price, aim in zip(p.tolist(), target):
+            diff = abs(price - aim)
+            if not diff <= _AGREE * aim:
+                agrees = False
+            if diff / aim > gap:
+                gap = diff / aim
+        last, self._gap = self._gap, gap
         # The prices agree, or cannot agree by _SETTLE at the rate last read.
         due = agrees or last is not None and (
             gap >= last
             or _GAP_EVERY * math.log(_AGREE / gap) / math.log(gap / last) > _SETTLE - self._held
         )
-        if due and self.candidate not in self._failed:
+        if due and not self._checked:
+            self._checked = True
             cert = check_clearing(self.twin, self.candidate)
             if cert.clearing:
                 self.cleared = (self.candidate, cert)

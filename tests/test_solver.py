@@ -674,6 +674,42 @@ def test_the_descent_from_p_star_takes_no_step():
             assert (trace.steps, trace.probes, trace.final) == ((), 1, p_star), (seed, draw)
 
 
+def _digest_family(workloads, family):
+    """The markets of one of the other families of tools/digests.py, drawn
+    as it draws them from perfbench's workload generators."""
+    if family == "crowd-100":
+        return [workloads.crowd_market(random.Random(100), m, n)
+                for m, n in ((50, 3), (120, 4), (200, 4))]
+    if family == "crowd-11":
+        rng = random.Random(11)
+        return [workloads.crowd_market(rng, 100, 4) for _ in range(3)]
+    if family == "ladder-100":
+        rng = random.Random(100)
+        return [workloads.crowd_market(rng, m, n) for m, n in ((200, 4), (500, 4), (1000, 8))]
+    if family == "bench-crowd":
+        return workloads.crowd_base()
+    return [market for market, _, _ in workloads.region_base()]
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "family", ["crowd-100", "crowd-11", "ladder-100", "bench-crowd", "bench-region"]
+)
+def test_the_descent_from_p_star_takes_no_step_on_the_digest_families(family, mode, monkeypatch):
+    """test_the_descent_from_p_star_takes_no_step on the other families of
+    tools/digests.py, in both modes. The descent starts from the exact p*
+    of the market's rational twin, since a float p* read as the rational it
+    is may lie just below p*, where the start is infeasible; it ends at
+    solve's p* in the market's own mode."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for index, market in enumerate(_digest_family(workloads, family)):
+        market = market.coerced(mode)
+        p_star = solve(market).p_star
+        trace = lattice_descent(market, solve(market.rational_twin()).p_star)
+        assert (trace.steps, trace.probes, trace.final) == ((), 1, p_star), index
+
+
 def test_descent_probe_count_stays_small_on_eight_goods():
     """The subset sweep spent 74,946 probes on this 9x8 market."""
     market = _draw(5, 22, 10, 8)
