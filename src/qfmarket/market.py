@@ -35,7 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numeric import EXACT, Number, NumericMode, scale_to_integers
+from .numeric import EXACT, Number, NumericMode, format_number, scale_to_integers
 
 __all__ = [
     "BangPerBuckSet",
@@ -144,11 +144,12 @@ class Market:
 
     def coerced(self, mode: NumericMode) -> "Market":
         """The same market with every number brought into `mode`."""
-        goods = tuple(Good(g.name, mode.coerce(g.supply)) for g in self.goods)
-        buyers = tuple(
-            Buyer(b.name, tuple(mode.coerce(v) for v in b.values), mode.coerce(b.budget))
+        coerce = mode.coerce
+        goods = tuple([Good(g.name, coerce(g.supply)) for g in self.goods])
+        buyers = tuple([
+            Buyer(b.name, tuple([coerce(v) for v in b.values]), coerce(b.budget))
             for b in self.buyers
-        )
+        ])
         return Market(goods, buyers, mode)
 
     @cached_property
@@ -212,9 +213,9 @@ class BangPerBuckSet:
         return MONEY not in self.goods
 
 
-def _finite(x: Number) -> bool:
-    """False for infinities and NaN; a Fraction of any size is finite."""
-    return -math.inf < x < math.inf
+# float() converts an int exactly when its size is below this; a larger one
+# is beyond the float range.
+_FLOAT_INTS = 2**1024 - 2**970
 
 
 def _violations(market: Market) -> list:
@@ -224,15 +225,29 @@ def _violations(market: Market) -> list:
 
     def check(x, owner, what, shown=True):
         # An exact market holds ints (not bools) and Fractions only, a float
-        # market ints (not bools) and floats, numpy's float64 among them.
-        if exact and type(x) not in (int, Fraction):
-            violations.append(f"{owner}: {what} {x!r} is not an int or a Fraction in an exact market")
-        elif not exact and type(x) is not int and not isinstance(x, float):
+        # market ints (not bools) within the float range and floats, numpy's
+        # float64 among them. Each number's type decides its test: an int or
+        # a Fraction is finite, and a float is finite and nonnegative exactly
+        # when 0.0 <= x < inf, so only a failing float is asked which
+        # message it gets.
+        kind = type(x)
+        if exact:
+            if kind is not int and kind is not Fraction:
+                violations.append(f"{owner}: {what} {x!r} is not an int or a Fraction in an exact market")
+            elif x.numerator < 0:
+                violations.append(f"{owner}: negative {what}" + f" {x}" * shown)
+        elif kind is float or (kind is not int and isinstance(x, float)):
+            if not 0.0 <= x < math.inf:
+                problem = "negative" if -math.inf < x < 0 else "non-finite"
+                violations.append(f"{owner}: {problem} {what}" + f" {x}" * shown)
+        elif kind is not int:
             violations.append(f"{owner}: {what} {x!r} is not an int or a float in a float market")
-        elif not _finite(x):
-            violations.append(f"{owner}: non-finite {what}" + f" {x}" * shown)
         elif x < 0:
             violations.append(f"{owner}: negative {what}" + f" {x}" * shown)
+        elif x >= _FLOAT_INTS:
+            violations.append(
+                f"{owner}: {what} {format_number(x)} is beyond the float range in a float market"
+            )
 
     if market.n < 1:
         violations.append("market: needs at least one good")
@@ -318,7 +333,7 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
 def check_prices(p: PriceVector, n: int) -> None:
     """PriceDomainError unless p holds n positive, finite prices. A Fraction
     of any size is finite, so only its sign is read (its denominator is
-    positive); any other entry is compared as _finite does."""
+    positive); any other entry must lie in 0 < x < inf."""
     if len(p) != n:
         raise PriceDomainError(f"{len(p)} prices for {n} goods")
     for entry in p:

@@ -36,6 +36,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +88,11 @@ def _token_is_exact(token) -> bool:
 
 def _number(token, mode, path, what=None) -> Number:
     """Parse one token; when `what` names it, it must be nonnegative. path()
-    builds the token's path, only for an error."""
+    builds the token's path, only for an error. A float token in float mode
+    is taken after one range test; every other token, and a float that
+    fails the test, is parse_number's."""
+    if type(token) is float and 0.0 <= token < math.inf and not mode.is_exact:
+        return token
     try:
         value = parse_number(token, mode)
     except ValueError as exc:

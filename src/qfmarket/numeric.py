@@ -71,26 +71,28 @@ class NumericMode:
         digits rounds to a float of its own, so the shortest repr names that
         exact value too. Every other float is read through Decimal(repr(x)),
         at about 1.7 times the cost. A non-finite float is refused with
-        ValueError.
+        ValueError. A plain float, the common case of a twin, meets no
+        isinstance test on its way.
         """
-        if self.is_exact:
+        if not self.is_exact:
+            return float(value)
+        if type(value) is not float:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise ValueError(f"cannot coerce non-finite {value!r} to rational")
-                num, den = value.as_integer_ratio()
-                five = _FIVE_POWERS.get(den)
-                if five is not None and abs(num) * five < _FIFTEEN_DIGITS:
-                    return Fraction(num, den)
-                # Fraction(Decimal(...)) reads a repr about 3x faster than
-                # Fraction(repr(value)). float's own repr, since a subclass
-                # such as numpy's float64 may print itself otherwise.
-                return Fraction(Decimal(float.__repr__(value)))
-            if isinstance(value, int):
-                return Fraction(value)
-            raise TypeError(f"cannot coerce {type(value).__name__} to rational")
-        return float(value)
+            if not isinstance(value, float):
+                if isinstance(value, int):
+                    return Fraction(value)
+                raise TypeError(f"cannot coerce {type(value).__name__} to rational")
+        if not math.isfinite(value):
+            raise ValueError(f"cannot coerce non-finite {value!r} to rational")
+        num, den = value.as_integer_ratio()
+        five = _FIVE_POWERS.get(den)
+        if five is not None and abs(num) * five < _FIFTEEN_DIGITS:
+            return Fraction(num, den)
+        # Fraction(Decimal(...)) reads a repr about 3x faster than
+        # Fraction(repr(value)). float's own repr, since a subclass such as
+        # numpy's float64 may print itself otherwise.
+        return Fraction(Decimal(float.__repr__(value)))
 
 
 EXACT = NumericMode(EXACT_KIND)

@@ -549,13 +549,21 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     The walk stops when D is empty, which proves minimality (see the module
     docstring). The start is read as the market's own checks read it (see
     read_prices) and then brought onto the twin: on an exact market a float
-    start is the rational it is, as check_feasible reads it. probes counts
+    start is the rational it is, as check_feasible reads it, and on a float
+    market each float start is the rational its shortest decimal names (see
+    NumericMode.coerce). A float market's own p* is rounded, so that reading
+    can lie just below the exact p* in some coordinate, where it is
+    infeasible: start such a descent from the twin's p* instead. The
+    InfeasibleStartError of a float market names the twin. probes counts
     the max flows; the trace's prices are in the market's own numeric mode.
     """
     twin = market.rational_twin()
     p = tuple(map(EXACT.coerce, read_prices(market, p0)))
     if not check_feasible(twin, p).feasible:
-        raise InfeasibleStartError(f"start price {tuple(p0)!r} is not feasible")
+        where = "" if market.mode.is_exact else (
+            " on the rational twin, each float read as its shortest decimal"
+        )
+        raise InfeasibleStartError(f"start price {tuple(p0)!r} is not feasible{where}")
     start = p
     every = frozenset(range(1, market.n + 1))
     steps = []

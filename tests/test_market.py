@@ -1,6 +1,7 @@
 """Market types, validation, and the budget-constrained demand correspondence."""
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from qfmarket.market import (
     strip_worthless_goods,
     validate_market,
 )
+from qfmarket.feasibility import check_clearing
 from qfmarket.numeric import EXACT, float_mode
 from qfmarket.proptest import random_market
 from qfmarket.solver import solve
@@ -487,3 +489,169 @@ def test_lattice_demand_is_demand_sets_and_bang_per_buck(mode):
             ties += any(len(s.goods) > 1 for s in expected)
     assert checked >= (4500 if mode.is_exact else 3900)
     assert ties >= checked // 2
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: not a Fraction to validation."""
+
+
+# Per mode and number: every violation of a market that holds the number as
+# good A's supply, buyer b's budget and b's value for good B, in order. Buyer
+# c values both goods, so no good is worthless.
+_VIOLATIONS = {
+    "exact": {
+        "bool": (True, [
+            "good A: supply True is not an int or a Fraction in an exact market",
+            "buyer b: budget True is not an int or a Fraction in an exact market",
+            "buyer b: value for good B True is not an int or a Fraction in an exact market",
+        ]),
+        "Fraction subclass": (_Ratio(1, 2), [
+            "good A: supply _Ratio(1, 2) is not an int or a Fraction in an exact market",
+            "buyer b: budget _Ratio(1, 2) is not an int or a Fraction in an exact market",
+            "buyer b: value for good B _Ratio(1, 2) is not an int or a Fraction in an exact market",
+        ]),
+        "float32": (np.float32(0.5), [
+            "good A: supply np.float32(0.5) is not an int or a Fraction in an exact market",
+            "buyer b: budget np.float32(0.5) is not an int or a Fraction in an exact market",
+            "buyer b: value for good B np.float32(0.5) is not an int or a Fraction in an exact market",
+        ]),
+        "Decimal": (Decimal("0.5"), [
+            "good A: supply Decimal('0.5') is not an int or a Fraction in an exact market",
+            "buyer b: budget Decimal('0.5') is not an int or a Fraction in an exact market",
+            "buyer b: value for good B Decimal('0.5') is not an int or a Fraction in an exact market",
+        ]),
+        "float": (0.5, [
+            "good A: supply 0.5 is not an int or a Fraction in an exact market",
+            "buyer b: budget 0.5 is not an int or a Fraction in an exact market",
+            "buyer b: value for good B 0.5 is not an int or a Fraction in an exact market",
+        ]),
+        "nan": (float("nan"), [
+            "good A: supply nan is not an int or a Fraction in an exact market",
+            "buyer b: budget nan is not an int or a Fraction in an exact market",
+            "buyer b: value for good B nan is not an int or a Fraction in an exact market",
+        ]),
+        "negative int": (-2, [
+            "good A: negative supply -2",
+            "buyer b: negative budget -2",
+            "buyer b: negative value for good B",
+        ]),
+        "negative Fraction": (F(-1, 3), [
+            "good A: negative supply -1/3",
+            "buyer b: negative budget -1/3",
+            "buyer b: negative value for good B",
+        ]),
+        "huge int": (10**400, []),
+        "Fraction": (F(1, 3), []),
+        "zero": (0, []),
+    },
+    "float": {
+        "bool": (True, [
+            "good A: supply True is not an int or a float in a float market",
+            "buyer b: budget True is not an int or a float in a float market",
+            "buyer b: value for good B True is not an int or a float in a float market",
+        ]),
+        "Fraction": (F(1, 2), [
+            "good A: supply Fraction(1, 2) is not an int or a float in a float market",
+            "buyer b: budget Fraction(1, 2) is not an int or a float in a float market",
+            "buyer b: value for good B Fraction(1, 2) is not an int or a float in a float market",
+        ]),
+        "float32": (np.float32(0.5), [
+            "good A: supply np.float32(0.5) is not an int or a float in a float market",
+            "buyer b: budget np.float32(0.5) is not an int or a float in a float market",
+            "buyer b: value for good B np.float32(0.5) is not an int or a float in a float market",
+        ]),
+        "Decimal": (Decimal("0.5"), [
+            "good A: supply Decimal('0.5') is not an int or a float in a float market",
+            "buyer b: budget Decimal('0.5') is not an int or a float in a float market",
+            "buyer b: value for good B Decimal('0.5') is not an int or a float in a float market",
+        ]),
+        "nan": (float("nan"), [
+            "good A: non-finite supply nan",
+            "buyer b: non-finite budget nan",
+            "buyer b: non-finite value for good B",
+        ]),
+        "inf": (float("inf"), [
+            "good A: non-finite supply inf",
+            "buyer b: non-finite budget inf",
+            "buyer b: non-finite value for good B",
+        ]),
+        "-inf": (float("-inf"), [
+            "good A: non-finite supply -inf",
+            "buyer b: non-finite budget -inf",
+            "buyer b: non-finite value for good B",
+        ]),
+        "float64 nan": (np.float64("nan"), [
+            "good A: non-finite supply nan",
+            "buyer b: non-finite budget nan",
+            "buyer b: non-finite value for good B",
+        ]),
+        "negative float": (-0.5, [
+            "good A: negative supply -0.5",
+            "buyer b: negative budget -0.5",
+            "buyer b: negative value for good B",
+        ]),
+        "negative int": (-2, [
+            "good A: negative supply -2",
+            "buyer b: negative budget -2",
+            "buyer b: negative value for good B",
+        ]),
+        "negative huge int": (-(10**400), [
+            f"good A: negative supply {-(10**400)}",
+            f"buyer b: negative budget {-(10**400)}",
+            "buyer b: negative value for good B",
+        ]),
+        "float64": (np.float64(0.5), []),
+        "negative zero": (-0.0, []),
+        "subnormal": (5e-324, []),
+        "largest float": (sys.float_info.max, []),
+        "int": (3, []),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode, label", [(mode, label) for mode, cases in _VIOLATIONS.items() for label in cases]
+)
+def test_validate_market_pins_each_message_by_mode_and_type(mode, label):
+    x, expected = _VIOLATIONS[mode][label]
+    one = 1 if mode == "exact" else 1.0
+    market = Market(
+        (Good("A", x), Good("B", one)),
+        (Buyer("b", (one, x), x), Buyer("c", (one, one), one)),
+        EXACT if mode == "exact" else float_mode(),
+    )
+    assert validate_market(market) == expected
+
+
+def test_an_int_beyond_the_float_range_is_a_float_market_violation():
+    """A float market used to validate an int value of 10**400, and solve
+    and check_clearing then died with a bare OverflowError ("int too large
+    to convert to float"); with that supply, solve raised PriceDomainError
+    on a price of 0.0. The loader refuses such tokens as beyond the float
+    range, and validation now does too, so solve refuses the market."""
+    huge = 10**400
+    value = Market((Good("A", 1),), (Buyer("b", (huge,), 1),), float_mode())
+    supply = Market((Good("A", huge),), (Buyer("b", (1,), 1),), float_mode())
+    assert validate_market(value) == [
+        "buyer b: value for good A 1e+400 is beyond the float range in a float market"
+    ]
+    assert validate_market(supply) == [
+        "good A: supply 1e+400 is beyond the float range in a float market"
+    ]
+    for market in (value, supply):
+        message = "invalid market: " + validate_market(market)[0]
+        with pytest.raises(MarketError) as refused:
+            solve(market)
+        assert str(refused.value) == message
+        with pytest.raises(MarketError) as refused:
+            check_clearing(market, (1.0,))
+        assert str(refused.value) == message
+    # The edge is float()'s own: the largest int it converts is valid.
+    edge = 2**1024 - 2**970
+    assert float(edge - 1) == sys.float_info.max
+    assert validate_market(Market((Good("A", edge - 1),), (Buyer("b", (1,), 1),), float_mode())) == []
+    with pytest.raises(OverflowError):
+        float(edge)
+    assert validate_market(Market((Good("A", edge),), (Buyer("b", (1,), 1),), float_mode()))
+    # An exact market holds any int.
+    assert validate_market(value.coerced(EXACT)) == []

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import random
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -314,3 +316,113 @@ def test_every_format_reads_the_same_market():
             ]
             assert loaded.market.mode == EXACT
         assert [loaded.kind for loaded in loads] == ["market", "arctic", "market", "arctic"]
+
+
+# Each token kind of the loader, handed in as a decoded document so that
+# Fractions, nan and inf arrive as Python objects.
+_TOKENS = {
+    "float": 0.75,
+    "zero": 0.0,
+    "negative zero": -0.0,
+    "subnormal": 5e-324,
+    "largest float": sys.float_info.max,
+    "int": 3,
+    "huge int": 10**400,
+    "ratio string": "3/5",
+    "decimal string": "0.25",
+    "Fraction": F(3, 5),
+    "bool": True,
+    "None": None,
+    "negative float": -1.0,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+
+_NONNEGATIVE = "{path}: {what} must be nonnegative"
+
+# Per token kind and mode (None infers it): the number the token loads to, or
+# the refusal's whole message, {path} and {what} naming the token's slot.
+_LOADED = {
+    "float": {None: 0.75, "float": 0.75, "exact": F(3, 4)},
+    "zero": {None: 0.0, "float": 0.0, "exact": F(0)},
+    "negative zero": {None: -0.0, "float": -0.0, "exact": F(0)},
+    "subnormal": {None: 5e-324, "float": 5e-324, "exact": F(Decimal("5e-324"))},
+    "largest float": {
+        None: sys.float_info.max,
+        "float": sys.float_info.max,
+        "exact": F(Decimal(repr(sys.float_info.max))),
+    },
+    "int": {None: F(3), "float": 3.0, "exact": F(3)},
+    "huge int": {
+        None: F(10**400),
+        "float": "{path}: number " + repr(10**400) + " is beyond the float range",
+        "exact": F(10**400),
+    },
+    "ratio string": {None: F(3, 5), "float": 0.6, "exact": F(3, 5)},
+    "decimal string": {None: F(1, 4), "float": 0.25, "exact": F(1, 4)},
+    "Fraction": {None: F(3, 5), "float": 0.6, "exact": F(3, 5)},
+    "bool": dict.fromkeys((None, "float", "exact"), "{path}: bad numeric literal True"),
+    "None": dict.fromkeys((None, "float", "exact"), "{path}: bad numeric literal None"),
+    "negative float": dict.fromkeys((None, "float", "exact"), _NONNEGATIVE),
+    "nan": dict.fromkeys((None, "float", "exact"), "{path}: non-finite number nan"),
+    "inf": dict.fromkeys((None, "float", "exact"), "{path}: non-finite number inf"),
+}
+
+# Where a token goes: its path, the name a refusal gives it, and where the
+# loaded market holds it.
+_SLOTS = {
+    "value": ("buyers[0].values[1]", "values", lambda m: m.buyers[0].values[1]),
+    "budget": ("buyers[0].budget", "budget", lambda m: m.buyers[0].budget),
+    "supply": ("goods[1].supply", "supply", lambda m: m.goods[1].supply),
+}
+
+
+def _document(slot, token):
+    doc = {
+        "kind": "market",
+        "goods": [{"name": "A", "supply": 2}, {"name": "B", "supply": 3}],
+        "buyers": [
+            {"name": "b", "values": [1, 2], "budget": 1},
+            {"name": "c", "values": [3, 1], "budget": 2},
+        ],
+    }
+    if slot == "value":
+        doc["buyers"][0]["values"][1] = token
+    elif slot == "budget":
+        doc["buyers"][0]["budget"] = token
+    else:
+        doc["goods"][1]["supply"] = token
+    return doc
+
+
+def _numbers(market):
+    return [g.supply for g in market.goods] + [
+        x for b in market.buyers for x in (*b.values, b.budget)
+    ]
+
+
+@pytest.mark.parametrize("slot", sorted(_SLOTS))
+@pytest.mark.parametrize("mode", [None, "float", "exact"])
+@pytest.mark.parametrize("kind", list(_TOKENS))
+def test_each_token_kind_loads_to_its_number_or_its_refusal(kind, mode, slot):
+    """Every token kind at a value, a budget and a supply, read with no mode
+    (exact unless some token is a float), in floats and exactly: the loaded
+    numbers are the expected ones, type and sign included, or the refusal
+    is the expected whole message."""
+    path, what, read = _SLOTS[slot]
+    expected = _LOADED[kind][mode]
+    numeric_mode = {None: None, "float": float_mode(), "exact": EXACT}[mode]
+    doc = _document(slot, _TOKENS[kind])
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as refused:
+            load_market(doc, numeric_mode)
+        assert str(refused.value) == expected.format(path=path, what=what)
+        return
+    market = load_market(doc, numeric_mode).market
+    got = read(market)
+    assert (type(got), repr(got)) == (type(expected), repr(expected))
+    assert market.mode == (float_mode() if type(expected) is float else EXACT)
+    rest = [x for x in _numbers(market) if x is not got]
+    assert {type(x) for x in rest} == {type(expected)}
+    base = load_market(_document(slot, 1), market.mode).market
+    assert [x for x in _numbers(base) if x is not read(base)] == rest

@@ -131,3 +131,28 @@ def test_exact_coercion_reads_a_float_through_its_shortest_decimal(value):
 def test_exact_coercion_refuses_non_finite_floats_with_value_error(value):
     with pytest.raises(ValueError):
         EXACT.coerce(value)
+
+
+def test_the_rational_twin_reads_each_number_through_its_shortest_decimal():
+    """A seeded float market whose numbers fall on both sides of coerce's
+    15-digit guard, some of them numpy float64s: the twin holds, number by
+    number, the Fraction of each float's own shortest decimal."""
+    rng = random.Random(3)
+
+    def draw():
+        x = rng.choice([
+            rng.randint(0, 2**40) / 2 ** rng.randint(0, 30),  # dyadic, mostly inside the guard
+            float(f"{rng.uniform(0, 1e6):.{rng.randint(1, 17)}g}"),  # mostly outside it
+        ])
+        return np.float64(x) if rng.random() < 0.3 else x
+
+    goods = tuple(Good(f"g{j}", draw()) for j in range(4))
+    buyers = tuple(Buyer(f"b{i}", tuple(draw() for _ in goods), draw()) for i in range(60))
+    market = Market(goods, buyers, float_mode())
+    twin = market.rational_twin()
+    numbers = [g.supply for g in goods] + [x for b in buyers for x in (*b.values, b.budget)]
+    read = [g.supply for g in twin.goods] + [x for b in twin.buyers for x in (*b.values, b.budget)]
+    assert {_fifteen_digits(x) for x in numbers} == {True, False}
+    assert {type(x) for x in numbers} == {float, np.float64}
+    assert [type(x) for x in read] == [Fraction] * len(numbers)
+    assert read == [Fraction(Decimal(float.__repr__(x))) for x in numbers]

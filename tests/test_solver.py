@@ -710,6 +710,25 @@ def test_the_descent_from_p_star_takes_no_step_on_the_digest_families(family, mo
         assert (trace.steps, trace.probes, trace.final) == ((), 1, p_star), index
 
 
+def test_a_float_market_descent_from_its_own_p_star_may_be_refused_on_the_twin(monkeypatch):
+    """The descent reads a float start through its shortest decimal on the
+    rational twin. On the first crowd-100 market in floats, solve's rounded
+    p* read that way lies just below the exact p*, so the descent refuses
+    it, naming the twin; from the twin's p* it takes no step."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    market = workloads.crowd_market(random.Random(100), 50, 3).coerced(float_mode())
+    p_star = solve(market).p_star
+    assert p_star == (0.5763278962777081, 0.465495608531995, 0.5319949811794228)
+    with pytest.raises(InfeasibleStartError) as refused:
+        lattice_descent(market, p_star)
+    assert str(refused.value) == (
+        f"start price {p_star!r} is not feasible on the rational twin,"
+        " each float read as its shortest decimal"
+    )
+    assert lattice_descent(market, solve(market.rational_twin()).p_star).final == p_star
+
+
 def test_descent_probe_count_stays_small_on_eight_goods():
     """The subset sweep spent 74,946 probes on this 9x8 market."""
     market = _draw(5, 22, 10, 8)

@@ -65,6 +65,19 @@ def test_code_lines_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert rows == [["a.py", "1"], ["b.py", "2"], ["total", "3"]]
 
 
+def test_the_cli_digest_does_not_depend_on_where_the_checkout_sits(tmp_path, monkeypatch):
+    """The fixtures' reports name their input path; the digest reads it
+    relative to the checkout, so a copy of the fixtures elsewhere digests
+    the same."""
+    here = digests.cli_digest()
+    fixtures = tmp_path / "elsewhere" / "tests" / "fixtures"
+    fixtures.mkdir(parents=True)
+    for path in (digests.ROOT / "tests" / "fixtures").glob("*.json"):
+        (fixtures / path.name).write_bytes(path.read_bytes())
+    monkeypatch.setattr(digests, "ROOT", tmp_path / "elsewhere")
+    assert digests.cli_digest() == here
+
+
 def test_market_digests_repeat_and_tell_families_apart():
     def family(count):
         rng = random.Random(0)

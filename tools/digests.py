@@ -33,13 +33,15 @@ Random(11) at 100x4, a ladder from one Random(100) at 200x4, 500x4 and
 perfbench/workloads.py's generators). Also digested: the grid_scan membership
 and revenue of the acceptance battery's windows and of the `region` markets,
 in both modes, and the `--no-timestamp` solve reports of the four fixtures in
-both modes. The readers are digested too: repr((kind, market, owners)) of
+both modes, each report's input path written relative to the checkout (see
+cli_digest). The readers are digested too: repr((kind, market, owners)) of
 each fixture read by load_market with no mode, exact and in floats, and of
 one CSV table with a repeated owner and a zero-budget row read by
 load_market_csv in the same modes as a market and as arctic bids, with the
 warnings each read gives. Markets, fixtures and generators come from this
 tool's own checkout, so the two runs differ only in the qfmarket they
-import. A run takes about 10 s (2 vCPUs, Python 3.11).
+import, and two checkouts in different places print the same lines. A run
+takes about 10 s (2 vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import random
 import sys
 import warnings
@@ -136,7 +139,9 @@ def grid_digest(windows) -> str:
 
 
 def cli_digest() -> str:
-    """sha256 of the `--no-timestamp` solve reports of the four fixtures."""
+    """sha256 of the `--no-timestamp` solve reports of the four fixtures,
+    each report's input path written relative to this checkout, so the line
+    does not depend on where the checkout sits."""
     from qfmarket.cli import main
 
     h = hashlib.sha256()
@@ -145,7 +150,10 @@ def cli_digest() -> str:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(["solve", str(path), "--mode", mode, "--no-timestamp"])
-            h.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+            report = out.getvalue().replace(
+                json.dumps(str(path)), json.dumps(path.relative_to(ROOT).as_posix())
+            )
+            h.update(f"{code}\n{report}".encode("utf-8"))
     return h.hexdigest()
 
 
