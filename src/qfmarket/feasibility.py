@@ -9,8 +9,8 @@ p_j * s_j money. Buyers with the same bang-per-buck set are parallel in that
 network, so one node per demand pattern (a set of goods plus the money flag)
 carries their summed budget, and leaves every cut and flow value as it was.
 The checks read the patterns off the demand table, grouped by its rows
-(market.demand_patterns, on which demand_sets builds too), with no
-per-buyer set. pattern_network builds that network, for the checks here
+(market.demand_patterns, which demand_sets and the descent read too), with
+no per-buyer set. pattern_network builds that network, for the checks here
 and for the descent's probes alike; its node order is sorted, so buyer
 order never reaches a verdict or an allocation.
 
@@ -44,7 +44,6 @@ from .flow import FlowNetwork
 from .market import (
     MONEY,
     Allocation,
-    BangPerBuckSet,
     Market,
     MarketError,
     PriceVector,
@@ -80,7 +79,7 @@ class SpendingGraph:
     prices as it read them (see read_prices)."""
 
     prices: PriceVector
-    bpb: Tuple[BangPerBuckSet, ...]
+    bpb: Tuple[frozenset, ...]  # each buyer's set: 1-based goods, and MONEY
     capacities: Tuple[Number, ...]  # p_j * s_j per good
 
 
@@ -289,6 +288,6 @@ def meet_allocation(
     r = meet(p, q)
     b_side = {j + 1 for j in range(market.n) if p[j] >= q[j]}
     return tuple(
-        y_i if bpb.goods & b_side else x_i
-        for bpb, x_i, y_i in zip(demand_sets(market, r), x, y)
+        y_i if goods & b_side else x_i
+        for goods, x_i, y_i in zip(demand_sets(market, r), x, y)
     )

@@ -160,7 +160,7 @@ def _gale_scan(market: Market, axes):
     for start, stop in zip(seams, seams[1:]):
         idx = np.unravel_index(np.arange(start, stop), shape)
         p = np.stack([ax[i] for ax, i in zip(grid_axes, idx)])  # (n, k)
-        _, _, demanded = demand_lattice(market, p, price_unit)  # (n + 1, m, k), money first
+        demanded = demand_lattice(market, p, price_unit)[2]  # (n + 1, m, k), money first
         demand = np.zeros(demanded.shape[1:], dtype=mask_type)
         for j, plane in enumerate(demanded[1:]):
             demand |= plane.astype(mask_type) << j

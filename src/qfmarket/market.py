@@ -9,19 +9,23 @@ Conventions used throughout the package:
   entry k belongs to good k+1.
 * a buyer is "strict" at prices p if money is not among its bang-per-buck
   maximizers, in which case any demanded bundle spends the full budget.
+* a demand set is a plain frozenset of 1-based goods that holds MONEY when
+  money is demanded.
 * market-level demand questions go through demand_patterns, which reads p
   with read_prices and groups the buyers by demand set: the flow checks read
-  its groups, and demand_sets (which the spending graph and
-  outcome_is_feasible read) builds each buyer's set on them, so a float
-  price on an exact market is the rational it is in each.
-  bang_per_buck answers for one buyer at p exactly as given, with a tie
-  band of the caller's choosing. No module calls it: it is the single-buyer
-  reference that tests hold demand_sets to.
+  its groups, the descent its groups and ratio table, and demand_sets
+  (which the spending graph and outcome_is_feasible read) hands each buyer
+  its group's set, so a float price on an exact market is the rational it
+  is in each. bang_per_buck answers for one buyer at p exactly as given,
+  with a tie band of the caller's choosing. No module calls it: it is the
+  single-buyer reference that tests hold demand_sets to.
 * demand has one formula in both modes, demand_lattice: a table of ratios,
   v / p in floats or, in exact mode, integers that are the ratios times one
-  positive integer per price point, then bang_per_buck's tie band.
-  demand_patterns reads it at one price, and grid scans across a whole
-  lattice whose prices they scaled to integers once (mode_array).
+  positive integer per price point, then bang_per_buck's tie band. The
+  demand sets, the flow checks, the descent's events and the grid scans
+  all read their ratios there. demand_patterns reads it at one price, and
+  grid scans across a whole lattice whose prices they scaled to integers
+  once (mode_array).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import numpy as np
 from .numeric import EXACT, Number, NumericMode, format_number, scale_to_integers
 
 __all__ = [
-    "BangPerBuckSet",
     "Buyer",
     "Good",
     "MONEY",
@@ -201,18 +204,6 @@ class Market:
         return twin
 
 
-@dataclass(frozen=True)
-class BangPerBuckSet:
-    """Argmax of v_j / p_j over goods and money for one buyer at fixed prices."""
-
-    goods: frozenset  # subset of {0, 1, .., n}; 0 is money
-    max_ratio: Number
-
-    @property
-    def strict(self) -> bool:
-        return MONEY not in self.goods
-
-
 # float() converts an int exactly when its size is below this; a larger one
 # is beyond the float range.
 _FLOAT_INTS = 2**1024 - 2**970
@@ -223,18 +214,20 @@ def _violations(market: Market) -> list:
     violations = []
     exact = market.mode.is_exact
 
-    def check(x, owner, what, shown=True):
+    def check(x, owner, what, shown=True) -> bool:
         # An exact market holds ints (not bools) and Fractions only, a float
         # market ints (not bools) within the float range and floats, numpy's
         # float64 among them. Each number's type decides its test: an int or
         # a Fraction is finite, and a float is finite and nonnegative exactly
         # when 0.0 <= x < inf, so only a failing float is asked which
-        # message it gets.
+        # message it gets. Returns whether x's type passed, so that x may
+        # be compared with a number.
         kind = type(x)
         if exact:
             if kind is not int and kind is not Fraction:
                 violations.append(f"{owner}: {what} {x!r} is not an int or a Fraction in an exact market")
-            elif x.numerator < 0:
+                return False
+            if x.numerator < 0:
                 violations.append(f"{owner}: negative {what}" + f" {x}" * shown)
         elif kind is float or (kind is not int and isinstance(x, float)):
             if not 0.0 <= x < math.inf:
@@ -242,12 +235,14 @@ def _violations(market: Market) -> list:
                 violations.append(f"{owner}: {problem} {what}" + f" {x}" * shown)
         elif kind is not int:
             violations.append(f"{owner}: {what} {x!r} is not an int or a float in a float market")
+            return False
         elif x < 0:
             violations.append(f"{owner}: negative {what}" + f" {x}" * shown)
         elif x >= _FLOAT_INTS:
             violations.append(
                 f"{owner}: {what} {format_number(x)} is beyond the float range in a float market"
             )
+        return True
 
     if market.n < 1:
         violations.append("market: needs at least one good")
@@ -259,6 +254,9 @@ def _violations(market: Market) -> list:
     if len(set(names)) != len(names):
         violations.append("goods: duplicate names")
     value_of = [f"value for good {name}" for name in names]
+    # Whether some buyer values good k: a positive value, or one that failed
+    # its type check, which is reported once, as that, and not compared.
+    valued = [False] * market.n
     for b in market.buyers:
         if len(b.values) != market.n:
             violations.append(
@@ -267,10 +265,11 @@ def _violations(market: Market) -> list:
             continue
         owner = f"buyer {b.name}"
         check(b.budget, owner, "budget")
-        for v, what in zip(b.values, value_of):
-            check(v, owner, what, False)
-    for k, g in enumerate(market.goods):
-        if not any(len(b.values) == market.n and b.values[k] > 0 for b in market.buyers):
+        for k, (v, what) in enumerate(zip(b.values, value_of)):
+            if not check(v, owner, what, False) or v > 0:
+                valued[k] = True
+    for g, some in zip(market.goods, valued):
+        if not some:
             violations.append(
                 f"good {g.name}: valued 0 by every buyer (remove it with strip_worthless_goods)"
             )
@@ -300,12 +299,14 @@ def strip_worthless_goods(market: Market) -> Market:
     return Market(goods, buyers, market.mode)
 
 
-def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckSet:
-    """Bang-per-buck maximizer set of one buyer.
+def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> frozenset:
+    """Bang-per-buck maximizer set of one buyer: a frozenset of 1-based
+    goods that holds MONEY when money is among them.
 
-    Money (index 0, ratio 1) always competes. A good j is included whenever
-    v_j / p_j >= (1 - tol) * max_ratio, so tol = 0 gives the exact argmax and a
-    small relative tol makes boundary ties reproducible in float mode.
+    Money (index 0, ratio 1) always competes, so the best ratio is
+    max(1, max_j v_j / p_j). A good j is included whenever v_j / p_j >=
+    (1 - tol) * best, so tol = 0 gives the exact argmax and a small relative
+    tol makes boundary ties reproducible in float mode.
 
     No module calls it: it is the single-buyer reference that the tests hold
     demand_sets to, and the benchmark traces it. A buyer with a float value
@@ -327,7 +328,7 @@ def bang_per_buck(buyer: Buyer, p: PriceVector, tol: Number = 0) -> BangPerBuckS
     members = {j + 1 for j, r in enumerate(ratios) if r >= cutoff}
     if 1 >= cutoff:
         members.add(MONEY)
-    return BangPerBuckSet(frozenset(members), best)
+    return frozenset(members)
 
 
 def check_prices(p: PriceVector, n: int) -> None:
@@ -371,23 +372,23 @@ def read_prices(market: Market, p: PriceVector) -> PriceVector:
 
 
 def demand_patterns(market: Market, p: PriceVector):
-    """(prices, best, one, patterns): every buyer's demand at p, grouped by
-    demand pattern, the one grouping that demand_sets and the flow checks
-    read.
+    """(prices, ratios, best, patterns): every buyer's demand at p, grouped
+    by demand pattern, the one grouping that demand_sets, the flow checks
+    and the descent read.
 
     prices is p as read_prices reads it (a float on an exact market is the
-    rational it is, as every check reads it). best and one are
-    demand_lattice's at that one point, in exact mode after scaling the
-    prices to integers P / unit (mode_array): best holds each buyer's
-    largest ratio, money's included, as a list, and best / one is the exact
-    best ratio. patterns maps each distinct demand set, a frozenset of
-    1-based goods that holds MONEY when money is demanded, to its buyers'
-    indices in buyer order. Buyers are grouped by the bytes of their rows of
-    demand_lattice's table, so each distinct set is built once.
+    rational it is, as every check reads it). ratios (n + 1, m) and best
+    (m,) are demand_lattice's numpy arrays at that one point, in exact mode
+    after scaling the prices to integers P / unit (mode_array), so any two
+    entries of one buyer compare as the ratios do. patterns maps each
+    distinct demand set, a frozenset of 1-based goods that holds MONEY when
+    money is demanded, to its buyers' indices in buyer order. Buyers are
+    grouped by the bytes of their rows of demand_lattice's table, so each
+    distinct set is built once.
     """
     prices = read_prices(market, p)
     unit, scaled = mode_array(market, prices)
-    best, one, demanded = demand_lattice(market, scaled, unit)
+    ratios, best, demanded = demand_lattice(market, scaled, unit)
     width = market.n + 1
     rows = demanded.T.tobytes()  # per buyer: money, then goods 1..n
     by_row = {}
@@ -396,35 +397,20 @@ def demand_patterns(market: Market, p: PriceVector):
     patterns = {
         frozenset(j for j, on in enumerate(row) if on): buyers for row, buyers in by_row.items()
     }
-    return prices, best.tolist(), one, patterns
+    return prices, ratios, best, patterns
 
 
-def demand_sets(market: Market, p: PriceVector) -> Tuple[BangPerBuckSet, ...]:
+def demand_sets(market: Market, p: PriceVector) -> Tuple[frozenset, ...]:
     """Every buyer's bang-per-buck set at p, ties read at the market mode's
-    tolerance: field for field what bang_per_buck(buyer, p, market.mode.tol)
-    returns, at a fraction of its cost. Buyers whose sets and best ratios
-    agree share one (immutable) set.
-
-    The sets are demand_patterns' (p read with read_prices, as the clearing
-    checks read it). A best ratio above money's is the set's max_ratio:
-    best / one, a Fraction, in exact mode, and the float ratio itself in
-    float mode.
+    tolerance: what bang_per_buck(buyer, p, market.mode.tol) returns, at a
+    fraction of its cost. The sets are demand_patterns' (p read with
+    read_prices, as the clearing checks read it), and the buyers of one
+    pattern share its frozenset.
     """
-    _, best, one, patterns = demand_patterns(market, p)
     sets = [None] * market.m
-    for goods, buyers in patterns.items():
-        shared = {}  # a best ratio -> its set
+    for goods, buyers in demand_patterns(market, p)[3].items():
         for i in buyers:
-            ratio = best[i]
-            bpb = shared.get(ratio)
-            if bpb is None:
-                max_ratio = ratio
-                if ratio <= one:
-                    max_ratio = 1
-                elif market.mode.is_exact:
-                    max_ratio = Fraction(ratio, one)
-                bpb = shared[ratio] = BangPerBuckSet(goods, max_ratio)
-            sets[i] = bpb
+            sets[i] = goods
     return tuple(sets)
 
 
@@ -451,21 +437,22 @@ def demand_lattice(market: Market, prices: np.ndarray, unit):
     """Every buyer's demand at each point of an (n, ...) array of price
     vectors, goods first (a single vector is an (n,) array), by the one
     demand formula of both modes: a ratio table, then the tie band. The
-    caller has validated the market and read the prices. Returns best
-    (m, ...), each buyer's largest ratio, money's included; one, money's
-    ratio; and demanded (n + 1, m, ...), whether each buyer demands money
-    (row 0) and each good (rows 1..n).
+    caller has validated the market and read the prices. Returns ratios
+    (n + 1, m, ...), the ratio table; best (m, ...), each buyer's largest
+    ratio, money's included; and demanded (n + 1, m, ...), whether each
+    buyer demands money (row 0) and each good (rows 1..n).
 
     The ratio table holds money's ratio in row 0 and v_ij / p_j in row j,
     all times one positive number per price point, so that order and ties
-    are the ratios' own. Float mode takes float prices and keeps
-    bang_per_buck's own v / p and money's 1.0. Exact mode takes Python
-    ints P over one common `unit` (p = P / unit), reads the values as V / D
-    over one market-wide denominator (Market._integer_values) and scales by
-    D * prod(P) / unit, so no division is left: the ratio of good j is
-    V_ij * unit * prod_{l != j} P_l and money's is D * prod(P), all Python
-    ints, and best / one is the exact best ratio. The products run along
-    the goods axis (math.prod of an (n, ...) array multiplies its rows).
+    are the ratios' own, and ratios[j] / best is buyer i's ratio for option
+    j over its best ratio, max(1, max_j v_ij / p_j). Float mode takes float
+    prices and keeps bang_per_buck's own v / p and money's 1.0. Exact mode
+    takes Python ints P over one common `unit` (p = P / unit), reads the
+    values as V / D over one market-wide denominator
+    (Market._integer_values) and scales by D * prod(P) / unit, so no
+    division is left: the ratio of good j is V_ij * unit * prod_{l != j} P_l
+    and money's is D * prod(P), all Python ints. The products run along the
+    goods axis (math.prod of an (n, ...) array multiplies its rows).
 
     The tie band is bang_per_buck's: the cutoff is best times (1 - tol), a
     pass skipped at tol 0, and a ratio at or above it is demanded.
@@ -476,23 +463,22 @@ def demand_lattice(market: Market, prices: np.ndarray, unit):
     if market.mode.is_exact:
         den, values = market._integer_values
         total = math.prod(prices)
-        one = den * total
+        ratios[0] = den * total
         np.multiply(values.reshape(values_shape), (unit * total // prices)[:, None], out=ratios[1:])
     else:
-        one = 1.0
+        ratios[0] = 1.0
         np.divide(market.float_values.reshape(values_shape), prices[:, None], out=ratios[1:])
-    ratios[0] = one
     best = ratios.max(axis=0)
     tol = market.mode.tol
     cutoff = (1 - tol) * best if tol else best
-    return best, one, ratios >= cutoff
+    return ratios, best, ratios >= cutoff
 
 
-def _admits(bpb: BangPerBuckSet, budget: Number, p: PriceVector, x: Bundle, tol: Number) -> bool:
+def _admits(goods: frozenset, budget: Number, p: PriceVector, x: Bundle, tol: Number) -> bool:
     """Whether bundle x is demanded at p by a buyer with this budget and
-    bang-per-buck set bpb: (a) positive quantities only on bpb's goods, (b)
-    spend within the budget, and (c) the budget spent whenever money is not
-    in bpb. Comparisons use a slack of tol * budget, which scales with the
+    bang-per-buck set `goods`: (a) positive quantities only on its goods,
+    (b) spend within the budget, and (c) the budget spent whenever money is
+    not in the set. Comparisons use a slack of tol * budget, which scales with the
     buyer's money. outcome_is_feasible asks it, at the mode's tolerance, for
     the package's one answer to "is this bundle demanded". x holds one
     quantity per good."""
@@ -503,11 +489,11 @@ def _admits(bpb: BangPerBuckSet, budget: Number, p: PriceVector, x: Bundle, tol:
             return False
         cost = price * qty
         spend += cost
-        if cost > slack and j not in bpb.goods:
+        if cost > slack and j not in goods:
             return False
     if spend > budget + slack:
         return False
-    if bpb.strict and spend < budget - slack:
+    if MONEY not in goods and spend < budget - slack:
         return False
     return True
 
@@ -534,8 +520,8 @@ def outcome_is_feasible(market: Market, p: PriceVector, allocation: Allocation) 
         if total > good.supply + tol * good.supply:
             return False
     return all(
-        _admits(bpb, buyer.budget, p, bundle, tol)
-        for bpb, buyer, bundle in zip(demand_sets(market, p), market.buyers, allocation)
+        _admits(goods, buyer.budget, p, bundle, tol)
+        for goods, buyer, bundle in zip(demand_sets(market, p), market.buyers, allocation)
     )
 
 

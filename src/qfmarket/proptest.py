@@ -130,7 +130,7 @@ def suite_meet_closure(probe: MarketProbe, rng: random.Random, pairs: int = 100)
             failures.append(f"spliced allocation at meet {r} is not a feasible outcome")
         a_side = {j + 1 for j in range(market.n) if p[j] < q[j]}
         b_side = {j + 1 for j in range(market.n) if p[j] >= q[j]}
-        demanded = [[bpb.goods for bpb in demand_sets(market, x)] for x in (r, p, q)]
+        demanded = [demand_sets(market, x) for x in (r, p, q)]
         for i, (jr, jp, jq) in enumerate(zip(*demanded)):
             if jr & a_side:
                 if not (jr & a_side) <= jp or not jp <= jr:

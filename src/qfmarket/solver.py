@@ -62,7 +62,7 @@ from .market import (
     MarketError,
     Outcome,
     PriceVector,
-    demand_sets,
+    demand_patterns,
     integer_budgets,
     read_prices,
     require_valid,
@@ -495,38 +495,28 @@ class _Support:
         return agrees
 
 
-def _next_event(market: Market, p: PriceVector, best, down: frozenset) -> Number:
+def _next_event(ratios, best, patterns: dict, down: frozenset) -> Number:
     """Largest factor below 1 at which cutting the prices of `down` makes one
     of them tie some buyer's best option outside it (another good or money);
-    0 when there is none. best[i] is buyer i's bang-per-buck set at p.
+    0 when there is none. ratios, best and patterns are demand_patterns' on
+    the rational twin at the current price, the arrays as lists: buyer i's
+    ratio for good j over its best ratio is ratios[j][i] / best[i], two ints
+    scaled by one positive number.
 
-    Only buyers whose bang-per-buck set misses `down` have such events: for
+    Only the buyers of patterns disjoint from `down` have such events: for
     the others a good of `down` already beats every outside option, and a
     common factor keeps the order inside `down`. For the rest, the best
-    option outside `down` is their best option, max_ratio.
+    option outside `down` is their best option. The largest quotient is
+    kept by integer cross-multiplication and divided out once.
     """
-    nearest = 0
-    for buyer, bpb in zip(market.buyers, best):
-        if bpb.goods.isdisjoint(down):
-            inside = max(buyer.values[k - 1] / p[k - 1] for k in down)
-            nearest = max(nearest, inside / bpb.max_ratio)
-    return nearest
-
-
-def _captured(market: Market, best, down: frozenset):
-    """{pattern: budget}: the demand patterns of the buyers whose
-    bang-per-buck set best[i] meets `down`, a pattern being the goods of
-    `down` that a buyer demands, each with its buyers' summed budget, an int
-    on the market's budget scale (see integer_budgets). Once those prices
-    fall such a buyer prefers them to money and to every other good, so its
-    whole budget must go there. These are the left nodes of the descent's
-    pattern networks (see pattern_network)."""
-    captured = {}
-    for budget, bpb in zip(integer_budgets(market)[1], best):
-        goods = bpb.goods & down
-        if goods:
-            captured[goods] = captured.get(goods, 0) + budget
-    return captured
+    num, den = 0, 1
+    for goods, buyers in patterns.items():
+        if goods.isdisjoint(down):
+            for i in buyers:
+                inside = max(ratios[j][i] for j in down)
+                if inside * den > num * best[i]:
+                    num, den = inside, best[i]
+    return Fraction(num, den) if num else 0
 
 
 def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
@@ -535,14 +525,20 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     The walk runs on the market's rational twin. Each step has two parts:
 
     1. Find D, the goods whose prices can fall together. Starting from all
-       goods, the captured buyers' budgets, summed per demand pattern (see
-       _captured), are routed into D by max flow. A good that cannot reach
-       spare capacity in the residual graph sits in a set whose capacity the
-       captured budgets already fill; every good demanded by a
-       positive-budget buyer confined to such goods leaves D, and the flow is
-       rerun. Goods that no budget is forced into, such as zero-supply goods
-       nobody demands, stay in D.
-    2. Lower D by one common factor to the nearest event (see _next_event).
+       goods, the captured buyers' budgets are routed into D by max flow. A
+       buyer whose demand set meets D is captured: once those prices fall it
+       prefers them to money and to every other good, so its whole budget
+       must go there. Its pattern in the network is the goods of D it
+       demands (see pattern_network); the budgets are summed once per
+       demand pattern at each price, as ints on the budget scale (see
+       integer_budgets). A good that cannot reach spare capacity in the
+       residual graph sits in a set whose capacity the captured budgets
+       already fill; every good demanded by a positive-budget buyer confined
+       to such goods leaves D, and the flow is rerun. Goods that no budget
+       is forced into, such as zero-supply goods nobody demands, stay in D.
+    2. Lower D by one common factor to the nearest event (see _next_event),
+       read off the ratio table that demand_patterns returned with step 1's
+       patterns.
        If the captured budgets no longer route there, the factor rises to the
        ratio forced / capacity of the min-cut witness, until they do.
 
@@ -573,11 +569,18 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
         return [factor * v * g.supply if j in down else 0
                 for j, (v, g) in enumerate(zip(p, twin.goods), start=1)]
 
+    buyer_budgets = integer_budgets(twin)[1]
     while True:
-        best = demand_sets(twin, p)
+        _, ratios, best, patterns = demand_patterns(twin, p)
+        ratios, best = ratios.tolist(), best.tolist()
+        sums = {goods: sum(buyer_budgets[i] for i in buyers) for goods, buyers in patterns.items()}
         down = every
         while down:
-            captured = _captured(twin, best, down)
+            captured = {}  # the goods of down that a pattern demands -> their budget
+            for goods, budget in sums.items():
+                inside = goods & down
+                if inside:
+                    captured[inside] = captured.get(inside, 0) + budget
             net, order, budgets, _, _ = pattern_network(twin, captured, capacities(1))
             net.max_flow()
             probes += 1
@@ -590,7 +593,7 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
             down -= blocked
         if not down:
             break
-        factor = _next_event(twin, p, best, down)
+        factor = _next_event(ratios, best, patterns, down)
         while True:
             net, order, budgets, unit, _ = pattern_network(twin, captured, capacities(factor))
             net.max_flow()

@@ -14,7 +14,6 @@ from qfmarket.market import (
     Buyer,
     Good,
     Market,
-    BangPerBuckSet,
     MarketError,
     Outcome,
     PriceDomainError,
@@ -227,26 +226,40 @@ def test_bang_per_buck_at_the_minimal_price(ref_exact):
     s1 = bang_per_buck(b1, p)
     s2 = bang_per_buck(b2, p)
     s3 = bang_per_buck(b3, p)
-    assert s1.goods == frozenset({2}) and s1.max_ratio == F(5)
-    assert s2.goods == frozenset({1, 2}) and s2.max_ratio == F(10, 3)
-    assert s3.goods == frozenset({1}) and s3.max_ratio == F(20, 3)
-    assert s1.strict and s2.strict and s3.strict
+    assert s1 == frozenset({2})
+    assert s2 == frozenset({1, 2})
+    assert s3 == frozenset({1})
+    assert MONEY not in s1 and MONEY not in s2 and MONEY not in s3
+
+
+def test_demand_sets_are_plain_frozensets(ref_exact, ref_float):
+    """A demand set is a frozenset of 1-based goods, MONEY included when
+    money is demanded; the package exports no set type of its own."""
+    import qfmarket
+
+    for market in (ref_exact, ref_float):
+        p = tuple(map(market.mode.coerce, (F(3, 5), F(2))))
+        sets = demand_sets(market, p)
+        assert all(type(s) is frozenset for s in sets)
+        assert sets == tuple(bang_per_buck(b, p, market.mode.tol) for b in market.buyers)
+        assert type(bang_per_buck(market.buyers[0], p)) is frozenset
+    assert not hasattr(qfmarket, "BangPerBuckSet")
+    assert not hasattr(market_module, "BangPerBuckSet")
 
 
 def test_bang_per_buck_includes_money_at_high_prices(ref_exact):
     b1 = ref_exact.buyers[0]
     s = bang_per_buck(b1, (F(2), F(3)))
-    assert s.goods == frozenset({MONEY, 1, 2})
-    assert s.max_ratio == F(1)
-    assert not s.strict
+    assert s == frozenset({MONEY, 1, 2})
+    assert MONEY in s
 
 
 def test_bang_per_buck_tolerance_band():
     buyer = Buyer("b", (2.0, 2.0), 1.0)
     wide = bang_per_buck(buyer, (0.6, 0.6 * (1 + 1e-12)), tol=1e-9)
-    assert wide.goods == frozenset({1, 2})
+    assert wide == frozenset({1, 2})
     tight = bang_per_buck(buyer, (0.6, 0.7), tol=1e-9)
-    assert tight.goods == frozenset({1})
+    assert tight == frozenset({1})
 
 
 def test_nonpositive_prices_raise():
@@ -273,7 +286,7 @@ def test_price_beyond_the_float_range_for_a_float_buyer():
             bang_per_buck(Buyer("b", (1.0,), 1.0), (price,))
         assert len(str(caught.value)) < 80
         exact = bang_per_buck(Buyer("b", (F(1),), F(1)), (price,))
-        assert exact.goods == frozenset({MONEY}) and exact.max_ratio == 1
+        assert exact == frozenset({MONEY})
 
 
 @pytest.mark.filterwarnings("error")
@@ -287,7 +300,7 @@ def test_price_too_small_for_a_float_buyer(price):
         bang_per_buck(Buyer("b", (1.0,), 1.0), (price,))
     assert len(str(caught.value)) < 80
     exact = bang_per_buck(Buyer("b", (F(1),), F(1)), (F(1, 10**400),))
-    assert exact.goods == frozenset({1}) and exact.max_ratio == 10**400
+    assert exact == frozenset({1})
 
 
 def test_one_buyer_outcomes(ref_exact):
@@ -311,10 +324,6 @@ def test_one_buyer_outcomes(ref_exact):
 def test_aggregate():
     rows = ((F(0), F(5, 3)), (F(4, 3), F(1, 3)), (F(5, 3), F(0)))
     assert aggregate(rows, 2) == (F(3), F(2))
-
-
-def _fields(sets):
-    return [(s.goods, s.max_ratio, type(s.max_ratio)) for s in sets]
 
 
 def _points_around(market, p_star, rng):
@@ -350,14 +359,9 @@ def test_demand_sets_read_money_ties_and_zero_values():
     for mode in (EXACT, float_mode()):
         twin = market.coerced(mode)
         p = tuple(map(mode.coerce, (2, 6)))
-        tied, below = demand_sets(twin, p)
-        assert tied.goods == frozenset({MONEY, 1}) and type(tied.max_ratio) is int
-        assert below.goods == frozenset({MONEY}) and type(below.max_ratio) is int
+        assert demand_sets(twin, p) == (frozenset({MONEY, 1}), frozenset({MONEY}))
         p = tuple(map(mode.coerce, (1, F(3, 2))))
-        assert _fields(demand_sets(twin, p)) == [
-            (frozenset({1, 2}), mode.coerce(2), type(mode.coerce(2))),
-            (frozenset({2}), mode.coerce(F(10, 3)), type(mode.coerce(2))),
-        ]
+        assert demand_sets(twin, p) == (frozenset({1, 2}), frozenset({2}))
 
 
 def test_float_demand_sets_keep_money_at_a_cutoff_of_exactly_one():
@@ -365,7 +369,7 @@ def test_float_demand_sets_keep_money_at_a_cutoff_of_exactly_one():
     market = Market((Good("A", 1.0),), (Buyer("b", (1.000000001,), 1.0),), float_mode())
     (got,) = demand_sets(market, (1.0,))
     assert got == bang_per_buck(market.buyers[0], (1.0,), market.mode.tol)
-    assert got.goods == frozenset({MONEY, 1}) and got.max_ratio == 1.000000001
+    assert got == frozenset({MONEY, 1})
 
 
 @pytest.mark.parametrize("p", [(F(1),), (F(1), F(1), F(1)), (F(1), F(0)), (F(-1), F(1))])
@@ -377,8 +381,8 @@ def test_demand_sets_reject_the_prices_bang_per_buck_rejects(ref_exact, ref_floa
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_demand_sets_are_bang_per_buck_sets(mode):
-    """demand_sets equals bang_per_buck buyer by buyer, max_ratio's type
-    included, at 4,000 and more points around the probe battery's p*: the 20
+    """demand_sets equals bang_per_buck buyer by buyer at 4,000 and more
+    points around the probe battery's p*: the 20
     seed-0 random_market draws, and one market with zero values."""
     rng = random.Random(0)
     markets = [random_market(rng) for _ in range(20)]
@@ -400,10 +404,10 @@ def test_demand_sets_are_bang_per_buck_sets(mode):
             market = market.coerced(mode)
             points = [tuple(map(float, p)) for p in points]
         for p in points:
-            expected = [bang_per_buck(b, p, mode.tol) for b in market.buyers]
-            assert _fields(demand_sets(market, p)) == _fields(expected), p
+            expected = tuple(bang_per_buck(b, p, mode.tol) for b in market.buyers)
+            assert demand_sets(market, p) == expected, p
             checked += 1
-            money_ties += sum(MONEY in s.goods and len(s.goods) > 1 for s in expected)
+            money_ties += sum(MONEY in s and len(s) > 1 for s in expected)
     assert checked >= 4000
     assert money_ties >= 100
 
@@ -454,8 +458,7 @@ def _tie_heavy_lattices():
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_lattice_demand_is_demand_sets_and_bang_per_buck(mode):
     """At every point of each lattice, demand_lattice read as sets equals
-    demand_sets field for field, and both equal bang_per_buck at the mode's
-    band. The lattice is read as grid scans read it: its prices scaled once
+    demand_sets, and both equal bang_per_buck at the mode's band. The lattice is read as grid scans read it: its prices scaled once
     by mode_array. Float planes match the float tie band bit for bit."""
     checked = ties = 0
     for market, axes in _tie_heavy_lattices():
@@ -467,8 +470,7 @@ def test_lattice_demand_is_demand_sets_and_bang_per_buck(mode):
         index = np.indices([len(ax) for ax in axes]).reshape(market.n, -1)
         offsets = np.cumsum([0] + [len(ax) for ax in axes[:-1]])[:, None]
         prices = flat[index + offsets]  # (n, k)
-        best, one, demanded = demand_lattice(market, prices, unit)
-        ones = np.broadcast_to(np.asarray(one, dtype=best.dtype), best.shape[1:]).tolist()
+        _, best, demanded = demand_lattice(market, prices, unit)
         if not mode.is_exact:
             old_best, old_demanded, old_money = _float_tie_band(market, prices)
             assert best.tobytes() == np.maximum(old_best, 1.0).tobytes()
@@ -476,17 +478,11 @@ def test_lattice_demand_is_demand_sets_and_bang_per_buck(mode):
             assert demanded[0].tobytes() == old_money.tobytes()
         for k, point in enumerate(index.T):
             p = tuple(ax[i] for ax, i in zip(axes, point))
-            lattice = []
-            for ratio, row in zip(best[:, k].tolist(), demanded[:, :, k].T):
-                if ratio <= ones[k]:
-                    ratio = 1
-                elif mode.is_exact:
-                    ratio = F(ratio, ones[k])
-                lattice.append(BangPerBuckSet(frozenset(np.flatnonzero(row).tolist()), ratio))
-            expected = [bang_per_buck(b, p, mode.tol) for b in market.buyers]
-            assert _fields(lattice) == _fields(demand_sets(market, p)) == _fields(expected), p
+            lattice = tuple(frozenset(np.flatnonzero(row).tolist()) for row in demanded[:, :, k].T)
+            expected = tuple(bang_per_buck(b, p, mode.tol) for b in market.buyers)
+            assert lattice == demand_sets(market, p) == expected, p
             checked += 1
-            ties += any(len(s.goods) > 1 for s in expected)
+            ties += any(len(s) > 1 for s in expected)
     assert checked >= (4500 if mode.is_exact else 3900)
     assert ties >= checked // 2
 
@@ -621,6 +617,22 @@ def test_validate_market_pins_each_message_by_mode_and_type(mode, label):
         EXACT if mode == "exact" else float_mode(),
     )
     assert validate_market(market) == expected
+
+
+@pytest.mark.parametrize("value", [None, "1"], ids=["None", "str"])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_value_that_is_not_a_number_is_reported_not_compared(mode, value):
+    """The worthless-goods pass compared every value with 0 after the type
+    check had reported it, and validation raised a bare TypeError ("'>' not
+    supported between instances of 'NoneType' and 'int'"), as did solve.
+    Such a value is now reported once, by its type, and never compared."""
+    market = Market((Good("A", 1),), (Buyer("b", (value,), 1),), mode)
+    kind = "a Fraction in an exact" if mode.is_exact else "a float in a float"
+    expected = [f"buyer b: value for good A {value!r} is not an int or {kind} market"]
+    assert validate_market(market) == expected
+    with pytest.raises(MarketError) as refused:
+        solve(market)
+    assert str(refused.value) == "invalid market: " + expected[0]
 
 
 def test_an_int_beyond_the_float_range_is_a_float_market_violation():

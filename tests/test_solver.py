@@ -22,7 +22,16 @@ from qfmarket import market as market_module
 from qfmarket import solver
 from qfmarket.feasibility import check_clearing, check_feasible
 from qfmarket.flow import FlowNetwork
-from qfmarket.market import Buyer, Good, Market, MarketError, Outcome, aggregate
+from qfmarket.market import (
+    Buyer,
+    Good,
+    Market,
+    MarketError,
+    Outcome,
+    aggregate,
+    bang_per_buck,
+    demand_patterns,
+)
 from qfmarket.marketio import load_market
 from qfmarket.metrics import (
     VERDICT_CERTIFIED,
@@ -727,6 +736,54 @@ def test_a_float_market_descent_from_its_own_p_star_may_be_refused_on_the_twin(m
         " each float read as its shortest decimal"
     )
     assert lattice_descent(market, solve(market.rational_twin()).p_star).final == p_star
+
+
+def _fraction_event(market, p, down):
+    """The descent's next event as it was computed before it read the ratio
+    table: over the buyers whose bang_per_buck set misses `down`, the
+    largest max(v_k / p_k for k in down) / max(1, max_j v_j / p_j), in
+    Fractions; the int 0 when there is none."""
+    nearest = 0
+    for buyer in market.buyers:
+        if bang_per_buck(buyer, p).isdisjoint(down):
+            inside = max(buyer.values[k - 1] / p[k - 1] for k in down)
+            best = max([1] + [v / price for v, price in zip(buyer.values, p)])
+            nearest = max(nearest, inside / best)
+    return nearest
+
+
+def test_the_table_read_event_is_the_fraction_formula(monkeypatch):
+    """At every step of these descents, each run on the rational twin from
+    the start solve would give it, _next_event read off demand_patterns'
+    ratio table equals the Fraction formula, in value and in type: the
+    descents of seed-0 battery #15, of Random(7) 6x6 #11 in both modes and
+    of 12345/8x4 #15 in floats, and those from initial_feasible_price of
+    crowd_market(Random(100), 200, 4) and the first bench `crowd` market."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    markets = [
+        _draw(0, 15, 6, 6),
+        _draw(7, 11, 6, 6),
+        _draw(7, 11, 6, 6).coerced(float_mode()),
+        _draw(12345, 15, 8, 4).coerced(float_mode()),
+        workloads.crowd_market(random.Random(100), 200, 4),
+        workloads.crowd_base()[0],
+    ]
+    events = zeros = 0
+    for market in markets:
+        twin = market.rational_twin()
+        start = tuple(map(EXACT.coerce, initial_feasible_price(market)))
+        steps = lattice_descent(twin, start).steps
+        assert steps
+        for step in steps:
+            down = frozenset(step.goods)
+            _, ratios, best, patterns = demand_patterns(twin, step.before)
+            got = solver._next_event(ratios.tolist(), best.tolist(), patterns, down)
+            want = _fraction_event(twin, step.before, down)
+            assert (got, type(got)) == (want, type(want)), (market.m, step)
+            events += 1
+            zeros += got == 0
+    assert (events, zeros) == (89, 26)
 
 
 def test_descent_probe_count_stays_small_on_eight_goods():

@@ -6,6 +6,7 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from qfmarket import Market, aggregate, check_clearing, check_feasible, float_mode, solve
 from qfmarket.proptest import random_market
@@ -88,6 +89,22 @@ def test_market_digests_repeat_and_tell_families_apart():
     assert all(len(value) == 64 for value in first.values())
     assert digests.market_digests(family(3)) == first
     assert digests.market_digests(family(2))["solve"] != first["solve"]
+
+
+def test_a_demand_set_digests_as_its_goods(monkeypatch):
+    """A demand set with a `.goods` field, as an older tree returns, and the
+    bare frozenset of its goods give the same `demand_sets` digest."""
+    import qfmarket
+
+    market = random_market(random.Random(0))
+    bare = digests.market_digests([market])
+    sets = qfmarket.demand_sets
+
+    def wrapped(m, p):
+        return tuple(SimpleNamespace(goods=s) for s in sets(m, p))
+
+    monkeypatch.setattr(qfmarket, "demand_sets", wrapped)
+    assert digests.market_digests([market]) == bare
 
 
 def test_outcomes_hold_no_bundle():

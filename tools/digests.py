@@ -14,7 +14,10 @@ in exact mode and as the same market in floats, the outputs are:
   identical `answers` line beside a different `solve` line;
 - solve: repr(solve(m));
 - descent: repr(lattice_descent(m, initial_feasible_price(m)));
-- demand_sets, check_clearing: their reprs at p* and at that start price;
+- demand_sets, check_clearing: their reprs at p* and at that start price,
+  each demand set digested as its goods, getattr(s, "goods", s), so a
+  frozenset and an older set type with a `.goods` field print the same
+  line;
 - check_feasible: its repr at the start price, at p*, and at p* with each
   coordinate in turn times 99/100 in the market's mode (the minimality
   suite's cuts, which are infeasible, so their witnesses are digested too);
@@ -93,7 +96,7 @@ def market_digests(markets) -> dict:
             feed("descent", q.lattice_descent(m, start))
             certificates = []
             for p in (result.p_star, start):
-                feed("demand_sets", q.demand_sets(m, p))
+                feed("demand_sets", tuple(getattr(s, "goods", s) for s in q.demand_sets(m, p)))
                 certificates.append(q.check_clearing(m, p))
                 feed("check_clearing", certificates[-1])
             cut = Fraction(99, 100) if m.mode.is_exact else 0.99
