@@ -122,7 +122,7 @@ def cmd_solve(args) -> tuple:
     market = loaded.market
     exact = market.mode.is_exact
     result = solve(market)
-    eg = result.eg  # None when the market has no float image
+    eg = result.eg  # None when proportional response did not run
     totals = aggregate(result.allocation, market.n)
     report = {
         "command": "solve",

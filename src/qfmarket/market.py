@@ -288,9 +288,19 @@ def require_valid(market: Market) -> None:
 
 
 def strip_worthless_goods(market: Market) -> Market:
-    """Drop goods valued 0 by every buyer (the caller's explicit modeling action)."""
+    """Drop goods valued 0 by every buyer (the caller's explicit modeling
+    action). A value that cannot be compared with 0, such as None or a
+    string, keeps its good, so that validate_market reports that value by
+    its type."""
+
+    def valued(v) -> bool:
+        try:
+            return v > 0
+        except TypeError:
+            return True
+
     keep = [
-        k for k in range(market.n) if any(b.values[k] > 0 for b in market.buyers)
+        k for k in range(market.n) if any(valued(b.values[k]) for b in market.buyers)
     ]
     goods = tuple(market.goods[k] for k in keep)
     buyers = tuple(

@@ -37,10 +37,12 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response until its support's candidate clears or
-agrees, its gap is met or its iterations run out, takes the cleared
-candidate or else falls back to the descent, and packages the clearing
-allocation with revenue, welfare, and certificates. Both certificates rest
+`solve` runs proportional response only where a support could certify the
+market: every good has positive supply and a funded buyer who values it.
+It runs until its support's candidate clears or agrees, its gap is met or
+its iterations run out. `solve` takes the cleared candidate or else falls
+back to the descent, and packages the clearing allocation with revenue,
+welfare, and certificates. Both certificates rest
 on the one clearing check: a clearing price with its clearing allocation is
 a competitive equilibrium, and those outcomes, and only those, are
 constrained-efficient.
@@ -149,7 +151,7 @@ class EquilibriumResult:
     method_agreement: Optional[Number]  # max per-coordinate gap to eg.prices; None without eg
     clearing_certificate: FeasibilityCertificate
     efficiency_certificate: EfficiencyCertificate
-    eg: Optional[EGSolution]  # None when the market has no float image
+    eg: Optional[EGSolution]  # None when proportional response did not run (see solve_eg)
     descent: DescentTrace  # empty (no steps, no probes) when rounding certified p_star
     certified_by: str  # "rounding" or "descent"
 
@@ -170,19 +172,22 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     Runs in floating point regardless of the market's numeric mode; an
     answer's exactness comes from certifying these prices afterwards, not
     from this arithmetic. Zero-budget buyers take no part (they keep no
-    money and get empty bundles), and goods with zero supply or zero bid
-    mass are excluded from the dynamics; their prices are imputed afterwards
-    as the lowest level at which no buyer's bang-per-buck strictly prefers
-    them. The run stops where solve's does (see _proportional_response):
-    when its support's candidate passes its exact clearing check or every
-    price agrees with it (see _Support), at the gap target 1e-11 * total
-    budget (the duality gap is money, so the target scales with the money in
-    play), or stalled at its iteration cap, which raises nothing. Clearing
-    prices are unique, so a check that passes is a whole certificate, and a
-    run it stops before the prices agreed may end far from that candidate:
-    up to about 2e-2 relative on the random families tried. The duality gap
-    is read every 25 iterations, so iterations is a multiple of 25. None when
-    an exact market has no float image.
+    money and get empty bundles). The run stops where solve's does (see
+    _proportional_response): when its support's candidate passes its exact
+    clearing check or every price agrees with it (see _Support), at the gap
+    target 1e-11 * total budget (the duality gap is money, so the target
+    scales with the money in play), or stalled at its iteration cap, which
+    raises nothing. Clearing prices are unique, so a check that passes is a
+    whole certificate, and a run it stops before the prices agreed may end
+    far from that candidate: up to about 2e-2 relative on the random
+    families tried. The duality gap is read every 25 iterations, so
+    iterations is a multiple of 25.
+
+    None, with no iteration run, when no support could certify the market:
+    an exact market without a float image, or a market with an idle good,
+    one whose float supply is 0 or that no funded buyer gives a positive
+    float value (see _proportional_response). solve then goes straight to
+    the descent.
     """
     require_valid(market)
     return _proportional_response(market)[0]
@@ -199,16 +204,18 @@ def _float_image(market: Market):
 
 
 def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSolution:
-    """Proportional response on a validated market's _float_image, returning
-    its last iterate even on a stall.
+    """Proportional response on the _float_image of a validated market that
+    _proportional_response admits (every good has positive supply and a
+    positive value from a funded buyer), returning its last iterate even on
+    a stall.
 
-    Zero-budget buyers and inactive goods are dropped once, before the loop.
-    Money is the bid matrix's last column, priced 1 and valued 1, so one
-    update moves the bids on goods and on money alike. An iteration has two
-    halves: prices, then the utility each bid buys (gains) and each buyer's
-    utility u; then the bids, rescaled to gains * beta / u and held at
-    BID_FLOOR. The duality gap is read every _GAP_EVERY iterations, between
-    the halves, off the same snapshot.
+    Zero-budget buyers are dropped once, before the loop; they keep no money
+    and get empty bundles. Money is the bid matrix's last column, priced 1
+    and valued 1, so one update moves the bids on goods and on money alike.
+    An iteration has two halves: prices, then the utility each bid buys
+    (gains) and each buyer's utility u; then the bids, rescaled to gains *
+    beta / u and held at BID_FLOOR. The duality gap is read every _GAP_EVERY
+    iterations, between the halves, off the same snapshot.
 
     The loop sits at numpy's dispatch floor: on markets of a few goods each
     ufunc call costs more to dispatch than to compute, so the loop is laid
@@ -228,28 +235,24 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 
     The run ends at the first reading where `stop` (asked first, so it sees
     the final iterate) answers True, the gap is at most `target`, or max_iter
-    iterations have run. stop(buyers, goods, bids, p) gets the indices of the
-    live buyers and active goods, their bids (money last) and goods' prices.
+    iterations have run. stop(buyers, bids, p) gets the indices of the live
+    buyers, their bids (goods in order, money last) and the goods' prices.
     """
-    beta_all, supply_all, values_all = image
+    beta_all, s, values_all = image
     m, n = values_all.shape
     live = np.flatnonzero(beta_all > 0)
-    values = values_all[live]
-    active = np.flatnonzero((supply_all > 0) & (values > 0).any(axis=0)).tolist()
     beta = beta_all[live]
-    s = supply_all[active]
-    na = len(active)
-    va = np.ones((len(live), na + 1), order="F")
-    va[:, :na] = values[:, active]
+    va = np.ones((len(live), n + 1), order="F")
+    va[:, :n] = values_all[live]
 
     valued = va > 0
     shares = 1.0 / valued.sum(axis=1)
     bids = np.asfortranarray(np.where(valued, (beta * shares)[:, None], 0.0))
     floor = np.where(valued, BID_FLOOR, 0.0)
-    goods_bids, money = bids[:, :na], bids[:, na]
+    goods_bids, money = bids[:, :n], bids[:, n]
 
-    p = np.ones(na + 1)  # the last entry is money's price
-    goods_p = p[:na]
+    p = np.ones(n + 1)  # the last entry is money's price
+    goods_p = p[:n]
     gains = np.empty_like(bids)  # bids / p, then times va: the utility each bid buys
     u = np.empty(len(live))
     scale = np.empty(len(live))
@@ -260,15 +263,14 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
     divide, multiply, maximum, subtract, log, dot = (
         np.divide, np.multiply, np.maximum, np.subtract, np.log, np.dot)
-    gap = float("inf") if na else 0.0
     iterations = 0
-    if na:  # iteration 0's first half
-        add_reduce(goods_bids, 0, None, goods_p)
-        divide(goods_p, s, goods_p)
-        divide(bids, p, gains)
-        multiply(va, gains, gains)
-        add_reduce(gains, 1, None, u)
-    while na:
+    # iteration 0's first half
+    add_reduce(goods_bids, 0, None, goods_p)
+    divide(goods_p, s, goods_p)
+    divide(bids, p, gains)
+    multiply(va, gains, gains)
+    add_reduce(gains, 1, None, u)
+    while True:
         for _ in range(_GAP_EVERY):
             divide(beta, u, scale)
             multiply(gains, scale_col, bids)
@@ -290,29 +292,19 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
         multiply(beta, terms, terms)
         subtract(terms, beta, terms)
         gap = float(dot(goods_p, s) + terms.sum()) - primal
-        if stop is not None and stop(live, active, bids, goods_p):
+        if stop is not None and stop(live, bids, goods_p):
             break
         if gap <= target or iterations >= max_iter:
             break
 
-    prices = np.zeros(n)
-    prices[active] = goods_p
-    idle = [k for k in range(n) if k not in active]
-    if idle:
-        rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
-        for k in idle:
-            # Lowest price at which nobody strictly prefers good k to their
-            # current best ratio; positive because someone values k.
-            valued = values_all[:, k] > 0
-            prices[k] = (values_all[valued, k] / rmax[valued]).max()
     allocation = np.zeros((m, n))
-    allocation[live[:, None], active] = goods_bids / goods_p
+    allocation[live] = goods_bids / goods_p
     leftover = np.zeros(m)
     leftover[live] = money
     return EGSolution(
         allocation=tuple(map(tuple, allocation.tolist())),
         leftover=tuple(leftover.tolist()),
-        prices=tuple(prices.tolist()),
+        prices=tuple(goods_p.tolist()),
         duality_gap=gap,
         iterations=iterations,
     )
@@ -340,8 +332,10 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
     which is at least money's 1). A component that ties money takes that
     money-tie level, and otherwise the level at which its attached buyers'
     budgets buy its supply; those budgets are summed as ints on the
-    market's budget scale (see integer_budgets). None when two link paths
-    or two money ties disagree, or a component has neither level.
+    market's budget scale (see integer_budgets), and its supply is positive,
+    since proportional response runs only where every good's is. None when
+    two link paths or two money ties disagree, or a component has neither
+    level.
     """
     n = market.n
     weight = {}
@@ -392,9 +386,9 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
                     return None
     for cid, goods in members.items():
         if level[cid] is None:
-            mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
-            if mass <= 0 or attached_budget[cid] <= 0:
+            if not attached_budget[cid]:
                 return None
+            mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
             level[cid] = Fraction(attached_budget[cid], unit) / mass
     return tuple(level[component[j]] * weight[j] for j in range(1, n + 1))
 
@@ -404,26 +398,26 @@ class _Support:
     that price's clearing check.
 
     A buyer's support is the options it spends more than _SUPPORT of its
-    budget on, read off its bids: goods, and money as the bids' last column.
-    Called as _solve_eg's stop rule, stop(buyers, goods, bids, p), every
-    _GAP_EVERY iterations, it snaps the supports onto the rational twin (see
-    _snap) when they differ from the last call's, reading each distinct
-    support row once and sharing its labels among the buyers that have it.
-    The stop rule: a candidate gets one exact check, check_clearing on the
-    twin, at the first reading where either every price of p is within
-    _AGREE (relative) of it, or, from its second reading on, p cannot get
-    there by _SETTLE iterations after its first reading. "Cannot" reads p's
-    largest relative gap to the candidate, g, against the last reading's
+    budget on, read off its bids: goods 1..n in order, and money as the
+    bids' last column. Called as _solve_eg's stop rule, stop(buyers, bids,
+    p), every _GAP_EVERY iterations, it snaps the supports onto the rational
+    twin (see _snap) when they differ from the last call's, reading each
+    distinct support row once and sharing its labels among the buyers that
+    have it. The stop rule: a candidate gets one exact check, check_clearing
+    on the twin, at the first reading where either every price of p is
+    within _AGREE (relative) of it, or, from its second reading on, p cannot
+    get there by _SETTLE iterations after its first reading. "Cannot" reads
+    p's largest relative gap to the candidate, g, against the last reading's
     g_prev. A gap that did not shrink cannot. One that did cannot when, at
     that rate, reaching _AGREE would take more iterations than are left:
     _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev) > _SETTLE - held, where
-    held counts the iterations since the candidate's first reading.
-    Clearing prices are unique, so a candidate that clears is p* however
-    far p still is from it, and waiting for the prices only delays that one
-    check. Each distinct candidate is checked at most once. The answer is
-    True, and the run stops, when a check clears or when every price agrees
-    with the candidate, cleared or not. `cleared` is (candidate,
-    certificate) once a check has cleared, else None.
+    held counts the iterations since the candidate's first reading. Clearing
+    prices are unique, so a candidate that clears is p* however far p still
+    is from it, and waiting for the prices only delays that one check. Each
+    distinct candidate is checked at most once. The answer is True, and the
+    run stops, when a check clears or when every price agrees with the
+    candidate, cleared or not. `cleared` is (candidate, certificate) once a
+    check has cleared, else None.
 
     A reading costs little next to _GAP_EVERY iterations, and is kept so:
     the supports are re-read only when the mask's bytes change; the agree
@@ -440,17 +434,18 @@ class _Support:
         self._held = 0  # iterations the candidate has stayed the same
         self._failed = set()  # candidates whose clearing check failed
         self._checked = False  # whether the candidate's check has run
+        self._labels = (*range(1, twin.n + 1), 0)  # the bids' columns: goods, then money
         self._mask = None  # the bytes of the last supports' boolean mask
-        self._target = None  # the candidate's prices of the goods asked about, as floats
+        self._target = None  # the candidate's prices, as floats
         self._gap = None  # the prices' largest relative gap to it at the last call
 
-    def __call__(self, buyers, goods, bids, p) -> bool:
+    def __call__(self, buyers, bids, p) -> bool:
         self._held += _GAP_EVERY
         mask = bids > _SUPPORT * bids.sum(axis=1, keepdims=True)
         key = mask.tobytes()
         if key != self._mask:
             self._mask = key
-            labels = [k + 1 for k in goods] + [0]  # money is the last column
+            labels = self._labels
             width = len(labels)
             read = {}  # a support row's bytes -> its labels
             sets = [()] * self.twin.m
@@ -468,7 +463,7 @@ class _Support:
                 self._target = None
                 if candidate is not None:
                     self._checked = candidate in self._failed
-                    self._target = [float(candidate[k]) for k in goods]
+                    self._target = [float(v) for v in candidate]
         target = self._target
         if target is None:
             return False
@@ -631,15 +626,21 @@ def _proportional_response(
     """(eg, cleared): solve's proportional-response run, stopped by its
     support (see _Support) or at the gap target _GAP_TARGET * total budget,
     and (p, certificate) when the support's candidate p passed its exact
-    clearing check on the rational twin, else None. (None, None) when an
-    exact market has no float image (a number beyond the float range, or a
-    good whose only positive values fall below it)."""
+    clearing check on the rational twin, else None.
+
+    (None, None) when no support could certify the market: an exact market
+    without a float image (a number beyond the float range), or a market
+    with an idle good, one whose float supply is 0 or that no funded buyer
+    gives a positive float value (a value below the float range reads as
+    0). No support can hold an idle good, so its tie component has neither
+    a money tie nor an attached budget, _snap never finds a candidate, and
+    the run could only end at its gap target or iteration cap."""
     try:
         scale = float(sum(b.budget for b in market.buyers))
-        image = _float_image(market)
+        beta, supply, values = image = _float_image(market)
     except OverflowError:
         return None, None
-    if not (image[2] > 0).any(axis=0).all():
+    if not (supply > 0).all() or not (values[beta > 0] > 0).any(axis=0).all():
         return None, None
     support = _Support(market.rational_twin())
     eg = _solve_eg(image, _GAP_TARGET * scale, stop=support)
@@ -675,10 +676,12 @@ def solve(market: Market) -> EquilibriumResult:
     stopped, not an error of p_star: up to about 6e-2 on the random
     families tried.
 
-    An exact market with a number beyond the float range, or a good whose
-    only positive values lie below it, has no float image for proportional
-    response to run on. It goes straight to the descent, and eg and
-    method_agreement are None.
+    An exact market with a number beyond the float range has no float image
+    for proportional response to run on, and a market with an idle good (a
+    good whose float supply is 0, or that no funded buyer gives a positive
+    float value, such as one whose only positive values lie below the float
+    range) has no support that could certify it. Either goes straight to
+    the descent, and eg and method_agreement are None.
 
     The efficiency certificate is read off the clearing certificate: clearing
     prices with their clearing allocation are a competitive equilibrium, and

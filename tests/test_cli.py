@@ -166,6 +166,29 @@ def test_solve_market_without_a_float_image(tmp_path):
     assert diagnostics["eg_iterations"] is None
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_market_with_a_zero_supply_good(tmp_path, mode):
+    """Good z has no supply, so proportional response does not run: the
+    descent answers, and the proportional-response diagnostics are null."""
+    market = {
+        "kind": "market",
+        "goods": [{"name": "g1", "supply": 1}, {"name": "z", "supply": 0}],
+        "buyers": [{"name": "b1", "values": ["1/2", 2], "budget": "1/2"}],
+    }
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(market), encoding="utf-8")
+    code, out, err = run_cli("solve", str(path), "--mode", mode, "--no-timestamp")
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["p_star"] == (["1/2", 2] if mode == "exact" else [0.5, 2.0])
+    assert report["allocation"] == [[1, 0]]
+    assert report["diagnostics"] == {
+        "method_agreement": None, "eg_duality_gap": None, "eg_iterations": None,
+        "descent_steps": 2, "descent_probes": 6,
+        "certified_by": "descent",
+    }
+
+
 def test_solve_whose_descent_endpoint_does_not_clear_exits_2(fixture_dir, monkeypatch):
     def stuck(market, p0):
         return solver.DescentTrace(p0, (), p0, 0)  # feasible, but sells nothing

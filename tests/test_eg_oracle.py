@@ -7,8 +7,10 @@ those of the plain loop kept here as _reference_eg, so every field of
 every EGSolution must match the reference's bit for bit, and a stop rule
 must be asked the same questions at the same readings. The markets cover
 seeded random_market draws, many-buyer markets (whose price sums add in
-numpy's pairwise order over buyers), zero-budget buyers, zero-supply
-goods, a market where BID_FLOOR binds, and runs stalled at max_iter.
+numpy's pairwise order over buyers), zero-budget buyers, a market where
+BID_FLOOR binds, and runs stalled at max_iter. Proportional response runs
+only where every good has positive supply and a funded buyer who values
+it, so every market here is such a market.
 """
 
 import dataclasses
@@ -31,33 +33,27 @@ def _reference_eg(image, target, max_iter=400_000, stop=None):
     """Proportional response written plainly: one update per pass of the
     loop, with a modulo test for the reading, and fresh arrays for each
     reading's gap."""
-    beta_all, supply_all, values_all = image
+    beta_all, s, values_all = image
     m, n = values_all.shape
     live = np.flatnonzero(beta_all > 0)
-    active = [
-        k for k in range(n) if supply_all[k] > 0 and np.any(values_all[live, k] > 0)
-    ]
     beta = beta_all[live]
-    s = supply_all[active]
-    na = len(active)
-    va = np.ones((len(live), na + 1), order="F")
-    va[:, :na] = values_all[np.ix_(live, active)]
+    va = np.ones((len(live), n + 1), order="F")
+    va[:, :n] = values_all[live]
 
     valued = va > 0
     shares = 1.0 / valued.sum(axis=1)
     bids = np.asfortranarray(np.where(valued, (beta * shares)[:, None], 0.0))
     floor = np.where(valued, solver.BID_FLOOR, 0.0)
-    goods_bids, money = bids[:, :na], bids[:, na]
+    goods_bids, money = bids[:, :n], bids[:, n]
 
-    p = np.ones(na + 1)
-    goods_p = p[:na]
+    p = np.ones(n + 1)
+    goods_p = p[:n]
     x = np.empty_like(bids)
     gains = np.empty_like(bids)
     u = np.empty(len(live))
     scale = np.empty(len(live))
-    gap = float("inf") if na else 0.0
     iterations = 0
-    while na:
+    while True:
         np.add.reduce(goods_bids, axis=0, out=goods_p)
         goods_p /= s
         np.divide(bids, p, out=x)
@@ -68,7 +64,7 @@ def _reference_eg(image, target, max_iter=400_000, stop=None):
             rmax = (va / p).max(axis=1)
             dual = float(np.dot(goods_p, s) + (beta * np.log(beta * rmax) - beta).sum())
             gap = dual - primal
-            if stop is not None and stop(live, active, bids, goods_p):
+            if stop is not None and stop(live, bids, goods_p):
                 break
             if gap <= target or iterations >= max_iter:
                 break
@@ -77,21 +73,14 @@ def _reference_eg(image, target, max_iter=400_000, stop=None):
         np.maximum(bids, floor, out=bids)
         iterations += 1
 
-    prices = np.zeros(n)
-    prices[active] = goods_p
-    rmax = np.maximum(1.0, (values_all[:, active] / goods_p).max(axis=1, initial=0.0))
-    for k in range(n):
-        if k not in active:
-            valued = values_all[:, k] > 0
-            prices[k] = (values_all[valued, k] / rmax[valued]).max()
     allocation = np.zeros((m, n))
-    allocation[np.ix_(live, active)] = x[:, :na]
+    allocation[live] = x[:, :n]
     leftover = np.zeros(m)
     leftover[live] = money
     return solver.EGSolution(
         allocation=tuple(map(tuple, allocation.tolist())),
         leftover=tuple(leftover.tolist()),
-        prices=tuple(prices.tolist()),
+        prices=tuple(goods_p.tolist()),
         duality_gap=float(gap),
         iterations=iterations,
     )
@@ -111,16 +100,16 @@ def _bits(value):
 
 class _Recorder:
     """A stop rule that asks solve's _Support and records every question:
-    the buyers, goods, bids (with their layout) and prices it was shown,
-    byte for byte, and the answer."""
+    the buyers, bids (with their layout) and prices it was shown, byte for
+    byte, and the answer."""
 
     def __init__(self, market):
         self.support = solver._Support(market.rational_twin())
         self.calls = []
 
-    def __call__(self, buyers, goods, bids, p):
-        answer = self.support(buyers, goods, bids, p)
-        self.calls.append((buyers.tolist(), list(goods), bids.shape, bids.flags.f_contiguous,
+    def __call__(self, buyers, bids, p):
+        answer = self.support(buyers, bids, p)
+        self.calls.append((buyers.tolist(), bids.shape, bids.flags.f_contiguous,
                            bids.tobytes(order="A"), p.tobytes(), answer))
         return answer
 
@@ -170,24 +159,22 @@ def test_the_loop_is_the_reference_with_many_buyers(mode, seed, buyers, goods):
     _assert_same_runs(market, _solve_target(market))
 
 
-def _with(market, budgets=None, supplies=None):
-    """market with some budgets and supplies replaced: {index: number}."""
-    budgets, supplies = budgets or {}, supplies or {}
-    goods = tuple(Good(g.name, supplies.get(j, g.supply)) for j, g in enumerate(market.goods))
+def _with(market, budgets):
+    """market with some budgets replaced: {index: number}."""
     buyers = tuple(Buyer(b.name, b.values, budgets.get(i, b.budget))
                    for i, b in enumerate(market.buyers))
-    return Market(goods, buyers, market.mode)
+    return Market(market.goods, buyers, market.mode)
 
 
 @_MODES
 def test_the_loop_is_the_reference_with_zero_budgets_and_supplies(mode):
-    """Zero-budget buyers leave the bid matrix, and zero-supply goods leave
-    the dynamics, their prices imputed after the loop."""
+    """Zero-budget buyers leave the bid matrix. (A zero-supply good makes
+    the market one that proportional response does not run on; see
+    tests/test_solver.py.)"""
     base = _many_buyers(random.Random(7), 30, 4)
     cases = [
-        _with(base, budgets={0: F(0), 5: F(0), 17: F(0)}),
-        _with(base, supplies={1: F(0)}),
-        _with(base, budgets={2: F(0), 29: F(0)}, supplies={0: F(0), 3: F(0)}),
+        _with(base, {0: F(0), 5: F(0), 17: F(0)}),
+        _with(base, {2: F(0), 29: F(0)}),
     ]
     for market in cases:
         market = market.coerced(mode)

@@ -162,6 +162,22 @@ def test_strip_worthless_goods():
     assert validate_market(stripped) == []
 
 
+@pytest.mark.parametrize("value", [None, "1"], ids=["None", "str"])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_strip_worthless_goods_keeps_a_good_with_a_value_that_is_not_a_number(mode, value):
+    """strip_worthless_goods compared every value with 0 and raised a bare
+    TypeError ("'>' not supported between instances of 'NoneType' and
+    'int'"). Such a value now keeps its good, and validation reports it by
+    its type."""
+    market = Market((Good("A", 1), Good("B", 1)), (Buyer("b", (value, 1), 1),), mode)
+    stripped = strip_worthless_goods(market)
+    assert stripped == market
+    kind = "a Fraction in an exact" if mode.is_exact else "a float in a float"
+    assert validate_market(stripped) == [
+        f"buyer b: value for good A {value!r} is not an int or {kind} market"
+    ]
+
+
 def _count_validations(monkeypatch):
     """The markets whose validation body runs from here on, one entry per run."""
     runs = []

@@ -5,10 +5,19 @@ and the summary of alternated benchmark pairs."""
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from qfmarket import Market, aggregate, check_clearing, check_feasible, float_mode, solve
+from qfmarket import (
+    Good,
+    Market,
+    aggregate,
+    check_clearing,
+    check_feasible,
+    float_mode,
+    solve,
+)
 from qfmarket.proptest import random_market
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -89,6 +98,18 @@ def test_market_digests_repeat_and_tell_families_apart():
     assert all(len(value) == 64 for value in first.values())
     assert digests.market_digests(family(3)) == first
     assert digests.market_digests(family(2))["solve"] != first["solve"]
+
+
+def test_the_idle_family_is_the_battery_with_a_zero_supply_good(monkeypatch):
+    """Each `idle` market is its battery market with one more good, of
+    supply 0, that every buyer values at 5/2."""
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    families = dict(digests.families())
+    assert list(families)[:2] == ["battery", "idle"]
+    for market, idle in zip(families["battery"], families["idle"]):
+        assert idle.goods == market.goods + (Good("idle", 0),)
+        assert [b.values for b in idle.buyers] == [b.values + (Fraction(5, 2),) for b in market.buyers]
+        assert [b.budget for b in idle.buyers] == [b.budget for b in market.buyers]
 
 
 def test_a_demand_set_digests_as_its_goods(monkeypatch):

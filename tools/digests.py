@@ -28,8 +28,12 @@ in exact mode and as the same market in floats, the outputs are:
   revenue and its witness's forced budget and capacity. Float sums of
   these depend on the order of their terms, so float mode leaves them out.
 
-The families are the seed-0 6x6 acceptance battery, random_market draws
-12345/8x4 #0-59 and Random(7) 6x6 #0-39, crowd_market draws from Random(100)
+The families are the seed-0 6x6 acceptance battery, `idle` (that battery
+with one good of supply 0 appended, valued 5/2 by every buyer: a change in
+how solve reaches its answers on such markets shows as identical
+`answers`, `descent`, `check_*`, `demand_sets` and `outcomes` lines beside
+a changed `solve` line), random_market draws 12345/8x4 #0-59 and Random(7)
+6x6 #0-39, crowd_market draws from Random(100)
 at 50x3, 120x4 and 200x4, the first three crowd_market draws from one
 Random(11) at 100x4, a ladder from one Random(100) at 200x4, 500x4 and
 1000x8, and the benchmark's `crowd` and `region` markets (read from
@@ -189,9 +193,17 @@ def families():
         rng = random.Random(seed)
         return [q.random_market(rng, buyers, goods) for _ in range(count)]
 
+    def idle(market):  # market with a good of supply 0 that every buyer values at 5/2
+        goods = market.goods + (q.Good("idle", 0),)
+        buyers = tuple(q.Buyer(b.name, b.values + (Fraction(5, 2),), b.budget)
+                       for b in market.buyers)
+        return q.Market(goods, buyers, market.mode)
+
     ladder, crowd11 = random.Random(100), random.Random(11)
+    battery = draws(0, 20, 6, 6)
     return [
-        ("battery", draws(0, 20, 6, 6)),
+        ("battery", battery),
+        ("idle", [idle(market) for market in battery]),
         ("12345-8x4", draws(12345, 60, 8, 4)),
         ("7-6x6", draws(7, 40, 6, 6)),
         ("crowd-100", [workloads.crowd_market(random.Random(100), m, n)
