@@ -255,13 +255,15 @@ def _violations(market: Market) -> list:
         violations.append("goods: duplicate names")
     value_of = [f"value for good {name}" for name in names]
     # Whether some buyer values good k: a positive value, or one that failed
-    # its type check, which is reported once, as that, and not compared.
+    # its type check, which is reported once, as that, and not compared; a
+    # row of the wrong length is reported once too, as its length.
     valued = [False] * market.n
     for b in market.buyers:
         if len(b.values) != market.n:
             violations.append(
                 f"buyer {b.name}: {len(b.values)} values for {market.n} goods"
             )
+            valued = [True] * market.n
             continue
         owner = f"buyer {b.name}"
         check(b.budget, owner, "budget")
@@ -291,7 +293,11 @@ def strip_worthless_goods(market: Market) -> Market:
     """Drop goods valued 0 by every buyer (the caller's explicit modeling
     action). A value that cannot be compared with 0, such as None or a
     string, keeps its good, so that validate_market reports that value by
-    its type."""
+    its type. A buyer whose row holds more or fewer values than there are
+    goods leaves the market whole, so that validate_market reports the
+    row's length."""
+    if any(len(b.values) != market.n for b in market.buyers):
+        return market
 
     def valued(v) -> bool:
         try:

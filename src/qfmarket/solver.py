@@ -1,7 +1,7 @@
 """The minimal feasible (competitive-equilibrium) price: a fast certified path
 and an exact descent fallback.
 
-Proportional response (`solve_eg`, the run `solve` makes) runs on a
+Proportional response (`solve_eg`; `solve` runs a prefix of it) runs on a
 quasi-linear Eisenberg-Gale program: maximize
 sum_i (beta_i log u_i - delta_i) subject to u_i <= v_i . x_i + delta_i and
 supply constraints. Buyers split budgets into bids over goods and a money
@@ -18,12 +18,12 @@ Certified rounding turns those prices into the exact answer. Once each
 buyer's demand set is known, the prices solve a linear system, so a demand
 structure read off the iterate points to one exact candidate. The structure
 read is the support: what each buyer spends more than 1% of its budget on.
-The support's candidate gets one exact clearing check, when the prices
-agree with it or can no longer agree in time (the rule is _Support's). If
-the check passes the candidate is the answer, because clearing prices are
-unique; proportional response only has to point at the right ties, not
-reach them. `solve` stops proportional response as soon as a check passes or
-the prices agree with the candidate, or else at a fixed gap target.
+Each new candidate gets one exact clearing check, at the reading where it
+first appears (the rule is _Support's). If the check passes the candidate
+is the answer, because clearing prices are unique; proportional response
+only has to point at the right ties, not reach them. `solve` stops
+proportional response as soon as a check passes, or when the prices agree
+with a candidate whose check failed, or else at a fixed gap target.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -39,10 +39,10 @@ every lambda >= 1.
 
 `solve` runs proportional response only where a support could certify the
 market: every good has positive supply and a funded buyer who values it.
-It runs until its support's candidate clears or agrees, its gap is met or
-its iterations run out. `solve` takes the cleared candidate or else falls
-back to the descent, and packages the clearing allocation with revenue,
-welfare, and certificates. Both certificates rest
+It runs until a support candidate clears, the prices agree with one that
+failed, its gap is met or its iterations run out. `solve` takes the cleared
+candidate or else falls back to the descent, and packages the clearing
+allocation with revenue, welfare, and certificates. Both certificates rest
 on the one clearing check: a clearing price with its clearing allocation is
 a competitive equilibrium, and those outcomes, and only those, are
 constrained-efficient.
@@ -50,7 +50,6 @@ constrained-efficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -167,30 +166,28 @@ def initial_feasible_price(market: Market) -> PriceVector:
 
 
 def solve_eg(market: Market) -> Optional[EGSolution]:
-    """The proportional-response run that solve makes, equal to solve(market).eg.
+    """Proportional response run to its gap target, with no support stop.
 
     Runs in floating point regardless of the market's numeric mode; an
-    answer's exactness comes from certifying these prices afterwards, not
-    from this arithmetic. Zero-budget buyers take no part (they keep no
-    money and get empty bundles). The run stops where solve's does (see
-    _proportional_response): when its support's candidate passes its exact
-    clearing check or every price agrees with it (see _Support), at the gap
-    target 1e-11 * total budget (the duality gap is money, so the target
-    scales with the money in play), or stalled at its iteration cap, which
-    raises nothing. Clearing prices are unique, so a check that passes is a
-    whole certificate, and a run it stops before the prices agreed may end
-    far from that candidate: up to about 2e-2 relative on the random
-    families tried. The duality gap is read every 25 iterations, so
-    iterations is a multiple of 25.
+    answer's exactness comes from certifying prices afterwards, not from
+    this arithmetic. Zero-budget buyers take no part (they keep no money and
+    get empty bundles). The run stops at the gap target 1e-11 * total budget
+    (the duality gap is money, so the target scales with the money in play),
+    or stalled at its iteration cap, which raises nothing. The duality gap
+    is read every 25 iterations, so iterations is a multiple of 25.
+
+    solve(market).eg is a prefix of this run: solve stops it early, at its
+    first support candidate that clears (see _Support), so its prices may
+    lie far from p*, while this run's prices approach p* as its gap closes.
 
     None, with no iteration run, when no support could certify the market:
     an exact market without a float image, or a market with an idle good,
     one whose float supply is 0 or that no funded buyer gives a positive
-    float value (see _proportional_response). solve then goes straight to
-    the descent.
+    float value (see _eg_run). solve then goes straight to the descent.
     """
     require_valid(market)
-    return _proportional_response(market)[0]
+    run = _eg_run(market)
+    return None if run is None else _solve_eg(*run)
 
 
 def _float_image(market: Market):
@@ -313,12 +310,9 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 # A buyer's support: the options (goods, and money) it spends more than this
 # share of its budget on.
 _SUPPORT = 1e-2
-# Relative distance within which every price agrees with a support candidate.
+# Relative distance within which every price agrees with a failed support
+# candidate: _Support's stall guard.
 _AGREE = 1e-6
-# The horizon of _Support's check: a candidate is checked once its prices
-# cannot come within _AGREE of it by _SETTLE iterations after its first
-# reading, at the rate last read.
-_SETTLE = 500
 
 
 def _snap(market: Market, sets) -> Optional[PriceVector]:
@@ -403,44 +397,32 @@ class _Support:
     p), every _GAP_EVERY iterations, it snaps the supports onto the rational
     twin (see _snap) when they differ from the last call's, reading each
     distinct support row once and sharing its labels among the buyers that
-    have it. The stop rule: a candidate gets one exact check, check_clearing
-    on the twin, at the first reading where either every price of p is
-    within _AGREE (relative) of it, or, from its second reading on, p cannot
-    get there by _SETTLE iterations after its first reading. "Cannot" reads
-    p's largest relative gap to the candidate, g, against the last reading's
-    g_prev. A gap that did not shrink cannot. One that did cannot when, at
-    that rate, reaching _AGREE would take more iterations than are left:
-    _GAP_EVERY * ln(_AGREE / g) / ln(g / g_prev) > _SETTLE - held, where
-    held counts the iterations since the candidate's first reading. Clearing
-    prices are unique, so a candidate that clears is p* however far p still
-    is from it, and waiting for the prices only delays that one check. Each
-    distinct candidate is checked at most once. The answer is True, and the
-    run stops, when a check clears or when every price agrees with the
-    candidate, cleared or not. `cleared` is (candidate, certificate) once a
-    check has cleared, else None.
+    have it. The stop rule: a candidate gets its one exact check,
+    check_clearing on the twin, at the reading where it first appears.
+    Clearing prices are unique, so a candidate that clears is p* however
+    far p still is from it, and the run stops there. Each distinct candidate
+    is checked at most once. The only other stop is the stall guard: every
+    price of p within _AGREE (relative) of a candidate whose check failed,
+    so the run goes to the descent rather than settle on it. `cleared` is
+    (candidate, certificate) once a check has cleared, else None.
 
     A reading costs little next to _GAP_EVERY iterations, and is kept so:
     the supports are re-read only when the mask's bytes change; the agree
-    and gap test on the at most n prices runs on Python floats, which make
-    the same float operations as numpy would, in one pass; and a candidate
-    is looked up among the failed ones once, when it appears, since hashing
-    a tuple of Fractions costs more than the rest of the reading.
+    test on the at most n prices runs on Python floats; and a candidate is
+    looked up among the failed ones once, when it appears, since hashing a
+    tuple of Fractions costs more than the rest of the reading.
     """
 
     def __init__(self, twin: Market):
         self.twin = twin
         self.candidate = None
         self.cleared = None
-        self._held = 0  # iterations the candidate has stayed the same
         self._failed = set()  # candidates whose clearing check failed
-        self._checked = False  # whether the candidate's check has run
         self._labels = (*range(1, twin.n + 1), 0)  # the bids' columns: goods, then money
         self._mask = None  # the bytes of the last supports' boolean mask
-        self._target = None  # the candidate's prices, as floats
-        self._gap = None  # the prices' largest relative gap to it at the last call
+        self._target = None  # the failed candidate's prices, as floats
 
     def __call__(self, buyers, bids, p) -> bool:
-        self._held += _GAP_EVERY
         mask = bids > _SUPPORT * bids.sum(axis=1, keepdims=True)
         key = mask.tobytes()
         if key != self._mask:
@@ -458,36 +440,18 @@ class _Support:
             candidate = _snap(self.twin, sets)
             if candidate != self.candidate:
                 self.candidate = candidate
-                self._held = 0
-                self._gap = None
                 self._target = None
                 if candidate is not None:
-                    self._checked = candidate in self._failed
+                    if candidate not in self._failed:
+                        cert = check_clearing(self.twin, candidate)
+                        if cert.clearing:
+                            self.cleared = (candidate, cert)
+                            return True
+                        self._failed.add(candidate)
                     self._target = [float(v) for v in candidate]
         target = self._target
-        if target is None:
-            return False
-        gap, agrees = 0.0, True
-        for price, aim in zip(p.tolist(), target):
-            diff = abs(price - aim)
-            if not diff <= _AGREE * aim:
-                agrees = False
-            if diff / aim > gap:
-                gap = diff / aim
-        last, self._gap = self._gap, gap
-        # The prices agree, or cannot agree by _SETTLE at the rate last read.
-        due = agrees or last is not None and (
-            gap >= last
-            or _GAP_EVERY * math.log(_AGREE / gap) / math.log(gap / last) > _SETTLE - self._held
-        )
-        if due and not self._checked:
-            self._checked = True
-            cert = check_clearing(self.twin, self.candidate)
-            if cert.clearing:
-                self.cleared = (self.candidate, cert)
-                return True
-            self._failed.add(self.candidate)
-        return agrees
+        return target is not None and all(
+            abs(price - aim) <= _AGREE * aim for price, aim in zip(p.tolist(), target))
 
 
 def _next_event(ratios, best, patterns: dict, down: frozenset) -> Number:
@@ -620,61 +584,70 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
     )
 
 
-def _proportional_response(
-    market: Market,
-) -> Tuple[Optional[EGSolution], Optional[Tuple[PriceVector, FeasibilityCertificate]]]:
-    """(eg, cleared): solve's proportional-response run, stopped by its
-    support (see _Support) or at the gap target _GAP_TARGET * total budget,
-    and (p, certificate) when the support's candidate p passed its exact
-    clearing check on the rational twin, else None.
-
-    (None, None) when no support could certify the market: an exact market
-    without a float image (a number beyond the float range), or a market
-    with an idle good, one whose float supply is 0 or that no funded buyer
-    gives a positive float value (a value below the float range reads as
-    0). No support can hold an idle good, so its tie component has neither
-    a money tie nor an attached budget, _snap never finds a candidate, and
-    the run could only end at its gap target or iteration cap."""
+def _eg_run(market: Market):
+    """(image, target): the _float_image proportional response runs on and
+    its gap target _GAP_TARGET * total budget, or None when no support could
+    certify the market: an exact market without a float image (a number
+    beyond the float range), or a market with an idle good, one whose float
+    supply is 0 or that no funded buyer gives a positive float value (a
+    value below the float range reads as 0). No support can hold an idle
+    good, so its tie component has neither a money tie nor an attached
+    budget, _snap never finds a candidate, and the run could only end at its
+    gap target or iteration cap."""
     try:
         scale = float(sum(b.budget for b in market.buyers))
         beta, supply, values = image = _float_image(market)
     except OverflowError:
-        return None, None
+        return None
     if not (supply > 0).all() or not (values[beta > 0] > 0).any(axis=0).all():
+        return None
+    return image, _GAP_TARGET * scale
+
+
+def _proportional_response(
+    market: Market,
+) -> Tuple[Optional[EGSolution], Optional[Tuple[PriceVector, FeasibilityCertificate]]]:
+    """(eg, cleared): solve's proportional-response run, stopped by its
+    support (see _Support) or at its gap target, and (p, certificate) when
+    the support's candidate p passed its exact clearing check on the
+    rational twin, else None. (None, None) where _eg_run is None."""
+    run = _eg_run(market)
+    if run is None:
         return None, None
     support = _Support(market.rational_twin())
-    eg = _solve_eg(image, _GAP_TARGET * scale, stop=support)
-    return eg, support.cleared
+    return _solve_eg(*run, stop=support), support.cleared
 
 
 def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
-    Proportional response runs first. The exact candidate its spending
-    support points to gets one clearing check on the rational twin when the
-    prices agree with it or can no longer agree in time (see _Support). The
-    run stops when a check passes, when the prices agree with the candidate,
+    Proportional response runs first. Each exact candidate its spending
+    support points to gets one clearing check on the rational twin, at the
+    reading where it first appears (see _Support). The run stops when a
+    check passes, when the prices agree with a candidate whose check failed,
     or else at the gap target 1e-11 * total budget, which scales with the
-    money, so eg's gap may sit above that target. Clearing prices are
-    unique, so a candidate that passed is p_star: that check is the whole
-    certificate, solve takes no tolerance, and it does not repeat the check.
+    money, so eg's gap may sit far above that target. eg is that run, a
+    prefix of solve_eg's. Clearing prices are unique, so a candidate that
+    passed is p_star: that check is the whole certificate, solve takes no
+    tolerance, and it does not repeat the check.
     In exact mode it is the result's certificate; a float market's
     rounded-back price is checked again in floats. certified_by is then
     "rounding" and the descent trace is empty.
 
     Every other case goes to lattice_descent from a trivially feasible price
     (certified_by "descent"): a run that ends, at its gap target, stalled
-    at its iteration cap or agreeing with a candidate, without a check that
-    passed. The descent's endpoint must pass the same clearing check. One
-    check and one refusal serve both paths: a p_star that fails its check in
-    the market's mode raises MethodDisagreementError, carrying both
-    solutions. A float re-check that fails raises at once, since the descent
-    could only end at the same rational and fail the same check. On either path
-    method_agreement reports the largest per-coordinate gap between p_star
-    and the proportional-response prices, as a diagnostic; after a check
-    that passed before the prices agreed, it measures how early the run
-    stopped, not an error of p_star: up to about 6e-2 on the random
-    families tried.
+    at its iteration cap or agreeing with a failed candidate, without a
+    check that passed. The descent's endpoint must pass the same clearing
+    check. One check and one refusal serve both paths: a p_star that fails
+    its check in the market's mode raises MethodDisagreementError, carrying
+    both solutions. A float re-check that fails raises at once, since the
+    descent could only end at the same rational and fail the same check. On
+    either path method_agreement reports the largest per-coordinate gap
+    between p_star and eg's prices, as a diagnostic; after a check that
+    passed, it measures how early the run stopped, not an error of p_star:
+    up to about 0.14 on the seed-0 6x6, 12345/8x4 and Random(7) 6x6 draws
+    tried. solve_eg's own run is the one that shows how close proportional
+    response comes.
 
     An exact market with a number beyond the float range has no float image
     for proportional response to run on, and a market with an idle good (a

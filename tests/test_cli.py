@@ -60,16 +60,16 @@ def test_solve_reports_are_reproducible(fixture_dir):
 _SOLVE_REPORT_PINS = {
     ("example1.json", "exact"): "2370b95687e043f8438a6a8aeb9fadbd74f405137ebc883a7d18e25157c480d9",
     ("example1.json", "float"): "f21e593d3888467d3166cc34ad5e2035d4a92743be7e3c364fa19fe712df884c",
-    ("example2.json", "exact"): "d7ee8152db32436189abdb09197f1c49f762593786c0033a8815526da114a64b",
-    ("example2.json", "float"): "837313b7f6e327e03848285ed21378f626445c374c05dc8c7e21aa9defa1c5d9",
+    ("example2.json", "exact"): "df770aed05fecc710f355c59fd6b700d2401ad3e7c0caa37fa5ee2b1e9021bf9",
+    ("example2.json", "float"): "dca001773641998f62cdf87382dcf9c68df4ed1e1a48699b7ae2e7b0ed07bd13",
     ("example2_arctic_merged.json", "exact"):
-        "df6cfe258ffaf4a39fb98364f06492fb4f317dc345d240ceafcdbac4ee6586ba",
+        "32ad71abf63910a4ef655750053ec7d88cd93e97bff9ab9d4945164554432459",
     ("example2_arctic_merged.json", "float"):
-        "c6c8739d40c5cdaca30ab16f63f5c137916ed4272017b4a49ebda10d114b205d",
+        "bb9cd46cb87ec53712128518c61a461c3650e3c6cfdedd3fa4a16340b81f16ea",
     ("example2_arctic_split.json", "exact"):
-        "b5a951b7e202b2744a724ec65fadb97a75f9b73e18d16f68ab26e415bded2da0",
+        "07a946c042ca82bbcf4ee4714fa32de727b58fe7b9fefacb876871f172801a62",
     ("example2_arctic_split.json", "float"):
-        "75734d22d2644ddbf8b5a9ee481d0c1cba034182e8119e2cc3e8eb7e2c0aad9a",
+        "7dfc51aea3bacf58d328d245e6a2d62a3835d4ac76e24f77d33f46b76c93985e",
 }
 
 

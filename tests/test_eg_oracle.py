@@ -133,7 +133,7 @@ def _assert_same_runs(market, target, max_iter=400_000):
 
 
 def _solve_target(market):
-    return solver._GAP_TARGET * float(sum(b.budget for b in market.buyers))
+    return solver._eg_run(market)[1]
 
 
 _MODES = pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])

@@ -178,6 +178,20 @@ def test_strip_worthless_goods_keeps_a_good_with_a_value_that_is_not_a_number(mo
     ]
 
 
+@pytest.mark.parametrize("row", [(1,), (0, 1, 5)], ids=["short", "long"])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_strip_worthless_goods_leaves_a_market_with_a_wrong_length_row_whole(mode, row):
+    """strip_worthless_goods indexed every buyer's row by good and raised a
+    bare IndexError on a short row; a long row lost its extra values and
+    passed validation. Either now leaves the market whole, and validation
+    reports the row's length alone, without sending the caller back to
+    strip_worthless_goods."""
+    market = Market((Good("A", 1), Good("B", 1)), (Buyer("b", row, 1),), mode)
+    stripped = strip_worthless_goods(market)
+    assert stripped is market
+    assert validate_market(stripped) == [f"buyer b: {len(row)} values for 2 goods"]
+
+
 def _count_validations(monkeypatch):
     """The markets whose validation body runs from here on, one entry per run."""
     runs = []

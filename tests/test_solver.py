@@ -59,7 +59,11 @@ def test_solve_exact_reference_market(ref_exact):
     assert res.revenue == F(3)
     assert res.welfare == F(15)
     assert aggregate(res.allocation, 2) == (F(3), F(2))
-    assert res.method_agreement <= 1e-5
+    # the first reading's candidate clears, so the run stops 1.7e-3 from p*;
+    # run on to its gap target, proportional response comes within 1e-5
+    assert res.eg.iterations == 25
+    assert res.method_agreement == max(abs(p - 0.6) for p in res.eg.prices)
+    assert max(abs(p - 0.6) for p in solve_eg(ref_exact).prices) <= 1e-5
     assert res.clearing_certificate.clearing
     assert res.efficiency_certificate.certified
     assert res.certified_by == "rounding"
@@ -84,13 +88,18 @@ def test_solve_eg_converges_with_certified_gap(ref_float):
     assert abs(sold[0] - 3.0) <= 1e-6 and abs(sold[1] - 2.0) <= 1e-6
 
 
-def test_solve_eg_is_the_run_solve_makes(ref_exact):
-    """In both modes, and on draw 15, whose support points to no candidate,
+def test_solve_eg_runs_on_past_the_prefix_solve_makes(ref_exact):
+    """solve's run is proportional response with no gap target, cut at the
+    iterations it ran; solve_eg runs the same iterates on to its gap target.
+    In both modes, and on draw 15, whose support points to no candidate,
     so its run ends at its first gap check and the descent certifies it."""
     markets = [ref_exact] + [_draw(0, k, 6, 6) for k in (0, 8, 15)]
     for market in markets:
         for m in (market, market.coerced(float_mode())):
-            assert solve_eg(m) == solve(m).eg
+            eg = solve(m).eg
+            image = solver._float_image(m)
+            assert eg == solver._solve_eg(image, -1.0, max_iter=eg.iterations)
+            assert solve_eg(m).iterations >= eg.iterations
 
 
 def test_proportional_response_reads_the_market_float_table(ref_exact, ref_float):
@@ -227,7 +236,7 @@ def test_a_descent_endpoint_that_does_not_clear_raises_with_both_solutions(
     with pytest.raises(solver.MethodDisagreementError, match="failed its clearing check") as err:
         solve(ref_exact)
     assert err.value.descent is stuck
-    assert err.value.eg == solve_eg(ref_exact)
+    assert err.value.eg == solver._proportional_response(ref_exact)[0]
 
 
 def test_a_rounded_candidate_that_fails_its_float_check_raises_at_once(ref_float, monkeypatch):
@@ -251,7 +260,7 @@ def test_a_rounded_candidate_that_fails_its_float_check_raises_at_once(ref_float
         solve(ref_float)
     assert err.value.descent.final == (0.6, 0.6)
     assert err.value.descent.steps == () and err.value.descent.probes == 0
-    assert err.value.eg == solve_eg(ref_float)
+    assert err.value.eg == solver._proportional_response(ref_float)[0]
 
 
 def test_initial_feasible_price_is_feasible(ref_exact):
@@ -422,11 +431,11 @@ def test_float_wedge_market_solves():
 def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
     """p* of 12345-family draws, exact and in floats, each certified by
     rounding. On #31 and #35 the float descent once stopped above p*. On
-    #60 the support points at p* from iteration 75; at 100 its gap to the
-    prices shrinks too slowly to agree within _SETTLE, so its check comes
-    at once and clears. While the check waited for _SETTLE, the support
-    drifted at 550 to (61/46, 3/2, 122/69), which failed its check, and the
-    run fell to the descent after 3,100 iterations."""
+    #60 the support points at p* from iteration 75, where its check clears.
+    While the check waited for the prices to agree or to be seen unable to,
+    it came at 100; before that, while it waited for the candidate to
+    settle, the support drifted at 550 to (61/46, 3/2, 122/69), which failed
+    its check, and the run fell to the descent after 3,100 iterations."""
     market = _draw(12345, index, 8, 4)
     exact = solve(market)
     assert exact.p_star == p_star
@@ -435,7 +444,7 @@ def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
     _assert_float_p_star(floaty, p_star)
     assert floaty.certified_by == "rounding"
     if index == 60:
-        assert exact.eg.iterations == floaty.eg.iterations == 100
+        assert exact.eg.iterations == floaty.eg.iterations == 75
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
@@ -458,12 +467,12 @@ def test_money_indifferent_draw_beyond_absolute_agreement_gate():
     """Proportional response stalls about 1e-5 from p* = 3/2 here, past the
     descent's old agreement gate, so its prices never agree with its
     support's candidate: it ran 143,050 iterations and fell to the descent.
-    Its gap shrinks too slowly to agree in time, so its exact check comes
-    early and certifies p* after 75."""
+    The candidate is p* from the first reading, where its exact check
+    certifies it."""
     res = solve(_draw(12345, 125, 8, 4))
     assert res.p_star == (F(3, 2),)
     assert res.certified_by == "rounding"
-    assert res.eg.iterations <= 1_000
+    assert res.eg.iterations == 25
     assert res.clearing_certificate.clearing
 
 
@@ -479,9 +488,9 @@ _EG_TAIL = (
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 @pytest.mark.parametrize("draw", _EG_TAIL, ids=[f"{s}-{i}" for s, i, _, _ in _EG_TAIL])
 def test_settled_support_candidates_end_the_eg_tail(mode, draw):
-    """Each of these supports points at p* within a few hundred iterations;
-    once its prices cannot agree with it within _SETTLE iterations, one
-    exact check certifies it, although the prices are still far from it."""
+    """Each of these supports points at p* within a few hundred iterations,
+    and the exact check at the reading where that candidate first appears
+    certifies it, although the prices are still far from it."""
     market = _draw(*draw).coerced(mode)
     res = solve(market)
     assert res.certified_by == "rounding"
@@ -524,8 +533,10 @@ def test_a_float_market_with_little_money_sells_out(s):
 def test_gap_target_scales_with_the_money(mode, s):
     """Goods (1, 1), buyers (2s, s) with budget s and (s, 3s) with budget 2s.
     With the gap target floored at money 1, the run at s = 1e-12 stopped
-    after 25 iterations, before its support agreed, and fell to the descent;
-    at every scale it now certifies by rounding after 50."""
+    after 25 iterations, before its support's check, and fell to the
+    descent. At every scale solve's check of the first reading's candidate,
+    at 25, now clears, and solve_eg meets the target 1e-11 * total budget
+    after 75."""
     c = mode.coerce
     market = Market(
         (Good("a", c(1)), Good("b", c(1))),
@@ -534,8 +545,11 @@ def test_gap_target_scales_with_the_money(mode, s):
     )
     result = solve(market)
     assert result.certified_by == "rounding"
-    assert result.eg.iterations == 50
+    assert result.eg.iterations == 25
     assert result.p_star == (c(s), c(2 * s))
+    eg = solve_eg(market)
+    assert eg.iterations == 75
+    assert eg.duality_gap <= 3e-11 * s
 
 
 def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatch):
@@ -561,8 +575,10 @@ def test_descent_fallback_runs_when_rounding_finds_nothing(ref_exact, monkeypatc
 
 def test_stalled_proportional_response_goes_to_the_descent(ref_exact, monkeypatch):
     """Proportional response returns its last iterate on a stall; solve does
-    not fail on a run that ended above its gap target without its support
-    agreeing, but certifies the descent's answer."""
+    not fail on a run that ended above its gap target without a check that
+    passed, but certifies the descent's answer. The first reading's
+    candidate clears at iteration 25, so this support is made to point to
+    none, and the run stalls at its cap of 50."""
     last = solver._solve_eg(solver._float_image(ref_exact), 1e-12, max_iter=25)
     assert last.iterations == 25
     assert last.duality_gap > 1e-12
@@ -571,17 +587,77 @@ def test_stalled_proportional_response_goes_to_the_descent(ref_exact, monkeypatc
     run_eg = solver._solve_eg
 
     def stalls(image, target, stop=None):
-        # capped at 50 iterations; the support first agrees at 75
         stalled.append(run_eg(image, target, max_iter=50, stop=stop))
         assert stalled[0].duality_gap > target
         return stalled[0]
 
+    monkeypatch.setattr(solver, "_snap", lambda market, sets: None)
     monkeypatch.setattr(solver, "_solve_eg", stalls)
     res = solve(ref_exact)
     assert res.eg is stalled[0] and res.eg.iterations == 50
     assert res.p_star == (F(3, 5), F(3, 5))
     assert res.certified_by == "descent"
     assert res.clearing_certificate.clearing
+
+
+def test_prices_agreeing_with_a_failed_candidate_go_to_the_descent(ref_exact, monkeypatch):
+    """The stall guard: the reference market's candidate (3/5, 3/5) appears
+    at the first reading, where its check is made to fail; it is not
+    checked again, and the run stops at 75, where every price first agrees
+    with it within _AGREE, far above the gap target. The descent then
+    certifies the same price with the one other check."""
+    checks = []
+
+    def first_fails(market, p):
+        checks.append(p)
+        cert = check_clearing(market, p)
+        return dataclasses.replace(cert, clearing=False) if len(checks) == 1 else cert
+
+    monkeypatch.setattr(solver, "check_clearing", first_fails)
+    res = solve(ref_exact)
+    assert checks == [(F(3, 5), F(3, 5))] * 2
+    assert res.certified_by == "descent"
+    assert res.eg.iterations == 75 and res.eg.duality_gap > 3e-11
+    assert res.method_agreement <= solver._AGREE * 0.6
+    assert res.p_star == (F(3, 5), F(3, 5)) and res.clearing_certificate.clearing
+
+
+def test_each_candidate_is_checked_once_where_it_first_appears(monkeypatch):
+    """On the seed-0 battery and 12345/8x4 draws 0-59, in exact mode, the
+    candidates checked are the distinct candidates the support reads, in
+    the order they appear, each checked at the reading where it first
+    appears, up to the one that clears; on the descent path the endpoint's
+    check follows."""
+    readings, checks = [], []
+    snap = solver._snap
+
+    def recorded(market, sets):
+        readings.append(snap(market, sets))
+        return readings[-1]
+
+    def counted(market, p):
+        checks.append((len(readings), p))
+        return check_clearing(market, p)
+
+    monkeypatch.setattr(solver, "_snap", recorded)
+    monkeypatch.setattr(solver, "check_clearing", counted)
+    failed = 0
+    for seed, count, buyers, goods in ((0, 20, 6, 6), (12345, 60, 8, 4)):
+        rng = random.Random(seed)
+        for draw in range(count):
+            readings.clear()
+            checks.clear()
+            res = solve(random_market(rng, buyers, goods))
+            first = {}
+            for k, candidate in enumerate(readings, start=1):
+                if candidate is not None:
+                    first.setdefault(candidate, k)
+            want = sorted((k, c) for c, k in first.items())
+            if res.certified_by == "descent":
+                want.append((len(readings), res.p_star))
+            assert checks == want, (seed, draw)
+            failed += len(first) - (res.certified_by == "rounding")
+    assert failed > 0
 
 
 def _assert_close(p, exact, rel):
@@ -623,8 +699,9 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
     """Seed-0 battery draw 15 is certified by the descent, whose path reads
     the verdict in solve, initial_feasible_price, lattice_descent's
     feasibility check and the clearing check. A float market builds its
-    twin once and keeps it, so solve, a later bare lattice_descent and
-    solve_eg share it; the trace is the one a bare lattice_descent gives."""
+    twin once and keeps it, so solve, a later bare lattice_descent and a
+    later run of solve's proportional response share it; the trace is the
+    one a bare lattice_descent gives, and eg is the run solve makes."""
     market = _draw(0, 15, 6, 6).coerced(mode)
     validated, twins = [], []
     body, coerced = market_module._violations, Market.coerced
@@ -645,15 +722,16 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
     assert list(map(id, validated)) == [id(market)]
     assert list(map(id, twins)) == ([] if mode.is_exact else [id(market)])
     assert repr(result.descent) == repr(lattice_descent(market, initial_feasible_price(market)))
-    assert repr(result.eg) == repr(solve_eg(market))
+    assert repr(result.eg) == repr(solver._proportional_response(market)[0])
     assert list(map(id, twins)) == ([] if mode.is_exact else [id(market)])
 
 
 def test_support_stop_shortens_proportional_response():
     """On the seed-0 battery, solve stops proportional response no later than
-    a gap stop at 1e-8, within 1e-6 of p*. Every draw but 15 is certified by
-    its support candidate; draw 15's support points to no candidate, and its
-    run ends at its first gap check."""
+    a gap stop at 1e-8, and solve_eg, run on to its gap target, comes within
+    1e-6 of p*. Every draw but 15 is certified by its support candidate;
+    draw 15's support points to no candidate, and its run ends at its first
+    gap check."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
@@ -661,19 +739,21 @@ def test_support_stop_shortens_proportional_response():
             res = solve(m)
             assert res.certified_by == ("descent" if draw == 15 else "rounding")
             assert res.eg.iterations <= solver._solve_eg(solver._float_image(m), 1e-8).iterations
-            assert res.method_agreement <= 1e-6 * max(res.p_star)
+            gap = max(abs(a - float(b)) for a, b in zip(solve_eg(m).prices, res.p_star))
+            assert gap <= 1e-6 * max(res.p_star)
 
 
-# (eg.iterations, certified_by) of solve on seed-0 random_market(rng, 6, 6)
-# draws 0-19, in exact mode and in floats alike: the runs whose agreement
-# acceptance check 8 reads. Each draw calls check_clearing once, the check
-# that clears its support's candidate or, on draw 15, the descent endpoint's;
-# a float draw certified by rounding calls it once more, on its rounded-back
-# price in floats.
+# (eg.iterations, certified_by, exact checks) of solve on seed-0
+# random_market(rng, 6, 6) draws 0-19, in exact mode and in floats alike.
+# The exact checks are those of the twin: one per distinct support candidate
+# up to the one that clears (draws 3, 10 and 11 first read a candidate that
+# fails), or, on draw 15, whose support points to none, the descent
+# endpoint's. A float draw certified by rounding calls check_clearing once
+# more, on its rounded-back price in floats.
 _BATTERY_STOPS = tuple(
-    (iterations, "descent" if draw == 15 else "rounding")
+    (iterations, "descent" if draw == 15 else "rounding", 1 + (draw in (3, 10, 11)))
     for draw, iterations in enumerate(
-        (600, 500, 50, 125, 550, 150, 25, 25, 50, 25, 175, 225, 25, 25, 200, 25, 250, 175, 150, 150)
+        (100, 275, 25, 50, 275, 50, 25, 25, 25, 25, 50, 50, 25, 25, 50, 25, 125, 50, 50, 25)
     )
 )
 
@@ -681,8 +761,7 @@ _BATTERY_STOPS = tuple(
 def test_battery_stops_are_pinned(monkeypatch):
     """Where proportional response stops on the acceptance battery, how p*
     is certified, and how many clearing checks it takes. A stop-rule change
-    that moves these runs moves the agreement that acceptance check 8 reads,
-    and one that adds failed checks shows here and not only as time."""
+    that adds failed checks shows here and not only as time."""
     checks = []
 
     def counted(market, p):
@@ -696,7 +775,9 @@ def test_battery_stops_are_pinned(monkeypatch):
         for m in (market, market.coerced(float_mode())):
             checks.clear()
             res = solve(m)
-            pinned = (*stop, 1 + (not m.mode.is_exact and stop[1] == "rounding"))
+            iterations, certified_by, exact = stop
+            refloat = not m.mode.is_exact and certified_by == "rounding"
+            pinned = (iterations, certified_by, exact + refloat)
             assert (res.eg.iterations, res.certified_by, len(checks)) == pinned, (draw, m.mode)
 
 
@@ -891,13 +972,13 @@ def _crowd40():
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
-def test_a_gap_that_grows_is_checked_at_once(mode, monkeypatch):
+def test_a_late_candidate_is_checked_where_it_first_appears(mode, monkeypatch):
     """The third market that perfbench's crowd_market draws from Random(11)
-    at 100x4. Its support first points at p* after 1,275 iterations, and at
-    the next reading the prices' gap to it has grown, so they cannot agree
-    in time: the check comes then and clears, after 1,300. While a gap that
-    did not shrink waited for the candidate to hold for _SETTLE iterations,
-    the check came at 1,775."""
+    at 100x4. Its support first points at p* after 1,275 iterations, and
+    the check made there clears. While the check waited for the prices to
+    agree or to be seen unable to, it came at 1,300, when their gap had
+    grown; while a gap that did not shrink waited for the candidate to hold
+    for 500 iterations, at 1,775."""
     rng = random.Random(11)
     drawn = [_many_buyers(rng, 100, 4) for _ in range(3)][2]
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -906,31 +987,30 @@ def test_a_gap_that_grows_is_checked_at_once(mode, monkeypatch):
     assert [workloads.crowd_market(rng, 100, 4) for _ in range(3)][2] == drawn
     market = drawn.coerced(mode)
     res = solve(market)
-    assert (res.eg.iterations, res.certified_by) == (1_300, "rounding")
+    assert (res.eg.iterations, res.certified_by) == (1_275, "rounding")
     assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_a_gap_too_slow_to_agree_is_checked_at_once(mode):
-    """The support points at p* early, but the prices close in on it too
-    slowly to agree before _SETTLE, so its one check comes at once and
-    clears. The check used to wait for the candidate to settle, at 650
-    iterations."""
+    """The support points at p* after 150 iterations, while the prices are
+    still far from it, and its one check clears there. The check used to
+    wait for the candidate to settle, at 650 iterations."""
     market = _crowd40().coerced(mode)
     res = solve(market)
     assert res.certified_by == "rounding"
     assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
-    assert res.eg.iterations < 650
+    assert res.eg.iterations == 150
+    assert res.method_agreement > solver._AGREE * max(res.p_star)
 
 
-def test_a_gap_that_does_not_shrink_is_checked_at_the_second_reading(monkeypatch):
+def test_the_support_checks_a_candidate_at_its_first_call_only(monkeypatch):
     """_Support fed the final bids of the crowd market's run, at prices 1%
-    above their candidate p* and closing in by a fixed factor per call. A
-    gap that never shrinks cannot reach _AGREE, and one that shrinks by 1%
-    per call would take far longer than _SETTLE to, so each is checked at
-    the second call, the first with a rate to read. A gap that halves per
-    call reaches _AGREE in time, so its check waits for the prices to agree,
-    at the 14th call."""
+    above their candidate p*: the check comes at the first call, however far
+    the prices are, and a candidate that clears stops the run there. Made
+    to fail, the check is not repeated: later calls at the same prices do
+    not stop the run, and the first call with every price within _AGREE of
+    the failed candidate does."""
     market = _crowd40()
     res = solve(market)
     eg = res.eg
@@ -938,6 +1018,7 @@ def test_a_gap_that_does_not_shrink_is_checked_at_the_second_reading(monkeypatch
         [[x * p for x, p in zip(row, eg.prices)] + [money] for row, money in zip(eg.allocation, eg.leftover)]
     )
     target = np.array([float(v) for v in res.p_star])
+    buyers = np.arange(market.m)
     checks = []
 
     def counted(m, p):
@@ -945,15 +1026,20 @@ def test_a_gap_that_does_not_shrink_is_checked_at_the_second_reading(monkeypatch
         return check_clearing(m, p)
 
     monkeypatch.setattr(solver, "check_clearing", counted)
-    for shrink, first_check in ((1.0, 2), (0.99, 2), (0.5, 14)):
-        support = solver._Support(market)
-        for calls in range(1, 2 * first_check):
-            stopped = support(np.arange(market.m), bids, target * (1 + 0.01 * shrink**calls))
-            if checks:
-                break
-        assert support.candidate == res.p_star
-        assert (calls, stopped, len(checks)) == (first_check, True, 1)
-        checks.clear()
+    support = solver._Support(market)
+    assert support(buyers, bids, target * 1.01)
+    assert checks == [res.p_star] and support.cleared[0] == res.p_star
+
+    def fails(m, p):
+        checks.append(p)
+        return dataclasses.replace(check_clearing(m, p), clearing=False)
+
+    monkeypatch.setattr(solver, "check_clearing", fails)
+    checks.clear()
+    support = solver._Support(market)
+    stops = [support(buyers, bids, target * (1 + gap)) for gap in (1e-2, 1e-2, 1e-5, 1e-7)]
+    assert stops == [False, False, False, True]
+    assert checks == [res.p_star] and support.cleared is None
 
 
 # (draw, iterations, prices, duality gap) of proportional response run to

@@ -5,6 +5,7 @@ and the summary of alternated benchmark pairs."""
 import importlib.util
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -98,6 +99,23 @@ def test_market_digests_repeat_and_tell_families_apart():
     assert all(len(value) == 64 for value in first.values())
     assert digests.market_digests(family(3)) == first
     assert digests.market_digests(family(2))["solve"] != first["solve"]
+
+
+def test_market_digests_count_descents_checks_and_eg_iterations():
+    """Seed-0 battery draws 14-16, in exact mode and in floats: draw 15 falls
+    to the descent in both modes, and every solve makes one exact check,
+    plus a float re-check where rounding certified a float market."""
+    rng = random.Random(0)
+    markets = [random_market(rng) for _ in range(17)][14:]
+    counts = Counter()
+    digests.market_digests(markets, counts)
+    results = [solve(m) for market in markets for m in (market, market.coerced(float_mode()))]
+    assert counts == {
+        "descents": 2,
+        "checks": 6 + 2,
+        "eg_iterations": sum(r.eg.iterations for r in results),
+    }
+    assert digests.COUNTS == tuple(counts)
 
 
 def test_the_idle_family_is_the_battery_with_a_zero_supply_good(monkeypatch):

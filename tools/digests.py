@@ -28,6 +28,13 @@ in exact mode and as the same market in floats, the outputs are:
   revenue and its witness's forced budget and capacity. Float sums of
   these depend on the order of their terms, so float mode leaves them out.
 
+After a family's digests comes one plain line of counts over its solves,
+`family counts descents D checks C eg_iterations I`: how many solves fell to
+the descent, how many clearing checks solve made (those of the support's
+candidates, the descent endpoint's and a float market's re-check), and the
+proportional-response iterations run. A stop-rule change that keeps every
+answer shows its cost there as a diff.
+
 The families are the seed-0 6x6 acceptance battery, `idle` (that battery
 with one good of supply 0 appended, valued 5/2 by every buyer: a change in
 how solve reaches its answers on such markets shows as identical
@@ -61,6 +68,7 @@ import json
 import random
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +76,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = (
     "answers", "solve", "descent", "demand_sets", "check_clearing", "check_feasible", "outcomes",
 )
+COUNTS = ("descents", "checks", "eg_iterations")
 
 
 def import_program(src: Path):
@@ -81,8 +90,29 @@ def import_program(src: Path):
     return qfmarket
 
 
-def market_digests(markets) -> dict:
-    """{output: sha256} over every market, in exact mode and in floats."""
+@contextlib.contextmanager
+def counted_checks():
+    """Yields the list of prices that qfmarket.solver's check_clearing is
+    called with until the block ends."""
+    solver = sys.modules["qfmarket.solver"]
+    check = solver.check_clearing
+    calls = []
+
+    def counted(market, p):
+        calls.append(p)
+        return check(market, p)
+
+    solver.check_clearing = counted
+    try:
+        yield calls
+    finally:
+        solver.check_clearing = check
+
+
+def market_digests(markets, counts=None) -> dict:
+    """{output: sha256} over every market, in exact mode and in floats;
+    adds the solves' descents, checks and eg_iterations into `counts` (a
+    Counter) when one is given."""
     import qfmarket as q
 
     hashes = {name: hashlib.sha256() for name in OUTPUTS}
@@ -92,7 +122,12 @@ def market_digests(markets) -> dict:
 
     for market in markets:
         for m in (market, market.coerced(q.float_mode())):
-            result = q.solve(m)
+            with counted_checks() as checks:
+                result = q.solve(m)
+            if counts is not None:
+                counts["descents"] += result.certified_by == "descent"
+                counts["checks"] += len(checks)
+                counts["eg_iterations"] += result.eg.iterations if result.eg else 0
             start = q.initial_feasible_price(m)
             feed("answers", (result.p_star, result.allocation, result.revenue, result.welfare,
                              result.clearing_certificate, result.efficiency_certificate))
@@ -220,8 +255,10 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     q = import_program(Path(args[0]) if args else ROOT / "src")
     for name, markets in families():
-        for output, digest in market_digests(markets).items():
+        counts = Counter()
+        for output, digest in market_digests(markets, counts).items():
             print(f"{name} {output} {digest}")
+        print(f"{name} counts " + " ".join(f"{k} {counts[k]}" for k in COUNTS))
     import workloads
 
     rng = random.Random(0)  # run_all(seed=0) builds its probes from these draws first
