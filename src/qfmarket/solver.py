@@ -16,14 +16,20 @@ slow (Cheung, Cole and Tao 2018), so the answer does not wait for it.
 
 Certified rounding turns those prices into the exact answer. Once each
 buyer's demand set is known, the prices solve a linear system, so a demand
-structure read off the iterate points to one exact candidate. The structure
-read is the support: what each buyer spends more than 1% of its budget on.
-Each new candidate gets one exact clearing check, at the reading where it
-first appears (the rule is _Support's). If the check passes the candidate
-is the answer, because clearing prices are unique; proportional response
-only has to point at the right ties, not reach them. `solve` stops
-proportional response as soon as a check passes, or when the prices agree
-with a candidate whose check failed, or else at a fixed gap target.
+structure read off the iterate points to one exact candidate. Two
+structures are read, every 25 iterations: the support, what each buyer
+spends more than 1% of its budget on, and the band sets, the options whose
+bang per buck at the iterate's prices lies within a relative band of the
+buyer's best (1%, narrowed to ten times the latest relative price move).
+Spending on a near-tie decays slowly, so the band sets often point at the
+right ties hundreds of iterations before the support does. Each new
+candidate, from either reading, gets one exact clearing check, at the
+reading where it first appears (the rule is _Support's). If the check
+passes the candidate is the answer, because clearing prices are unique;
+proportional response only has to point at the right ties, not reach them.
+`solve` stops proportional response as soon as a check passes, or when the
+prices agree with a support candidate whose check failed, or else at a
+fixed gap target.
 
 `lattice_descent` is the fallback when the candidate does not certify. It
 walks down from a feasible price in exact arithmetic, one event at a time. Each
@@ -37,15 +43,15 @@ a proof of minimality: at any feasible p other than p*, the goods maximizing
 p_j / p*_j can fall together, because meet(p, lambda * p*) is feasible for
 every lambda >= 1.
 
-`solve` runs proportional response only where a support could certify the
-market: every good has positive supply and a funded buyer who values it.
-It runs until a support candidate clears, the prices agree with one that
-failed, its gap is met or its iterations run out. `solve` takes the cleared
-candidate or else falls back to the descent, and packages the clearing
-allocation with revenue, welfare, and certificates. Both certificates rest
-on the one clearing check: a clearing price with its clearing allocation is
-a competitive equilibrium, and those outcomes, and only those, are
-constrained-efficient.
+`solve` runs proportional response only where a candidate could certify
+the market: every good has positive supply and a funded buyer who values
+it. It runs until a candidate clears, the prices agree with a support
+candidate that failed, its gap is met or its iterations run out. `solve`
+takes the cleared candidate or else falls back to the descent, and
+packages the clearing allocation with revenue, welfare, and certificates.
+Both certificates rest on the one clearing check: a clearing price with its
+clearing allocation is a competitive equilibrium, and those outcomes, and
+only those, are constrained-efficient.
 """
 
 from __future__ import annotations
@@ -177,10 +183,11 @@ def solve_eg(market: Market) -> Optional[EGSolution]:
     is read every 25 iterations, so iterations is a multiple of 25.
 
     solve(market).eg is a prefix of this run: solve stops it early, at its
-    first support candidate that clears (see _Support), so its prices may
-    lie far from p*, while this run's prices approach p* as its gap closes.
+    first candidate that clears, read off its support or its band sets (see
+    _Support), so its prices may lie far from p*, while this run's prices
+    approach p* as its gap closes.
 
-    None, with no iteration run, when no support could certify the market:
+    None, with no iteration run, when no candidate could certify the market:
     an exact market without a float image, or a market with an idle good,
     one whose float supply is 0 or that no funded buyer gives a positive
     float value (see _eg_run). solve then goes straight to the descent.
@@ -310,6 +317,11 @@ def _solve_eg(image, target: float, max_iter: int = 400_000, stop=None) -> EGSol
 # A buyer's support: the options (goods, and money) it spends more than this
 # share of its budget on.
 _SUPPORT = 1e-2
+# A buyer's band set: the options whose bang per buck lies within a relative
+# band of its best. The band is _BAND, or _BAND_MOVE times the largest
+# relative price move since the previous reading when that is smaller.
+_BAND = 1e-2
+_BAND_MOVE = 10
 # Relative distance within which every price agrees with a failed support
 # candidate: _Support's stall guard.
 _AGREE = 1e-6
@@ -330,8 +342,18 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
     since proportional response runs only where every good's is. None when
     two link paths or two money ties disagree, or a component has neither
     level.
+
+    Each buyer's links are followed once, from the first of its goods the
+    walk reaches: weights consistent along that star are consistent between
+    every pair of its goods.
     """
     n = market.n
+    linking = [[] for _ in range(n + 1)]  # option j -> the buyers tying it to another option
+    for i, goods in enumerate(sets):
+        if len(goods) > 1:
+            for j in goods:
+                linking[j].append(i)
+    linked = [False] * len(sets)  # the buyers whose links have been followed
     weight = {}
     component = {}
     members = {}
@@ -345,14 +367,16 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
         frontier = [root]
         while frontier:
             j = frontier.pop()
-            for i, goods in enumerate(sets):
-                if j not in goods:
+            for i in linking[j]:
+                if linked[i]:
                     continue
+                linked[i] = True
                 values = market.buyers[i].values
-                for k in goods:
+                scale = weight[j] / values[j - 1]
+                for k in sets[i]:
                     if k == 0 or k == j:
                         continue
-                    w = weight[j] * values[k - 1] / values[j - 1]
+                    w = scale * values[k - 1]
                     if k in weight:
                         if weight[k] != w:
                             return None
@@ -365,15 +389,17 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
     level = [None] * len(members)
     unit, budgets = integer_budgets(market)
     attached_budget = [0] * len(members)  # times unit
-    for buyer, budget, goods in zip(market.buyers, budgets, sets):
-        tied = [j for j in goods if j != 0]
-        if not tied:
-            continue
-        cid = component[tied[0]]
-        attached_budget[cid] += budget
-        if 0 in goods:
-            for j in tied:
-                pin = buyer.values[j - 1] / weight[j]
+    for budget, goods in zip(budgets, sets):
+        for j in goods:
+            if j:
+                attached_budget[component[j]] += budget
+                break
+    for i in linking[0]:  # the buyers that tie money to a good
+        values = market.buyers[i].values
+        for j in sets[i]:
+            if j:
+                cid = component[j]
+                pin = values[j - 1] / weight[j]
                 if level[cid] is None:
                     level[cid] = pin
                 elif level[cid] != pin:
@@ -388,70 +414,122 @@ def _snap(market: Market, sets) -> Optional[PriceVector]:
 
 
 class _Support:
-    """Proportional response's support, the exact price it points to, and
-    that price's clearing check.
+    """Two readings of proportional response's ties, the exact prices they
+    point to, and those prices' clearing checks.
 
-    A buyer's support is the options it spends more than _SUPPORT of its
-    budget on, read off its bids: goods 1..n in order, and money as the
-    bids' last column. Called as _solve_eg's stop rule, stop(buyers, bids,
-    p), every _GAP_EVERY iterations, it snaps the supports onto the rational
-    twin (see _snap) when they differ from the last call's, reading each
-    distinct support row once and sharing its labels among the buyers that
-    have it. The stop rule: a candidate gets its one exact check,
-    check_clearing on the twin, at the reading where it first appears.
-    Clearing prices are unique, so a candidate that clears is p* however
-    far p still is from it, and the run stops there. Each distinct candidate
-    is checked at most once. The only other stop is the stall guard: every
-    price of p within _AGREE (relative) of a candidate whose check failed,
-    so the run goes to the descent rather than settle on it. `cleared` is
-    (candidate, certificate) once a check has cleared, else None.
+    Called as _solve_eg's stop rule, stop(buyers, bids, p), every
+    _GAP_EVERY iterations, it reads each live buyer's ties twice, as a set
+    of options (goods 1..n, and money as 0):
+    - its support, the options it spends more than _SUPPORT of its budget
+      on, read off its bids (money is the bids' last column);
+    - its band set, the options whose bang per buck at p, read off the float
+      image's values (money's is 1), lies within a relative band of its
+      best. The band is _BAND at the first reading and later _BAND_MOVE
+      times the largest relative price move since the previous reading,
+      capped at _BAND, so it narrows as the iterate settles.
+    Spending on an option the buyer is nearly indifferent to decays slowly,
+    so the band sets often point at p* long before the support does. The
+    support is kept for markets whose band sets keep pointing to candidates
+    that fail (crowd_market(Random(100), 2000, 8) in perfbench/workloads.py
+    certifies by its support after 4,950 iterations; its band sets alone
+    reach no candidate that clears in 14,075).
+
+    Each reading is snapped onto the rational twin (see _snap) when its sets
+    differ from that reading's previous ones, reading each distinct row of
+    the boolean mask once and sharing its labels among the buyers that have
+    it. The stop rule: a candidate from either reading gets its one exact
+    check, check_clearing on the twin, at the reading where it first
+    appears. Clearing prices are unique, so a candidate that clears is p*
+    however far p still is from it, and the run stops there. Each distinct
+    candidate is checked at most once. The only other stop is the stall
+    guard, on the support's candidate alone: every price of p within _AGREE
+    (relative) of a support candidate whose check failed, so the run goes
+    to the descent rather than settle on it. `cleared` is (candidate,
+    certificate) once a check has cleared, else None.
 
     A reading costs little next to _GAP_EVERY iterations, and is kept so:
-    the supports are re-read only when the mask's bytes change; the agree
-    test on the at most n prices runs on Python floats; and a candidate is
-    looked up among the failed ones once, when it appears, since hashing a
-    tuple of Fractions costs more than the rest of the reading.
+    the sets are re-read only when a mask's bytes change; the band and the
+    agree test on the at most n prices run on Python floats; and a
+    candidate is looked up among the failed ones once, when it appears,
+    since hashing a tuple of Fractions costs more than the rest of the
+    reading.
     """
 
-    def __init__(self, twin: Market):
+    def __init__(self, twin: Market, values):
         self.twin = twin
-        self.candidate = None
+        self.candidate = None  # the support's
         self.cleared = None
         self._failed = set()  # candidates whose clearing check failed
-        self._labels = (*range(1, twin.n + 1), 0)  # the bids' columns: goods, then money
+        self._labels = (*range(1, twin.n + 1), 0)  # the mask's columns: goods, then money
         self._mask = None  # the bytes of the last supports' boolean mask
-        self._target = None  # the failed candidate's prices, as floats
+        self._target = None  # the failed support candidate's prices, as floats
+        self._band_mask = None  # the bytes of the last band sets' boolean mask
+        self._band_candidate = None
+        self._prices = None  # the previous reading's prices, as floats
+        self._values = values  # the float image's values, buyers first
+        self._va = None  # the live buyers' values and money's 1, once read
 
     def __call__(self, buyers, bids, p) -> bool:
-        mask = bids > _SUPPORT * bids.sum(axis=1, keepdims=True)
-        key = mask.tobytes()
+        key = (bids > _SUPPORT * bids.sum(axis=1, keepdims=True)).tobytes()
         if key != self._mask:
             self._mask = key
-            labels = self._labels
-            width = len(labels)
-            read = {}  # a support row's bytes -> its labels
-            sets = [()] * self.twin.m
-            for i, start in zip(buyers, range(0, len(key), width)):
-                row = key[start:start + width]
-                support = read.get(row)
-                if support is None:
-                    support = read[row] = tuple(label for label, on in zip(labels, row) if on)
-                sets[i] = support
-            candidate = _snap(self.twin, sets)
+            candidate = _snap(self.twin, self._sets(buyers, key))
             if candidate != self.candidate:
                 self.candidate = candidate
                 self._target = None
                 if candidate is not None:
-                    if candidate not in self._failed:
-                        cert = check_clearing(self.twin, candidate)
-                        if cert.clearing:
-                            self.cleared = (candidate, cert)
-                            return True
-                        self._failed.add(candidate)
+                    if self._clears(candidate):
+                        return True
                     self._target = [float(v) for v in candidate]
+
+        prices, previous = p.tolist(), self._prices
+        self._prices = prices
+        band = _BAND if previous is None else min(
+            _BAND, _BAND_MOVE * max(abs(a - b) / b for a, b in zip(prices, previous)))
+        va = self._va
+        if va is None:  # laid out as the bids are
+            va = self._va = np.ones((len(buyers), self.twin.n + 1), order="F")
+            va[:, :-1] = self._values[buyers]
+        ratios = va / np.append(p, 1.0)
+        key = (ratios >= ratios.max(axis=1, keepdims=True) / (1.0 + band)).tobytes()
+        if key != self._band_mask:
+            self._band_mask = key
+            candidate = _snap(self.twin, self._sets(buyers, key))
+            if candidate != self._band_candidate:
+                self._band_candidate = candidate
+                if candidate is not None and self._clears(candidate):
+                    return True
+
         target = self._target
         return target is not None and all(
-            abs(price - aim) <= _AGREE * aim for price, aim in zip(p.tolist(), target))
+            abs(price - aim) <= _AGREE * aim for price, aim in zip(prices, target))
+
+    def _sets(self, buyers, key):
+        """Each buyer's set of labels, read off the bytes of a boolean mask
+        with a row per live buyer; () for the others."""
+        labels = self._labels
+        width = len(labels)
+        read = {}  # a mask row's bytes -> its labels
+        sets = [()] * self.twin.m
+        for i, start in zip(buyers.tolist(), range(0, len(key), width)):
+            row = key[start:start + width]
+            labelled = read.get(row)
+            if labelled is None:
+                labelled = read[row] = tuple(label for label, on in zip(labels, row) if on)
+            sets[i] = labelled
+        return sets
+
+    def _clears(self, candidate) -> bool:
+        """candidate's one exact check, unless it has failed before: True,
+        with `cleared` set, when it clears."""
+        if candidate in self._failed:
+            return False
+        cert = check_clearing(self.twin, candidate)
+        if cert.clearing:
+            self.cleared = (candidate, cert)
+            return True
+        self._failed.add(candidate)
+        return False
 
 
 def _next_event(ratios, best, patterns: dict, down: frozenset) -> Number:
@@ -586,12 +664,13 @@ def lattice_descent(market: Market, p0: PriceVector) -> DescentTrace:
 
 def _eg_run(market: Market):
     """(image, target): the _float_image proportional response runs on and
-    its gap target _GAP_TARGET * total budget, or None when no support could
-    certify the market: an exact market without a float image (a number
-    beyond the float range), or a market with an idle good, one whose float
-    supply is 0 or that no funded buyer gives a positive float value (a
-    value below the float range reads as 0). No support can hold an idle
-    good, so its tie component has neither a money tie nor an attached
+    its gap target _GAP_TARGET * total budget, or None when no candidate
+    could certify the market: an exact market without a float image (a
+    number beyond the float range), or a market with an idle good, one whose
+    float supply is 0 or that no funded buyer gives a positive float value
+    (a value below the float range reads as 0). Neither a support nor a band
+    set can hold an idle good (no live buyer spends on it, and its bang per
+    buck is 0), so its tie component has neither a money tie nor an attached
     budget, _snap never finds a candidate, and the run could only end at its
     gap target or iteration cap."""
     try:
@@ -608,36 +687,41 @@ def _proportional_response(
     market: Market,
 ) -> Tuple[Optional[EGSolution], Optional[Tuple[PriceVector, FeasibilityCertificate]]]:
     """(eg, cleared): solve's proportional-response run, stopped by its
-    support (see _Support) or at its gap target, and (p, certificate) when
-    the support's candidate p passed its exact clearing check on the
-    rational twin, else None. (None, None) where _eg_run is None."""
+    _Support, which reads the image's values for the band sets, or at its
+    gap target, and (p, certificate) when a candidate p passed its exact
+    clearing check on the rational twin, else None. (None, None) where
+    _eg_run is None."""
     run = _eg_run(market)
     if run is None:
         return None, None
-    support = _Support(market.rational_twin())
+    support = _Support(market.rational_twin(), run[0][2])
     return _solve_eg(*run, stop=support), support.cleared
 
 
 def solve(market: Market) -> EquilibriumResult:
     """Equilibrium prices with certificates: EG, one exact check, descent as fallback.
 
-    Proportional response runs first. Each exact candidate its spending
-    support points to gets one clearing check on the rational twin, at the
+    Proportional response runs first. Every 25 iterations its ties are read
+    twice, off each buyer's spending (its support) and off its bang per buck
+    at the current prices (its band set), and each exact candidate either
+    reading points to gets one clearing check on the rational twin, at the
     reading where it first appears (see _Support). The run stops when a
-    check passes, when the prices agree with a candidate whose check failed,
-    or else at the gap target 1e-11 * total budget, which scales with the
-    money, so eg's gap may sit far above that target. eg is that run, a
-    prefix of solve_eg's. Clearing prices are unique, so a candidate that
-    passed is p_star: that check is the whole certificate, solve takes no
-    tolerance, and it does not repeat the check.
+    check passes, when the prices agree with a support candidate whose check
+    failed, or else at the gap target 1e-11 * total budget, which scales
+    with the money, so eg's gap may sit far above that target. eg is that
+    run, a prefix of solve_eg's: on the seed-0 6x6 battery it stops after
+    25 to 75 iterations, and on the benchmark's `crowd` markets after 25 to
+    75, where the support alone took 75 to 925. Clearing prices are unique,
+    so a candidate that passed is p_star: that check is the whole
+    certificate, solve takes no tolerance, and it does not repeat the check.
     In exact mode it is the result's certificate; a float market's
     rounded-back price is checked again in floats. certified_by is then
     "rounding" and the descent trace is empty.
 
     Every other case goes to lattice_descent from a trivially feasible price
     (certified_by "descent"): a run that ends, at its gap target, stalled
-    at its iteration cap or agreeing with a failed candidate, without a
-    check that passed. The descent's endpoint must pass the same clearing
+    at its iteration cap or agreeing with a failed support candidate,
+    without a check that passed. The descent's endpoint must pass the same clearing
     check. One check and one refusal serve both paths: a p_star that fails
     its check in the market's mode raises MethodDisagreementError, carrying
     both solutions. A float re-check that fails raises at once, since the
@@ -653,7 +737,7 @@ def solve(market: Market) -> EquilibriumResult:
     for proportional response to run on, and a market with an idle good (a
     good whose float supply is 0, or that no funded buyer gives a positive
     float value, such as one whose only positive values lie below the float
-    range) has no support that could certify it. Either goes straight to
+    range) has no candidate that could certify it. Either goes straight to
     the descent, and eg and method_agreement are None.
 
     The efficiency certificate is read off the clearing certificate: clearing

@@ -104,7 +104,7 @@ class _Recorder:
     byte, and the answer."""
 
     def __init__(self, market):
-        self.support = solver._Support(market.rational_twin())
+        self.support = solver._Support(market.rational_twin(), solver._float_image(market)[2])
         self.calls = []
 
     def __call__(self, buyers, bids, p):

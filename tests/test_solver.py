@@ -91,9 +91,10 @@ def test_solve_eg_converges_with_certified_gap(ref_float):
 def test_solve_eg_runs_on_past_the_prefix_solve_makes(ref_exact):
     """solve's run is proportional response with no gap target, cut at the
     iterations it ran; solve_eg runs the same iterates on to its gap target.
-    In both modes, and on draw 15, whose support points to no candidate,
-    so its run ends at its first gap check and the descent certifies it."""
-    markets = [ref_exact] + [_draw(0, k, 6, 6) for k in (0, 8, 15)]
+    In both modes, and on 12345/8x4 #15, whose float run points to no
+    candidate that clears, so it ends at its gap target and the descent
+    certifies it."""
+    markets = [ref_exact] + [_draw(0, k, 6, 6) for k in (0, 8, 15)] + [_draw(12345, 15, 8, 4)]
     for market in markets:
         for m in (market, market.coerced(float_mode())):
             eg = solve(m).eg
@@ -447,20 +448,28 @@ def test_float_draws_where_descent_stopped_above_p_star(index, p_star):
         assert exact.eg.iterations == floaty.eg.iterations == 75
 
 
+# One-buyer draws (seed, index, buyers, goods) whose buyer ties every good
+# at p* but spends under _SUPPORT of its budget on g1, and their p*.
+_UNDER_SUPPORT = (
+    ((7, 11, 6, 6), (F(4, 101), F(128, 101), F(4, 101), F(40, 101), F(16, 101))),
+    ((0, 15, 6, 6), (F(3, 1396), F(2, 349), F(3, 1396), F(7, 698), F(12, 349), F(9, 1396))),
+)
+
+
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
-def test_a_support_share_under_the_threshold_leaves_no_candidate(mode):
-    """Random(7) 6x6 draw 11, with the same cause as seed-0 battery draw 15:
-    its one buyer ties all five goods at p* but spends 0.99% of its budget on g1,
-    under _SUPPORT, so g1 has no level and _snap finds no candidate. The gap
-    is 0 at the first check, and the descent answers."""
-    market = _draw(7, 11, 6, 6).coerced(mode)
-    res = solve(market)
-    assert res.certified_by == "descent"
-    assert (res.eg.iterations, res.eg.duality_gap) == (25, 0.0)
-    spent = res.eg.allocation[0][0] * res.eg.prices[0] / float(market.buyers[0].budget)
-    assert 0.0098 < spent < solver._SUPPORT
-    p_star = (F(4, 101), F(128, 101), F(4, 101), F(40, 101), F(16, 101))
-    assert res.p_star == tuple(map(mode.coerce, p_star))
+def test_a_tie_spent_under_the_support_threshold_is_read_off_the_band(mode):
+    """Random(7) 6x6 draw 11 and seed-0 battery draw 15: the one buyer
+    spends 0.99% and 0.86% of its budget on g1, under _SUPPORT, so g1 has
+    no level in the support and the support points to no candidate; both
+    draws fell to the descent. The buyer's band set holds every good, and
+    its candidate clears at the first reading."""
+    for draw, p_star in _UNDER_SUPPORT:
+        market = _draw(*draw).coerced(mode)
+        res = solve(market)
+        assert (res.certified_by, res.eg.iterations) == ("rounding", 25), draw
+        spent = res.eg.allocation[0][0] * res.eg.prices[0] / float(market.buyers[0].budget)
+        assert spent < solver._SUPPORT, draw
+        assert res.p_star == tuple(map(mode.coerce, p_star)), draw
 
 
 def test_money_indifferent_draw_beyond_absolute_agreement_gate():
@@ -665,20 +674,18 @@ def _assert_close(p, exact, rel):
 
 
 def test_acceptance_battery_is_certified_by_rounding():
-    """Every seed-0 random_market(rng, 6, 6) draw but 15 is certified by its
-    support's candidate, exactly and in floats. Draw 15's support points to
-    no candidate and its run ends at its first gap check, so the descent
-    answers it. (test_battery_stops_are_pinned counts their clearing checks.)
-    The descent alone reaches the same p* on every draw through feasible,
+    """Every seed-0 random_market(rng, 6, 6) draw is certified by a
+    candidate of its support or of its band sets, exactly and in floats.
+    (test_battery_stops_are_pinned counts their clearing checks.) The
+    descent alone reaches the same p* on every draw through feasible,
     falling steps."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
-        certified_by = "descent" if draw == 15 else "rounding"
         exact = solve(market)
-        assert exact.certified_by == certified_by
+        assert exact.certified_by == "rounding"
         floaty = solve(market.coerced(float_mode()))
-        assert floaty.certified_by == certified_by
+        assert floaty.certified_by == "rounding"
         _assert_float_p_star(floaty, exact.p_star)
         for m in (market, market.coerced(float_mode())):
             trace = lattice_descent(m, initial_feasible_price(m))
@@ -694,15 +701,26 @@ def test_acceptance_battery_is_certified_by_rounding():
                 cursor = step.after
 
 
+def _descending_market(mode):
+    """A market that solve certifies by the descent: in floats 12345/8x4
+    #15, whose proportional response runs to its gap target without a
+    candidate that clears (see test_float_draw_whose_twin_breaks_tie_cycles);
+    exact, seed-0 battery draw 15 with a good of supply 0 that every buyer
+    values at 5/2 appended, where proportional response does not run."""
+    if mode.is_exact:
+        return _with_idle_good(_draw(0, 15, 6, 6), F(5, 2))
+    return _draw(12345, 15, 8, 4).coerced(mode)
+
+
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
-    """Seed-0 battery draw 15 is certified by the descent, whose path reads
-    the verdict in solve, initial_feasible_price, lattice_descent's
-    feasibility check and the clearing check. A float market builds its
-    twin once and keeps it, so solve, a later bare lattice_descent and a
-    later run of solve's proportional response share it; the trace is the
-    one a bare lattice_descent gives, and eg is the run solve makes."""
-    market = _draw(0, 15, 6, 6).coerced(mode)
+    """On _descending_market, the descent's path reads the verdict in solve,
+    initial_feasible_price, lattice_descent's feasibility check and the
+    clearing check. A float market builds its twin once and keeps it, so
+    solve, a later bare lattice_descent and a later run of solve's
+    proportional response share it; the trace is the one a bare
+    lattice_descent gives, and eg is the run solve makes."""
+    market = _descending_market(mode)
     validated, twins = [], []
     body, coerced = market_module._violations, Market.coerced
 
@@ -729,32 +747,27 @@ def test_descent_path_validates_once_and_builds_one_twin(monkeypatch, mode):
 def test_support_stop_shortens_proportional_response():
     """On the seed-0 battery, solve stops proportional response no later than
     a gap stop at 1e-8, and solve_eg, run on to its gap target, comes within
-    1e-6 of p*. Every draw but 15 is certified by its support candidate;
-    draw 15's support points to no candidate, and its run ends at its first
-    gap check."""
+    1e-6 of p*. Every draw is certified by rounding; draw 15, whose support
+    points to no candidate, by its band sets' candidate."""
     rng = random.Random(0)
     for draw in range(20):
         market = random_market(rng, 6, 6)
         for m in (market, market.coerced(float_mode())):
             res = solve(m)
-            assert res.certified_by == ("descent" if draw == 15 else "rounding")
+            assert res.certified_by == "rounding"
             assert res.eg.iterations <= solver._solve_eg(solver._float_image(m), 1e-8).iterations
             gap = max(abs(a - float(b)) for a, b in zip(solve_eg(m).prices, res.p_star))
             assert gap <= 1e-6 * max(res.p_star)
 
 
-# (eg.iterations, certified_by, exact checks) of solve on seed-0
-# random_market(rng, 6, 6) draws 0-19, in exact mode and in floats alike.
-# The exact checks are those of the twin: one per distinct support candidate
-# up to the one that clears (draws 3, 10 and 11 first read a candidate that
-# fails), or, on draw 15, whose support points to none, the descent
-# endpoint's. A float draw certified by rounding calls check_clearing once
-# more, on its rounded-back price in floats.
-_BATTERY_STOPS = tuple(
-    (iterations, "descent" if draw == 15 else "rounding", 1 + (draw in (3, 10, 11)))
-    for draw, iterations in enumerate(
-        (100, 275, 25, 50, 275, 50, 25, 25, 25, 25, 50, 50, 25, 25, 50, 25, 125, 50, 50, 25)
-    )
+# (eg.iterations, exact checks) of solve on seed-0 random_market(rng, 6, 6)
+# draws 0-19, in exact mode and in floats alike; every draw is certified by
+# rounding. The exact checks are those of the twin: one per distinct
+# candidate of either reading up to the one that clears. A float draw calls
+# check_clearing once more, on its rounded-back price in floats.
+_BATTERY_STOPS = (
+    (75, 3), (50, 2), (25, 1), (25, 2), (25, 1), (50, 2), (25, 1), (25, 1), (25, 1), (25, 1),
+    (25, 2), (25, 2), (25, 1), (25, 1), (50, 2), (25, 1), (25, 1), (50, 1), (25, 1), (25, 1),
 )
 
 
@@ -770,14 +783,12 @@ def test_battery_stops_are_pinned(monkeypatch):
 
     monkeypatch.setattr(solver, "check_clearing", counted)
     rng = random.Random(0)
-    for draw, stop in enumerate(_BATTERY_STOPS):
+    for draw, (iterations, exact) in enumerate(_BATTERY_STOPS):
         market = random_market(rng, 6, 6)
         for m in (market, market.coerced(float_mode())):
             checks.clear()
             res = solve(m)
-            iterations, certified_by, exact = stop
-            refloat = not m.mode.is_exact and certified_by == "rounding"
-            pinned = (iterations, certified_by, exact + refloat)
+            pinned = (iterations, "rounding", exact + (not m.mode.is_exact))
             assert (res.eg.iterations, res.certified_by, len(checks)) == pinned, (draw, m.mode)
 
 
@@ -925,6 +936,98 @@ def test_the_table_read_event_is_the_fraction_formula(monkeypatch):
     assert (events, zeros) == (89, 26)
 
 
+def _walk_snap(market, sets):
+    """_snap as it was written before it indexed the buyers by good: for
+    each good the walk reaches, every buyer's set is read, and each of a
+    buyer's links is followed from each of its goods; the levels are read
+    buyer by buyer."""
+    n = market.n
+    weight, component, members = {}, {}, {}
+    for root in range(1, n + 1):
+        if root in component:
+            continue
+        cid = len(members)
+        members[cid] = [root]
+        component[root] = cid
+        weight[root] = F(1)
+        frontier = [root]
+        while frontier:
+            j = frontier.pop()
+            for i, goods in enumerate(sets):
+                if j not in goods:
+                    continue
+                values = market.buyers[i].values
+                for k in goods:
+                    if k == 0 or k == j:
+                        continue
+                    w = weight[j] * values[k - 1] / values[j - 1]
+                    if k in weight:
+                        if weight[k] != w:
+                            return None
+                    else:
+                        weight[k] = w
+                        component[k] = cid
+                        members[cid].append(k)
+                        frontier.append(k)
+    level = [None] * len(members)
+    unit, budgets = market_module.integer_budgets(market)
+    attached_budget = [0] * len(members)
+    for buyer, budget, goods in zip(market.buyers, budgets, sets):
+        tied = [j for j in goods if j != 0]
+        if not tied:
+            continue
+        cid = component[tied[0]]
+        attached_budget[cid] += budget
+        if 0 in goods:
+            for j in tied:
+                pin = buyer.values[j - 1] / weight[j]
+                if level[cid] is None:
+                    level[cid] = pin
+                elif level[cid] != pin:
+                    return None
+    for cid, goods in members.items():
+        if level[cid] is None:
+            if not attached_budget[cid]:
+                return None
+            mass = sum(weight[j] * market.goods[j - 1].supply for j in goods)
+            level[cid] = F(attached_budget[cid], unit) / mass
+    return tuple(level[component[j]] * weight[j] for j in range(1, n + 1))
+
+
+def test_snap_reads_what_the_full_walk_reads(monkeypatch):
+    """_snap follows each buyer's links once, from the buyers that tie each
+    good, and equals _walk_snap in value and type on every reading of both
+    kinds that solve makes on the seed-0 battery and Random(7) 6x6 #0-39 in
+    both modes, on the bench `crowd` markets in floats and on
+    crowd_market(Random(100), 200, 4)."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    markets = []
+    for seed, count in ((0, 20), (7, 40)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            market = random_market(rng, 6, 6)
+            markets += [market, market.coerced(float_mode())]
+    markets += [market.coerced(float_mode()) for market in workloads.crowd_base()]
+    markets.append(workloads.crowd_market(random.Random(100), 200, 4))
+    readings = []
+    snap = solver._snap
+
+    def recorded(market, sets):
+        readings.append((market, sets))
+        return snap(market, sets)
+
+    monkeypatch.setattr(solver, "_snap", recorded)
+    for market in markets:
+        solve(market)
+    found = 0
+    for market, sets in readings:
+        got, want = snap(market, sets), _walk_snap(market, sets)
+        assert (got, type(got)) == (want, type(want)), sets
+        found += got is not None
+    assert 0 < found < len(readings)
+
+
 def test_descent_probe_count_stays_small_on_eight_goods():
     """The subset sweep spent 74,946 probes on this 9x8 market."""
     market = _draw(5, 22, 10, 8)
@@ -974,11 +1077,11 @@ def _crowd40():
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_a_late_candidate_is_checked_where_it_first_appears(mode, monkeypatch):
     """The third market that perfbench's crowd_market draws from Random(11)
-    at 100x4. Its support first points at p* after 1,275 iterations, and
-    the check made there clears. While the check waited for the prices to
-    agree or to be seen unable to, it came at 1,300, when their gap had
-    grown; while a gap that did not shrink waited for the candidate to hold
-    for 500 iterations, at 1,775."""
+    at 100x4. Its band sets first point at p* after 1,050 iterations, and
+    the check made there clears; its support pointed there after 1,275.
+    While the check waited for the prices to agree or to be seen unable to,
+    it came at 1,300, when their gap had grown; while a gap that did not
+    shrink waited for the candidate to hold for 500 iterations, at 1,775."""
     rng = random.Random(11)
     drawn = [_many_buyers(rng, 100, 4) for _ in range(3)][2]
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -987,33 +1090,37 @@ def test_a_late_candidate_is_checked_where_it_first_appears(mode, monkeypatch):
     assert [workloads.crowd_market(rng, 100, 4) for _ in range(3)][2] == drawn
     market = drawn.coerced(mode)
     res = solve(market)
-    assert (res.eg.iterations, res.certified_by) == (1_275, "rounding")
+    assert (res.eg.iterations, res.certified_by) == (1_050, "rounding")
     assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_a_gap_too_slow_to_agree_is_checked_at_once(mode):
-    """The support points at p* after 150 iterations, while the prices are
-    still far from it, and its one check clears there. The check used to
-    wait for the candidate to settle, at 650 iterations."""
+    """The band sets point at p* at the first reading, 25 iterations in,
+    while the prices are still far from it, and its one check clears there.
+    The support points there after 150 iterations; its check used to wait
+    for the candidate to settle, at 650."""
     market = _crowd40().coerced(mode)
     res = solve(market)
     assert res.certified_by == "rounding"
     assert res.p_star == lattice_descent(market, initial_feasible_price(market)).final
-    assert res.eg.iterations == 150
+    assert res.eg.iterations == 25
     assert res.method_agreement > solver._AGREE * max(res.p_star)
 
 
 def test_the_support_checks_a_candidate_at_its_first_call_only(monkeypatch):
-    """_Support fed the final bids of the crowd market's run, at prices 1%
-    above their candidate p*: the check comes at the first call, however far
-    the prices are, and a candidate that clears stops the run there. Made
-    to fail, the check is not repeated: later calls at the same prices do
-    not stop the run, and the first call with every price within _AGREE of
-    the failed candidate does."""
+    """_Support fed the bids of the crowd market's run cut at 150
+    iterations, where its support points at p*, at prices 1% above p*: the
+    check comes at the first call, however far the prices are, and a
+    candidate that clears stops the run there. Made to fail, the check is
+    not repeated: later calls at the same prices do not stop the run, and
+    the first call with every price within _AGREE of the failed candidate
+    does. On the way the band sets point to one other candidate, which gets
+    its own one check."""
     market = _crowd40()
     res = solve(market)
-    eg = res.eg
+    values = solver._float_image(market)[2]
+    eg = solver._solve_eg(solver._float_image(market), -1.0, max_iter=150)
     bids = np.array(
         [[x * p for x, p in zip(row, eg.prices)] + [money] for row, money in zip(eg.allocation, eg.leftover)]
     )
@@ -1026,7 +1133,7 @@ def test_the_support_checks_a_candidate_at_its_first_call_only(monkeypatch):
         return check_clearing(m, p)
 
     monkeypatch.setattr(solver, "check_clearing", counted)
-    support = solver._Support(market)
+    support = solver._Support(market, values)
     assert support(buyers, bids, target * 1.01)
     assert checks == [res.p_star] and support.cleared[0] == res.p_star
 
@@ -1036,10 +1143,67 @@ def test_the_support_checks_a_candidate_at_its_first_call_only(monkeypatch):
 
     monkeypatch.setattr(solver, "check_clearing", fails)
     checks.clear()
-    support = solver._Support(market)
+    support = solver._Support(market, values)
     stops = [support(buyers, bids, target * (1 + gap)) for gap in (1e-2, 1e-2, 1e-5, 1e-7)]
     assert stops == [False, False, False, True]
-    assert checks == [res.p_star] and support.cleared is None
+    assert checks == [res.p_star, (F(83, 148), F(3, 4))] and support.cleared is None
+
+
+def test_the_band_sets_check_a_candidate_the_support_misses(monkeypatch):
+    """_Support fed Random(7) 6x6 draw 11's spending at p*: its one buyer
+    spends 0.99% of its budget on g1, under _SUPPORT, so the support points
+    to no candidate, while at p* the buyer's band set holds every good and
+    points to p*. That candidate gets one check at the first call, which
+    clears and stops the run. Made to fail, it is never checked again: not
+    when the band drops g1 (its price 5% up) and the candidate with it, nor
+    when the prices come back to p*. The stall guard watches only the
+    support's candidate, so no call stops the run."""
+    (draw, exact_p_star), _ = _UNDER_SUPPORT
+    market = _draw(*draw)
+    p_star = tuple(map(F, exact_p_star))
+    values = solver._float_image(market)[2]
+    prices = np.array([float(v) for v in p_star])
+    supply = np.array([float(g.supply) for g in market.goods])
+    bids = np.append(prices * supply, 0.0)[None, :]  # every good sold, no money kept
+    buyers = np.arange(market.m)
+    checks = []
+
+    def counted(m, p):
+        checks.append(p)
+        return check_clearing(m, p)
+
+    monkeypatch.setattr(solver, "check_clearing", counted)
+    support = solver._Support(market, values)
+    assert support(buyers, bids, prices)
+    assert support.candidate is None
+    assert checks == [p_star] and support.cleared[0] == p_star
+
+    def fails(m, p):
+        checks.append(p)
+        return dataclasses.replace(check_clearing(m, p), clearing=False)
+
+    monkeypatch.setattr(solver, "check_clearing", fails)
+    checks.clear()
+    support = solver._Support(market, values)
+    up = prices * np.array([1.05] + [1.0] * (market.n - 1))
+    stops, pointed = [], []
+    for p in (prices, up, prices):
+        stops.append(support(buyers, bids, p))
+        pointed.append(support._band_candidate)
+    assert stops == [False] * 3 and pointed == [p_star, None, p_star]
+    assert support.candidate is None and support.cleared is None
+    assert checks == [p_star]
+
+
+def test_bench_crowd_markets_are_certified_at_an_early_reading(monkeypatch):
+    """The eleven markets of the benchmark's `crowd` workload, in floats, as
+    perfbench's crowd_base draws them: each is certified by rounding within
+    75 iterations, where their supports alone took 75 to 925."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    got = [solve(market.coerced(float_mode())) for market in workloads.crowd_base()]
+    assert [res.certified_by for res in got] == ["rounding"] * 11
+    assert [res.eg.iterations for res in got] == [25, 25, 75, 25, 25, 25, 50, 50, 25, 75, 50]
 
 
 # (draw, iterations, prices, duality gap) of proportional response run to

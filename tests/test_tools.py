@@ -102,17 +102,18 @@ def test_market_digests_repeat_and_tell_families_apart():
 
 
 def test_market_digests_count_descents_checks_and_eg_iterations():
-    """Seed-0 battery draws 14-16, in exact mode and in floats: draw 15 falls
-    to the descent in both modes, and every solve makes one exact check,
-    plus a float re-check where rounding certified a float market."""
+    """Seed-0 battery draws 14-16, in exact mode and in floats: rounding
+    certifies each, so none falls to the descent; draw 14 checks a candidate
+    that fails before the one that clears, and draws 15 and 16 check one
+    candidate each, in both modes, and each float market adds its re-check."""
     rng = random.Random(0)
     markets = [random_market(rng) for _ in range(17)][14:]
     counts = Counter()
     digests.market_digests(markets, counts)
     results = [solve(m) for market in markets for m in (market, market.coerced(float_mode()))]
     assert counts == {
-        "descents": 2,
-        "checks": 6 + 2,
+        "descents": 0,
+        "checks": 2 * (2 + 1 + 1) + 3,
         "eg_iterations": sum(r.eg.iterations for r in results),
     }
     assert digests.COUNTS == tuple(counts)
@@ -227,3 +228,29 @@ def test_ab_summary_counts_wins_and_reads_the_claim_rule():
     # The same numbers read as a rate: the change loses every pair but one.
     s = ab.summarize(parent, change, "higher")
     assert s["change_wins"] == "1/10" and s["claim_holds"] is False and s["gain"] < 0
+
+
+def test_ab_runs_compile_their_own_bytecode(monkeypatch, tmp_path):
+    """Each run gets PYTHONDONTWRITEBYTECODE=1 and its own fresh, empty
+    PYTHONPYCACHEPREFIX, so a `__pycache__` in one tree cannot speed up its
+    set-up; the rest of the environment passes through."""
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        cache = Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+        calls.append((argv, kwargs, cache, cache.is_dir() and not any(cache.iterdir())))
+        return SimpleNamespace(stdout='progress\n{"metrics": {}, "failed": 0}\n')
+
+    monkeypatch.setenv("AB_TEST_MARKER", "kept")
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    for seed in (1, 2):
+        assert ab.run_once(tmp_path, "crowd", seed, 3) == {"metrics": {}, "failed": 0}
+    (argv, kwargs, first, empty), (_, again, second, empty_again) = calls
+    assert argv[1:] == ["perfbench/run.py", "--workload", "crowd", "--seed", "1",
+                        "--seconds", "3", "--trace", "0"]
+    assert kwargs["cwd"] == tmp_path
+    for env in (kwargs["env"], again["env"]):
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert env["AB_TEST_MARKER"] == "kept"
+    assert empty and empty_again and first != second
+    assert not first.exists() and not second.exists()

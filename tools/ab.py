@@ -10,6 +10,10 @@ perfbench/run.py, src/ and BENCHMARK.json. Pair i runs
 each tree, one after the other, the parent first on odd i and the change
 first on even i, so neither side always meets the machine first. Both sides
 get the same run length and seed. Several workloads run one after the other.
+Every run writes no bytecode and reads none it did not compile itself (see
+run_once), so a `__pycache__` left in one tree cannot speed up its set-up;
+`setup_s` and `peak_rss_mb` then include compiling every module the run
+imports, numpy's and the standard library's too, on both sides alike.
 
 For each end-to-end metric that CHANGE_TREE's BENCHMARK.json declares, it
 prints both sides' medians and quartiles (inclusive method), the change's
@@ -26,9 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -70,12 +76,20 @@ def summarize(parent, change, better: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last JSON line that perfbench/run.py prints in `tree`."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=60 + 20 * seconds, check=True,
-    )
+    """The last JSON line that perfbench/run.py prints in `tree`.
+
+    The run gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX of its
+    own, a fresh empty directory: Python then looks for bytecode only there,
+    so it compiles every module it imports and neither tree sets up from
+    bytecode that the other lacks."""
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=60 + 20 * seconds,
+            check=True,
+        )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
